@@ -241,7 +241,6 @@ fn main() {
     let sizes: &[usize] = if fast { &SIZES_FAST } else { &SIZES };
 
     let big_sizes: &[usize] = if fast { &BIG_SIZES_FAST } else { &BIG_SIZES };
-    let threads = mvbc_rscode::codec_threads();
 
     let mut cases = Vec::new();
     for &(n, t) in &GEOMETRIES {
@@ -301,7 +300,7 @@ fn main() {
             format!("{:.1}", c.consistency_mbps),
         ]);
     }
-    println!("large committee (batched only, {threads} codec worker(s)):\n");
+    println!("large committee (batched only):\n");
     println!("{}", big_table.to_markdown());
     println!(
         "smr --pipeline end-to-end: n = {}, t = {}, {} slots x {} commands at depth {} in {:.0} ms ({} rounds, {} commands)",
@@ -345,7 +344,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"experiment\": \"codec\",\n  \"fast\": {fast},\n  \"threads\": {threads},\n  \"manifest\": {},\n  \"cases\": [\n{}\n  ],\n  \"big_n_cases\": [\n{}\n  ],\n  \"headline\": {{ \"n\": {}, \"t\": {}, \"value_bytes\": {}, \"encode_decode_speedup\": {:.2}, \"required_min\": {HEADLINE_MIN_SPEEDUP} }},\n  \"smr_pipeline\": {{ \"n\": {}, \"t\": {}, \"slots\": {}, \"batch_commands\": {}, \"depth\": {}, \"wall_ms\": {:.1}, \"rounds\": {}, \"commands\": {} }}\n}}\n",
+        "{{\n  \"experiment\": \"codec\",\n  \"fast\": {fast},\n  \"manifest\": {},\n  \"cases\": [\n{}\n  ],\n  \"big_n_cases\": [\n{}\n  ],\n  \"headline\": {{ \"n\": {}, \"t\": {}, \"value_bytes\": {}, \"encode_decode_speedup\": {:.2}, \"required_min\": {HEADLINE_MIN_SPEEDUP} }},\n  \"smr_pipeline\": {{ \"n\": {}, \"t\": {}, \"slots\": {}, \"batch_commands\": {}, \"depth\": {}, \"wall_ms\": {:.1}, \"rounds\": {}, \"commands\": {} }}\n}}\n",
         manifest_json(HEADLINE.0, HEADLINE.1, SEED, "round-barrier"),
         case_json.join(",\n"),
         big_json.join(",\n"),

@@ -9,9 +9,7 @@
 //! identical at every depth (asserted here).
 //!
 //! A separate large-committee row then times one pipelined run at
-//! n = 64, t = 21 with a warm lane pool sized to the slot window
-//! (`big_n` in the JSON, with its own manifest): the regime the pooled
-//! lane executor and stripe-sharded codec kernels exist for.
+//! n = 64, t = 21 (`big_n` in the JSON, with its own manifest).
 //!
 //! Writes `results/BENCH_pipeline.json` and fails loudly unless depth 4
 //! cuts total rounds at least 3x vs sequential with identical digests.
@@ -40,8 +38,7 @@ const BATCH: usize = 16;
 const SEED: u64 = 11;
 const DEPTHS: [usize; 4] = [1, 2, 4, 8];
 
-/// Large-committee row: the paper's regime of interest for pooled lanes
-/// and sharded codec kernels (n >= 64 keeps 3t + 1 <= n with t = 21).
+/// Large-committee row (n >= 64 keeps 3t + 1 <= n with t = 21).
 const BIG_N: usize = 64;
 const BIG_T: usize = 21;
 const BIG_SLOTS: usize = 16;
@@ -102,28 +99,21 @@ struct BigMeasured {
     wall_ms: f64,
     commands: u64,
     digest: u64,
-    lanes_pool: usize,
-    lane_workers_spawned: usize,
 }
 
-/// One pipelined large-committee run. The lane pool is sized to the
-/// full slot window (`n * depth` concurrent lanes) so finished slots'
-/// workers stay warm for the next slots instead of being respawned.
+/// One pipelined large-committee run.
 // Bench harness: wall-clock timing is the deliverable, exempt from the
 // determinism mirror in clippy.toml.
 #[allow(clippy::disallowed_methods)]
 fn run_big(slots: usize) -> BigMeasured {
-    let lanes_pool = BIG_N * BIG_DEPTH;
     let mut cfg = SmrConfig::new(BIG_N, BIG_T, slots, BATCH)
         .expect("valid parameters")
-        .with_pipeline(BIG_DEPTH)
-        .with_lanes_pool(lanes_pool);
+        .with_pipeline(BIG_DEPTH);
     // 64 replicas on few cores take far longer per round than the
     // coordinator's default wedge-detection window expects.
     cfg.round_timeout = Some(std::time::Duration::from_secs(600));
     let workloads = synthetic_workloads(BIG_N, slots.div_ceil(BIG_N) * BATCH, SEED);
     let hooks: Vec<Box<dyn SmrHooks>> = (0..BIG_N).map(|_| HonestReplica::boxed()).collect();
-    let spawned_before = mvbc_netsim::lanepool::lane_pool_spawned();
     let start = Instant::now();
     let run = simulate_smr(&cfg, workloads, hooks, MetricsSink::new());
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -138,8 +128,6 @@ fn run_big(slots: usize) -> BigMeasured {
         wall_ms,
         commands: r.committed_commands,
         digest: r.digest,
-        lanes_pool,
-        lane_workers_spawned: mvbc_netsim::lanepool::lane_pool_spawned() - spawned_before,
     }
 }
 
@@ -184,14 +172,8 @@ fn main() {
     println!("{}", table.to_markdown());
     println!(
         "large committee: n = {BIG_N}, t = {BIG_T}, {} slots at depth {BIG_DEPTH} in {:.0} ms \
-         ({} rounds, {} commands, digest {:016x}; lane pool {} kept {} spawned workers warm)",
-        big.slots,
-        big.wall_ms,
-        big.rounds,
-        big.commands,
-        big.digest,
-        big.lanes_pool,
-        big.lane_workers_spawned,
+         ({} rounds, {} commands, digest {:016x})",
+        big.slots, big.wall_ms, big.rounds, big.commands, big.digest,
     );
     let w4 = runs.iter().find(|m| m.depth == 4).expect("depth 4 measured");
     let speedup4 = seq.rounds as f64 / w4.rounds as f64;
@@ -210,15 +192,13 @@ fn main() {
         })
         .collect();
     let big_json = format!(
-        "{{\n    \"manifest\": {},\n    \"n\": {BIG_N}, \"t\": {BIG_T}, \"slots\": {}, \"batch_commands\": {BATCH}, \"depth\": {BIG_DEPTH},\n    \"rounds\": {}, \"wall_ms\": {:.1}, \"commands\": {}, \"digest\": \"{:016x}\",\n    \"lanes_pool\": {}, \"lane_workers_spawned\": {}\n  }}",
+        "{{\n    \"manifest\": {},\n    \"n\": {BIG_N}, \"t\": {BIG_T}, \"slots\": {}, \"batch_commands\": {BATCH}, \"depth\": {BIG_DEPTH},\n    \"rounds\": {}, \"wall_ms\": {:.1}, \"commands\": {}, \"digest\": \"{:016x}\"\n  }}",
         manifest_json(BIG_N, BIG_T, SEED, "round-barrier"),
         big.slots,
         big.rounds,
         big.wall_ms,
         big.commands,
         big.digest,
-        big.lanes_pool,
-        big.lane_workers_spawned,
     );
     let json = format!(
         "{{\n  \"experiment\": \"smr_pipeline\",\n  \"fast\": {fast},\n  \"manifest\": {},\n  \"config\": {{ \"n\": {N}, \"t\": {T}, \"slots\": {slots}, \"batch_commands\": {BATCH}, \"total_commands\": {} }},\n  \"runs\": [\n{}\n  ],\n  \"big_n\": {big_json},\n  \"round_speedup_depth4\": {speedup4:.2},\n  \"digests_identical\": true\n}}\n",

@@ -13,7 +13,6 @@ usage:
   mvbc smr       --n <N> --t <T> --slots <S> [--batch <CMDS>] [--batch-bytes <B>]
                  [--attack none|equivocate|silent] [--byz <ID>] [--seed <N>]
                  [--pipeline <W>] [--round-timeout-secs <SECS>]
-                 [--codec-threads <N>] [--lanes-pool <N>]
                  [--latency-model fixed:<T>|jitter:<BASE>:<JIT>|wan:<INTRA>:<INTER>[:<JIT>]]
                  [--topology clique|clusters:<A,B,...>] [--net-seed <N>]
                  [--partition <START>:<HEAL>:<ISLAND>[:drop|delay]] [--max-vtime <T>]
@@ -51,11 +50,6 @@ flags:
              committed log is identical at every depth)
   --round-timeout-secs  coordinator wedge-detection timeout (smr only,
              default 60; raise for long logs on slow machines)
-  --codec-threads  worker threads for stripe-sharded codec kernels (smr
-             only, default: available parallelism; committed bytes are
-             identical at every count, 1 is fully serial)
-  --lanes-pool  idle lane worker threads kept warm for reuse (smr only,
-             default: available parallelism; pure wall-clock knob)
   --latency-model  per-link latency in virtual ticks (smr only); selecting one
              switches the run to the event-driven scheduling policy
   --topology clique (default) or clusters:<A,B,...> with sizes summing to n
@@ -353,12 +347,6 @@ pub enum Command {
         byz: usize,
         /// Pipeline depth: log slots in flight concurrently.
         pipeline: usize,
-        /// Codec worker count for stripe-sharded kernels (`None` =
-        /// machine default).
-        codec_threads: Option<usize>,
-        /// Lane-pool size: idle lane workers kept warm (`None` =
-        /// machine default).
-        lanes_pool: Option<usize>,
         /// Coordinator wedge-detection timeout in seconds.
         round_timeout_secs: Option<u64>,
         /// Event-driven network flags (latency model, topology,
@@ -423,7 +411,17 @@ struct Flags<'a> {
     argv: &'a [String],
 }
 
-impl Flags<'_> {
+impl<'a> Flags<'a> {
+    /// Wraps the arguments of subcommand `sub`, rejecting any `--flag`
+    /// outside `known`: a typo, a flag of another subcommand or a flag
+    /// that no longer exists must fail, not be silently ignored.
+    fn new(sub: &str, argv: &'a [String], known: &[&str]) -> Result<Self, ParseError> {
+        match argv.iter().find(|a| a.starts_with("--") && !known.contains(&a.as_str())) {
+            Some(unknown) => Err(err(format!("unknown flag '{unknown}' for '{sub}'"))),
+            None => Ok(Flags { argv }),
+        }
+    }
+
     fn value_of(&self, flag: &str) -> Option<&str> {
         self.argv
             .iter()
@@ -452,15 +450,20 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     let Some(sub) = argv.first() else {
         return Err(err("missing subcommand"));
     };
-    let flags = Flags { argv: &argv[1..] };
+    let rest = &argv[1..];
     if sub == "soak" {
+        let flags = Flags::new("soak", rest, &["--runs", "--seed"])?;
         return Ok(Command::Soak {
             runs: flags.usize_of("--runs")?.unwrap_or(50),
             seed: flags.usize_of("--seed")?.unwrap_or(7) as u64,
         });
     }
-    if sub == "smr" && argv.get(1).map(String::as_str) == Some("soak") {
-        let flags = Flags { argv: &argv[2..] };
+    if sub == "smr" && rest.first().map(String::as_str) == Some("soak") {
+        let flags = Flags::new(
+            "smr soak",
+            &rest[1..],
+            &["--runs", "--seed", "--scenario", "--emit-failures"],
+        )?;
         return Ok(Command::SmrSoak {
             runs: flags.usize_of("--runs")?.unwrap_or(64),
             seed: flags.usize_of("--seed")?.unwrap_or(7) as u64,
@@ -469,18 +472,19 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
         });
     }
     if sub == "smr" {
+        let flags = Flags::new(
+            "smr",
+            rest,
+            &[
+                "--n", "--t", "--slots", "--batch", "--batch-bytes", "--attack", "--byz", "--seed",
+                "--pipeline", "--round-timeout-secs", "--latency-model", "--topology", "--net-seed",
+                "--partition", "--max-vtime", "--report",
+            ],
+        )?;
         let n = flags.required_usize("--n")?;
         let pipeline = flags.usize_of("--pipeline")?.unwrap_or(1);
         if pipeline == 0 {
             return Err(err("--pipeline expects a depth of at least 1"));
-        }
-        let codec_threads = flags.usize_of("--codec-threads")?;
-        if codec_threads == Some(0) {
-            return Err(err("--codec-threads expects a worker count of at least 1"));
-        }
-        let lanes_pool = flags.usize_of("--lanes-pool")?;
-        if lanes_pool == Some(0) {
-            return Err(err("--lanes-pool expects a pool size of at least 1"));
         }
         return Ok(Command::Smr {
             n,
@@ -497,8 +501,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             },
             byz: flags.usize_of("--byz")?.unwrap_or(n.saturating_sub(1)),
             pipeline,
-            codec_threads,
-            lanes_pool,
             round_timeout_secs: flags.usize_of("--round-timeout-secs")?.map(|s| s as u64),
             net: NetSpec {
                 latency: flags.value_of("--latency-model").map(parse_latency).transpose()?,
@@ -515,8 +517,18 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             .get(1)
             .filter(|a| !a.starts_with("--"))
             .ok_or_else(|| err("inspect expects a file path"))?;
+        Flags::new("inspect", rest, &[])?;
         return Ok(Command::Inspect { path: path.clone() });
     }
+    let known: &[&str] = match sub.as_str() {
+        "consensus" => {
+            &["--n", "--t", "--l", "--d", "--seed", "--attack", "--differing", "--bsb", "--trace"]
+        }
+        "broadcast" => &["--n", "--t", "--l", "--d", "--source", "--seed", "--attack"],
+        "info" => &["--n", "--t", "--l"],
+        other => return Err(err(format!("unknown subcommand '{other}'"))),
+    };
+    let flags = Flags::new(sub, rest, known)?;
     let n = flags.required_usize("--n")?;
     let t = flags.required_usize("--t")?;
     let l = flags.required_usize("--l")?;
@@ -560,7 +572,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             },
         }),
         "info" => Ok(Command::Info { n, t, l }),
-        other => Err(err(format!("unknown subcommand '{other}'"))),
+        _ => unreachable!("subcommand validated with its flag list above"),
     }
 }
 
@@ -635,8 +647,6 @@ mod tests {
                 attack: SmrAttack::None,
                 byz: 3,
                 pipeline: 1,
-                codec_threads: None,
-                lanes_pool: None,
                 round_timeout_secs: None,
                 net: NetSpec::default(),
                 report: None,
@@ -677,31 +687,33 @@ mod tests {
     }
 
     #[test]
-    fn parses_smr_perf_knobs() {
-        let cmd = parse(&argv(
-            "smr --n 7 --t 2 --slots 10 --codec-threads 4 --lanes-pool 8",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Smr { codec_threads, lanes_pool, .. } => {
-                assert_eq!(codec_threads, Some(4));
-                assert_eq!(lanes_pool, Some(8));
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+    fn rejects_unknown_flags() {
+        let unknown = |flag: &str, sub: &str| {
+            Err(ParseError(format!("unknown flag '{flag}' for '{sub}'")))
+        };
+        // Flags that no longer exist must not keep "working".
         assert_eq!(
-            parse(&argv("smr --n 4 --t 1 --slots 5 --codec-threads 0")),
-            Err(ParseError(
-                "--codec-threads expects a worker count of at least 1".into()
-            ))
+            parse(&argv("smr --n 7 --t 2 --slots 10 --codec-threads 4")),
+            unknown("--codec-threads", "smr")
         );
         assert_eq!(
-            parse(&argv("smr --n 4 --t 1 --slots 5 --lanes-pool 0")),
-            Err(ParseError(
-                "--lanes-pool expects a pool size of at least 1".into()
-            ))
+            parse(&argv("smr --n 7 --t 2 --slots 10 --lanes-pool 8")),
+            unknown("--lanes-pool", "smr")
         );
-        assert!(parse(&argv("smr --n 4 --t 1 --slots 5 --codec-threads x")).is_err());
+        // A typo of a live flag.
+        assert_eq!(
+            parse(&argv("smr --n 7 --t 2 --slots 10 --pipline 4")),
+            unknown("--pipline", "smr")
+        );
+        // Known flags are per subcommand.
+        assert_eq!(parse(&argv("info --n 4 --t 1 --l 8 --slots 3")), unknown("--slots", "info"));
+        assert_eq!(
+            parse(&argv("broadcast --n 4 --t 1 --l 8 --differing")),
+            unknown("--differing", "broadcast")
+        );
+        assert_eq!(parse(&argv("smr soak --runs 3 --pipeline 2")), unknown("--pipeline", "smr soak"));
+        assert_eq!(parse(&argv("soak --scenario s.json")), unknown("--scenario", "soak"));
+        assert_eq!(parse(&argv("inspect r.json --slot 3")), unknown("--slot", "inspect"));
     }
 
     #[test]

@@ -54,14 +54,12 @@ pub fn run(cmd: Command) {
             attack,
             byz,
             pipeline,
-            codec_threads,
-            lanes_pool,
             round_timeout_secs,
             net,
             report,
         } => smr(
-            n, t, slots, batch, batch_bytes, seed, attack, byz, pipeline, codec_threads,
-            lanes_pool, round_timeout_secs, net, report,
+            n, t, slots, batch, batch_bytes, seed, attack, byz, pipeline, round_timeout_secs, net,
+            report,
         ),
         Command::Inspect { path } => inspect(&path),
         Command::Info { n, t, l } => info(n, t, l),
@@ -556,8 +554,6 @@ fn smr(
     attack: SmrAttack,
     byz: usize,
     pipeline: usize,
-    codec_threads: Option<usize>,
-    lanes_pool: Option<usize>,
     round_timeout_secs: Option<u64>,
     net: NetSpec,
     report_path: Option<String>,
@@ -575,14 +571,6 @@ fn smr(
     .with_policy(policy.clone());
     if let Some(limit) = net.max_vtime {
         cfg = cfg.with_max_vtime(limit);
-    }
-    // Zero is rejected at the flag-parsing layer; these only pin
-    // explicit overrides (None keeps the machine defaults).
-    if let Some(threads) = codec_threads {
-        cfg = cfg.with_codec_threads(threads);
-    }
-    if let Some(pool) = lanes_pool {
-        cfg = cfg.with_lanes_pool(pool);
     }
     cfg.round_timeout = round_timeout_secs.map(std::time::Duration::from_secs);
     if byz >= n {

@@ -6,6 +6,8 @@
 //! (`mvbc.lint.v1`) the same way run reports pin `mvbc.run_report.v1`,
 //! so CI can validate the output shape without trusting the producer.
 
+use std::collections::BTreeMap;
+
 use mvbc_metrics::json::JsonValue;
 
 /// Schema tag for `--json` output.
@@ -64,6 +66,8 @@ pub struct Report {
     pub diagnostics: Vec<Diagnostic>,
     /// Per-crate statistics, keyed by crate directory (sorted).
     pub stats: Vec<(String, CrateStats)>,
+    /// Inline suppressions across the workspace, counted per rule name.
+    pub suppressed_rules: BTreeMap<String, u64>,
 }
 
 impl Report {

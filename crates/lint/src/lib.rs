@@ -88,7 +88,10 @@ pub fn scan_workspace(root: &Path, manifest: &Manifest) -> Result<Report, String
         let stats = per_crate.entry(krate.clone()).or_default();
         stats.files += 1;
         stats.unsafe_blocks += outcome.unsafe_count;
-        stats.suppressions += outcome.suppressions;
+        stats.suppressions += outcome.suppressions.len() as u64;
+        for rule in outcome.suppressions {
+            *report.suppressed_rules.entry(rule).or_default() += 1;
+        }
         stats.rule_hits += outcome.diagnostics.len() as u64;
         *unsafe_totals.entry(krate.clone()).or_default() += outcome.unsafe_count;
         if rel.ends_with("/src/lib.rs") {

@@ -46,8 +46,9 @@ pub struct FileOutcome {
     pub diagnostics: Vec<Diagnostic>,
     /// `unsafe` tokens in the file (test regions included).
     pub unsafe_count: u64,
-    /// `mvbc-lint: allow(...)` comments in the file.
-    pub suppressions: u64,
+    /// The rule named by each `mvbc-lint: allow(...)` comment in the
+    /// file, one entry per comment.
+    pub suppressions: Vec<String>,
     /// Whether the file carries `#![forbid(unsafe_code)]`.
     pub has_forbid_unsafe: bool,
 }
@@ -80,7 +81,7 @@ pub fn check_file(path: &str, src: &str, manifest: &Manifest) -> FileOutcome {
     let mut raw: Vec<Diagnostic> = Vec::new();
 
     let (suppressions, mut meta_diags) = parse_suppressions(path, &lexed);
-    out.suppressions = suppressions.len() as u64;
+    out.suppressions = suppressions.iter().map(|s| s.rule.clone()).collect();
 
     let mask = test_mask(&lexed.toks);
     let statements = statement_spans(&lexed.toks);

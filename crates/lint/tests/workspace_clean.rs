@@ -32,6 +32,14 @@ fn workspace_lints_clean() {
     for krate in ["crates/broadcast", "crates/bsb", "crates/smr", "crates/netsim"] {
         assert!(scanned.contains(&krate), "scan skipped {krate}");
     }
+    // No determinism zone reads the machine's shape any more, so
+    // `determinism.thread_count` has no sanctioned call site: a worker
+    // count must not come back behind a suppression comment.
+    assert_eq!(
+        report.suppressed_rules.get("determinism.thread_count"),
+        None,
+        "the workspace suppresses determinism.thread_count again"
+    );
 }
 
 #[test]

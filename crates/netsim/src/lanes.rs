@@ -12,10 +12,9 @@
 //! [`LaneMux`] implements exactly that:
 //!
 //! - [`LaneMux::spawn`] starts a lane: a blocking closure over its own
-//!   lane-local [`NodeCtx`] running on a pooled worker thread (see
-//!   [`crate::lanepool`] — finished lanes' workers are kept warm and
-//!   reused). The closure is unchanged protocol code — re-entrant
-//!   functions like `run_broadcast_slot` run as-is.
+//!   lane-local [`NodeCtx`] running on its own thread. The closure is
+//!   unchanged protocol code — re-entrant functions like
+//!   `run_broadcast_slot` run as-is.
 //! - [`LaneMux::step`] advances *every* live lane by one round: it
 //!   collects each lane's round submission (or completion), forwards the
 //!   union through the real [`NodeCtx`] in **one** physical
@@ -76,10 +75,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use crossbeam::channel::{self, Receiver, Sender};
 
-use crate::lanepool::{self, PoolHandle};
 use crate::{CoordMsg, Inbox, InboxPool, NodeCtx};
 
 /// Identifier of one spawned lane, unique within its [`LaneMux`].
@@ -102,7 +101,7 @@ struct Lane<O> {
     scope: String,
     up: Receiver<CoordMsg>,
     down: Sender<Inbox>,
-    join: Option<PoolHandle<O>>,
+    join: JoinHandle<O>,
     rounds: u64,
     logical_bits: u64,
 }
@@ -159,9 +158,9 @@ impl<O: Send + 'static> LaneMux<O> {
     /// message tags must live under `scope` (see [`crate::scoped_tag`]);
     /// incoming messages are routed to the lane by that scope.
     ///
-    /// The lane begins executing immediately on a pooled worker thread,
-    /// up to its first `end_round`; it makes no further progress until
-    /// the next [`LaneMux::step`].
+    /// The lane begins executing immediately on its own thread, up to
+    /// its first `end_round`; it makes no further progress until the
+    /// next [`LaneMux::step`].
     ///
     /// # Panics
     ///
@@ -186,9 +185,7 @@ impl<O: Send + 'static> LaneMux<O> {
         let round = ctx.round();
         let vtime = ctx.vtime();
         let metrics = ctx.metrics().clone();
-        // Lanes run on pooled workers: a warm worker from an earlier
-        // finished lane is reused when one is idle (see `lanepool`).
-        let join = lanepool::run(move || {
+        let join = std::thread::spawn(move || {
             let mut lane_ctx = NodeCtx {
                 id,
                 n,
@@ -211,7 +208,7 @@ impl<O: Send + 'static> LaneMux<O> {
                 scope,
                 up: up_rx,
                 down: down_tx,
-                join: Some(join),
+                join,
                 rounds: 0,
                 logical_bits: 0,
             },
@@ -296,8 +293,8 @@ impl<O: Send + 'static> LaneMux<O> {
         }
         done.into_iter()
             .map(|id| {
-                let mut lane = self.lanes.remove(&id).expect("finished lane is live");
-                let output = match lane.join.take().expect("join handle present").join() {
+                let lane = self.lanes.remove(&id).expect("finished lane is live");
+                let output = match lane.join.join() {
                     Ok(out) => out,
                     Err(e) => {
                         let msg = e

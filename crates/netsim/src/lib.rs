@@ -65,7 +65,6 @@
 
 pub mod bits;
 pub mod events;
-pub mod lanepool;
 pub mod lanes;
 pub mod net;
 pub mod trace;

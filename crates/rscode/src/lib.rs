@@ -50,10 +50,8 @@ mod code;
 pub mod reference;
 mod striped;
 mod symbol;
-mod threads;
 mod weights;
 
 pub use code::{CodeError, ReedSolomon};
 pub use striped::{StripedCode, StripedLayout};
 pub use symbol::Symbol;
-pub use threads::{codec_threads, set_codec_threads};

@@ -16,10 +16,6 @@ use mvbc_gf::{kernels, mul_rows_prepared, Field, Gf65536, PreparedMul65536};
 
 use crate::{CodeError, ReedSolomon, Symbol};
 
-/// Minimum stripes per worker band before sharding pays: below ~16 KiB
-/// of stripe data per row the spawn cost dominates the kernel.
-const SHARD_MIN_STRIPES: usize = 8192;
-
 /// Minimum stripes before the prepared byte-table path pays for its
 /// table builds; matches the byte-table tier of the `mvbc_gf` packed
 /// kernels. Below this the generic coefficient path (which picks the
@@ -34,122 +30,56 @@ const BLOCK_STRIPES: usize = 1024;
 
 /// Prepared-table working sets larger than this (64 KiB of tables)
 /// would thrash while cycling rows inside each block; fall back to
-/// row-major full-band sweeps, which keep exactly one row's tables
+/// row-major full-range sweeps, which keep exactly one row's tables
 /// hot.
 const BLOCKED_TABLE_BUDGET: usize = 64;
 
-/// Splits every destination row at the same contiguous stripe
-/// boundaries (via repeated `split_at_mut`; `stripes = shards * base +
-/// rem`, the first `rem` bands one stripe longer) and returns one
-/// `(stripe_range, row_bands)` entry per worker.
-fn shard_bands<'a>(
-    dsts: &'a mut [&mut [Gf65536]],
-    shards: usize,
-) -> Vec<(std::ops::Range<usize>, Vec<&'a mut [Gf65536]>)> {
-    let stripes = dsts.first().map_or(0, |d| d.len());
-    let rows = dsts.len();
-    let base = stripes / shards;
-    let rem = stripes % shards;
-    let band_len = |w: usize| base + usize::from(w < rem);
-    let mut bands: Vec<Vec<&mut [Gf65536]>> =
-        (0..shards).map(|_| Vec::with_capacity(rows)).collect();
-    for dst in dsts.iter_mut() {
-        let mut rest: &mut [Gf65536] = dst;
-        for (w, band) in bands.iter_mut().enumerate() {
-            let (head, tail) = rest.split_at_mut(band_len(w));
-            band.push(head);
-            rest = tail;
-        }
-    }
-    let mut lo = 0usize;
-    bands
-        .into_iter()
-        .enumerate()
-        .map(|(w, band)| {
-            let hi = lo + band_len(w);
-            let range = lo..hi;
-            lo = hi;
-            (range, band)
-        })
-        .collect()
-}
-
-/// Applies matrix rows to a set of sources, stripe-sharded:
+/// Applies matrix rows to a set of sources:
 /// `dsts[r][s] += Σ_j rows[r][j] * srcs[j][s]`.
 ///
 /// This is the generic-coefficient loop behind the small-value paths
 /// of encode, consistency verification, reconstruct-decode, and
-/// symbol extension (large values take [`apply_rows_prepared`]). With
-/// `shards > 1` the stripe range is partitioned into contiguous bands
-/// and each scoped worker owns one band of *every* row. Each element
-/// is still computed exactly once, by exactly one worker, with the
-/// same operations in the same order as the serial loop — so output
-/// bytes are identical for every worker count. The `shards <= 1`
-/// branch is the executable specification; the pool-size-invariance
-/// test in `tests/codec_equivalence.rs` pins the equality.
-fn apply_rows(
-    rows: &[&[Gf65536]],
-    srcs: &[&[Gf65536]],
-    dsts: &mut [&mut [Gf65536]],
-    shards: usize,
-) {
+/// symbol extension (large values take [`apply_rows_prepared`]).
+fn apply_rows(rows: &[&[Gf65536]], srcs: &[&[Gf65536]], dsts: &mut [&mut [Gf65536]]) {
     assert_eq!(rows.len(), dsts.len(), "apply_rows shape mismatch");
-    let stripes = dsts.first().map_or(0, |d| d.len());
-    let shards = shards.clamp(1, (stripes / SHARD_MIN_STRIPES).max(1));
-    if shards <= 1 {
-        for (coeffs, dst) in rows.iter().zip(dsts.iter_mut()) {
-            kernels::addmul_rows(coeffs, srcs, dst);
-        }
-        return;
+    for (coeffs, dst) in rows.iter().zip(dsts.iter_mut()) {
+        kernels::addmul_rows(coeffs, srcs, dst);
     }
-    std::thread::scope(|scope| {
-        for (range, band) in shard_bands(dsts, shards) {
-            scope.spawn(move || {
-                let src_band: Vec<&[Gf65536]> =
-                    srcs.iter().map(|s| &s[range.clone()]).collect();
-                for (coeffs, dst) in rows.iter().zip(band) {
-                    kernels::addmul_rows(coeffs, &src_band, dst);
-                }
-            });
-        }
-    });
 }
 
 /// The prepared-table twin of [`apply_rows`], for byte-table-tier
 /// values: `dsts[r][s] = Σ_j tables[r * k + j] * srcs[j][s]`
 /// (overwrite — every caller hands freshly zeroed destinations).
 ///
-/// Beyond sharing [`apply_rows`]' banding (and its byte-identical
-/// output for every worker count), each band is swept in
-/// [`BLOCK_STRIPES`]-sized cache blocks with the row loop *inside* the
-/// block loop: all `k` source blocks stay L1-resident while every
-/// output row consumes them, instead of re-streaming each source from
-/// L2 once per row. The prepared tables are built (or fetched from the
-/// generator cache) exactly once per call, not once per row
-/// application.
+/// The stripe range is swept in [`BLOCK_STRIPES`]-sized cache blocks
+/// with the row loop *inside* the block loop: all `k` source blocks
+/// stay L1-resident while every output row consumes them, instead of
+/// re-streaming each source from L2 once per row. The prepared tables
+/// are built (or fetched from the generator cache) exactly once per
+/// call, not once per row application.
 fn apply_rows_prepared(
     tables: &[PreparedMul65536],
     k: usize,
     srcs: &[&[Gf65536]],
     dsts: &mut [&mut [Gf65536]],
-    shards: usize,
 ) {
     assert_eq!(tables.len(), dsts.len() * k, "apply_rows_prepared shape mismatch");
     let stripes = dsts.first().map_or(0, |d| d.len());
-    let shards = shards.clamp(1, (stripes / SHARD_MIN_STRIPES).max(1));
-    if shards <= 1 {
-        apply_band_prepared(tables, k, srcs, dsts);
+    if tables.len() > BLOCKED_TABLE_BUDGET {
+        for (row_tables, dst) in tables.chunks(k).zip(dsts.iter_mut()) {
+            mul_rows_prepared(row_tables, srcs, dst);
+        }
         return;
     }
-    std::thread::scope(|scope| {
-        for (range, mut band) in shard_bands(dsts, shards) {
-            scope.spawn(move || {
-                let src_band: Vec<&[Gf65536]> =
-                    srcs.iter().map(|s| &s[range.clone()]).collect();
-                apply_band_prepared(tables, k, &src_band, &mut band);
-            });
+    let mut lo = 0usize;
+    while lo < stripes {
+        let hi = (lo + BLOCK_STRIPES).min(stripes);
+        let src_block: Vec<&[Gf65536]> = srcs.iter().map(|s| &s[lo..hi]).collect();
+        for (row_tables, dst) in tables.chunks(k).zip(dsts.iter_mut()) {
+            mul_rows_prepared(row_tables, &src_block, &mut dst[lo..hi]);
         }
-    });
+        lo = hi;
+    }
 }
 
 /// Process-wide cache of prepared generator tables, keyed by `(n, k)`.
@@ -185,32 +115,6 @@ fn gen_tables(rs: &ReedSolomon<Gf65536>, n: usize, k: usize) -> std::sync::Arc<V
         map.clear();
     }
     map.entry((n, k)).or_insert_with(|| built.clone()).clone()
-}
-
-/// Serial, cache-blocked sweep of one stripe band (the whole range
-/// when unsharded).
-fn apply_band_prepared(
-    tables: &[PreparedMul65536],
-    k: usize,
-    srcs: &[&[Gf65536]],
-    dsts: &mut [&mut [Gf65536]],
-) {
-    let stripes = dsts.first().map_or(0, |d| d.len());
-    if tables.len() > BLOCKED_TABLE_BUDGET {
-        for (row_tables, dst) in tables.chunks(k).zip(dsts.iter_mut()) {
-            mul_rows_prepared(row_tables, srcs, dst);
-        }
-        return;
-    }
-    let mut lo = 0usize;
-    while lo < stripes {
-        let hi = (lo + BLOCK_STRIPES).min(stripes);
-        let src_block: Vec<&[Gf65536]> = srcs.iter().map(|s| &s[lo..hi]).collect();
-        for (row_tables, dst) in tables.chunks(k).zip(dsts.iter_mut()) {
-            mul_rows_prepared(row_tables, &src_block, &mut dst[lo..hi]);
-        }
-        lo = hi;
-    }
 }
 
 /// Geometry of a striped code: how a byte value maps onto symbols.
@@ -249,9 +153,6 @@ pub struct StripedLayout {
 pub struct StripedCode {
     layout: StripedLayout,
     rs: ReedSolomon<Gf65536>,
-    /// Explicit worker-count override; `None` defers to the process-wide
-    /// [`crate::codec_threads`] knob.
-    threads: Option<usize>,
 }
 
 impl StripedCode {
@@ -281,7 +182,6 @@ impl StripedCode {
                 stripes,
             },
             rs,
-            threads: None,
         })
     }
 
@@ -295,29 +195,6 @@ impl StripedCode {
         Self::new(n, k, value_bytes)
     }
 
-    /// Overrides the worker count used to shard stripe-range kernels.
-    ///
-    /// `1` reproduces the fully serial loops. The count only bounds how
-    /// many contiguous stripe bands are worked concurrently; encoded
-    /// and decoded bytes are identical for every value (pinned by the
-    /// pool-size-invariance test in the equivalence suite). Without an
-    /// override the process-wide [`crate::codec_threads`] knob applies.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `threads` is zero.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "codec threads must be at least 1");
-        self.threads = Some(threads);
-        self
-    }
-
-    /// The effective worker count for this code's sharded kernels.
-    fn shards(&self) -> usize {
-        self.threads.unwrap_or_else(crate::threads::codec_threads)
-    }
-
     /// Applies coefficient rows through the prepared cache-blocked path
     /// when the value is in byte-table territory, or the generic
     /// coefficient path otherwise. Identical bytes either way — the
@@ -328,9 +205,9 @@ impl StripedCode {
                 .iter()
                 .flat_map(|row| row.iter().map(|&c| PreparedMul65536::new(c)))
                 .collect();
-            apply_rows_prepared(&tables, self.layout.k, srcs, dsts, self.shards());
+            apply_rows_prepared(&tables, self.layout.k, srcs, dsts);
         } else {
-            apply_rows(rows, srcs, dsts, self.shards());
+            apply_rows(rows, srcs, dsts);
         }
     }
 
@@ -383,8 +260,7 @@ impl StripedCode {
     /// Applies the precomputed generator matrix stripe-parallel: each
     /// output row is one fused [`kernels::addmul_rows`] application of
     /// its generator row across all stripes at once (instead of Horner
-    /// evaluation per stripe), sharded into contiguous stripe bands
-    /// when the configured worker count and value size allow.
+    /// evaluation per stripe).
     ///
     /// # Errors
     ///
@@ -406,10 +282,10 @@ impl StripedCode {
             // The generator tables are fixed per geometry: fetch them
             // from the process-wide cache instead of rebuilding.
             let tables = gen_tables(&self.rs, l.n, l.k);
-            apply_rows_prepared(&tables, l.k, &srcs, &mut dsts, self.shards());
+            apply_rows_prepared(&tables, l.k, &srcs, &mut dsts);
         } else {
             let rows: Vec<&[Gf65536]> = (0..l.n).map(|pos| self.rs.gen_row(pos)).collect();
-            apply_rows(&rows, &srcs, &mut dsts, self.shards());
+            apply_rows(&rows, &srcs, &mut dsts);
         }
         Ok(out
             .into_iter()
@@ -459,9 +335,9 @@ impl StripedCode {
     }
 
     /// Verifies every symbol beyond the first `k` against the cached
-    /// polynomial of the first `k`, stripe-parallel: one fused (and
-    /// possibly sharded) extension-row application per extra symbol
-    /// into one flat scratch buffer, then a straight comparison.
+    /// polynomial of the first `k`, stripe-parallel: one fused
+    /// extension-row application per extra symbol into one flat
+    /// scratch buffer, then a straight comparison.
     fn verify_extras(
         &self,
         w: &crate::weights::InterpWeights<Gf65536>,
@@ -532,8 +408,8 @@ impl StripedCode {
         self.verify_extras(&w, symbols, &mut scratch)?;
         let srcs: Vec<&[Gf65536]> = symbols[..l.k].iter().map(|(_, s)| s.elems()).collect();
         // chunk_ci[s] = Σ_j coeff[j][ci] · y_j[s]: gather the per-chunk
-        // coefficient columns (k*k tiny elements), then one fused (and
-        // possibly sharded) row application per reconstructed chunk.
+        // coefficient columns (k*k tiny elements), then one fused row
+        // application per reconstructed chunk.
         let cols: Vec<Vec<Gf65536>> = (0..l.k)
             .map(|ci| (0..l.k).map(|j| w.coeff_row(j)[ci]).collect())
             .collect();
@@ -778,30 +654,6 @@ mod tests {
             Ok(decoded) => assert_ne!(decoded, v),
             Err(e) => panic!("unexpected error {e}"),
         }
-    }
-
-    #[test]
-    fn sharding_is_pool_size_invariant() {
-        // Large enough that `apply_rows` actually splits into several
-        // bands (k = 3 → ~33k stripes → up to 4 bands of 8192).
-        let len = 200_000;
-        let v = value(len);
-        let serial = StripedCode::c2t(7, 2, len).unwrap().with_threads(1);
-        let syms = serial.encode_value(&v).unwrap();
-        for workers in [2usize, 3, 8] {
-            let sharded = StripedCode::c2t(7, 2, len).unwrap().with_threads(workers);
-            assert_eq!(sharded.encode_value(&v).unwrap(), syms, "encode workers={workers}");
-            let picks: Vec<_> = syms.iter().cloned().enumerate().skip(2).collect();
-            assert_eq!(sharded.decode_value(&picks).unwrap(), v, "decode workers={workers}");
-            assert_eq!(sharded.extend_symbols(&picks).unwrap(), syms, "extend workers={workers}");
-            assert!(sharded.is_consistent(&picks).unwrap(), "consistent workers={workers}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "codec threads must be at least 1")]
-    fn zero_threads_rejected() {
-        let _ = StripedCode::c2t(7, 2, 8).unwrap().with_threads(0);
     }
 
     #[test]

@@ -113,18 +113,6 @@ pub struct SmrConfig {
     /// committing the **exact same log** (see
     /// [`run_replicated_log_pipelined`]).
     pub pipeline: usize,
-    /// Codec worker count for stripe-sharded encode/decode kernels
-    /// (`None` = leave the process-wide default, which resolves to the
-    /// machine's available parallelism). Pure wall-clock knob: committed
-    /// bytes are identical for every value
-    /// (see [`mvbc_rscode::set_codec_threads`]).
-    pub codec_threads: Option<usize>,
-    /// Lane-pool size: how many idle lane worker threads the simulator
-    /// keeps warm for reuse (`None` = leave the process-wide default).
-    /// Pure wall-clock knob: lane scheduling and trace digests are
-    /// identical for every value
-    /// (see [`mvbc_netsim::lanepool::set_lane_pool_retain`]).
-    pub lanes_pool: Option<usize>,
 }
 
 impl SmrConfig {
@@ -170,8 +158,6 @@ impl SmrConfig {
             policy: SchedulingPolicy::RoundBarrier,
             max_vtime: None,
             pipeline: 1,
-            codec_threads: None,
-            lanes_pool: None,
         })
     }
 
@@ -198,32 +184,6 @@ impl SmrConfig {
     pub fn with_pipeline(mut self, w: usize) -> Self {
         assert!(w >= 1, "pipeline depth must be at least 1");
         self.pipeline = w;
-        self
-    }
-
-    /// Returns the configuration with an explicit codec worker count
-    /// (see [`SmrConfig::codec_threads`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `threads == 0` — reject zero at the flag-parsing
-    /// layer with a structured error instead.
-    pub fn with_codec_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1, "codec threads must be at least 1");
-        self.codec_threads = Some(threads);
-        self
-    }
-
-    /// Returns the configuration with an explicit lane-pool size
-    /// (see [`SmrConfig::lanes_pool`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `pool == 0` — reject zero at the flag-parsing layer
-    /// with a structured error instead.
-    pub fn with_lanes_pool(mut self, pool: usize) -> Self {
-        assert!(pool >= 1, "lane pool size must be at least 1");
-        self.lanes_pool = Some(pool);
         self
     }
 
@@ -939,16 +899,6 @@ fn run_smr_simulation(
     metrics: MetricsSink,
     trace: Option<TraceSink>,
 ) -> SmrRun {
-    // Perf knobs are process-wide; apply them only when the config pins
-    // an explicit value so untouched configs inherit the CLI/machine
-    // defaults. Both are pure wall-clock knobs (pool-size-invariance is
-    // pinned by the codec equivalence and netsim latency suites).
-    if let Some(threads) = cfg.codec_threads {
-        mvbc_rscode::set_codec_threads(threads);
-    }
-    if let Some(pool) = cfg.lanes_pool {
-        mvbc_netsim::lanepool::set_lane_pool_retain(pool);
-    }
     let mut sim_cfg = SimConfig::new(cfg.n).with_policy(cfg.policy.clone());
     if let Some(timeout) = cfg.round_timeout {
         sim_cfg = sim_cfg.with_round_timeout(timeout);

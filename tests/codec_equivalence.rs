@@ -182,26 +182,45 @@ fn fused_row_kernels_equal_scalar_all_fields() {
     check::<Gf65536>();
 }
 
-/// The codec worker count is a pure wall-clock knob: encode, decode,
-/// extend and consistency produce byte-identical results at 1, 2 and 8
-/// workers, on a value large enough that the stripe bands actually
-/// shard (the lint rule `determinism.thread_count` audits this
-/// invariant statically; this test pins it dynamically).
+/// Large values == scalar reference. `striped_equals_reference` draws
+/// `len < 600` (at most 300 stripes) and so never reaches the prepared
+/// byte-table tier (>= 1024 stripes). These two geometries do, one on
+/// each side of its table budget: 400 000 B at n = 7 (21 generator
+/// tables: cache-blocked sweep, ragged last block) and 65 536 B at
+/// n = 16 (96 tables: row-major sweep).
 #[test]
-fn codec_worker_count_never_changes_bytes() {
-    let len = 400_000; // ~66k stripes at k = 3: enough to shard 8 ways
-    let value = mvbc_systests::test_value(len, 13);
-    let serial = StripedCode::c2t(7, 2, len).unwrap().with_threads(1);
-    let symbols = serial.encode_value(&value).unwrap();
-    let picks: Vec<(usize, Symbol)> = symbols.iter().cloned().enumerate().skip(4).collect();
-    let all: Vec<(usize, Symbol)> = symbols.iter().cloned().enumerate().collect();
-    assert_eq!(serial.decode_value(&picks).unwrap(), value);
-    for workers in [2usize, 8] {
-        let code = StripedCode::c2t(7, 2, len).unwrap().with_threads(workers);
-        assert_eq!(code.encode_value(&value).unwrap(), symbols, "{workers} workers");
-        assert_eq!(code.decode_value(&picks).unwrap(), value, "{workers} workers");
-        assert_eq!(code.extend_symbols(&picks).unwrap(), symbols, "{workers} workers");
-        assert!(code.is_consistent(&all).unwrap(), "{workers} workers");
+fn large_values_equal_reference() {
+    for (n, t, len) in [(7usize, 2usize, 400_000usize), (16, 5, 65_536)] {
+        let k = n - 2 * t;
+        let code = StripedCode::c2t(n, t, len).unwrap();
+        let stripes = code.layout().stripes;
+        assert!(stripes >= 1024, "n={n}: {stripes} stripes miss the prepared tier");
+        let value = mvbc_systests::test_value(len, 13);
+
+        let symbols = code.encode_value(&value).unwrap();
+        assert_eq!(symbols, reference::encode_value(&code, &value).unwrap(), "n={n} encode");
+
+        // Rotated, so the interpolation basis is not positions 0..k.
+        let mut all: Vec<(usize, Symbol)> = symbols.iter().cloned().enumerate().collect();
+        all.rotate_left(n - k);
+        assert!(code.is_consistent(&all).unwrap(), "n={n} consistent");
+        assert!(reference::is_consistent_value(&code, &all).unwrap(), "n={n} consistent");
+        assert_eq!(code.decode_value(&all), reference::decode_value(&code, &all), "n={n} decode");
+        assert_eq!(code.decode_value(&all[..k]).unwrap(), value, "n={n} decode from k");
+        assert_eq!(code.extend_symbols(&all).unwrap(), symbols, "n={n} extend");
+        assert_eq!(code.extend_symbols(&all[..k]).unwrap(), symbols, "n={n} extend from k");
+
+        // One tampered symbol, in the last stripe of the last extra.
+        let (_, victim) = &mut all[n - 1];
+        let mut elems = victim.elems().to_vec();
+        elems[stripes - 1] += Gf65536::ONE;
+        *victim = Symbol::new(elems, victim.logical_bits());
+        assert!(!code.is_consistent(&all).unwrap(), "n={n} tampered");
+        assert!(!reference::is_consistent_value(&code, &all).unwrap(), "n={n} tampered");
+        let decoded = code.decode_value(&all);
+        assert_eq!(decoded, Err(CodeError::Inconsistent), "n={n} tampered");
+        assert_eq!(decoded, reference::decode_value(&code, &all), "n={n} tampered");
+        assert_eq!(code.extend_symbols(&all), Err(CodeError::Inconsistent), "n={n} tampered");
     }
 }
 
