@@ -1,5 +1,7 @@
 //! Criterion benches of the Broadcast_Single_Bit primitive: per-instance
-//! and batched throughput across network sizes.
+//! and batched throughput across network sizes, and the committee-scale
+//! batches (n = 64, t = 21) the replicated log's n = 64 runs spend their
+//! time in.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mvbc_bsb::{run_bsb_batch, BsbConfig, BsbInstance, NoopBsbHooks};
@@ -52,5 +54,22 @@ fn bsb_batched(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bsb_single_instance, bsb_batched);
+/// One whole batch (`1 + 3(t+1)` = 67 all-to-all rounds) at n = 64,
+/// t = 21, in the two shapes a committee-scale generation runs: 63
+/// instances (one Detected flag per peer) and 4096 (a diagnosis batch).
+fn bsb_n64_t21(c: &mut Criterion) {
+    let mut group = c.benchmark_group("n64_t21");
+    group.sample_size(10);
+    for instances in [63usize, 4096] {
+        group.throughput(Throughput::Elements(instances as u64));
+        group.bench_with_input(
+            BenchmarkId::from_parameter(instances),
+            &instances,
+            |b, &instances| b.iter(|| black_box(run_batch(64, 21, instances))),
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bsb_single_instance, bsb_batched, bsb_n64_t21);
 criterion_main!(benches);

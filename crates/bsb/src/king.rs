@@ -13,9 +13,24 @@
 //!
 //! Total: `Θ(n² · (t+1))` bits per instance — the workspace's measured
 //! `B` (see the crate docs for how this relates to the paper's `Θ(n²)`).
+//!
+//! # Per-round cost
+//!
+//! Every round is all-to-all, so its per-message constant is multiplied
+//! by `n²`. A node therefore packs its honest vector **once** per round
+//! and sends every recipient a refcount clone of that one payload (`n−1`
+//! clones, no per-recipient allocation). On receipt it checks each
+//! sender's payload length and tallies straight from the packed bytes,
+//! a 64-bit word at a time, into counters allocated once per batch;
+//! nothing is unpacked.
+//!
+//! Hooks are unaffected: each recipient's hook still gets a private copy
+//! of the honest vector, called in recipient order, and a copy the hook
+//! changed is packed on its own. Wire bytes, logical bits and decisions
+//! are those of the plain per-recipient construction.
 
-use mvbc_netsim::bits::{pack_bits, pack_crumbs, unpack_bits, unpack_crumbs};
-use mvbc_netsim::{Inbox, NodeCtx, NodeId};
+use mvbc_netsim::bits::{pack_bits, pack_crumbs};
+use mvbc_netsim::{Message, NodeCtx, NodeId};
 
 use crate::{BsbConfig, BsbHooks};
 
@@ -49,94 +64,74 @@ pub fn run_king_batch(
     let me = ctx.id();
     let t = config.t;
     let count = initial.len();
-    let participating = config.participants[me];
-
-    let val_tag = config.tags.value;
-    let prop_tag = config.tags.propose;
-    let king_tag = config.tags.king;
+    let sending = config.participants[me] && count > 0;
+    let tags = config.tags;
+    let peers: Vec<NodeId> = (0..n).filter(|&p| p != me && config.participants[p]).collect();
 
     let mut values = initial;
+    // Allocated once per batch and reused by every phase.
+    let mut proposals = vec![NO_PROPOSAL; count];
+    let mut count_true = vec![0u32; count];
+    let mut props_true = vec![0u32; count];
+    let mut props_false = vec![0u32; count];
+    let mut confident = vec![false; count];
 
     for phase in 0..=t {
         let king: NodeId = phase; // kings 0..=t: at least one is fault-free
 
         // --- Round 1: universal exchange of current values. ---
-        if participating && count > 0 {
-            for to in 0..n {
-                if to == me || !config.participants[to] {
-                    continue;
-                }
-                let mut bits = values.clone();
-                hooks.king_values(config.session, phase, to, &mut bits);
-                ctx.send(to, val_tag, pack_bits(&bits), count as u64);
-            }
+        if sending {
+            multicast(ctx, config, tags.value, count as u64, &values, pack_bits, |to, v| {
+                hooks.king_values(config.session, phase, to, v)
+            });
         }
         let mut inbox = ctx.end_round();
-        let peer_values = gather_bits(&mut inbox, config, me, val_tag, count);
 
-        // Count supporters of true/false per instance (own value included).
-        let mut count_true = vec![0usize; count];
-        let mut count_false = vec![0usize; count];
-        for (i, &v) in values.iter().enumerate() {
-            if v {
-                count_true[i] += 1;
-            } else {
-                count_false[i] += 1;
-            }
+        // Count supporters of true per instance (own value included);
+        // every reporter that did not say true said false.
+        for (tally, &v) in count_true.iter_mut().zip(&values) {
+            *tally = u32::from(v);
         }
-        for bits in peer_values.iter().flatten() {
-            for (i, &v) in bits.iter().enumerate() {
-                if v {
-                    count_true[i] += 1;
-                } else {
-                    count_false[i] += 1;
-                }
+        let mut reporters = 1;
+        for &from in &peers {
+            if let Some(payload) =
+                inbox.take(from, tags.value).filter(|p| p.len() == count.div_ceil(8))
+            {
+                tally_bits(&mut count_true, &payload);
+                reporters += 1;
             }
         }
 
         // --- Round 2: proposals. ---
         // Propose z when at least n - t processors reported z. At most one
         // value can clear the threshold (2(n-t) > n).
-        let my_proposals: Vec<u8> = (0..count)
-            .map(|i| {
-                if count_true[i] >= n - t {
-                    PROPOSE_TRUE
-                } else if count_false[i] >= n - t {
-                    PROPOSE_FALSE
-                } else {
-                    NO_PROPOSAL
-                }
-            })
-            .collect();
-        if participating && count > 0 {
-            for to in 0..n {
-                if to == me || !config.participants[to] {
-                    continue;
-                }
-                let mut crumbs = my_proposals.clone();
-                hooks.king_proposals(config.session, phase, to, &mut crumbs);
-                ctx.send(to, prop_tag, pack_crumbs(&crumbs), 2 * count as u64);
-            }
+        for (p, &trues) in proposals.iter_mut().zip(&count_true) {
+            let trues = trues as usize;
+            *p = if trues >= n - t {
+                PROPOSE_TRUE
+            } else if reporters - trues >= n - t {
+                PROPOSE_FALSE
+            } else {
+                NO_PROPOSAL
+            };
+        }
+        if sending {
+            let bits = 2 * count as u64;
+            multicast(ctx, config, tags.propose, bits, &proposals, pack_crumbs, |to, p| {
+                hooks.king_proposals(config.session, phase, to, p)
+            });
         }
         let mut inbox = ctx.end_round();
-        let peer_props = gather_crumbs(&mut inbox, config, me, prop_tag, count);
 
-        let mut props_true = vec![0usize; count];
-        let mut props_false = vec![0usize; count];
-        for (i, &p) in my_proposals.iter().enumerate() {
-            match p {
-                PROPOSE_TRUE => props_true[i] += 1,
-                PROPOSE_FALSE => props_false[i] += 1,
-                _ => {}
-            }
+        for ((tt, tf), &p) in props_true.iter_mut().zip(props_false.iter_mut()).zip(&proposals) {
+            *tt = u32::from(p == PROPOSE_TRUE);
+            *tf = u32::from(p == PROPOSE_FALSE);
         }
-        for crumbs in peer_props.iter().flatten() {
-            for (i, &p) in crumbs.iter().enumerate() {
-                match p {
-                    PROPOSE_TRUE => props_true[i] += 1,
-                    PROPOSE_FALSE => props_false[i] += 1,
-                    _ => {}
-                }
+        for &from in &peers {
+            if let Some(payload) =
+                inbox.take(from, tags.propose).filter(|p| p.len() == count.div_ceil(4))
+            {
+                tally_crumbs(&mut props_true, &mut props_false, &payload);
             }
         }
 
@@ -144,43 +139,39 @@ pub fn run_king_batch(
         // least one of them fault-free). At most one value can have t + 1
         // supporters that include a fault-free processor; break the
         // impossible-for-honest tie deterministically toward `true`.
-        let mut confident = vec![false; count];
         for i in 0..count {
-            if props_true[i] > t && props_true[i] >= props_false[i] {
+            let (pt, pf) = (props_true[i] as usize, props_false[i] as usize);
+            confident[i] = if pt > t && pt >= pf {
                 values[i] = true;
-                confident[i] = props_true[i] >= n - t;
-            } else if props_false[i] > t {
+                pt >= n - t
+            } else if pf > t {
                 values[i] = false;
-                confident[i] = props_false[i] >= n - t;
-            }
+                pf >= n - t
+            } else {
+                false
+            };
         }
 
         // --- Round 3: the king's tie-break. ---
-        if participating && me == king && count > 0 {
-            for to in 0..n {
-                if to == me || !config.participants[to] {
-                    continue;
-                }
-                let mut bits = values.clone();
-                hooks.king_bits(config.session, phase, to, &mut bits);
-                ctx.send(to, king_tag, pack_bits(&bits), count as u64);
-            }
+        if sending && me == king {
+            multicast(ctx, config, tags.king, count as u64, &values, pack_bits, |to, v| {
+                hooks.king_bits(config.session, phase, to, v)
+            });
         }
         let mut inbox = ctx.end_round();
-        let king_bits: Option<Vec<bool>> = if me == king {
-            Some(values.clone())
-        } else if config.participants[king] {
-            inbox
-                .take(king, king_tag)
-                .and_then(|payload| unpack_bits(&payload, count))
-        } else {
-            None
-        };
-        for i in 0..count {
-            if !confident[i] {
-                // Follow the king; a silent or isolated king defaults to
-                // false (all fault-free processors apply the same default).
-                values[i] = king_bits.as_ref().map(|b| b[i]).unwrap_or(false);
+        if me != king {
+            // Follow the king; a silent, malformed or isolated king
+            // defaults to false (all fault-free processors apply the same
+            // default). The king keeps its own values.
+            let king_payload = if config.participants[king] {
+                inbox.take(king, tags.king).filter(|p| p.len() == count.div_ceil(8))
+            } else {
+                None
+            };
+            for (i, v) in values.iter_mut().enumerate() {
+                if !confident[i] {
+                    *v = king_payload.as_ref().is_some_and(|p| packed_bit(p, i));
+                }
             }
         }
     }
@@ -188,55 +179,88 @@ pub fn run_king_batch(
     values
 }
 
-/// Pulls one packed-bits message per participating peer out of the inbox;
-/// malformed or missing payloads become `None` (treated as silence).
-fn gather_bits(
-    inbox: &mut Inbox,
+/// Sends `honest` to every participant but `ctx.id()` under `tag`,
+/// packing it once. Each recipient's `hook` (called in recipient order,
+/// as always) mutates a private copy in one reused scratch buffer; an
+/// untouched copy goes out as a refcount clone of the shared payload, a
+/// changed one is packed on its own. Wire bytes equal packing every copy
+/// separately.
+pub(crate) fn multicast<T: Copy + PartialEq>(
+    ctx: &mut NodeCtx,
     config: &BsbConfig,
-    me: NodeId,
     tag: &'static str,
-    count: usize,
-) -> Vec<Option<Vec<bool>>> {
-    let n = config.participants.len();
-    (0..n)
-        .map(|from| {
-            if from == me || !config.participants[from] || count == 0 {
-                return None;
-            }
-            inbox
-                .take(from, tag)
-                .and_then(|payload| unpack_bits(&payload, count))
-        })
-        .collect()
+    logical_bits: u64,
+    honest: &[T],
+    pack: fn(&[T]) -> Vec<u8>,
+    mut hook: impl FnMut(NodeId, &mut [T]),
+) {
+    let me = ctx.id();
+    // `Message::payload` is the netsim's refcounted wire buffer; building
+    // one names that type without this crate depending on `bytes`.
+    let shared = Message { from: me, tag, payload: pack(honest).into(), at: 0 }.payload;
+    let mut scratch = honest.to_vec();
+    for to in 0..ctx.n() {
+        if to == me || !config.participants[to] {
+            continue;
+        }
+        scratch.copy_from_slice(honest);
+        hook(to, &mut scratch);
+        if scratch == honest {
+            ctx.send(to, tag, shared.clone(), logical_bits);
+        } else {
+            ctx.send(to, tag, pack(&scratch), logical_bits);
+        }
+    }
 }
 
-/// As [`gather_bits`] for 2-bit proposal crumbs; crumb values outside
-/// `{0, 1, 2}` are coerced to "no proposal".
-fn gather_crumbs(
-    inbox: &mut Inbox,
-    config: &BsbConfig,
-    me: NodeId,
-    tag: &'static str,
-    count: usize,
-) -> Vec<Option<Vec<u8>>> {
-    let n = config.participants.len();
-    (0..n)
-        .map(|from| {
-            if from == me || !config.participants[from] || count == 0 {
-                return None;
-            }
-            inbox.take(from, tag).and_then(|payload| {
-                unpack_crumbs(&payload, count).map(|mut crumbs| {
-                    for c in &mut crumbs {
-                        if *c > PROPOSE_TRUE {
-                            *c = NO_PROPOSAL;
-                        }
-                    }
-                    crumbs
-                })
-            })
-        })
-        .collect()
+/// Bit `i` of a [`pack_bits`] payload (LSB-first within each byte).
+pub(crate) fn packed_bit(packed: &[u8], i: usize) -> bool {
+    packed[i / 8] >> (i % 8) & 1 == 1
+}
+
+/// One little-endian 64-bit word of a packed payload (the last word of a
+/// payload may be short; its missing bytes read as zero).
+fn word(bytes: &[u8]) -> u64 {
+    let mut buf = [0u8; 8];
+    buf[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(buf)
+}
+
+/// Adds every set bit of a [`pack_bits`] payload to the tally of its
+/// instance. Bit `k` of word `w` is instance `64w + k`; padding bits
+/// past `tallies.len()` have no tally and are ignored.
+fn tally_bits(tallies: &mut [u32], packed: &[u8]) {
+    for (chunk, bytes) in tallies.chunks_mut(64).zip(packed.chunks(8)) {
+        let w = word(bytes);
+        if w == 0 {
+            continue;
+        }
+        for (k, tally) in chunk.iter_mut().enumerate() {
+            *tally += (w >> k & 1) as u32;
+        }
+    }
+}
+
+/// Adds a [`pack_crumbs`] proposal payload to the per-instance tallies:
+/// crumb 2 counts for `true`, crumb 1 for `false`, and 0 and 3 (never
+/// sent by an honest node) count as no proposal. Crumb `k` of word `w`
+/// is instance `32w + k`; padding crumbs past the tallies are ignored.
+fn tally_crumbs(props_true: &mut [u32], props_false: &mut [u32], packed: &[u8]) {
+    const LOW: u64 = 0x5555_5555_5555_5555;
+    for ((trues, falses), bytes) in
+        props_true.chunks_mut(32).zip(props_false.chunks_mut(32)).zip(packed.chunks(8))
+    {
+        let w = word(bytes);
+        let (hi, lo) = (w >> 1 & LOW, w & LOW);
+        let (is_true, is_false) = (hi & !lo, lo & !hi);
+        if is_true | is_false == 0 {
+            continue;
+        }
+        for (k, (tt, tf)) in trues.iter_mut().zip(falses.iter_mut()).enumerate() {
+            *tt += (is_true >> (2 * k) & 1) as u32;
+            *tf += (is_false >> (2 * k) & 1) as u32;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -328,5 +352,41 @@ mod tests {
     fn empty_batch_still_synchronises_rounds() {
         let outs = consensus_run(4, 1, vec![Vec::new(); 4]);
         assert_eq!(outs, vec![Vec::<bool>::new(); 4]);
+    }
+
+    #[test]
+    fn tallies_match_unpacked_counts_and_ignore_padding() {
+        for count in [0usize, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 200] {
+            let bits: Vec<bool> = (0..count).map(|i| (i * 7 + 3) % 5 < 2).collect();
+            let crumbs: Vec<u8> = (0..count).map(|i| ((i * 5 + 1) % 4) as u8).collect();
+            // Set every padding bit / crumb of the last byte.
+            let mut packed_bits = pack_bits(&bits);
+            if count % 8 != 0 {
+                *packed_bits.last_mut().unwrap() |= 0xff << (count % 8);
+            }
+            let mut packed_crumbs = pack_crumbs(&crumbs);
+            if count % 4 != 0 {
+                *packed_crumbs.last_mut().unwrap() |= 0xff << (2 * (count % 4));
+            }
+
+            let mut trues = vec![1u32; count];
+            tally_bits(&mut trues, &packed_bits);
+            let mut props = (vec![0u32; count], vec![0u32; count]);
+            tally_crumbs(&mut props.0, &mut props.1, &packed_crumbs);
+            for i in 0..count {
+                assert_eq!(trues[i], 1 + u32::from(bits[i]), "count={count} bit {i}");
+                assert_eq!(packed_bit(&packed_bits, i), bits[i]);
+                assert_eq!(
+                    props.0[i],
+                    u32::from(crumbs[i] == PROPOSE_TRUE),
+                    "count={count} crumb {i}"
+                );
+                assert_eq!(
+                    props.1[i],
+                    u32::from(crumbs[i] == PROPOSE_FALSE),
+                    "count={count} crumb {i}"
+                );
+            }
+        }
     }
 }

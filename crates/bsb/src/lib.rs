@@ -32,6 +32,15 @@
 //! message per (sender, receiver) pair per round. Batching changes only
 //! wall-clock time, not the per-instance bit count.
 //!
+//! Every round of the source multicast and of Phase-King is all-to-all,
+//! so what a node does per message is multiplied by `n²`. Per round a
+//! node packs its outgoing bits **once** and sends the `n−1` recipients
+//! refcount clones of that one payload; on receipt it checks each
+//! payload's length and tallies straight from the packed bytes, a 64-bit
+//! word at a time, into counters allocated once per batch. Hooks still
+//! get a private per-recipient copy, called in recipient order; only a
+//! copy a hook changed is packed again.
+//!
 //! # Examples
 //!
 //! ```
@@ -72,8 +81,10 @@ pub use hooks::{BsbHooks, NoopBsbHooks};
 pub use king::run_king_batch;
 
 use mvbc_metrics::intern_tag;
-use mvbc_netsim::bits::{pack_bits, unpack_bits};
+use mvbc_netsim::bits::pack_bits;
 use mvbc_netsim::{NodeCtx, NodeId};
+
+use king::{multicast, packed_bit};
 
 /// The interned message tags of one `Broadcast_Single_Bit` session, one
 /// per substrate wire stage, derived from the session name **once**.
@@ -227,60 +238,49 @@ pub(crate) fn source_round_initial(
 
     let me = ctx.id();
     let n = ctx.n();
-    let participating = config.participants[me];
     let src_tag = config.tags.src;
+    let mut per_source_count: Vec<usize> = vec![0; n];
+    for inst in instances {
+        per_source_count[inst.source] += 1;
+    }
 
     // Round 0: each source sends its instances' bits to every participant.
-    let my_sourced: Vec<usize> = (0..instances.len())
-        .filter(|&i| instances[i].source == me)
-        .collect();
-    if participating && !my_sourced.is_empty() {
-        let base: Vec<bool> = my_sourced
+    if config.participants[me] && per_source_count[me] > 0 {
+        let base: Vec<bool> = instances
             .iter()
-            .map(|&i| instances[i].input.unwrap_or(false))
+            .filter(|inst| inst.source == me)
+            .map(|inst| inst.input.unwrap_or(false))
             .collect();
-        for to in 0..n {
-            if to == me || !config.participants[to] {
-                continue;
-            }
-            let mut bits = base.clone();
-            hooks.source_bits(config.session, to, &mut bits);
-            ctx.send(to, src_tag, pack_bits(&bits), bits.len() as u64);
-        }
+        multicast(ctx, config, src_tag, base.len() as u64, &base, pack_bits, |to, bits| {
+            hooks.source_bits(config.session, to, bits)
+        });
     }
     let mut inbox = ctx.end_round();
 
     // Collect initial consensus inputs: the bit received from each source
     // (own bit for self-sourced instances; false when silent/malformed).
-    let mut per_source_count: Vec<usize> = vec![0; n];
-    let mut initial = vec![false; instances.len()];
-    let mut received: Vec<Option<Vec<bool>>> = vec![None; n];
-    for (i, inst) in instances.iter().enumerate() {
-        per_source_count[inst.source] += 1;
-        let _ = i;
-    }
-    for source in 0..n {
-        if source == me || per_source_count[source] == 0 || !config.participants[source] {
-            continue;
-        }
-        received[source] = inbox
-            .take(source, src_tag)
-            .and_then(|payload| unpack_bits(&payload, per_source_count[source]));
-    }
+    let received: Vec<Option<_>> = (0..n)
+        .map(|source| {
+            let expected = per_source_count[source];
+            if source == me || expected == 0 || !config.participants[source] {
+                return None;
+            }
+            inbox.take(source, src_tag).filter(|p| p.len() == expected.div_ceil(8))
+        })
+        .collect();
     let mut seen_per_source: Vec<usize> = vec![0; n];
-    for (i, inst) in instances.iter().enumerate() {
-        let idx = seen_per_source[inst.source];
-        seen_per_source[inst.source] += 1;
-        initial[i] = if inst.source == me {
-            inst.input.unwrap_or(false)
-        } else {
-            received[inst.source]
-                .as_ref()
-                .map(|bits| bits[idx])
-                .unwrap_or(false)
-        };
-    }
-    initial
+    instances
+        .iter()
+        .map(|inst| {
+            let idx = seen_per_source[inst.source];
+            seen_per_source[inst.source] += 1;
+            if inst.source == me {
+                inst.input.unwrap_or(false)
+            } else {
+                received[inst.source].as_ref().is_some_and(|p| packed_bit(p, idx))
+            }
+        })
+        .collect()
 }
 
 /// A multi-bit broadcast request: `source` broadcasts `bits` bits.

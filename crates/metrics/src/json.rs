@@ -170,15 +170,21 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. The parser
+/// recurses once per level, so an unbounded `[[[[…` from a user file would
+/// overflow the stack; no document the workspace writes nests past ~6.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
-/// Returns a byte offset and description for the first syntax error.
+/// Returns a byte offset and description for the first syntax error, or
+/// for the first array/object nested more than 128 levels deep.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -202,10 +208,14 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Parses one value at `pos`, inside `depth` enclosing arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -218,7 +228,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 skip_ws(bytes, pos);
                 let key = parse_string(bytes, pos)?;
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -240,7 +250,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -352,6 +362,21 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("{} trailing").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn json_parser_bounds_nesting() {
+        // 200 000 unclosed brackets overflowed the stack before the cap.
+        let deep = "[".repeat(200_000);
+        assert_eq!(parse_json(&deep), Err("nesting deeper than 128 at byte 128".into()));
+        let deep_obj = "{\"k\": ".repeat(200);
+        assert_eq!(parse_json(&deep_obj), Err("nesting deeper than 128 at byte 768".into()));
+
+        // Exactly MAX_DEPTH levels still parse; one more does not.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(parse_json(&over).unwrap_err().starts_with("nesting deeper than 128"));
     }
 
     #[test]

@@ -53,16 +53,6 @@ pub fn pack_crumbs(vals: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Unpacks `count` 2-bit symbols packed by [`pack_crumbs`].
-///
-/// Returns `None` on a length mismatch.
-pub fn unpack_crumbs(bytes: &[u8], count: usize) -> Option<Vec<u8>> {
-    if bytes.len() != count.div_ceil(4) {
-        return None;
-    }
-    Some((0..count).map(|i| (bytes[i / 4] >> (2 * (i % 4))) & 0b11).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,7 +62,6 @@ mod tests {
         assert_eq!(pack_bits(&[]), Vec::<u8>::new());
         assert_eq!(unpack_bits(&[], 0), Some(Vec::new()));
         assert_eq!(pack_crumbs(&[]), Vec::<u8>::new());
-        assert_eq!(unpack_crumbs(&[], 0), Some(Vec::new()));
     }
 
     #[test]
@@ -93,16 +82,14 @@ mod tests {
 
     #[test]
     fn crumbs_roundtrip() {
+        // Consumers read crumb `i` as bits `2(i % 4)..` of byte `i / 4`.
         for len in 0..20usize {
             let vals: Vec<u8> = (0..len).map(|i| (i % 4) as u8).collect();
             let bytes = pack_crumbs(&vals);
-            assert_eq!(unpack_crumbs(&bytes, len), Some(vals));
+            assert_eq!(bytes.len(), len.div_ceil(4));
+            let back: Vec<u8> = (0..len).map(|i| (bytes[i / 4] >> (2 * (i % 4))) & 0b11).collect();
+            assert_eq!(back, vals);
         }
-    }
-
-    #[test]
-    fn crumbs_length_mismatch_rejected() {
-        assert_eq!(unpack_crumbs(&[0x00], 5), None);
     }
 
     #[test]
