@@ -1,7 +1,8 @@
 //! Criterion benches of the Reed-Solomon codec: encode, consistency
 //! check, erasure decode, Berlekamp-Welch correction, and the batched
-//! slice kernels against their scalar reference (`exp_codec` is the
-//! JSON-emitting wall-clock companion of the same comparison).
+//! slice kernels against their scalar reference (the repo benchmark's
+//! `gf.*` and `rscode.*` probes time the same paths at each workload's
+//! geometry).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mvbc_bench::workload_value;

@@ -1,19 +1,27 @@
-//! Shared harness for the experiment binaries (`src/bin/exp_*.rs`).
+//! The paper-table harness behind the `mvbc-bench` binary, plus the
+//! workload helper the criterion benches in `benches/` share.
 //!
-//! Each binary regenerates one analytic table/figure of the paper — see
-//! DESIGN.md §4 for the experiment index and EXPERIMENTS.md for recorded
-//! paper-vs-measured results. Binaries print a markdown table to stdout
-//! and write a CSV into `results/`.
+//! Each entry of [`EXPERIMENTS`] regenerates one table or figure of the
+//! paper (or of one of this workspace's extensions) in bits, rounds,
+//! messages, virtual time or state digests: quantities a run fixes
+//! exactly. Wall clock is the standalone `benchmark/` package's job.
+//! An experiment renders a [`Report`] without touching the file system;
+//! `mvbc-bench <name>` prints it and writes its tables as CSV into
+//! `results/`, and `tests/paper_tables.rs` pins every report byte for
+//! byte against `tests/golden/<name>.txt`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt::Write as _;
-use std::path::Path;
 
-use mvbc_core::{simulate_consensus, ConsensusConfig, ProtocolHooks};
-use mvbc_metrics::json;
+use mvbc_bsb::{BsbDriver, PhaseKingDriver};
+use mvbc_core::{simulate_consensus_with, ConsensusConfig, ProtocolHooks};
 use mvbc_metrics::{MetricsSink, Snapshot};
+
+mod experiments;
+
+pub use experiments::{Experiment, EXPERIMENTS};
 
 /// Deterministic pseudo-random value for workloads.
 pub fn workload_value(len: usize, seed: u64) -> Vec<u8> {
@@ -28,36 +36,77 @@ pub fn workload_value(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Outcome of one measured consensus run.
-#[derive(Debug)]
-pub struct MeasuredRun {
-    /// Total logical bits transmitted by all processors.
-    pub total_bits: u64,
-    /// Synchronous rounds.
-    pub rounds: u64,
-    /// Full metric snapshot (per-stage queries).
-    pub snapshot: Snapshot,
-    /// Diagnosis-stage executions (as seen by processor reports, max).
-    pub diagnosis_invocations: u64,
-    /// Processors isolated by the end.
-    pub isolated: Vec<usize>,
+/// The rendered output of one experiment: the text `mvbc-bench` prints
+/// and the tables it saves as `results/<stem>.csv`.
+#[derive(Debug, Default)]
+pub struct Report {
+    /// Everything the experiment prints, one `\n` after each line.
+    pub text: String,
+    /// `(file stem, table)` pairs to save as CSV.
+    pub csvs: Vec<(&'static str, Table)>,
 }
 
-/// Runs one unanimous-input consensus and measures it.
+impl Report {
+    /// Appends `line` and a newline (what `println!` would print).
+    pub(crate) fn line(&mut self, line: impl AsRef<str>) {
+        self.text.push_str(line.as_ref());
+        self.text.push('\n');
+    }
+
+    /// Queues `table` to be saved as `results/<stem>.csv`.
+    pub(crate) fn csv(&mut self, stem: &'static str, table: Table) {
+        self.csvs.push((stem, table));
+    }
+}
+
+/// Outcome of one measured consensus run.
+#[derive(Debug)]
+pub(crate) struct MeasuredRun {
+    /// Total logical bits transmitted by all processors.
+    pub(crate) total_bits: u64,
+    /// Synchronous rounds.
+    pub(crate) rounds: u64,
+    /// Full metric snapshot (per-stage queries).
+    pub(crate) snapshot: Snapshot,
+    /// Diagnosis-stage executions (as seen by processor reports, max).
+    pub(crate) diagnosis_invocations: u64,
+    /// Processors isolated by the end.
+    pub(crate) isolated: Vec<usize>,
+}
+
+/// Runs one unanimous-input consensus on the default Phase-King
+/// substrate and measures it.
 ///
 /// # Panics
 ///
 /// Panics when honest processors disagree or miss validity — the
 /// harness refuses to report numbers from an incorrect run.
-pub fn measure_consensus(
+pub(crate) fn measure_consensus(
     cfg: &ConsensusConfig,
     hooks: Vec<Box<dyn ProtocolHooks>>,
     faulty: &[usize],
     seed: u64,
 ) -> MeasuredRun {
+    let drivers = (0..cfg.n).map(|_| Box::new(PhaseKingDriver) as Box<dyn BsbDriver>).collect();
+    measure_consensus_with(cfg, hooks, drivers, faulty, seed)
+}
+
+/// As [`measure_consensus`] with one explicit `Broadcast_Single_Bit`
+/// driver per processor.
+///
+/// # Panics
+///
+/// As [`measure_consensus`].
+pub(crate) fn measure_consensus_with(
+    cfg: &ConsensusConfig,
+    hooks: Vec<Box<dyn ProtocolHooks>>,
+    drivers: Vec<Box<dyn BsbDriver>>,
+    faulty: &[usize],
+    seed: u64,
+) -> MeasuredRun {
     let v = workload_value(cfg.value_bytes, seed);
     let metrics = MetricsSink::new();
-    let run = simulate_consensus(&cfg.clone(), vec![v.clone(); cfg.n], hooks, metrics.clone());
+    let run = simulate_consensus_with(cfg, vec![v.clone(); cfg.n], hooks, drivers, metrics.clone());
     for id in 0..cfg.n {
         if !faulty.contains(&id) {
             assert_eq!(run.outputs[id], v, "harness: processor {id} decided wrongly");
@@ -83,7 +132,7 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with the given column headers.
-    pub fn new(headers: &[&str]) -> Self {
+    pub(crate) fn new(headers: &[&str]) -> Self {
         Table {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -95,13 +144,13 @@ impl Table {
     /// # Panics
     ///
     /// Panics on a column-count mismatch.
-    pub fn row(&mut self, cells: Vec<String>) {
+    pub(crate) fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
         self.rows.push(cells);
     }
 
     /// Renders as a markdown table.
-    pub fn to_markdown(&self) -> String {
+    pub(crate) fn to_markdown(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "| {} |", self.headers.join(" | "));
         let _ = writeln!(out, "|{}|", self.headers.iter().map(|_| "---").collect::<Vec<_>>().join("|"));
@@ -120,17 +169,10 @@ impl Table {
         }
         out
     }
-
-    /// Writes the CSV into `results/<name>.csv` (creating the directory).
-    pub fn write_csv(&self, name: &str) -> std::io::Result<()> {
-        let dir = Path::new("results");
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join(format!("{name}.csv")), self.to_csv())
-    }
 }
 
 /// One plotted series: glyph, legend label, (x, y) points.
-pub type ChartSeries = (char, String, Vec<(f64, f64)>);
+pub(crate) type ChartSeries = (char, String, Vec<(f64, f64)>);
 
 /// A terminal line chart: the "figure" renderer for experiments whose
 /// paper counterpart is a curve rather than a table.
@@ -139,7 +181,7 @@ pub type ChartSeries = (char, String, Vec<(f64, f64)>);
 /// already-transformed coordinates (e.g. `log2` for the `L` axis) so
 /// the chart itself stays a dumb, well-tested scaler.
 #[derive(Debug)]
-pub struct AsciiChart {
+pub(crate) struct AsciiChart {
     width: usize,
     height: usize,
     series: Vec<ChartSeries>,
@@ -151,7 +193,7 @@ impl AsciiChart {
     /// # Panics
     ///
     /// Panics when either dimension is smaller than 2.
-    pub fn new(width: usize, height: usize) -> Self {
+    pub(crate) fn new(width: usize, height: usize) -> Self {
         assert!(width >= 2 && height >= 2, "chart needs at least a 2x2 grid");
         AsciiChart {
             width,
@@ -161,7 +203,7 @@ impl AsciiChart {
     }
 
     /// Adds a series rendered with `glyph` and described by `label`.
-    pub fn series(&mut self, glyph: char, label: &str, points: Vec<(f64, f64)>) -> &mut Self {
+    pub(crate) fn series(&mut self, glyph: char, label: &str, points: Vec<(f64, f64)>) -> &mut Self {
         self.series.push((glyph, label.to_string(), points));
         self
     }
@@ -169,7 +211,7 @@ impl AsciiChart {
     /// Renders the chart with a y-axis gutter and a legend line.
     ///
     /// Returns a plain string; empty charts render as an empty grid.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let points: Vec<(f64, f64)> =
             self.series.iter().flat_map(|(_, _, p)| p.iter().copied()).collect();
         let (x_min, x_max) =
@@ -217,45 +259,8 @@ fn min_max_fold(acc: Option<(f64, f64)>, v: f64) -> Option<(f64, f64)> {
     })
 }
 
-/// Renders the provenance manifest block every `results/BENCH_*.json`
-/// artifact embeds under a `"manifest"` key: the run's core parameters
-/// plus the git commit and a unix timestamp. Unlike the measurements,
-/// the manifest is deliberately environment-dependent — it records *when
-/// and from what source* a number was produced, so two artifacts can be
-/// told apart after the fact.
-pub fn manifest_json(n: usize, t: usize, seed: u64, policy: &str) -> String {
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .unwrap_or_else(|| "unknown".to_owned());
-    let timestamp = wall_clock_timestamp();
-    format!(
-        "{{ \"n\": {n}, \"t\": {t}, \"seed\": {seed}, \"policy\": \"{}\", \
-         \"git_commit\": \"{}\", \"timestamp\": {timestamp} }}",
-        json::escape(policy),
-        json::escape(&commit),
-    )
-}
-
-/// Seconds since the unix epoch — the manifest's provenance stamp. The
-/// one sanctioned wall-clock read in this crate's library (the exp_*
-/// binaries measure wall time on top of it); protocol crates must stay
-/// on the virtual clock, which `mvbc-lint` and the clippy
-/// `disallowed-methods` list both enforce.
-#[allow(clippy::disallowed_methods)]
-fn wall_clock_timestamp() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
 /// Formats a bit count with engineering suffixes for table readability.
-pub fn fmt_bits(bits: f64) -> String {
+pub(crate) fn fmt_bits(bits: f64) -> String {
     if bits >= 1e9 {
         format!("{:.2}G", bits / 1e9)
     } else if bits >= 1e6 {
@@ -330,33 +335,6 @@ mod tests {
     #[should_panic(expected = "2x2")]
     fn ascii_chart_rejects_tiny_grid() {
         let _ = AsciiChart::new(1, 5);
-    }
-
-    #[test]
-    fn manifest_embeds_parameters_and_provenance() {
-        let m = manifest_json(7, 2, 11, "round-barrier");
-        assert!(m.contains("\"n\": 7"));
-        assert!(m.contains("\"t\": 2"));
-        assert!(m.contains("\"seed\": 11"));
-        assert!(m.contains("\"policy\": \"round-barrier\""));
-        assert!(m.contains("\"git_commit\": \""));
-        assert!(m.contains("\"timestamp\": "));
-    }
-
-    #[test]
-    fn manifest_is_valid_json_via_shared_parser() {
-        // The same hand-rolled parser the RunReport and lint artifacts
-        // use must read the manifest back — no schema drift between the
-        // workspace's JSON producers.
-        let doc = json::parse_json(&manifest_json(7, 2, 11, "event\"driven")).unwrap();
-        assert_eq!(doc.get("n").and_then(json::JsonValue::as_u64), Some(7));
-        assert_eq!(doc.get("seed").and_then(json::JsonValue::as_u64), Some(11));
-        // Escaping routes through the shared helper.
-        assert_eq!(
-            doc.get("policy").and_then(json::JsonValue::as_str),
-            Some("event\"driven")
-        );
-        assert!(doc.get("timestamp").and_then(json::JsonValue::as_u64).is_some());
     }
 
     #[test]

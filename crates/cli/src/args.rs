@@ -12,7 +12,7 @@ usage:
                  [--attack none|equivocate|silent-source|lying-echo]
   mvbc smr       --n <N> --t <T> --slots <S> [--batch <CMDS>] [--batch-bytes <B>]
                  [--attack none|equivocate|silent] [--byz <ID>] [--seed <N>]
-                 [--pipeline <W>] [--round-timeout-secs <SECS>]
+                 [--pipeline <W>]
                  [--latency-model fixed:<T>|jitter:<BASE>:<JIT>|wan:<INTRA>:<INTER>[:<JIT>]]
                  [--topology clique|clusters:<A,B,...>] [--net-seed <N>]
                  [--partition <START>:<HEAL>:<ISLAND>[:drop|delay]] [--max-vtime <T>]
@@ -48,8 +48,6 @@ flags:
   --byz      Byzantine replica id (smr only, default n-1)
   --pipeline number of log slots in flight concurrently (smr only, default 1;
              committed log is identical at every depth)
-  --round-timeout-secs  coordinator wedge-detection timeout (smr only,
-             default 60; raise for long logs on slow machines)
   --latency-model  per-link latency in virtual ticks (smr only); selecting one
              switches the run to the event-driven scheduling policy
   --topology clique (default) or clusters:<A,B,...> with sizes summing to n
@@ -347,8 +345,6 @@ pub enum Command {
         byz: usize,
         /// Pipeline depth: log slots in flight concurrently.
         pipeline: usize,
-        /// Coordinator wedge-detection timeout in seconds.
-        round_timeout_secs: Option<u64>,
         /// Event-driven network flags (latency model, topology,
         /// partitions, jitter seed, virtual-time budget).
         net: NetSpec,
@@ -477,8 +473,8 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             rest,
             &[
                 "--n", "--t", "--slots", "--batch", "--batch-bytes", "--attack", "--byz", "--seed",
-                "--pipeline", "--round-timeout-secs", "--latency-model", "--topology", "--net-seed",
-                "--partition", "--max-vtime", "--report",
+                "--pipeline", "--latency-model", "--topology", "--net-seed", "--partition",
+                "--max-vtime", "--report",
             ],
         )?;
         let n = flags.required_usize("--n")?;
@@ -501,7 +497,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             },
             byz: flags.usize_of("--byz")?.unwrap_or(n.saturating_sub(1)),
             pipeline,
-            round_timeout_secs: flags.usize_of("--round-timeout-secs")?.map(|s| s as u64),
             net: NetSpec {
                 latency: flags.value_of("--latency-model").map(parse_latency).transpose()?,
                 topology: flags.value_of("--topology").map(parse_topology).transpose()?,
@@ -647,7 +642,6 @@ mod tests {
                 attack: SmrAttack::None,
                 byz: 3,
                 pipeline: 1,
-                round_timeout_secs: None,
                 net: NetSpec::default(),
                 report: None,
             }
@@ -669,21 +663,13 @@ mod tests {
     }
 
     #[test]
-    fn parses_smr_pipeline_and_timeout() {
-        let cmd = parse(&argv(
-            "smr --n 7 --t 2 --slots 100 --pipeline 4 --round-timeout-secs 300",
-        ))
-        .unwrap();
-        match cmd {
-            Command::Smr { pipeline, round_timeout_secs, .. } => {
-                assert_eq!(pipeline, 4);
-                assert_eq!(round_timeout_secs, Some(300));
-            }
+    fn parses_smr_pipeline() {
+        match parse(&argv("smr --n 7 --t 2 --slots 100 --pipeline 4")).unwrap() {
+            Command::Smr { pipeline, .. } => assert_eq!(pipeline, 4),
             other => panic!("wrong command {other:?}"),
         }
         assert!(parse(&argv("smr --n 4 --t 1 --slots 5 --pipeline 0")).is_err());
         assert!(parse(&argv("smr --n 4 --t 1 --slots 5 --pipeline x")).is_err());
-        assert!(parse(&argv("smr --n 4 --t 1 --slots 5 --round-timeout-secs x")).is_err());
     }
 
     #[test]
@@ -699,6 +685,10 @@ mod tests {
         assert_eq!(
             parse(&argv("smr --n 7 --t 2 --slots 10 --lanes-pool 8")),
             unknown("--lanes-pool", "smr")
+        );
+        assert_eq!(
+            parse(&argv("smr --n 7 --t 2 --slots 10 --round-timeout-secs 300")),
+            unknown("--round-timeout-secs", "smr")
         );
         // A typo of a live flag.
         assert_eq!(

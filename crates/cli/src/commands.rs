@@ -1,6 +1,8 @@
 //! Command execution: run the simulations and print human-oriented
 //! summaries.
 
+use std::io::Read as _;
+
 use mvbc_adversary::campaign::{run_scenario, CampaignReport, CampaignRunner, Scenario};
 use mvbc_adversary::{CorruptSymbolTo, RandomAdversary, Silent, WorstCaseDiagnosis};
 use mvbc_bsb::{BsbDriver, DolevStrongDriver, EigDriver, PhaseKingDriver};
@@ -35,6 +37,33 @@ fn workload(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
+/// The largest file `inspect` and `smr soak --scenario` read. Run
+/// reports and scenarios are kilobytes; the big files this binary
+/// writes are `consensus --trace` CSVs, 46 MiB at n = 7 and 484 MiB at
+/// n = 16 for L = 1 MiB.
+const MAX_INPUT_BYTES: u64 = 1 << 30;
+
+/// Reads the text file at `path` for subcommand `sub`, refusing one
+/// larger than [`MAX_INPUT_BYTES`] before allocating for it. Exits with
+/// status 2 on any failure.
+fn read_input(sub: &str, path: &str) -> String {
+    let fail = |msg: String| -> ! {
+        eprintln!("{sub}: {msg}");
+        std::process::exit(2);
+    };
+    let file = std::fs::File::open(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+    let len = file.metadata().map(|m| m.len()).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+    if len > MAX_INPUT_BYTES {
+        fail(format!("{path} is {len} bytes, over the {MAX_INPUT_BYTES}-byte input limit"));
+    }
+    let mut text = String::with_capacity(len as usize);
+    // `take` also bounds a file that grows after the length check.
+    file.take(MAX_INPUT_BYTES)
+        .read_to_string(&mut text)
+        .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+    text
+}
+
 /// Executes a parsed command.
 pub fn run(cmd: Command) {
     match cmd {
@@ -54,13 +83,9 @@ pub fn run(cmd: Command) {
             attack,
             byz,
             pipeline,
-            round_timeout_secs,
             net,
             report,
-        } => smr(
-            n, t, slots, batch, batch_bytes, seed, attack, byz, pipeline, round_timeout_secs, net,
-            report,
-        ),
+        } => smr(n, t, slots, batch, batch_bytes, seed, attack, byz, pipeline, net, report),
         Command::Inspect { path } => inspect(&path),
         Command::Info { n, t, l } => info(n, t, l),
         Command::Soak { runs, seed } => soak(runs, seed),
@@ -206,10 +231,7 @@ fn soak(runs: usize, seed: u64) {
 /// JSON artifacts and fail the process.
 fn smr_soak(runs: usize, seed: u64, scenario_path: Option<String>, emit_failures: &str) {
     if let Some(path) = scenario_path {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("smr soak: cannot read {path}: {e}");
-            std::process::exit(2);
-        });
+        let text = read_input("smr soak", &path);
         let scenario = Scenario::from_json(&text).unwrap_or_else(|e| {
             eprintln!("smr soak: {path} is not a valid scenario: {e}");
             std::process::exit(2);
@@ -554,7 +576,6 @@ fn smr(
     attack: SmrAttack,
     byz: usize,
     pipeline: usize,
-    round_timeout_secs: Option<u64>,
     net: NetSpec,
     report_path: Option<String>,
 ) {
@@ -572,7 +593,6 @@ fn smr(
     if let Some(limit) = net.max_vtime {
         cfg = cfg.with_max_vtime(limit);
     }
-    cfg.round_timeout = round_timeout_secs.map(std::time::Duration::from_secs);
     if byz >= n {
         eprintln!("invalid parameters: --byz {byz} is out of range");
         std::process::exit(2);
@@ -685,10 +705,7 @@ fn smr(
 /// Pretty-prints a `RunReport` JSON (from `smr --report`) or a network
 /// trace CSV (from `consensus --trace`).
 fn inspect(path: &str) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("inspect: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
+    let text = read_input("inspect", path);
     if text.trim_start().starts_with("round,from,to") {
         inspect_trace_csv(path, &text);
         return;

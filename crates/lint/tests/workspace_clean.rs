@@ -29,7 +29,7 @@ fn workspace_lints_clean() {
     );
     // The scan must actually have covered the protocol crates.
     let scanned: Vec<&str> = report.stats.iter().map(|(k, _)| k.as_str()).collect();
-    for krate in ["crates/broadcast", "crates/bsb", "crates/smr", "crates/netsim"] {
+    for krate in ["crates/broadcast", "crates/bsb", "crates/smr", "crates/netsim", "crates/rscode"] {
         assert!(scanned.contains(&krate), "scan skipped {krate}");
     }
     // No determinism zone reads the machine's shape any more, so

@@ -3,8 +3,8 @@
 //!
 //! The workspace has no external JSON dependency (see the offline-shim
 //! policy in the root `Cargo.toml`), so every artifact that speaks JSON
-//! — `RunReport` in `mvbc-smr`, the `BENCH_*.json` manifests in
-//! `mvbc-bench`, the diagnostics of `mvbc-lint` — shares this module
+//! — `RunReport` in `mvbc-smr`, campaign scenarios in `mvbc-adversary`,
+//! the diagnostics of `mvbc-lint` — shares this module
 //! instead of carrying its own copy. It lives in `mvbc-metrics` because
 //! that is the lowest crate every artifact producer already depends on.
 //!

@@ -6,8 +6,7 @@
 //! rule, and every consistency check or decode re-runs full Lagrange
 //! [`interpolate`] from scratch. The equivalence suite
 //! (`tests/codec_equivalence.rs`) asserts byte-identical results against
-//! the production paths on random geometries, and `exp_codec` reports
-//! the wall-clock ratio between the two.
+//! the production paths on random geometries.
 
 use mvbc_gf::{interpolate, Field, Gf65536, Poly};
 

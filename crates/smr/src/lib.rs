@@ -36,8 +36,8 @@
 //!   sized against the *aggregate* log payload (the dispute budget
 //!   `t(t+2)` is global, so the Eq. (2) balance is struck once), which
 //!   amortizes the fixed per-generation `Broadcast_Single_Bit` overhead
-//!   toward the paper's `O(nL)` bound. `exp_smr_throughput` measures the
-//!   win over independent single-shot broadcasts.
+//!   toward the paper's `O(nL)` bound. `mvbc-bench smr_throughput`
+//!   measures the win over independent single-shot broadcasts.
 //!
 //! # Examples
 //!

@@ -3,7 +3,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Duration;
 
 use mvbc_broadcast::{broadcast_optimal_d_bits, run_broadcast_slot, BroadcastConfig, BroadcastReport};
 use mvbc_bsb::{BsbDriver, PhaseKingDriver};
@@ -90,21 +89,14 @@ pub struct SmrConfig {
     /// Explicit broadcast generation size in bytes (`None` = sized for
     /// the *aggregate* log payload; see [`SmrConfig::resolved_gen_bytes`]).
     pub gen_bytes: Option<usize>,
-    /// Coordinator wedge-detection timeout for the underlying simulation
-    /// (`None` = the simulator default). Long logs on slow machines can
-    /// raise it. This is a *wall-clock* guard against protocol bugs
-    /// wedging the simulator; it is unrelated to the virtual clock. To
-    /// bound the log in *virtual* time — e.g. a latency SLA under an
-    /// event-driven WAN model — use [`SmrConfig::max_vtime`].
-    pub round_timeout: Option<Duration>,
     /// Scheduling policy of the underlying simulation: the lockstep
     /// round barrier (default) or an event-driven
     /// [`NetModel`](mvbc_netsim::NetModel) with per-link latencies,
     /// topology, and partitions.
     pub policy: SchedulingPolicy,
     /// Abort the run if the virtual clock exceeds this many ticks
-    /// (`None` = unbounded). The virtual-time counterpart of
-    /// `round_timeout`.
+    /// (`None` = unbounded), e.g. a latency SLA under an event-driven
+    /// WAN model.
     pub max_vtime: Option<VirtualTime>,
     /// Pipeline depth `W`: how many slots may be in flight concurrently
     /// inside the single simulation. `1` (the default) runs slots
@@ -154,7 +146,6 @@ impl SmrConfig {
             batch_commands,
             batch_bytes,
             gen_bytes: None,
-            round_timeout: None,
             policy: SchedulingPolicy::RoundBarrier,
             max_vtime: None,
             pipeline: 1,
@@ -205,8 +196,8 @@ impl SmrConfig {
     /// whole log, so the Eq. (2)-style balance between per-generation
     /// `Broadcast_Single_Bit` overhead and worst-case diagnosis cost is
     /// struck once for the log. This is the amortization the
-    /// `exp_smr_throughput` experiment measures: per-slot sizing pays the
-    /// fixed overhead `sqrt(slots)` times more often.
+    /// `mvbc-bench smr_throughput` experiment measures: per-slot sizing
+    /// pays the fixed overhead `sqrt(slots)` times more often.
     pub fn resolved_gen_bytes(&self) -> usize {
         let slot_bytes = self.slot_bytes();
         match self.gen_bytes {
@@ -891,8 +882,8 @@ fn simulate_smr_with_traced(
 }
 
 /// Shared simulation tail of the sequential and pipelined runners:
-/// translates the log-level configuration (wall-clock timeout,
-/// scheduling policy, virtual-time budget) onto the simulator.
+/// translates the log-level configuration (scheduling policy,
+/// virtual-time budget) onto the simulator.
 fn run_smr_simulation(
     cfg: &SmrConfig,
     logics: Vec<NodeLogic<(SmrReport, KvStore)>>,
@@ -900,9 +891,6 @@ fn run_smr_simulation(
     trace: Option<TraceSink>,
 ) -> SmrRun {
     let mut sim_cfg = SimConfig::new(cfg.n).with_policy(cfg.policy.clone());
-    if let Some(timeout) = cfg.round_timeout {
-        sim_cfg = sim_cfg.with_round_timeout(timeout);
-    }
     if let Some(limit) = cfg.max_vtime {
         sim_cfg = sim_cfg.with_max_vtime(limit);
     }
