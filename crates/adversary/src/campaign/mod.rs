@@ -31,5 +31,6 @@ pub use runner::{
     run_scenario, CampaignReport, CampaignRun, CampaignRunner, RunOutcome, Violation,
 };
 pub use scenario::{
-    Behavior, Corruption, LinkPlan, NetPlan, PartitionPlan, Scenario, SCENARIO_SCHEMA,
+    Behavior, Corruption, LinkPlan, NetPlan, PartitionPlan, Scenario, MAX_SCENARIO_BATCH,
+    MAX_SCENARIO_COMMANDS, MAX_SCENARIO_N, MAX_SCENARIO_SLOTS, SCENARIO_SCHEMA,
 };

@@ -13,6 +13,24 @@ use mvbc_metrics::json::{parse_json, JsonValue};
 /// Schema marker embedded in every scenario document.
 pub const SCENARIO_SCHEMA: &str = "mvbc.scenario.v1";
 
+/// Largest `n` a scenario may ask for: twice the largest committee the
+/// repo runs anywhere (the benchmark's n = 64 `log_n64`; generated
+/// scenarios draw n <= 10).
+pub const MAX_SCENARIO_N: usize = 128;
+
+/// Largest `slots`: 20x the longest log the repo runs (the benchmark's
+/// 3000-slot `log_small`; generated scenarios draw at most 15).
+pub const MAX_SCENARIO_SLOTS: usize = 1 << 16;
+
+/// Largest `batch`: above the benchmark's biggest slot (174 763 commands
+/// on `log_bulk`; generated scenarios draw at most 4).
+pub const MAX_SCENARIO_BATCH: usize = 1 << 18;
+
+/// Largest `slots × batch`, the commands the runner generates for each
+/// replica up front: 6x the benchmark's largest stream (`log_bulk`),
+/// and at most 1 GiB of commands at [`MAX_SCENARIO_N`] replicas.
+pub const MAX_SCENARIO_COMMANDS: usize = 1 << 20;
+
 /// One composable Byzantine behaviour a corrupted replica runs while a
 /// [`Corruption`] window is active. Each maps onto a broadcast-layer
 /// attack hook from [`mvbc_broadcast::attacks`], chosen per slot by
@@ -392,11 +410,27 @@ impl Scenario {
     ///
     /// Returns a description of the first inconsistency.
     pub fn validate(&self) -> Result<(), String> {
-        if self.n < 4 || 3 * self.t >= self.n {
+        // `t < n/3` without forming `3 * t`, which can wrap.
+        if self.n < 4 || self.t >= self.n.div_ceil(3) {
             return Err(format!("need 4 <= n and t < n/3 (n = {}, t = {})", self.n, self.t));
         }
         if self.slots == 0 || self.batch == 0 || self.pipeline == 0 {
             return Err("slots, batch and pipeline must all be at least 1".to_owned());
+        }
+        for (field, value, cap) in [
+            ("n", self.n, MAX_SCENARIO_N),
+            ("slots", self.slots, MAX_SCENARIO_SLOTS),
+            ("batch", self.batch, MAX_SCENARIO_BATCH),
+        ] {
+            if value > cap {
+                return Err(format!("{field} = {value} is over the cap of {cap}"));
+            }
+        }
+        if self.slots.checked_mul(self.batch).is_none_or(|c| c > MAX_SCENARIO_COMMANDS) {
+            return Err(format!(
+                "slots × batch = {} × {} is over the cap of {MAX_SCENARIO_COMMANDS} commands per replica",
+                self.slots, self.batch
+            ));
         }
         for c in &self.corruptions {
             if c.replica >= self.n {
@@ -628,6 +662,57 @@ mod tests {
         let mut s = sample();
         s.corruptions[0].behavior = Behavior::LyingEcho { step: 0 };
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_n_over_cap() {
+        let mut s = sample();
+        s.n = MAX_SCENARIO_N + 1;
+        s.net = None; // its clusters cover n = 7 only
+        let err = s.validate().unwrap_err();
+        assert!(err.starts_with("n = 129 is over the cap"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_slots_over_cap() {
+        let mut s = sample();
+        s.slots = MAX_SCENARIO_SLOTS + 1;
+        let err = s.validate().unwrap_err();
+        assert!(err.starts_with("slots = 65537 is over the cap"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_batch_over_cap() {
+        // A 200-byte file with this batch used to abort the runner on a
+        // 24 TiB command allocation.
+        let mut s = sample();
+        s.slots = 3;
+        s.batch = 1 << 40;
+        let err = s.validate().unwrap_err();
+        assert!(err.starts_with("batch = 1099511627776 is over the cap"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_commands_over_cap() {
+        let mut s = sample();
+        s.slots = MAX_SCENARIO_SLOTS;
+        s.batch = MAX_SCENARIO_BATCH;
+        let err = s.validate().unwrap_err();
+        assert!(err.starts_with("slots × batch"), "{err}");
+        // Each factor within its own cap, product just over.
+        s.batch = MAX_SCENARIO_COMMANDS / MAX_SCENARIO_SLOTS + 1;
+        assert!(s.validate().unwrap_err().starts_with("slots × batch"));
+        s.batch -= 1;
+        assert_eq!(s.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validation_rejects_t_whose_triple_wraps() {
+        // 3t = 2^64 + 2 wraps to 2 < n.
+        let mut s = sample();
+        s.t = 6_148_914_691_236_517_206;
+        let err = s.validate().unwrap_err();
+        assert!(err.starts_with("need 4 <= n and t < n/3"), "{err}");
     }
 
     #[test]

@@ -96,7 +96,8 @@ impl BroadcastConfig {
     ///
     /// Returns a [`BroadcastConfigError`] for invalid parameters.
     pub fn new(n: usize, t: usize, source: usize, value_bytes: usize) -> Result<Self, BroadcastConfigError> {
-        if 3 * t >= n {
+        // `t < n/3` without forming `3 * t`, which can wrap.
+        if t >= n.div_ceil(3) {
             return Err(BroadcastConfigError::TooManyFaults { n, t });
         }
         if source >= n {
@@ -182,6 +183,16 @@ mod tests {
         assert_eq!(
             BroadcastConfig::with_gen_bytes(4, 1, 0, 10, 0),
             Err(BroadcastConfigError::ZeroGenerationSize)
+        );
+    }
+
+    #[test]
+    fn validation_rejects_t_whose_triple_wraps() {
+        // 3t = 2^64 + 2 wraps to 2 < n.
+        let t = 6_148_914_691_236_517_206;
+        assert_eq!(
+            BroadcastConfig::new(7, t, 0, 10),
+            Err(BroadcastConfigError::TooManyFaults { n: 7, t })
         );
     }
 

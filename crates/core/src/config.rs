@@ -122,7 +122,8 @@ impl ConsensusConfig {
     }
 
     fn validate(&self) -> Result<(), ConfigError> {
-        if 3 * self.t >= self.n {
+        // `t < n/3` without forming `3 * t`, which can wrap.
+        if self.t >= self.n.div_ceil(3) {
             return Err(ConfigError::TooManyFaults { n: self.n, t: self.t });
         }
         if self.n > u16::MAX as usize {
@@ -185,6 +186,13 @@ mod tests {
             Err(ConfigError::TooManyFaults { n: 6, t: 2 })
         );
         assert!(ConsensusConfig::new(7, 2, 100).is_ok());
+    }
+
+    #[test]
+    fn rejects_t_whose_triple_wraps() {
+        // 3t = 2^64 + 2 wraps to 2 < n.
+        let t = 6_148_914_691_236_517_206;
+        assert_eq!(ConsensusConfig::new(7, t, 100), Err(ConfigError::TooManyFaults { n: 7, t }));
     }
 
     #[test]

@@ -1,4 +1,9 @@
 //! The [`Field`] trait and the concrete GF(2^4), GF(2^8), GF(2^16) fields.
+//!
+//! All three share one table-driven element arithmetic. Only [`Gf65536`],
+//! the field the workspace codes over, overrides the slice kernels with
+//! the packed tiers of `crate::packed`; GF(2^4) and GF(2^8) (tests and
+//! small examples) run the trait's scalar defaults.
 
 use std::fmt;
 use std::hash::Hash;
@@ -99,22 +104,12 @@ pub trait Field:
         self == Self::ZERO
     }
 
-    /// Batch kernel `dst[i] = c * src[i]`.
-    ///
-    /// The table-driven fields override this with a log-domain loop that
-    /// hoists the table reference and `log(c)` out of the loop; the
-    /// default delegates to the scalar reference loop. See
-    /// [`crate::kernels`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when `src` and `dst` differ in length.
-    fn mul_slice(c: Self, src: &[Self], dst: &mut [Self]) {
-        crate::kernels::mul_slice_scalar(c, src, dst);
-    }
-
     /// Batch kernel `dst[i] += c * src[i]` (the fused multiply-accumulate
     /// of every Reed-Solomon matrix row application).
+    ///
+    /// The default is the scalar reference loop
+    /// ([`crate::kernels::addmul_slice_scalar`]); [`Gf65536`] overrides it
+    /// with the packed split-table kernels.
     ///
     /// # Panics
     ///
@@ -123,19 +118,12 @@ pub trait Field:
         crate::kernels::addmul_slice_scalar(c, src, dst);
     }
 
-    /// Batch kernel `buf[i] = c * buf[i]`.
-    fn mul_slice_in_place(c: Self, buf: &mut [Self]) {
-        for b in buf.iter_mut() {
-            *b *= c;
-        }
-    }
-
     /// Fused batch kernel `dst[i] += Σ_j coeffs[j] * srcs[j][i]` — one
     /// whole matrix-row application in a single pass over `dst`.
     ///
     /// Semantically identical to `coeffs.len()` successive
     /// [`Field::addmul_slice`] calls (which is the default
-    /// implementation); the packed fields override it to visit the
+    /// implementation); [`Gf65536`] overrides it to visit the
     /// accumulator once instead of once per source. See
     /// [`crate::kernels::addmul_rows`].
     ///
@@ -154,7 +142,7 @@ pub trait Field:
 macro_rules! impl_gf {
     (
         $(#[$meta:meta])*
-        $name:ident, $repr:ty, $bits:expr, $tables:path, $packed:path
+        $name:ident, $repr:ty, $bits:expr, $tables:path $(, $packed:path)?
     ) => {
         $(#[$meta])*
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -211,28 +199,20 @@ macro_rules! impl_gf {
                 Self(t.exp[i] as $repr)
             }
 
-            // Packed slice kernels: split tables built once per
-            // multiplier, `u64`-packed XOR accumulate, log-domain
-            // fallback for short slices. See [`crate::packed`].
-            fn mul_slice(c: Self, src: &[Self], dst: &mut [Self]) {
-                use $packed as packed;
-                packed::mul_slice(c, src, dst);
-            }
+            $(
+                // Packed slice kernels: split tables built once per
+                // multiplier, `u64`-packed XOR accumulate, log-domain
+                // fallback for short slices. See [`crate::packed`].
+                fn addmul_slice(c: Self, src: &[Self], dst: &mut [Self]) {
+                    use $packed as packed;
+                    packed::addmul_slice(c, src, dst);
+                }
 
-            fn addmul_slice(c: Self, src: &[Self], dst: &mut [Self]) {
-                use $packed as packed;
-                packed::addmul_slice(c, src, dst);
-            }
-
-            fn mul_slice_in_place(c: Self, buf: &mut [Self]) {
-                use $packed as packed;
-                packed::mul_slice_in_place(c, buf);
-            }
-
-            fn addmul_rows(coeffs: &[Self], srcs: &[&[Self]], dst: &mut [Self]) {
-                use $packed as packed;
-                packed::addmul_rows(coeffs, srcs, dst);
-            }
+                fn addmul_rows(coeffs: &[Self], srcs: &[&[Self]], dst: &mut [Self]) {
+                    use $packed as packed;
+                    packed::addmul_rows(coeffs, srcs, dst);
+                }
+            )?
         }
 
         impl Add for $name {
@@ -357,8 +337,7 @@ impl_gf!(
     Gf16,
     u8,
     4,
-    tables::tables16,
-    crate::packed::gf16
+    tables::tables16
 );
 
 impl_gf!(
@@ -366,8 +345,7 @@ impl_gf!(
     Gf256,
     u8,
     8,
-    tables::tables256,
-    crate::packed::gf256
+    tables::tables256
 );
 
 impl_gf!(

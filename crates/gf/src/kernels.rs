@@ -6,49 +6,37 @@
 //! applied across a whole slice of field elements (one element per
 //! stripe). The kernels here are the single place that loop is written:
 //!
-//! - [`mul_slice`] — `dst[i] = c * src[i]`
 //! - [`addmul_slice`] — `dst[i] += c * src[i]` (XOR-accumulate in
 //!   characteristic 2)
-//! - [`mul_slice_in_place`] — `buf[i] = c * buf[i]`
 //! - [`addmul_rows`] — `dst[i] += Σ_j coeffs[j] * srcs[j][i]`, a whole
 //!   matrix-row application fused into one pass over the accumulator
 //!
-//! The table-driven fields ([`Gf16`](crate::Gf16), [`Gf256`](crate::Gf256),
-//! [`Gf65536`](crate::Gf65536)) implement these with *packed split-table*
-//! loops (see the `packed` module): per-multiplier low/high split tables
-//! are built once per slice call and combined branch-free with XOR, the
-//! `c == 1` accumulate path XORs `u64`-packed words via `chunks_exact`,
-//! `c == 0` degenerates to `fill`/no-op, and short slices fall back to
-//! the log-domain loop (exp/log tables dereferenced once per slice,
-//! `log(c)` hoisted). The `*_scalar` twins keep the naive per-element
-//! formulation as an executable specification; the equivalence suite
-//! pins kernel == scalar on random inputs for every field, every table
-//! tier, and every tail alignment.
+//! [`Gf65536`](crate::Gf65536), the coding field, implements both with
+//! *packed split-table* loops (see the `packed` module): per-multiplier
+//! split tables are built once per slice call and combined branch-free
+//! with XOR, the `c == 1` accumulate path XORs `u64`-packed words via
+//! `chunks_exact`, `c == 0` is a no-op, and short slices fall back to the
+//! log-domain loop. The small fields [`Gf16`](crate::Gf16) and
+//! [`Gf256`](crate::Gf256) run the scalar twins. The `*_scalar` twins
+//! keep the naive per-element formulation as an executable
+//! specification; the equivalence suite pins kernel == scalar on random
+//! inputs for every field, every table tier, and every tail alignment.
 //!
 //! # Examples
 //!
 //! ```
-//! use mvbc_gf::{kernels, Field, Gf256};
+//! use mvbc_gf::{kernels, Field, Gf65536};
 //!
-//! let c = Gf256::new(0x1d);
-//! let src: Vec<Gf256> = (0u16..32).map(|i| Gf256::new(i as u8)).collect();
-//! let mut fast = vec![Gf256::ZERO; 32];
-//! let mut slow = vec![Gf256::ZERO; 32];
+//! let c = Gf65536::new(0x1d2c);
+//! let src: Vec<Gf65536> = (0u16..64).map(|i| Gf65536::new(i * 997)).collect();
+//! let mut fast = vec![Gf65536::ZERO; 64];
+//! let mut slow = vec![Gf65536::ZERO; 64];
 //! kernels::addmul_slice(c, &src, &mut fast);
 //! kernels::addmul_slice_scalar(c, &src, &mut slow);
 //! assert_eq!(fast, slow);
 //! ```
 
 use crate::Field;
-
-/// `dst[i] = c * src[i]` via the field's batched kernel.
-///
-/// # Panics
-///
-/// Panics when `src` and `dst` differ in length.
-pub fn mul_slice<F: Field>(c: F, src: &[F], dst: &mut [F]) {
-    F::mul_slice(c, src, dst);
-}
 
 /// `dst[i] += c * src[i]` via the field's batched kernel.
 ///
@@ -59,16 +47,11 @@ pub fn addmul_slice<F: Field>(c: F, src: &[F], dst: &mut [F]) {
     F::addmul_slice(c, src, dst);
 }
 
-/// `buf[i] = c * buf[i]` via the field's batched kernel.
-pub fn mul_slice_in_place<F: Field>(c: F, buf: &mut [F]) {
-    F::mul_slice_in_place(c, buf);
-}
-
 /// `dst[i] += Σ_j coeffs[j] * srcs[j][i]` via the field's fused kernel.
 ///
 /// One generator-matrix (or inverted-Vandermonde) row applied to all
-/// `coeffs.len()` sources in a single pass over `dst`: the packed
-/// fields build one split-table pair per non-zero coefficient up
+/// `coeffs.len()` sources in a single pass over `dst`: GF(2^16)
+/// builds one set of split tables per non-zero coefficient up
 /// front, then XOR every source's product into a register before the
 /// single accumulator store. Equivalent to `coeffs.len()` successive
 /// [`addmul_slice`] calls, but without the `k - 1` extra load+store
@@ -80,18 +63,6 @@ pub fn mul_slice_in_place<F: Field>(c: F, buf: &mut [F]) {
 /// differs in length from `dst`.
 pub fn addmul_rows<F: Field>(coeffs: &[F], srcs: &[&[F]], dst: &mut [F]) {
     F::addmul_rows(coeffs, srcs, dst);
-}
-
-/// Scalar reference for [`mul_slice`]: one full `a * b` per element.
-///
-/// # Panics
-///
-/// Panics when `src` and `dst` differ in length.
-pub fn mul_slice_scalar<F: Field>(c: F, src: &[F], dst: &mut [F]) {
-    assert_eq!(src.len(), dst.len(), "mul_slice length mismatch");
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = c * s;
-    }
 }
 
 /// Scalar reference for [`addmul_slice`].
@@ -147,27 +118,13 @@ mod tests {
             // Include the short-circuited multipliers 0 and 1.
             for craw in [0u64, 1, 2, 3, 0x55, F::ORDER - 1] {
                 let c = F::from_u64(craw);
-                let mut fast = vec![F::ZERO; len];
-                let mut slow = vec![F::ZERO; len];
-                mul_slice(c, &src, &mut fast);
-                mul_slice_scalar(c, &src, &mut slow);
-                assert_eq!(fast, slow, "mul_slice c={craw:#x}");
-
                 let mut fast = acc.clone();
                 let mut slow = acc.clone();
                 addmul_slice(c, &src, &mut fast);
                 addmul_slice_scalar(c, &src, &mut slow);
                 assert_eq!(fast, slow, "addmul_slice c={craw:#x}");
-
-                let mut buf = src.clone();
-                mul_slice_in_place(c, &mut buf);
-                assert_eq!(buf, slow_mul_vec(c, &src), "mul_slice_in_place c={craw:#x}");
             }
         }
-    }
-
-    fn slow_mul_vec<F: Field>(c: F, src: &[F]) -> Vec<F> {
-        src.iter().map(|&s| c * s).collect()
     }
 
     #[test]

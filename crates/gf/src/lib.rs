@@ -5,8 +5,14 @@
 //! Reed-Solomon codes of Liang & Vaidya's error-free multi-valued Byzantine
 //! consensus algorithm (PODC 2011). The paper's code `C_2t` is an
 //! `(n, n-2t)` Reed-Solomon code over GF(2^c) with `n <= 2^c - 1`; the
-//! workspace instantiates it over [`Gf65536`] by default so any practical
-//! simulated network size is supported.
+//! workspace instantiates it over [`Gf65536`] so any practical simulated
+//! network size is supported.
+//!
+//! [`Gf65536`] is therefore the only field with fast slice kernels: the
+//! [`kernels`] entry points dispatch to its packed split-table tiers,
+//! and [`PreparedMul65536`] prebuilds its byte tables for multipliers
+//! that recur. [`Gf16`] and [`Gf256`] share the element arithmetic but
+//! run the scalar reference kernels; tests and small examples use them.
 //!
 //! # Examples
 //!

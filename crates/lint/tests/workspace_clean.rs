@@ -40,6 +40,14 @@ fn workspace_lints_clean() {
         None,
         "the workspace suppresses determinism.thread_count again"
     );
+    // The codec's memo tables are state of each code value, so no
+    // process-wide map is left to justify: an unordered container must
+    // not come back behind a suppression comment either.
+    assert_eq!(
+        report.suppressed_rules.get("determinism.hash_state"),
+        None,
+        "the workspace suppresses determinism.hash_state again"
+    );
 }
 
 #[test]

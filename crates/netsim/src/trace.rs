@@ -64,8 +64,19 @@ pub struct TraceEvent {
 /// ```
 #[derive(Debug, Clone)]
 pub struct TraceSink {
-    events: Arc<Mutex<Vec<TraceEvent>>>,
+    inner: Arc<Mutex<Recorded>>,
 }
+
+/// The events recorded so far and the digest folded over them.
+#[derive(Debug)]
+struct Recorded {
+    events: Vec<TraceEvent>,
+    /// FNV-1a state after the last event (see [`TraceSink::digest`]).
+    digest: u64,
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// Events a new sink has room for (64 KiB); a run records thousands to
 /// hundreds of thousands. Starting above the allocator's small-object
@@ -79,7 +90,12 @@ const INITIAL_EVENTS: usize = 1024;
 
 impl Default for TraceSink {
     fn default() -> Self {
-        TraceSink { events: Arc::new(Mutex::new(Vec::with_capacity(INITIAL_EVENTS))) }
+        TraceSink {
+            inner: Arc::new(Mutex::new(Recorded {
+                events: Vec::with_capacity(INITIAL_EVENTS),
+                digest: FNV_OFFSET,
+            })),
+        }
     }
 }
 
@@ -89,19 +105,39 @@ impl TraceSink {
         Self::default()
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, Recorded> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     pub(crate) fn record(&self, event: TraceEvent) {
-        self.events.lock().unwrap_or_else(|p| p.into_inner()).push(event);
+        let mut rec = self.lock();
+        let mut h = rec.digest;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        };
+        eat(&event.round.to_be_bytes());
+        eat(&event.from.to_be_bytes());
+        eat(&event.to.to_be_bytes());
+        eat(event.tag.as_bytes());
+        eat(&[0]);
+        eat(&event.logical_bits.to_be_bytes());
+        eat(&event.payload_bytes.to_be_bytes());
+        rec.events.push(event);
+        rec.digest = h;
     }
 
     /// A snapshot of all events recorded so far, in delivery order
     /// (round-major; within a round, sender-submission order).
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.events.lock().unwrap_or_else(|p| p.into_inner()).clone()
+        self.lock().events.clone()
     }
 
     /// Number of recorded deliveries.
     pub fn len(&self) -> usize {
-        self.events.lock().unwrap_or_else(|p| p.into_inner()).len()
+        self.lock().events.len()
     }
 
     /// True when nothing has been recorded.
@@ -129,24 +165,11 @@ impl TraceSink {
     /// the network delivered it, so golden digests pinned under the
     /// round-barrier policy stay valid and a latency-model change never
     /// masquerades as a protocol change.
+    ///
+    /// Each event is folded in as it is recorded, so this reads one word
+    /// and copies no event.
     pub fn digest(&self) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        for e in self.events() {
-            eat(&e.round.to_be_bytes());
-            eat(&e.from.to_be_bytes());
-            eat(&e.to.to_be_bytes());
-            eat(e.tag.as_bytes());
-            eat(&[0]);
-            eat(&e.logical_bits.to_be_bytes());
-            eat(&e.payload_bytes.to_be_bytes());
-        }
-        h
+        self.lock().digest
     }
 
     /// Renders the trace as CSV

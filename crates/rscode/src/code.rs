@@ -5,7 +5,8 @@ use std::sync::Arc;
 
 use mvbc_gf::{kernels, Field};
 
-use crate::weights::{weights_for, InterpWeights};
+use crate::memo::Memo;
+use crate::weights::InterpWeights;
 
 /// Errors produced by Reed-Solomon encoding and decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,6 +89,9 @@ pub struct ReedSolomon<F: Field> {
     /// [`kernels::addmul_slice`] calls) instead of per-stripe Horner
     /// evaluation through a freshly-allocated polynomial.
     gen: Vec<F>,
+    /// Interpolation weights per position set, built on first use (see
+    /// [`crate::weights`]).
+    weights: Memo<Vec<usize>, InterpWeights<F>>,
 }
 
 impl<F: Field> ReedSolomon<F> {
@@ -114,7 +118,13 @@ impl<F: Field> ReedSolomon<F> {
                 power *= a;
             }
         }
-        Ok(ReedSolomon { n, k, alphas, gen })
+        Ok(ReedSolomon {
+            n,
+            k,
+            alphas,
+            gen,
+            weights: Memo::default(),
+        })
     }
 
     /// Creates the paper's code `C_2t`: an `(n, n - 2t)` code.
@@ -157,7 +167,8 @@ impl<F: Field> ReedSolomon<F> {
     /// The memoized interpolation weights for a `k`-subset of positions
     /// (see [`crate::weights`]).
     pub(crate) fn interp_weights(&self, positions: &[usize]) -> Arc<InterpWeights<F>> {
-        weights_for(positions, &self.alphas)
+        self.weights
+            .get_or_build(positions, || InterpWeights::build(positions, &self.alphas))
     }
 
     /// Encodes `k` data symbols into an `n`-symbol codeword by applying

@@ -23,6 +23,12 @@
 //! provides error *correction* (used by the Fitzi-Hirt baseline and
 //! available as an extension).
 //!
+//! What a code can precompute lives in the code value: the generator
+//! matrix at construction, and lazily, on first use, the interpolation
+//! weights of each position set and [`StripedCode`]'s prepared generator
+//! tables. Nothing is cached process-wide, so two code values never
+//! share state and dropping a code frees everything it built.
+//!
 //! # Examples
 //!
 //! ```
@@ -47,6 +53,7 @@
 
 pub mod berlekamp_welch;
 mod code;
+mod memo;
 pub mod reference;
 mod striped;
 mod symbol;

@@ -11,9 +11,19 @@
 //! Equality of two symbols, consistency of a symbol set, and decoding all
 //! behave exactly as in the paper because they hold iff they hold
 //! stripe-wise.
+//!
+//! Every encode, check and decode is a set of matrix rows applied to all
+//! stripes at once, and the stripe count alone picks one of three
+//! GF(2^16) paths: [`kernels::addmul_rows`] runs the log-domain loop
+//! below 32 stripes and nibble split tables below 1024; from 1024
+//! stripes on, rows are prepared into byte tables once per call and
+//! swept in cache blocks. The generator matrix's prepared tables are
+//! state of the [`StripedCode`] value, built by its first large encode
+//! and reused by every later one.
 
 use mvbc_gf::{kernels, mul_rows_prepared, Field, Gf65536, PreparedMul65536};
 
+use crate::memo::Memo;
 use crate::{CodeError, ReedSolomon, Symbol};
 
 /// Minimum stripes before the prepared byte-table path pays for its
@@ -55,8 +65,8 @@ fn apply_rows(rows: &[&[Gf65536]], srcs: &[&[Gf65536]], dsts: &mut [&mut [Gf6553
 /// with the row loop *inside* the block loop: all `k` source blocks
 /// stay L1-resident while every output row consumes them, instead of
 /// re-streaming each source from L2 once per row. The prepared tables
-/// are built (or fetched from the generator cache) exactly once per
-/// call, not once per row application.
+/// are built (or fetched from the code's generator memo) exactly once
+/// per call, not once per row application.
 fn apply_rows_prepared(
     tables: &[PreparedMul65536],
     k: usize,
@@ -80,41 +90,6 @@ fn apply_rows_prepared(
         }
         lo = hi;
     }
-}
-
-/// Process-wide cache of prepared generator tables, keyed by `(n, k)`.
-///
-/// The generator matrix is a pure function of the geometry (canonical
-/// evaluation points `alpha(0..n)`), so its `n·k` byte split tables —
-/// 510 log/exp products each to build — are shared across every
-/// [`StripedCode`] instance ever constructed with that geometry (e.g.
-/// the per-slot codes of an SMR run). Entries are `n·k` KiB; the cap
-/// only guards against pathological geometry churn.
-fn gen_tables(rs: &ReedSolomon<Gf65536>, n: usize, k: usize) -> std::sync::Arc<Vec<PreparedMul65536>> {
-    use std::collections::HashMap;
-    use std::sync::{Arc, OnceLock, RwLock};
-    // mvbc-lint: allow(determinism.hash_state): keyed-access-only memo cache; never iterated, so its order is unobservable and cannot reach a trace or report
-    type GenMap = HashMap<(usize, usize), Arc<Vec<PreparedMul65536>>>;
-    const GEN_CACHE_CAP: usize = 64;
-    static CACHE: OnceLock<RwLock<GenMap>> = OnceLock::new();
-    // mvbc-lint: allow(determinism.hash_state): same keyed-access-only cache as GenMap above
-    let cache = CACHE.get_or_init(|| RwLock::new(HashMap::new()));
-    {
-        let map = cache.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(entry) = map.get(&(n, k)) {
-            return entry.clone();
-        }
-    }
-    let built: Arc<Vec<PreparedMul65536>> = Arc::new(
-        (0..n)
-            .flat_map(|pos| rs.gen_row(pos).iter().map(|&c| PreparedMul65536::new(c)))
-            .collect(),
-    );
-    let mut map = cache.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-    if map.len() >= GEN_CACHE_CAP {
-        map.clear();
-    }
-    map.entry((n, k)).or_insert_with(|| built.clone()).clone()
 }
 
 /// Geometry of a striped code: how a byte value maps onto symbols.
@@ -153,6 +128,10 @@ pub struct StripedLayout {
 pub struct StripedCode {
     layout: StripedLayout,
     rs: ReedSolomon<Gf65536>,
+    /// The generator matrix's `n·k` prepared tables (one entry: they
+    /// depend on nothing but the code), built by the first encode that
+    /// takes the prepared path.
+    gen_tables: Memo<(), Vec<PreparedMul65536>>,
 }
 
 impl StripedCode {
@@ -182,6 +161,7 @@ impl StripedCode {
                 stripes,
             },
             rs,
+            gen_tables: Memo::default(),
         })
     }
 
@@ -279,9 +259,13 @@ impl StripedCode {
         let mut out: Vec<Vec<Gf65536>> = vec![vec![Gf65536::ZERO; l.stripes]; l.n];
         let mut dsts: Vec<&mut [Gf65536]> = out.iter_mut().map(Vec::as_mut_slice).collect();
         if l.stripes >= PREPARED_MIN_STRIPES {
-            // The generator tables are fixed per geometry: fetch them
-            // from the process-wide cache instead of rebuilding.
-            let tables = gen_tables(&self.rs, l.n, l.k);
+            // The generator tables are fixed per code: build them once,
+            // on the first large encode, and reuse them after.
+            let tables = self.gen_tables.get_or_build(&(), || {
+                (0..l.n)
+                    .flat_map(|pos| self.rs.gen_row(pos).iter().map(|&c| PreparedMul65536::new(c)))
+                    .collect()
+            });
             apply_rows_prepared(&tables, l.k, &srcs, &mut dsts);
         } else {
             let rows: Vec<&[Gf65536]> = (0..l.n).map(|pos| self.rs.gen_row(pos)).collect();

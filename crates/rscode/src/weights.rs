@@ -1,4 +1,4 @@
-//! Per-position-set interpolation weights, memoized process-wide.
+//! Per-position-set interpolation weights, memoized per code.
 //!
 //! Every consistency check and erasure decode interpolates the data
 //! polynomial through the symbols at some `k`-subset of codeword
@@ -23,15 +23,9 @@
 //!   symbols are verified incrementally (and how `extend` recomputes
 //!   missing symbols) without re-interpolating.
 //!
-//! Weights are cached in a process-wide map keyed by
-//! `(field, n, positions)` — the evaluation points `alpha_i = g^i` are a
-//! pure function of the field, so two codes with equal geometry share
-//! entries even across separately-constructed [`ReedSolomon`] values
-//! (e.g. the per-slot codes of an SMR run).
-
-use std::any::{Any, TypeId};
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock, RwLock};
+//! Each [`ReedSolomon`](crate::ReedSolomon) value keeps its weights in a
+//! [`Memo`](crate::memo::Memo) keyed by the position set: built on the
+//! first check or decode through that set, shared by every later one.
 
 use mvbc_gf::Field;
 
@@ -49,7 +43,7 @@ pub(crate) struct InterpWeights<F: Field> {
 impl<F: Field> InterpWeights<F> {
     /// Builds the weights for interpolation through `positions` over a
     /// code with evaluation points `alphas` (length `n`).
-    fn build(positions: &[usize], alphas: &[F]) -> Self {
+    pub(crate) fn build(positions: &[usize], alphas: &[F]) -> Self {
         let k = positions.len();
         let n = alphas.len();
         let xs: Vec<F> = positions.iter().map(|&p| alphas[p]).collect();
@@ -116,64 +110,10 @@ impl<F: Field> InterpWeights<F> {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Key {
-    field: TypeId,
-    n: usize,
-    positions: Box<[usize]>,
-}
-
-// mvbc-lint: allow(determinism.hash_state): keyed-access-only memo cache; never iterated, so its order is unobservable and cannot reach a trace or report
-type CacheMap = HashMap<Key, Arc<dyn Any + Send + Sync>>;
-
-/// Entries are small (O(nk) field elements); the cap only guards against
-/// pathological churn (e.g. fuzzing over thousands of geometries).
-const CACHE_CAP: usize = 1 << 14;
-
-fn cache() -> &'static RwLock<CacheMap> {
-    static CACHE: OnceLock<RwLock<CacheMap>> = OnceLock::new();
-    // mvbc-lint: allow(determinism.hash_state): same keyed-access-only cache as CacheMap above
-    CACHE.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-/// Returns the (possibly cached) weights for interpolating through
-/// `positions` over the code with evaluation points `alphas`.
-///
-/// Read-mostly: repeated calls with a known position set never take the
-/// write lock.
-pub(crate) fn weights_for<F: Field>(positions: &[usize], alphas: &[F]) -> Arc<InterpWeights<F>> {
-    // The cache key omits the evaluation points because they must be the
-    // canonical `alpha(0..n)` — the only points `ReedSolomon::new`
-    // produces. A future caller with bespoke points would silently share
-    // entries with the canonical geometry; catch that in debug builds.
-    debug_assert!(
-        alphas.iter().enumerate().all(|(i, &a)| a == F::alpha(i)),
-        "weights cache requires canonical evaluation points alpha(0..n)"
-    );
-    let key = Key {
-        field: TypeId::of::<F>(),
-        n: alphas.len(),
-        positions: positions.into(),
-    };
-    {
-        let map = cache().read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(entry) = map.get(&key) {
-            return entry.clone().downcast::<InterpWeights<F>>().expect("cache entry type");
-        }
-    }
-    let built: Arc<InterpWeights<F>> = Arc::new(InterpWeights::build(positions, alphas));
-    let mut map = cache().write().unwrap_or_else(std::sync::PoisonError::into_inner);
-    if map.len() >= CACHE_CAP {
-        map.clear();
-    }
-    let entry = map
-        .entry(key)
-        .or_insert_with(|| built.clone() as Arc<dyn Any + Send + Sync>);
-    entry.clone().downcast::<InterpWeights<F>>().expect("cache entry type")
-}
-
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use mvbc_gf::{interpolate, Gf256, Gf65536, Poly};
 
@@ -185,7 +125,7 @@ mod tests {
     fn coeff_rows_match_lagrange_interpolation() {
         let als = alphas::<Gf256>(7);
         let positions = [1usize, 4, 6];
-        let w = weights_for::<Gf256>(&positions, &als);
+        let w = InterpWeights::<Gf256>::build(&positions, &als);
         let ys = [Gf256::new(17), Gf256::new(200), Gf256::new(3)];
         // Matrix path.
         let mut coeffs = vec![Gf256::ZERO; 3];
@@ -204,7 +144,7 @@ mod tests {
     fn ext_rows_predict_codeword_symbols() {
         let als = alphas::<Gf65536>(9);
         let positions = [0usize, 2, 5, 8];
-        let w = weights_for::<Gf65536>(&positions, &als);
+        let w = InterpWeights::<Gf65536>::build(&positions, &als);
         let poly = Poly::from_coeffs(vec![
             Gf65536::new(11),
             Gf65536::new(22),
@@ -226,25 +166,29 @@ mod tests {
     fn identity_rows_for_supplied_positions() {
         let als = alphas::<Gf256>(5);
         let positions = [3usize, 1];
-        let w = weights_for::<Gf256>(&positions, &als);
+        let w = InterpWeights::<Gf256>::build(&positions, &als);
         assert_eq!(w.ext_row(3), &[Gf256::ONE, Gf256::ZERO]);
         assert_eq!(w.ext_row(1), &[Gf256::ZERO, Gf256::ONE]);
     }
 
     #[test]
     fn cache_returns_shared_entries() {
-        let als = alphas::<Gf256>(6);
-        let a = weights_for::<Gf256>(&[0, 2, 4], &als);
-        let b = weights_for::<Gf256>(&[0, 2, 4], &als);
+        let code = crate::ReedSolomon::<Gf256>::new(6, 3).unwrap();
+        let a = code.interp_weights(&[0, 2, 4]);
+        let b = code.interp_weights(&[0, 2, 4]);
         assert!(Arc::ptr_eq(&a, &b));
-        let c = weights_for::<Gf256>(&[0, 2, 5], &als);
+        let c = code.interp_weights(&[0, 2, 5]);
         assert!(!Arc::ptr_eq(&a, &c));
+        // The memo is state of the code value: an equal code built
+        // separately builds its own entry.
+        let other = crate::ReedSolomon::<Gf256>::new(6, 3).unwrap();
+        assert!(!Arc::ptr_eq(&a, &other.interp_weights(&[0, 2, 4])));
     }
 
     #[test]
     fn single_point_interpolation_is_constant() {
         let als = alphas::<Gf256>(4);
-        let w = weights_for::<Gf256>(&[2], &als);
+        let w = InterpWeights::<Gf256>::build(&[2], &als);
         assert_eq!(w.coeff_row(0), &[Gf256::ONE]);
         for pos in 0..4 {
             assert_eq!(w.ext_row(pos), &[Gf256::ONE], "constant extends everywhere");

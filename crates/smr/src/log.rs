@@ -130,7 +130,8 @@ impl SmrConfig {
         batch_commands: usize,
         batch_bytes: usize,
     ) -> Result<Self, SmrConfigError> {
-        if 3 * t >= n {
+        // `t < n/3` without forming `3 * t`, which can wrap.
+        if t >= n.div_ceil(3) {
             return Err(SmrConfigError::TooManyFaults { n, t });
         }
         if slots == 0 {
@@ -936,6 +937,13 @@ mod tests {
             Err(SmrConfigError::EmptyBatchBudget)
         );
         assert!(SmrConfigError::ZeroSlots.to_string().contains("slot"));
+    }
+
+    #[test]
+    fn config_rejects_t_whose_triple_wraps() {
+        // 3t = 2^64 + 2 wraps to 2 < n.
+        let t = 6_148_914_691_236_517_206;
+        assert_eq!(SmrConfig::new(7, t, 10, 4), Err(SmrConfigError::TooManyFaults { n: 7, t }));
     }
 
     #[test]
