@@ -9,6 +9,7 @@
 //! JSON alone.
 
 use mvbc_metrics::json::{parse_json, JsonValue};
+use mvbc_smr::MAX_PIPELINE;
 
 /// Schema marker embedded in every scenario document.
 pub const SCENARIO_SCHEMA: &str = "mvbc.scenario.v1";
@@ -421,6 +422,7 @@ impl Scenario {
             ("n", self.n, MAX_SCENARIO_N),
             ("slots", self.slots, MAX_SCENARIO_SLOTS),
             ("batch", self.batch, MAX_SCENARIO_BATCH),
+            ("pipeline", self.pipeline, MAX_PIPELINE),
         ] {
             if value > cap {
                 return Err(format!("{field} = {value} is over the cap of {cap}"));
@@ -690,6 +692,18 @@ mod tests {
         s.batch = 1 << 40;
         let err = s.validate().unwrap_err();
         assert!(err.starts_with("batch = 1099511627776 is over the cap"), "{err}");
+    }
+
+    #[test]
+    fn validation_rejects_pipeline_over_cap() {
+        // One lane thread per in-flight slot at every replica: a 190-byte
+        // file at depth 16384 used to abort the runner spawning them.
+        let mut s = sample();
+        s.pipeline = MAX_PIPELINE;
+        assert_eq!(s.validate(), Ok(()));
+        s.pipeline = 16384;
+        let err = s.validate().unwrap_err();
+        assert_eq!(err, "pipeline = 16384 is over the cap of 16");
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use mvbc_smr::MAX_PIPELINE;
+
 /// Usage text printed on parse errors.
 pub const USAGE: &str = "\
 usage:
@@ -46,8 +48,8 @@ flags:
   --batch    max commands per slot batch (smr only, default 8)
   --batch-bytes  byte budget per slot batch (smr only, default unbounded)
   --byz      Byzantine replica id (smr only, default n-1)
-  --pipeline number of log slots in flight concurrently (smr only, default 1;
-             committed log is identical at every depth)
+  --pipeline number of log slots in flight concurrently (smr only, default 1,
+             at most 16; committed log is identical at every depth)
   --latency-model  per-link latency in virtual ticks (smr only); selecting one
              switches the run to the event-driven scheduling policy
   --topology clique (default) or clusters:<A,B,...> with sizes summing to n
@@ -391,16 +393,34 @@ pub enum Command {
 
 /// Parse failure with a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError(pub String);
+pub enum ParseError {
+    /// A malformed command line (exit code 1).
+    Usage(String),
+    /// A well-formed value over a resource cap (exit code 2, as for any
+    /// other invalid protocol parameter).
+    Invalid(String),
+}
+
+impl ParseError {
+    /// The process exit code this failure maps to.
+    pub fn exit_code(&self) -> u8 {
+        match self {
+            ParseError::Usage(_) => 1,
+            ParseError::Invalid(_) => 2,
+        }
+    }
+}
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        match self {
+            ParseError::Usage(msg) | ParseError::Invalid(msg) => write!(f, "{msg}"),
+        }
     }
 }
 
 fn err(msg: impl Into<String>) -> ParseError {
-    ParseError(msg.into())
+    ParseError::Usage(msg.into())
 }
 
 struct Flags<'a> {
@@ -481,6 +501,11 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
         let pipeline = flags.usize_of("--pipeline")?.unwrap_or(1);
         if pipeline == 0 {
             return Err(err("--pipeline expects a depth of at least 1"));
+        }
+        if pipeline > MAX_PIPELINE {
+            return Err(ParseError::Invalid(format!(
+                "pipeline = {pipeline} is over the cap of {MAX_PIPELINE}"
+            )));
         }
         return Ok(Command::Smr {
             n,
@@ -669,13 +694,17 @@ mod tests {
             other => panic!("wrong command {other:?}"),
         }
         assert!(parse(&argv("smr --n 4 --t 1 --slots 5 --pipeline 0")).is_err());
+        assert_eq!(
+            parse(&argv("smr --n 4 --t 1 --slots 5 --pipeline 17")),
+            Err(ParseError::Invalid("pipeline = 17 is over the cap of 16".to_owned()))
+        );
         assert!(parse(&argv("smr --n 4 --t 1 --slots 5 --pipeline x")).is_err());
     }
 
     #[test]
     fn rejects_unknown_flags() {
         let unknown = |flag: &str, sub: &str| {
-            Err(ParseError(format!("unknown flag '{flag}' for '{sub}'")))
+            Err(err(format!("unknown flag '{flag}' for '{sub}'")))
         };
         // Flags that no longer exist must not keep "working".
         assert_eq!(

@@ -22,7 +22,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}\n");
             eprintln!("{}", args::USAGE);
-            ExitCode::FAILURE
+            ExitCode::from(e.exit_code())
         }
     }
 }

@@ -97,9 +97,8 @@ impl Counter {
 
 /// Lock-free counter cells for one `(node, tag)` pair. Updates use
 /// `Relaxed` ordering: the three fields are independent monotone sums,
-/// and readers ([`MetricsSink::snapshot`]) run at quiescent points
-/// (round barriers, post-join) where the simulator's own channel
-/// synchronization already ordered the writes.
+/// and the reader ([`MetricsSink::snapshot`]) runs at run end, after the
+/// node threads joined, where that join already ordered the writes.
 #[derive(Debug, Default)]
 struct AtomicCounter {
     messages: AtomicU64,
@@ -226,9 +225,12 @@ impl MetricsSink {
     }
 
     /// Takes an immutable snapshot of all counters, merging the per-node
-    /// shards. Intended for quiescent points (round barriers, slot
-    /// boundaries, post-run): a snapshot raced with in-flight sends sees
-    /// each counter at some recent value but no torn individual counter.
+    /// shards. Its cost grows with the number of `(node, tag)` counters
+    /// the run has created, so it is meant for the end of a run, not for
+    /// per-slot bookkeeping (a replicated log reads each slot's own
+    /// rounds and bits from its node context instead). A snapshot raced
+    /// with in-flight sends sees each counter at some recent value but no
+    /// torn individual counter.
     pub fn snapshot(&self) -> Snapshot {
         let mut by_node_tag: BTreeMap<(NodeId, String), Counter> = BTreeMap::new();
         for shard in &self.inner.shards {
@@ -310,37 +312,6 @@ impl Snapshot {
             .filter(|((n, tag), _)| nodes.contains(n) && tag_matches(tag, prefix))
             .map(|(_, c)| c.logical_bits)
             .sum()
-    }
-
-    /// The counters accumulated since `earlier` was taken (per-key
-    /// saturating difference, dropping keys that did not change).
-    ///
-    /// This is how per-slot costs are measured in multi-slot runs (e.g.
-    /// the `mvbc-smr` replicated log): snapshot at each slot boundary and
-    /// diff, instead of calling [`MetricsSink::reset`] mid-run from one
-    /// node while other nodes are still sending.
-    ///
-    /// Note that a node's *own* counters are exact in a mid-run delta
-    /// (its sends are ordered with its snapshots), while other nodes may
-    /// already have recorded sends for the next slot.
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
-        let by_node_tag = self
-            .by_node_tag
-            .iter()
-            .filter_map(|(key, c)| {
-                let e = earlier.by_node_tag.get(key).copied().unwrap_or_default();
-                let d = Counter {
-                    messages: c.messages.saturating_sub(e.messages),
-                    logical_bits: c.logical_bits.saturating_sub(e.logical_bits),
-                    payload_bytes: c.payload_bytes.saturating_sub(e.payload_bytes),
-                };
-                (d != Counter::default()).then(|| (key.clone(), d))
-            })
-            .collect();
-        Snapshot {
-            by_node_tag,
-            rounds: self.rounds.saturating_sub(earlier.rounds),
-        }
     }
 
     /// All distinct tags seen, sorted.
@@ -546,28 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_between_snapshots() {
-        let sink = MetricsSink::new();
-        sink.record_send(0, "a.x", 10, 2);
-        sink.record_round();
-        let earlier = sink.snapshot();
-        sink.record_send(0, "a.x", 5, 1);
-        sink.record_send(1, "b.y", 3, 1);
-        sink.record_round();
-        sink.record_round();
-        let d = sink.snapshot().delta(&earlier);
-        assert_eq!(d.total_messages(), 2);
-        assert_eq!(d.total_logical_bits(), 8);
-        assert_eq!(d.logical_bits_by_node(0), 5);
-        assert_eq!(d.logical_bits_by_node(1), 3);
-        assert_eq!(d.rounds(), 2);
-        // Unchanged keys are dropped, so a no-op delta is empty.
-        assert_eq!(sink.snapshot().delta(&sink.snapshot()), Snapshot::default());
-        // Deltas against a *later* snapshot saturate to zero.
-        assert_eq!(earlier.delta(&sink.snapshot()).total_logical_bits(), 0);
-    }
-
-    #[test]
     fn intern_tag_dedups() {
         let a = intern_tag("x.y.z");
         let b = intern_tag(&format!("x.y.{}", 'z'));
@@ -639,27 +588,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_snapshot_round_trips_through_csv() {
-        // The delta path produces snapshots that never went through the
-        // sink's shards — their CSV must round-trip identically.
-        let sink = MetricsSink::new();
-        sink.record_send(0, "s.keep", 10, 2);
-        sink.record_send(1, "s.drop", 4, 1);
-        let earlier = sink.snapshot();
-        sink.record_send(0, "s.keep", 6, 1);
-        sink.record_send(2, "s.new", 3, 1);
-        let delta = sink.snapshot().delta(&earlier);
-        let parsed = parse_csv(&delta.to_csv());
-        // Unchanged keys are dropped from the delta and its CSV alike.
-        assert_eq!(
-            parsed.keys().cloned().collect::<Vec<_>>(),
-            vec![(0, "s.keep".to_owned()), (2, "s.new".to_owned())]
-        );
-        assert_eq!(parsed[&(0, "s.keep".to_owned())].logical_bits, 6);
-        assert_eq!(parsed[&(2, "s.new".to_owned())].messages, 1);
-    }
-
-    #[test]
     fn csv_merges_interned_tag_aliases() {
         // Two distinct &'static str allocations with equal content must
         // appear as ONE csv row (the snapshot merges by content).
@@ -698,18 +626,6 @@ mod tests {
             snap.total_logical_bits()
         );
         assert_eq!(rows.last(), Some(&total_row.as_str()));
-    }
-
-    #[test]
-    fn markdown_round_trips_the_delta_path() {
-        let sink = MetricsSink::new();
-        sink.record_send(0, "d.x", 3, 1);
-        let earlier = sink.snapshot();
-        sink.record_send(0, "d.x", 5, 2);
-        let delta = sink.snapshot().delta(&earlier);
-        let md = delta.to_markdown();
-        assert!(md.contains("| d.x | 1 | 5 | 2 |"));
-        assert!(md.contains("| **total** | 1 | 5 | — |"));
     }
 
     #[test]

@@ -91,9 +91,11 @@ pub struct FinishedLane<O> {
     pub id: LaneId,
     /// The lane closure's return value.
     pub output: O,
-    /// Protocol rounds the lane consumed (its own `end_round` count).
+    /// Protocol rounds the lane consumed: its context's
+    /// [`NodeCtx::round`] advance over the lane's lifetime.
     pub rounds: u64,
-    /// Logical bits the lane sent over its lifetime.
+    /// Logical bits the lane sent over its lifetime: its context's
+    /// [`NodeCtx::bits_sent`].
     pub logical_bits: u64,
 }
 
@@ -101,9 +103,8 @@ struct Lane<O> {
     scope: String,
     up: Receiver<CoordMsg>,
     down: Sender<Inbox>,
-    join: JoinHandle<O>,
-    rounds: u64,
-    logical_bits: u64,
+    /// The lane thread reports itself, its context's counters included.
+    join: JoinHandle<FinishedLane<O>>,
 }
 
 /// Multiplexes several concurrent protocol lanes over one node's round
@@ -185,23 +186,29 @@ impl<O: Send + 'static> LaneMux<O> {
         let round = ctx.round();
         let vtime = ctx.vtime();
         let metrics = ctx.metrics().clone();
+        let lane_id = self.next_id;
+        self.next_id += 1;
         let join = std::thread::spawn(move || {
             let mut lane_ctx = NodeCtx {
                 id,
                 n,
                 round,
                 vtime,
+                bits_sent: 0,
                 pending: Vec::new(),
                 to_coord: up_tx.clone(),
                 from_coord: down_rx,
                 metrics,
             };
-            let out = logic(&mut lane_ctx);
+            let output = logic(&mut lane_ctx);
             let _ = up_tx.send(CoordMsg::Finished { from: id });
-            out
+            FinishedLane {
+                id: lane_id,
+                output,
+                rounds: lane_ctx.round() - round,
+                logical_bits: lane_ctx.bits_sent(),
+            }
         });
-        let lane_id = self.next_id;
-        self.next_id += 1;
         self.lanes.insert(
             lane_id,
             Lane {
@@ -209,8 +216,6 @@ impl<O: Send + 'static> LaneMux<O> {
                 up: up_rx,
                 down: down_tx,
                 join,
-                rounds: 0,
-                logical_bits: 0,
             },
         );
         lane_id
@@ -223,8 +228,9 @@ impl<O: Send + 'static> LaneMux<O> {
     ///
     /// Round accounting: each submitting lane's messages are merged into
     /// `ctx`'s pending queue as-is (the lane's own sends already recorded
-    /// the metrics), and the round's inbox is partitioned among the live
-    /// lanes by tag scope. Messages matching no live lane — late traffic
+    /// the metrics and its context's bit counter), and the round's inbox
+    /// is partitioned among the live lanes by tag scope. Messages
+    /// matching no live lane — late traffic
     /// for finished lanes, or Byzantine noise — are dropped, exactly as
     /// an unread inbox message would be.
     ///
@@ -237,14 +243,12 @@ impl<O: Send + 'static> LaneMux<O> {
         assert!(self.has_lanes(), "step with no live lanes");
         let mut submitted: Vec<LaneId> = Vec::new();
         let mut done: Vec<LaneId> = Vec::new();
-        for (&id, lane) in self.lanes.iter_mut() {
+        for (&id, lane) in &self.lanes {
             // A live lane always either submits a round or finishes; recv
             // blocks until it does. A closed channel means the lane
             // panicked before announcing termination — surfaced at join.
             match lane.up.recv() {
                 Ok(CoordMsg::Submit { outgoing, .. }) => {
-                    lane.rounds += 1;
-                    lane.logical_bits += outgoing.iter().map(|o| o.logical_bits).sum::<u64>();
                     ctx.pending.extend(outgoing);
                     submitted.push(id);
                 }
@@ -294,8 +298,8 @@ impl<O: Send + 'static> LaneMux<O> {
         done.into_iter()
             .map(|id| {
                 let lane = self.lanes.remove(&id).expect("finished lane is live");
-                let output = match lane.join.join() {
-                    Ok(out) => out,
+                match lane.join.join() {
+                    Ok(finished) => finished,
                     Err(e) => {
                         let msg = e
                             .downcast_ref::<String>()
@@ -304,12 +308,6 @@ impl<O: Send + 'static> LaneMux<O> {
                             .unwrap_or("<non-string panic>");
                         panic!("lane {:?} panicked: {msg}", lane.scope);
                     }
-                };
-                FinishedLane {
-                    id,
-                    output,
-                    rounds: lane.rounds,
-                    logical_bits: lane.logical_bits,
                 }
             })
             .collect()
@@ -408,6 +406,40 @@ mod tests {
             .collect();
         let run = run_simulation(SimConfig::new(2), MetricsSink::new(), logics);
         assert_eq!(run.outputs, vec![32, 32]);
+    }
+
+    #[test]
+    fn lane_context_counts_only_its_own_sends() {
+        let logics: Vec<NodeLogic<(u64, u64)>> = (0..2)
+            .map(|_| {
+                Box::new(|ctx: &mut NodeCtx| {
+                    let peer = 1 - ctx.id();
+                    ctx.send(peer, "outer", vec![0], 5);
+                    let mut mux: LaneMux<u64> = LaneMux::new();
+                    let tag = crate::scoped_tag("inner", "x");
+                    mux.spawn(ctx, "inner", move |lane| {
+                        let at_start = lane.bits_sent();
+                        lane.send(peer, tag, vec![1, 2], 16);
+                        lane.end_round();
+                        at_start
+                    });
+                    let mut lane_bits = (u64::MAX, 0);
+                    while mux.has_lanes() {
+                        for f in mux.step(ctx) {
+                            lane_bits = (f.output, f.logical_bits);
+                        }
+                    }
+                    // The node context counts its own send, not the
+                    // lane's, though it forwarded both.
+                    assert_eq!(ctx.bits_sent(), 5);
+                    lane_bits
+                }) as NodeLogic<(u64, u64)>
+            })
+            .collect();
+        let metrics = MetricsSink::new();
+        let run = run_simulation(SimConfig::new(2), metrics.clone(), logics);
+        assert_eq!(run.outputs, vec![(0, 16), (0, 16)]);
+        assert_eq!(metrics.snapshot().logical_bits_by_node(0), 5 + 16);
     }
 
     #[test]

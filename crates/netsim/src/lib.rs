@@ -342,6 +342,8 @@ pub struct NodeCtx {
     n: usize,
     round: u64,
     vtime: VirtualTime,
+    /// Logical bits this context has sent (see [`NodeCtx::bits_sent`]).
+    bits_sent: u64,
     pending: Vec<Outgoing>,
     to_coord: Sender<CoordMsg>,
     from_coord: Receiver<Inbox>,
@@ -383,6 +385,19 @@ impl NodeCtx {
         self.vtime
     }
 
+    /// Logical bits sent through this context so far: the sum of every
+    /// [`NodeCtx::send`]'s `logical_bits`, counted exactly as the metrics
+    /// sink counts them (self-sends and sends to finished nodes
+    /// included). A lane context ([`lanes::LaneMux::spawn`]) starts at 0
+    /// and counts only the lane's own sends; the node context the lanes
+    /// share does not count what it forwards for them.
+    ///
+    /// Read twice and subtracted, it gives the cost of one stretch of
+    /// protocol in constant time, with no [`MetricsSink::snapshot`].
+    pub fn bits_sent(&self) -> u64 {
+        self.bits_sent
+    }
+
     /// Shared metrics sink (e.g. for protocol-level custom counters).
     pub fn metrics(&self) -> &MetricsSink {
         &self.metrics
@@ -404,6 +419,7 @@ impl NodeCtx {
         let payload = payload.into();
         self.metrics
             .record_send(self.id, tag, logical_bits, payload.len() as u64);
+        self.bits_sent += logical_bits;
         self.pending.push(Outgoing {
             to,
             msg: Message {
@@ -523,6 +539,7 @@ pub fn run_simulation_traced<O: Send + 'static>(
                     n,
                     round: 0,
                     vtime: 0,
+                    bits_sent: 0,
                     pending: Vec::new(),
                     to_coord: to_coord.clone(),
                     from_coord: rx,
@@ -839,6 +856,29 @@ mod tests {
         assert_eq!(snap.total_messages(), 12);
         assert_eq!(snap.total_logical_bits(), 96);
         assert_eq!(snap.rounds(), 1);
+    }
+
+    #[test]
+    fn bits_sent_counts_what_the_sink_counts() {
+        let (res, metrics) = run(2, |id| {
+            Box::new(move |ctx: &mut NodeCtx| {
+                if id == 1 {
+                    return 0; // finished before node 0's sends
+                }
+                assert_eq!(ctx.bits_sent(), 0);
+                // Round 1 retires node 1, so round 2's send to it is
+                // never delivered, yet it was sent and metered.
+                ctx.end_round();
+                ctx.send(0, "self", vec![1], 8);
+                ctx.send(1, "gone", vec![2, 3], 16);
+                assert_eq!(ctx.bits_sent(), 24);
+                let inbox = ctx.end_round();
+                assert_eq!(inbox.len(), 1, "only the self-send is delivered");
+                ctx.bits_sent()
+            })
+        });
+        assert_eq!(res.outputs, vec![24, 0]);
+        assert_eq!(metrics.snapshot().logical_bits_by_node(0), 24);
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub use batch::{decode_batch, encode_batch, synthetic_workloads, BatchBuilder, C
 pub use log::{
     run_replicated_log, run_replicated_log_pipelined, simulate_smr, simulate_smr_traced,
     simulate_smr_with, SmrConfig, SmrConfigError, SmrReport, SmrRun, COMMIT_GAP_TAG,
-    COMMIT_VTIME_TAG,
+    COMMIT_VTIME_TAG, MAX_PIPELINE,
 };
 pub use primary::{plan_for_slot, primary_for_slot, SlotPlan};
 pub use report::{

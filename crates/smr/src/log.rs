@@ -30,6 +30,12 @@ pub const COMMIT_VTIME_TAG: &str = "smr.commit.vtime";
 /// can commit at the same tick, so gaps of zero are real).
 pub const COMMIT_GAP_TAG: &str = "smr.commit.gap";
 
+/// Deepest pipeline [`SmrConfig::with_pipeline`] accepts. Each replica
+/// runs one lane thread per in-flight slot, so a run uses up to
+/// `n × MAX_PIPELINE` threads. 16 is twice the deepest pipeline the repo
+/// runs (the `smr_pipeline` paper table's W = 8).
+pub const MAX_PIPELINE: usize = 16;
+
 /// Error for invalid replicated-log parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SmrConfigError {
@@ -103,7 +109,7 @@ pub struct SmrConfig {
     /// back-to-back; larger depths interleave up to `W` broadcast slots
     /// per synchronous round, dividing total rounds by up to `W` while
     /// committing the **exact same log** (see
-    /// [`run_replicated_log_pipelined`]).
+    /// [`run_replicated_log_pipelined`]). At most [`MAX_PIPELINE`].
     pub pipeline: usize,
 }
 
@@ -172,9 +178,14 @@ impl SmrConfig {
     ///
     /// # Panics
     ///
-    /// Panics when `w == 0` (the log needs at least one slot in flight).
+    /// Panics unless `1 <= w <= MAX_PIPELINE` (the log needs at least
+    /// one slot in flight, and each in-flight slot costs every replica a
+    /// thread).
     pub fn with_pipeline(mut self, w: usize) -> Self {
-        assert!(w >= 1, "pipeline depth must be at least 1");
+        assert!(
+            (1..=MAX_PIPELINE).contains(&w),
+            "pipeline depth {w} is outside 1..={MAX_PIPELINE}"
+        );
         self.pipeline = w;
         self
     }
@@ -305,7 +316,6 @@ pub fn run_replicated_log<S: StateMachine>(
     let mut diag = DiagGraph::new(cfg.n, cfg.t);
     let mut suspects = vec![false; cfg.n];
     let mut slots: Vec<SlotReport> = Vec::with_capacity(cfg.slots);
-    let mut last_snap = ctx.metrics().snapshot();
     let telemetry = ctx.metrics().telemetry();
     let mut last_commit_vtime = ctx.vtime();
 
@@ -337,6 +347,7 @@ pub fn run_replicated_log<S: StateMachine>(
         }
 
         let pre_trust: Vec<bool> = (0..cfg.n).map(|x| diag.trusts(primary, x)).collect();
+        let (round_before, bits_before) = (ctx.round(), ctx.bits_sent());
         let report = run_broadcast_slot(
             ctx,
             &bcfg,
@@ -347,9 +358,6 @@ pub fn run_replicated_log<S: StateMachine>(
             bsb,
         );
         let span = telemetry.as_ref().map(|t| t.span(me, scope, "commit", ctx.vtime()));
-        let snap = ctx.metrics().snapshot();
-        let delta = snap.delta(&last_snap);
-        last_snap = snap;
 
         // The primary is *caught* when this slot's diagnosis implicated
         // it: it was isolated outright, it could not sustain an echo set,
@@ -389,8 +397,8 @@ pub fn run_replicated_log<S: StateMachine>(
             fallback: caught,
             diagnosis_ran: report.diagnosis_invocations > 0,
             diagnosis_invocations: report.diagnosis_invocations,
-            bits_sent_by_me: delta.logical_bits_by_node(me),
-            rounds: delta.rounds(),
+            bits_sent_by_me: ctx.bits_sent() - bits_before,
+            rounds: ctx.round() - round_before,
             commit_vtime: ctx.vtime(),
         });
     }
@@ -1085,8 +1093,12 @@ mod tests {
         let cfg = SmrConfig::new(4, 1, 4, 2).unwrap();
         assert_eq!(cfg.pipeline, 1);
         assert_eq!(cfg.clone().with_pipeline(4).pipeline, 4);
-        let result = std::panic::catch_unwind(|| cfg.with_pipeline(0));
-        assert!(result.is_err(), "depth 0 must be rejected");
+        assert_eq!(cfg.clone().with_pipeline(MAX_PIPELINE).pipeline, MAX_PIPELINE);
+        for w in [0, MAX_PIPELINE + 1] {
+            let cfg = cfg.clone();
+            let result = std::panic::catch_unwind(|| cfg.with_pipeline(w));
+            assert!(result.is_err(), "depth {w} must be rejected");
+        }
     }
 
     #[test]
@@ -1159,16 +1171,43 @@ mod tests {
 
     #[test]
     fn per_slot_deltas_cover_the_run() {
+        use mvbc_netsim::{LinkModel, NetModel, Topology};
         let n = 4;
-        let cfg = SmrConfig::new(n, 1, 4, 2).unwrap();
-        let hooks = (0..n).map(|_| HonestReplica::boxed()).collect();
-        let metrics = MetricsSink::new();
-        let run = simulate_smr(&cfg, workloads(n, 1), hooks, metrics.clone());
-        let r = &run.reports[0];
-        assert!(r.slots.iter().all(|s| s.rounds > 0));
-        let per_slot_rounds: u64 = r.slots.iter().map(|s| s.rounds).sum();
-        assert_eq!(per_slot_rounds, run.rounds);
-        let own_bits: u64 = r.slots.iter().map(|s| s.bits_sent_by_me).sum();
-        assert_eq!(own_bits, metrics.snapshot().logical_bits_by_node(0));
+        let byz = 1usize;
+        let base = SmrConfig::new(n, 1, 6, 2).unwrap();
+        let honest = || -> Vec<Box<dyn SmrHooks>> { (0..n).map(|_| HonestReplica::boxed()).collect() };
+        let equivocating = || -> Vec<Box<dyn SmrHooks>> {
+            (0..n)
+                .map(|i| {
+                    if i == byz {
+                        Box::new(EquivocatingPrimary::default()) as Box<dyn SmrHooks>
+                    } else {
+                        HonestReplica::boxed()
+                    }
+                })
+                .collect()
+        };
+        let event = SchedulingPolicy::EventDriven(NetModel::new(LinkModel::Fixed(100), Topology::Clique));
+        let cases = [
+            ("sequential", base.clone(), honest()),
+            ("equivocating primary", base.clone(), equivocating()),
+            ("event-driven", base.clone().with_policy(event), honest()),
+            ("pipelined", base.clone().with_pipeline(4), honest()),
+        ];
+        for (name, cfg, hooks) in cases {
+            let metrics = MetricsSink::new();
+            let run = simulate_smr(&cfg, workloads(n, 2), hooks, metrics.clone());
+            let snap = metrics.snapshot();
+            for (i, r) in run.reports.iter().enumerate() {
+                assert_eq!(r.slots.len(), cfg.slots, "{name}: replica {i} ran every slot");
+                let own_bits: u64 = r.slots.iter().map(|s| s.bits_sent_by_me).sum();
+                assert_eq!(own_bits, snap.logical_bits_by_node(i), "{name}: replica {i} bits");
+                if cfg.pipeline == 1 {
+                    assert!(r.slots.iter().all(|s| s.rounds > 0), "{name}: replica {i}");
+                    let rounds: u64 = r.slots.iter().map(|s| s.rounds).sum();
+                    assert_eq!(rounds, run.rounds, "{name}: replica {i} rounds");
+                }
+            }
+        }
     }
 }

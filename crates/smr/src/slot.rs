@@ -30,10 +30,13 @@ pub struct SlotReport {
     /// field over all slots is bounded by the paper's global dispute
     /// budget `t(t+2)` — campaign checkers assert exactly that.
     pub diagnosis_invocations: u64,
-    /// Logical bits *this* replica sent during the slot (exact per-slot
-    /// delta; see [`mvbc_metrics::Snapshot::delta`]).
+    /// Logical bits *this* replica sent during the slot: the advance of
+    /// the [`NodeCtx::bits_sent`](mvbc_netsim::NodeCtx::bits_sent)
+    /// counter of the context that ran the slot (the replica's own, or the
+    /// slot's lane under pipelining). Exact, and constant-cost to read.
     pub bits_sent_by_me: u64,
-    /// Synchronous rounds the slot consumed.
+    /// Synchronous rounds the slot consumed: the advance of that
+    /// context's [`NodeCtx::round`](mvbc_netsim::NodeCtx::round).
     pub rounds: u64,
     /// *This* replica's virtual clock at the moment the slot committed
     /// ([`NodeCtx::vtime`](mvbc_netsim::NodeCtx::vtime)): the round
