@@ -4,7 +4,7 @@
 //! engine under the event-driven network simulator and checks every
 //! guarantee the Liang-Vaidya construction owes a model-preserving
 //! environment: per-slot agreement and validity, committed-log prefix
-//! consistency (a pipelined log commits exactly its sequential log),
+//! consistency (a pipelined log commits exactly its depth-1 log),
 //! honest-isolation safety (Lemma 4) and the global `t(t+2)` dispute
 //! budget. [`CampaignRunner`] streams generated scenarios through it
 //! and [`CampaignReport`] aggregates the results; emitting failing
@@ -250,8 +250,8 @@ pub fn run_scenario(scenario: &Scenario) -> Result<RunOutcome, String> {
         ));
     }
 
-    // Sequential equivalence: a pipelined log must commit exactly the
-    // log its sequential twin commits.
+    // Sequential equivalence: a log at depth W > 1 must commit exactly
+    // the log the same engine commits at depth 1.
     if scenario.pipeline > 1 {
         let seq_cfg = config_for(&Scenario { pipeline: 1, ..scenario.clone() })?;
         let seq = simulate_smr_traced(

@@ -142,11 +142,6 @@ impl<O: Send + 'static> LaneMux<O> {
         Self::default()
     }
 
-    /// Number of live (spawned, not yet finished-and-collected) lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// True while any lane is live. A caller that stops early must keep
     /// calling [`LaneMux::step`] until this returns false (draining), or
     /// the lane threads are left blocked on a dropped channel.

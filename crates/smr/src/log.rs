@@ -1,5 +1,7 @@
 //! The replicated-log engine: many broadcast slots in one simulation,
-//! sequentially or pipelined through a window of concurrent slots.
+//! through a window of up to [`MAX_PIPELINE`] concurrent slots. A window
+//! of one runs its slot inline on the replica's context; wider windows
+//! run each slot on a lane. Both commit through the same code.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -30,9 +32,10 @@ pub const COMMIT_VTIME_TAG: &str = "smr.commit.vtime";
 /// can commit at the same tick, so gaps of zero are real).
 pub const COMMIT_GAP_TAG: &str = "smr.commit.gap";
 
-/// Deepest pipeline [`SmrConfig::with_pipeline`] accepts. Each replica
-/// runs one lane thread per in-flight slot, so a run uses up to
-/// `n × MAX_PIPELINE` threads. 16 is twice the deepest pipeline the repo
+/// Deepest pipeline [`SmrConfig::with_pipeline`] accepts. At depth
+/// `W > 1` each replica runs one lane thread per in-flight slot, so a run
+/// uses up to `n × MAX_PIPELINE` threads; depth 1 runs its slot inline
+/// and spawns no lane thread. 16 is twice the deepest pipeline the repo
 /// runs (the `smr_pipeline` paper table's W = 8).
 pub const MAX_PIPELINE: usize = 16;
 
@@ -108,8 +111,8 @@ pub struct SmrConfig {
     /// inside the single simulation. `1` (the default) runs slots
     /// back-to-back; larger depths interleave up to `W` broadcast slots
     /// per synchronous round, dividing total rounds by up to `W` while
-    /// committing the **exact same log** (see
-    /// [`run_replicated_log_pipelined`]). At most [`MAX_PIPELINE`].
+    /// committing the **exact same log** (see [`run_replicated_log`]).
+    /// At most [`MAX_PIPELINE`].
     pub pipeline: usize,
 }
 
@@ -179,8 +182,8 @@ impl SmrConfig {
     /// # Panics
     ///
     /// Panics unless `1 <= w <= MAX_PIPELINE` (the log needs at least
-    /// one slot in flight, and each in-flight slot costs every replica a
-    /// thread).
+    /// one slot in flight, and at depth > 1 each in-flight slot costs
+    /// every replica a thread).
     pub fn with_pipeline(mut self, w: usize) -> Self {
         assert!(
             (1..=MAX_PIPELINE).contains(&w),
@@ -256,11 +259,11 @@ pub struct SmrReport {
     /// Replicas excluded from primary rotation by the end of the run
     /// (isolated or caught misbehaving as primary).
     pub suspects: Vec<usize>,
-    /// Slot attempts discarded by the pipelined scheduler because a
-    /// commit changed the shared dispute state while they were in flight
-    /// (always `0` for sequential runs). Discards cost extra traffic and
-    /// rounds but never reach the log: every *committed* slot ran against
-    /// exactly the sequential state.
+    /// Slot attempts discarded because a commit changed the shared
+    /// dispute state while they were in flight (always `0` at depth 1,
+    /// where the committing slot is the only one in flight). Discards cost
+    /// extra traffic and rounds but never reach the log: every
+    /// *committed* slot ran against exactly the depth-1 state.
     pub restarts: u64,
 }
 
@@ -272,16 +275,39 @@ impl SmrReport {
     }
 }
 
-/// Runs the replicated log for one replica: the per-node loop of
+/// One in-flight slot attempt (or an instantly-resolved degraded slot,
+/// which runs no broadcast).
+struct Flight {
+    primary: usize,
+    /// Shared-state version this attempt was proposed under; stale
+    /// attempts (version < the current one) are discarded, never
+    /// committed.
+    version: u64,
+    degraded: bool,
+    /// The attempt's lane (`None` for a degraded slot, or for a slot run
+    /// inline in a window of one).
+    lane: Option<LaneId>,
+    /// The batch this replica popped for its own proposal (requeued if
+    /// the attempt is discarded or the slot falls back).
+    my_batch: Option<Vec<Command>>,
+    /// `diag.trusts(primary, x)` at proposal time (for the caught rule).
+    pre_trust: Vec<bool>,
+    outcome: Option<(BroadcastReport, DiagGraph)>,
+    rounds: u64,
+    bits: u64,
+}
+
+/// Runs the replicated log for one replica, with up to
+/// [`SmrConfig::pipeline`] slots in flight: the per-node loop of
 /// [`simulate_smr`].
 ///
 /// `commands` is this replica's client command stream; it proposes them
 /// in batches on its primary turns. The diagnosis graph and the suspect
 /// set persist across slots — the paper's "memory across generations"
 /// lifted to the log level — so a primary caught equivocating in slot `s`
-/// is excluded from rotation for every slot after `s`, and its slot
-/// commits the agreed fallback (an empty batch) at every fault-free
-/// replica.
+/// is excluded from rotation for every slot proposed after `s` commits,
+/// and its slot commits the agreed fallback (an empty batch) at every
+/// fault-free replica.
 ///
 /// The eviction rule is deliberately conservative: the primary is
 /// *caught* whenever its slot's diagnosis removed an edge incident to it,
@@ -297,196 +323,42 @@ impl SmrReport {
 /// suspect regains proposal rights — in particular a caught equivocator
 /// is never re-elected — and every remaining slot commits the agreed
 /// empty batch at every fault-free replica, deterministically and with no
-/// broadcast at all. A framed fault-free primary re-queues its batch and
-/// proposes it again if the rotation returns to it while non-degraded;
-/// until then those clients' commands stay pending (in degraded mode the
-/// log stays safe and live for empty slots, sacrificing only progress on
-/// client commands).
-pub fn run_replicated_log<S: StateMachine>(
-    ctx: &mut NodeCtx,
-    cfg: &SmrConfig,
-    commands: Vec<Command>,
-    hooks: &mut dyn SmrHooks,
-    bsb: &mut dyn BsbDriver,
-    state: &mut S,
-) -> SmrReport {
-    let me = ctx.id();
-    let mut pending = BatchBuilder::new(cfg.batch_capacity());
-    pending.extend(commands);
-    let mut diag = DiagGraph::new(cfg.n, cfg.t);
-    let mut suspects = vec![false; cfg.n];
-    let mut slots: Vec<SlotReport> = Vec::with_capacity(cfg.slots);
-    let telemetry = ctx.metrics().telemetry();
-    let mut last_commit_vtime = ctx.vtime();
-
-    for slot in 0..cfg.slots as u64 {
-        if diag.is_isolated(me) {
-            // An identified-faulty replica is cut off; fault-free
-            // replicas never land here (Lemma 4).
-            break;
-        }
-        let primary = match plan_for_slot(slot, &diag, &suspects) {
-            SlotPlan::Stall => break,
-            SlotPlan::DegradedEmpty(nominal) => {
-                // Every active replica is suspect: common knowledge, so
-                // every fault-free replica commits the agreed empty batch
-                // locally — no suspect is handed proposal rights.
-                slots.push(SlotReport::degraded(slot, nominal, ctx.vtime()));
-                continue;
-            }
-            SlotPlan::Lead(p) => p,
-        };
-        let bcfg = cfg.broadcast_config(primary);
-        let scope = slot_scope("smr", slot);
-        let span = telemetry.as_ref().map(|t| t.span(me, scope, "propose", ctx.vtime()));
-        let proposal: Option<Vec<u8>> =
-            (me == primary).then(|| encode_batch(&pending.next_batch(), cfg.batch_capacity()));
-        let mut slot_hooks = hooks.slot_hooks(slot, me == primary);
-        if let Some(span) = span {
-            span.finish(ctx.vtime());
-        }
-
-        let pre_trust: Vec<bool> = (0..cfg.n).map(|x| diag.trusts(primary, x)).collect();
-        let (round_before, bits_before) = (ctx.round(), ctx.bits_sent());
-        let report = run_broadcast_slot(
-            ctx,
-            &bcfg,
-            proposal.as_deref(),
-            scope,
-            &mut diag,
-            slot_hooks.as_mut(),
-            bsb,
-        );
-        let span = telemetry.as_ref().map(|t| t.span(me, scope, "commit", ctx.vtime()));
-
-        // The primary is *caught* when this slot's diagnosis implicated
-        // it: it was isolated outright, it could not sustain an echo set,
-        // or it lost a dispute edge to a replica that was *not itself*
-        // identified as faulty (an edge removed by isolating a proven
-        // liar says nothing about the primary, so it does not count).
-        // All inputs are common knowledge, so every fault-free replica
-        // reaches the same verdict, commits the same fallback, and drops
-        // the primary from rotation together.
-        let caught = report.defaulted
-            || diag.is_isolated(primary)
-            || (0..cfg.n).any(|x| {
-                pre_trust[x] && !diag.trusts(primary, x) && !diag.is_isolated(x)
-            });
-        if caught {
-            suspects[primary] = true;
-        }
-        let committed = if caught { Vec::new() } else { decode_batch(&report.output) };
-        if caught && me == primary {
-            if let Some(bytes) = &proposal {
-                pending.requeue(decode_batch(bytes));
-            }
-        }
-        state.apply_batch(&committed);
-        if let Some(span) = span {
-            span.finish(ctx.vtime());
-        }
-        if let Some(tel) = &telemetry {
-            tel.record_value(me, COMMIT_VTIME_TAG, ctx.vtime());
-            tel.record_value(me, COMMIT_GAP_TAG, ctx.vtime() - last_commit_vtime);
-        }
-        last_commit_vtime = ctx.vtime();
-        slots.push(SlotReport {
-            slot,
-            primary,
-            committed,
-            fallback: caught,
-            diagnosis_ran: report.diagnosis_invocations > 0,
-            diagnosis_invocations: report.diagnosis_invocations,
-            bits_sent_by_me: ctx.bits_sent() - bits_before,
-            rounds: ctx.round() - round_before,
-            commit_vtime: ctx.vtime(),
-        });
-    }
-
-    finish_report(cfg, slots, &diag, &suspects, 0, state)
-}
-
-/// Assembles the final [`SmrReport`] from the end-of-run state (shared by
-/// the sequential and pipelined engines).
-fn finish_report<S: StateMachine>(
-    cfg: &SmrConfig,
-    slots: Vec<SlotReport>,
-    diag: &DiagGraph,
-    suspects: &[bool],
-    restarts: u64,
-    state: &S,
-) -> SmrReport {
-    let committed_commands = slots.iter().map(|s| s.committed.len() as u64).sum();
-    let fallback_slots = slots.iter().filter(|s| s.fallback).count() as u64;
-    SmrReport {
-        digest: state.digest(),
-        committed_commands,
-        fallback_slots,
-        isolated: (0..cfg.n).filter(|&v| diag.is_isolated(v)).collect(),
-        suspects: (0..cfg.n)
-            .filter(|&v| suspects[v] || diag.is_isolated(v))
-            .collect(),
-        restarts,
-        slots,
-    }
-}
-
-/// One in-flight slot attempt of the pipelined scheduler (or an
-/// instantly-resolved degraded slot, which owns no lane).
-struct Flight {
-    primary: usize,
-    /// Shared-state version this attempt was proposed under; stale
-    /// attempts (version < the current one) are discarded, never
-    /// committed.
-    version: u64,
-    degraded: bool,
-    lane: Option<LaneId>,
-    /// The batch this replica popped for its own proposal (requeued if
-    /// the attempt is discarded or the slot falls back).
-    my_batch: Option<Vec<Command>>,
-    /// `diag.trusts(primary, x)` at proposal time (for the caught rule).
-    pre_trust: Vec<bool>,
-    outcome: Option<(BroadcastReport, DiagGraph)>,
-    rounds: u64,
-    bits: u64,
-}
-
-/// Runs the replicated log with up to [`SmrConfig::pipeline`] slots in
-/// flight concurrently — the pipelined counterpart of
-/// [`run_replicated_log`], committing the **exact same log**.
+/// broadcast at all. A framed fault-free primary re-queues its batch, but
+/// a suspect never leads again, so those clients' commands stay pending:
+/// the log stays safe and live (in degraded mode for empty slots only),
+/// sacrificing only progress on client commands.
 ///
-/// # How the pipeline stays sequential-equivalent
+/// # How a window of slots commits the window-of-one log
 ///
-/// Each in-flight slot runs the unmodified [`run_broadcast_slot`] on its
-/// own [`lane`](mvbc_netsim::lanes) against a *clone* of the diagnosis
-/// graph taken at proposal time, so up to `W` slots share every
-/// synchronous round (the per-slot tag scopes already prevent
-/// cross-delivery). Commits apply strictly in slot order. The shared
-/// dispute state (diagnosis graph + suspect set + this replica's pending
-/// queue) carries a version counter: a commit that changes any of it —
-/// a caught primary, a removed edge, an isolation — bumps the version
-/// and **discards every other in-flight attempt** (their popped batches
-/// are returned to the queue in order, their lanes drain in the
-/// background, and the slots are re-proposed under the updated state
-/// with a fresh attempt scope `smr.slot<S>.a<K>`).
+/// Each in-flight slot runs the unmodified [`run_broadcast_slot`] against
+/// a *clone* of the diagnosis graph taken at proposal time, under its own
+/// attempt scope `smr.slot<S>.a<K>`. In a window of one the slot runs
+/// inline on the replica's own context; in a wider window each slot runs
+/// on its own [`lane`](mvbc_netsim::lanes), so up to `W` slots share every
+/// synchronous round (the per-attempt tag scopes prevent cross-delivery).
+/// Commits apply strictly in slot order. The shared dispute state
+/// (diagnosis graph + suspect set + this replica's pending queue) carries
+/// a version counter: a commit that changes any of it — a caught primary,
+/// a removed edge, an isolation — bumps the version and **discards every
+/// other in-flight attempt** (their popped batches are returned to the
+/// queue in order, their lanes drain in the background, and the slots are
+/// re-proposed under the updated state with a fresh attempt scope).
 ///
 /// The invariant this buys: the attempt that *commits* slot `s` was
-/// proposed under exactly the post-slot-`(s-1)` state — the same
-/// primary, the same diagnosis snapshot, the same pending batch as the
-/// sequential engine — so per-slot reports, the committed log, and the
-/// state digest are identical to a `pipeline = 1` run, under any attack
-/// schedule. Fault-free steady state never discards (the graph only
-/// changes when a diagnosis runs), so honest logs pipeline at full
-/// depth, dividing total rounds by up to `W`; attack slots pay discarded
-/// work bounded by the log's global dispute budget. Diagnosis updates
-/// from slot `s` take effect for the first slot *proposed after `s`
-/// commits*, which is exactly the sequential rule.
+/// proposed under exactly the post-slot-`(s-1)` state — the same primary,
+/// the same diagnosis snapshot, the same pending batch as a window of one
+/// — so per-slot reports, the committed log, and the state digest are
+/// identical at every depth, under any attack schedule. Fault-free steady
+/// state never discards (the graph only changes when a diagnosis runs),
+/// so honest logs pipeline at full depth, dividing total rounds by up to
+/// `W`; attack slots pay discarded work bounded by the log's global
+/// dispute budget.
 ///
 /// `make_driver` supplies one fresh `Broadcast_Single_Bit` driver per
 /// slot attempt (each lane needs its own). [`SmrHooks::slot_hooks`] may
 /// be called more than once per slot (once per attempt) and must be
 /// deterministic in `(slot, i_am_primary)`.
-pub fn run_replicated_log_pipelined<S: StateMachine>(
+pub fn run_replicated_log<S: StateMachine>(
     ctx: &mut NodeCtx,
     cfg: &SmrConfig,
     commands: Vec<Command>,
@@ -522,18 +394,21 @@ pub fn run_replicated_log_pipelined<S: StateMachine>(
         // --- Fill the window with proposals under the committed state. ---
         while !stopped && flights.len() < window && next_slot < total {
             if diag.is_isolated(me) {
-                // An identified-faulty replica is cut off (sequential
-                // engine: the per-slot `break`); fault-free replicas
-                // never land here.
+                // An identified-faulty replica is cut off; fault-free
+                // replicas never land here (Lemma 4).
                 stopped = true;
                 break;
             }
             let slot = next_slot;
-            match plan_for_slot(slot, &diag, &suspects) {
+            let primary = match plan_for_slot(slot, &diag, &suspects) {
                 SlotPlan::Stall => {
                     stopped = true;
+                    break;
                 }
                 SlotPlan::DegradedEmpty(nominal) => {
+                    // Every active replica is suspect: common knowledge,
+                    // so every fault-free replica commits the agreed empty
+                    // batch locally — no suspect is handed proposal rights.
                     flights.insert(
                         slot,
                         Flight {
@@ -549,55 +424,64 @@ pub fn run_replicated_log_pipelined<S: StateMachine>(
                         },
                     );
                     next_slot += 1;
+                    continue;
                 }
-                SlotPlan::Lead(primary) => {
-                    let attempt = attempts.entry(slot).or_insert(0);
-                    let scope = format!("smr.slot{slot}.a{attempt}");
-                    *attempt += 1;
-                    let span = telemetry
-                        .as_ref()
-                        .map(|t| t.span(me, mvbc_metrics::intern_tag(&scope), "propose", ctx.vtime()));
-                    let my_batch = (me == primary).then(|| pending.next_batch());
-                    let proposal: Option<Vec<u8>> =
-                        my_batch.as_ref().map(|b| encode_batch(b, cfg.batch_capacity()));
-                    if let Some(span) = span {
-                        span.finish(ctx.vtime());
-                    }
-                    let pre_trust: Vec<bool> = (0..n).map(|x| diag.trusts(primary, x)).collect();
-                    let mut slot_hooks = hooks.slot_hooks(slot, me == primary);
-                    let mut driver = make_driver();
-                    let bcfg = cfg.broadcast_config(primary);
-                    let mut lane_diag = diag.clone();
-                    let lane = mux.spawn(ctx, scope.clone(), move |lane_ctx| {
-                        let report = run_broadcast_slot(
-                            lane_ctx,
-                            &bcfg,
-                            proposal.as_deref(),
-                            &scope,
-                            &mut lane_diag,
-                            slot_hooks.as_mut(),
-                            driver.as_mut(),
-                        );
-                        (report, lane_diag)
-                    });
-                    lane_slots.insert(lane, slot);
-                    flights.insert(
-                        slot,
-                        Flight {
-                            primary,
-                            version,
-                            degraded: false,
-                            lane: Some(lane),
-                            my_batch,
-                            pre_trust,
-                            outcome: None,
-                            rounds: 0,
-                            bits: 0,
-                        },
-                    );
-                    next_slot += 1;
-                }
+                SlotPlan::Lead(p) => p,
+            };
+            next_slot += 1;
+            let attempt = attempts.entry(slot).or_insert(0);
+            let scope = format!("smr.slot{slot}.a{attempt}");
+            *attempt += 1;
+            let span = telemetry
+                .as_ref()
+                .map(|t| t.span(me, mvbc_metrics::intern_tag(&scope), "propose", ctx.vtime()));
+            let my_batch = (me == primary).then(|| pending.next_batch());
+            let proposal: Option<Vec<u8>> =
+                my_batch.as_ref().map(|b| encode_batch(b, cfg.batch_capacity()));
+            if let Some(span) = span {
+                span.finish(ctx.vtime());
             }
+            let mut flight = Flight {
+                primary,
+                version,
+                degraded: false,
+                lane: None,
+                my_batch,
+                pre_trust: (0..n).map(|x| diag.trusts(primary, x)).collect(),
+                outcome: None,
+                rounds: 0,
+                bits: 0,
+            };
+            let mut slot_hooks = hooks.slot_hooks(slot, me == primary);
+            let mut driver = make_driver();
+            let bcfg = cfg.broadcast_config(primary);
+            let mut slot_diag = diag.clone();
+            let lane_scope = scope.clone();
+            let run_slot = move |slot_ctx: &mut NodeCtx| {
+                let report = run_broadcast_slot(
+                    slot_ctx,
+                    &bcfg,
+                    proposal.as_deref(),
+                    &scope,
+                    &mut slot_diag,
+                    slot_hooks.as_mut(),
+                    driver.as_mut(),
+                );
+                (report, slot_diag)
+            };
+            if window == 1 {
+                // Nothing to interleave with: run the slot on the
+                // replica's own context, no lane thread.
+                let (round_before, bits_before) = (ctx.round(), ctx.bits_sent());
+                flight.outcome = Some(run_slot(ctx));
+                flight.rounds = ctx.round() - round_before;
+                flight.bits = ctx.bits_sent() - bits_before;
+            } else {
+                let lane = mux.spawn(ctx, lane_scope, run_slot);
+                lane_slots.insert(lane, slot);
+                flight.lane = Some(lane);
+            }
+            flights.insert(slot, flight);
         }
 
         // --- Commit resolved flights, strictly in slot order. ---
@@ -616,8 +500,15 @@ pub fn run_replicated_log_pipelined<S: StateMachine>(
                 continue;
             }
             let (report, new_diag) = flight.outcome.expect("resolved flight has an outcome");
-            // Same caught rule as the sequential engine — all inputs are
-            // common knowledge, so every fault-free replica agrees.
+            // The primary is *caught* when this slot's diagnosis
+            // implicated it: it was isolated outright, it could not
+            // sustain an echo set, or it lost a dispute edge to a replica
+            // that was *not itself* identified as faulty (an edge removed
+            // by isolating a proven liar says nothing about the primary,
+            // so it does not count). All inputs are common knowledge, so
+            // every fault-free replica reaches the same verdict, commits
+            // the same fallback, and drops the primary from rotation
+            // together.
             let caught = report.defaulted
                 || new_diag.is_isolated(flight.primary)
                 || (0..n).any(|x| {
@@ -714,7 +605,15 @@ pub fn run_replicated_log_pipelined<S: StateMachine>(
         }
     }
 
-    finish_report(cfg, slots, &diag, &suspects, restarts, state)
+    SmrReport {
+        digest: state.digest(),
+        committed_commands: slots.iter().map(|s| s.committed.len() as u64).sum(),
+        fallback_slots: slots.iter().filter(|s| s.fallback).count() as u64,
+        isolated: (0..n).filter(|&v| diag.is_isolated(v)).collect(),
+        suspects: (0..n).filter(|&v| suspects[v] || diag.is_isolated(v)).collect(),
+        restarts,
+        slots,
+    }
 }
 
 /// Result of a simulated replicated-log run.
@@ -733,8 +632,9 @@ pub struct SmrRun {
 }
 
 /// Runs a whole replicated log — every slot — inside **one** simulation:
-/// one [`run_simulation`] call, replicas looping over slots with
-/// dispute-control state carried across them.
+/// one [`run_simulation`](mvbc_netsim::run_simulation) call, each replica running
+/// [`run_replicated_log`] with dispute-control state carried across slots
+/// and a fresh Phase-King driver per slot attempt.
 ///
 /// `workloads[i]` is replica `i`'s client command stream (proposed on its
 /// primary turns); `hooks[i]` its behaviour.
@@ -784,26 +684,6 @@ pub fn simulate_smr_traced(
     metrics: MetricsSink,
     trace: Option<TraceSink>,
 ) -> SmrRun {
-    if cfg.pipeline > 1 {
-        return simulate_smr_pipelined(cfg, workloads, hooks, metrics, trace);
-    }
-    let drivers = (0..cfg.n)
-        .map(|_| Box::new(PhaseKingDriver) as Box<dyn BsbDriver>)
-        .collect();
-    simulate_smr_with_traced(cfg, workloads, hooks, drivers, metrics, trace)
-}
-
-/// The pipelined body of [`simulate_smr`]: every replica schedules up to
-/// [`SmrConfig::pipeline`] slots concurrently via
-/// [`run_replicated_log_pipelined`], with a fresh Phase-King driver per
-/// slot attempt.
-fn simulate_smr_pipelined(
-    cfg: &SmrConfig,
-    workloads: Vec<Vec<Command>>,
-    hooks: Vec<Box<dyn SmrHooks>>,
-    metrics: MetricsSink,
-    trace: Option<TraceSink>,
-) -> SmrRun {
     assert_eq!(workloads.len(), cfg.n, "one command stream per replica");
     assert_eq!(hooks.len(), cfg.n, "one hooks object per replica");
 
@@ -814,9 +694,8 @@ fn simulate_smr_pipelined(
             let cfg = cfg.clone();
             Box::new(move |ctx: &mut NodeCtx| {
                 let mut store = KvStore::default();
-                let mut make_driver =
-                    || Box::new(PhaseKingDriver) as Box<dyn BsbDriver>;
-                let report = run_replicated_log_pipelined(
+                let mut make_driver = || Box::new(PhaseKingDriver) as Box<dyn BsbDriver>;
+                let report = run_replicated_log(
                     ctx,
                     &cfg,
                     commands,
@@ -828,77 +707,6 @@ fn simulate_smr_pipelined(
             }) as NodeLogic<(SmrReport, KvStore)>
         })
         .collect();
-    run_smr_simulation(cfg, logics, metrics, trace)
-}
-
-/// As [`simulate_smr`] with one explicit `Broadcast_Single_Bit` driver
-/// per replica (the §4 substitution seam). Sequential only: a pipelined
-/// log needs one driver per *slot attempt*, not per replica (use
-/// [`run_replicated_log_pipelined`] with a driver factory).
-///
-/// # Panics
-///
-/// As [`simulate_smr`], plus when `drivers.len() != cfg.n` or
-/// `cfg.pipeline > 1`.
-pub fn simulate_smr_with(
-    cfg: &SmrConfig,
-    workloads: Vec<Vec<Command>>,
-    hooks: Vec<Box<dyn SmrHooks>>,
-    drivers: Vec<Box<dyn BsbDriver>>,
-    metrics: MetricsSink,
-) -> SmrRun {
-    simulate_smr_with_traced(cfg, workloads, hooks, drivers, metrics, None)
-}
-
-/// Traced body of [`simulate_smr_with`].
-fn simulate_smr_with_traced(
-    cfg: &SmrConfig,
-    workloads: Vec<Vec<Command>>,
-    hooks: Vec<Box<dyn SmrHooks>>,
-    drivers: Vec<Box<dyn BsbDriver>>,
-    metrics: MetricsSink,
-    trace: Option<TraceSink>,
-) -> SmrRun {
-    assert_eq!(workloads.len(), cfg.n, "one command stream per replica");
-    assert_eq!(hooks.len(), cfg.n, "one hooks object per replica");
-    assert_eq!(drivers.len(), cfg.n, "one BSB driver per replica");
-    assert!(
-        cfg.pipeline <= 1,
-        "simulate_smr_with is sequential; pipelined runs need a driver per slot attempt"
-    );
-
-    let logics: Vec<NodeLogic<(SmrReport, KvStore)>> = workloads
-        .into_iter()
-        .zip(hooks)
-        .zip(drivers)
-        .map(|((commands, mut hook), mut driver)| {
-            let cfg = cfg.clone();
-            Box::new(move |ctx: &mut NodeCtx| {
-                let mut store = KvStore::default();
-                let report = run_replicated_log(
-                    ctx,
-                    &cfg,
-                    commands,
-                    hook.as_mut(),
-                    driver.as_mut(),
-                    &mut store,
-                );
-                (report, store)
-            }) as NodeLogic<(SmrReport, KvStore)>
-        })
-        .collect();
-    run_smr_simulation(cfg, logics, metrics, trace)
-}
-
-/// Shared simulation tail of the sequential and pipelined runners:
-/// translates the log-level configuration (scheduling policy,
-/// virtual-time budget) onto the simulator.
-fn run_smr_simulation(
-    cfg: &SmrConfig,
-    logics: Vec<NodeLogic<(SmrReport, KvStore)>>,
-    metrics: MetricsSink,
-    trace: Option<TraceSink>,
-) -> SmrRun {
     let mut sim_cfg = SimConfig::new(cfg.n).with_policy(cfg.policy.clone());
     if let Some(limit) = cfg.max_vtime {
         sim_cfg = sim_cfg.with_max_vtime(limit);
@@ -1189,7 +997,7 @@ mod tests {
         };
         let event = SchedulingPolicy::EventDriven(NetModel::new(LinkModel::Fixed(100), Topology::Clique));
         let cases = [
-            ("sequential", base.clone(), honest()),
+            ("depth 1", base.clone(), honest()),
             ("equivocating primary", base.clone(), equivocating()),
             ("event-driven", base.clone().with_policy(event), honest()),
             ("pipelined", base.clone().with_pipeline(4), honest()),

@@ -44,7 +44,7 @@ pub struct SlotReport {
     /// under the event-driven policy. A local measurement — like
     /// `bits_sent_by_me`, it is excluded from [`AgreedSlot`], and it
     /// depends on the scheduling (a pipelined run commits later slots at
-    /// earlier clocks than a sequential one).
+    /// earlier clocks than a depth-1 one).
     pub commit_vtime: VirtualTime,
 }
 
@@ -73,11 +73,10 @@ impl SlotReport {
     /// replica suspect; see
     /// [`SlotPlan::DegradedEmpty`](crate::SlotPlan::DegradedEmpty)): no
     /// broadcast runs, nothing commits, `nominal` is the rotation pick
-    /// recorded for reporting only. Shared by the sequential and
-    /// pipelined engines so their degraded slots are identical by
-    /// construction. `commit_vtime` is the committing replica's clock
-    /// when it resolved the slot (degraded slots consume no rounds, so
-    /// it is simply the clock carried over from the previous slot).
+    /// recorded for reporting only. `commit_vtime` is the committing
+    /// replica's clock when it resolved the slot (degraded slots consume
+    /// no rounds, so it is simply the clock carried over from the
+    /// previous slot).
     pub fn degraded(slot: u64, nominal: NodeId, commit_vtime: VirtualTime) -> Self {
         SlotReport {
             slot,
@@ -114,13 +113,13 @@ pub trait SmrHooks: Send {
     /// Called at the start of every slot *attempt*; returns the broadcast
     /// hooks the replica uses for that attempt's broadcast execution.
     ///
-    /// Under a pipelined log
-    /// ([`run_replicated_log_pipelined`](crate::run_replicated_log_pipelined))
-    /// a slot may be attempted more than once — an attempt in flight when
-    /// a commit changes the dispute state is discarded and the slot
-    /// re-proposed — so this method can be called several times for one
-    /// `slot` and must be deterministic in `(slot, i_am_primary)` for the
-    /// pipelined log to commit exactly the sequential log.
+    /// At pipeline depth `W > 1`
+    /// ([`run_replicated_log`](crate::run_replicated_log)) a slot may be
+    /// attempted more than once — an attempt in flight when a commit
+    /// changes the dispute state is discarded and the slot re-proposed —
+    /// so this method can be called several times for one `slot` and must
+    /// be deterministic in `(slot, i_am_primary)` for every depth to
+    /// commit exactly the depth-1 log.
     fn slot_hooks(&mut self, slot: u64, i_am_primary: bool) -> Box<dyn BroadcastHooks>;
 }
 

@@ -14,13 +14,10 @@ use mvbc_bsb::{BsbDriver, PhaseKingDriver};
 use mvbc_core::{simulate_consensus_traced, ConsensusConfig, NoopHooks, ProtocolHooks};
 use mvbc_metrics::MetricsSink;
 use mvbc_netsim::trace::TraceSink;
-use mvbc_netsim::{
-    run_simulation_traced, LinkModel, NetModel, NodeCtx, NodeLogic, Partition, PartitionBehavior,
-    SchedulingPolicy, SimConfig, Topology,
-};
+use mvbc_netsim::{LinkModel, NetModel, Partition, PartitionBehavior, SchedulingPolicy, Topology};
 use mvbc_smr::{
-    run_replicated_log_pipelined, simulate_smr_traced, synthetic_workloads, EquivocatingPrimary,
-    HonestReplica, KvStore, RunReport, SmrConfig, SmrHooks,
+    simulate_smr_traced, synthetic_workloads, EquivocatingPrimary, HonestReplica, RunReport,
+    SmrConfig, SmrHooks,
 };
 
 /// The CLI's xorshift workload generator (the pre-refactor digests were
@@ -63,9 +60,10 @@ fn consensus_digest(n: usize, t: usize, l: usize, seed: u64, corrupt: bool) -> u
     trace.digest()
 }
 
-/// A pipelined replicated-log run under an explicit scheduling policy,
-/// mirroring the capture harness that pinned the digests below (the
-/// pipelined engine at every depth, including depth 1).
+/// A replicated-log run through the public entry point under an explicit
+/// scheduling policy. Depth 1 is `mvbc smr`'s default path; the capture
+/// harness that pinned the digests below ran the windowed engine at every
+/// depth, including depth 1.
 fn smr_digest(policy: SchedulingPolicy, depth: usize, seed: u64, equivocate: bool) -> u64 {
     smr_digest_with_sink(policy, depth, seed, equivocate, MetricsSink::new())
 }
@@ -80,36 +78,22 @@ fn smr_digest_with_sink(
     let n = 4;
     let cfg = SmrConfig::new(n, 1, 8, 2).unwrap().with_pipeline(depth);
     let workloads = synthetic_workloads(n, 2 * cfg.batch_capacity(), seed);
-    let trace = TraceSink::new();
-    let logics: Vec<NodeLogic<()>> = workloads
-        .into_iter()
-        .enumerate()
-        .map(|(i, commands)| {
-            let cfg = cfg.clone();
-            let mut hook: Box<dyn SmrHooks> = if equivocate && i == 1 {
+    let hooks: Vec<Box<dyn SmrHooks>> = (0..n)
+        .map(|i| -> Box<dyn SmrHooks> {
+            if equivocate && i == 1 {
                 Box::new(EquivocatingPrimary::default())
             } else {
                 HonestReplica::boxed()
-            };
-            Box::new(move |ctx: &mut NodeCtx| {
-                let mut store = KvStore::default();
-                let mut make_driver = || Box::new(PhaseKingDriver) as Box<dyn BsbDriver>;
-                let _ = run_replicated_log_pipelined(
-                    ctx,
-                    &cfg,
-                    commands,
-                    hook.as_mut(),
-                    &mut make_driver,
-                    &mut store,
-                );
-            }) as NodeLogic<()>
+            }
         })
         .collect();
-    let _ = run_simulation_traced(
-        SimConfig::new(n).with_policy(policy),
+    let trace = TraceSink::new();
+    let _ = simulate_smr_traced(
+        &cfg.with_policy(policy),
+        workloads,
+        hooks,
         metrics,
         Some(trace.clone()),
-        logics,
     );
     trace.digest()
 }
@@ -134,7 +118,7 @@ fn round_barrier_consensus_digests_match_the_pre_refactor_coordinator() {
     }
 }
 
-/// Pinned against the pre-refactor coordinator: pipelined replicated-log
+/// Pinned against the pre-refactor coordinator: replicated-log
 /// traces under the explicit `RoundBarrier` policy, at depths 1 and 4,
 /// honest and under an equivocating primary.
 #[test]
