@@ -1,5 +1,4 @@
-//! The paper-table harness behind the `mvbc-bench` binary, plus the
-//! workload helper the criterion benches in `benches/` share.
+//! The paper-table harness behind the `mvbc-bench` binary.
 //!
 //! Each entry of [`EXPERIMENTS`] regenerates one table or figure of the
 //! paper (or of one of this workspace's extensions) in bits, rounds,
@@ -24,7 +23,7 @@ mod experiments;
 pub use experiments::{Experiment, EXPERIMENTS};
 
 /// Deterministic pseudo-random value for workloads.
-pub fn workload_value(len: usize, seed: u64) -> Vec<u8> {
+pub(crate) fn workload_value(len: usize, seed: u64) -> Vec<u8> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
     (0..len)
         .map(|_| {

@@ -23,7 +23,6 @@ usage:
                  [--emit-failures <DIR>]
   mvbc inspect   <FILE>
   mvbc info      --n <N> --t <T> --l <BYTES>
-  mvbc soak      [--runs <N>] [--seed <N>]
 
 flags:
   --n        number of processors (t < n/3)
@@ -36,8 +35,8 @@ flags:
   --differing  give every processor a different input (consensus only)
   --bsb      Broadcast_Single_Bit substrate (default phase-king; consensus only)
   --trace    write the full network trace as CSV to FILE (consensus only)
-  --runs     number of randomized soak iterations (default 50; smr soak
-             defaults to 64 campaign scenarios)
+  --runs     number of generated campaign scenarios (smr soak only,
+             default 64)
   --scenario replay one scenario JSON instead of generating (smr soak only;
              a failure artifact emitted by an earlier campaign replays the
              violation exactly)
@@ -372,14 +371,6 @@ pub enum Command {
         /// Directory receiving failing-scenario artifacts.
         emit_failures: String,
     },
-    /// Randomized soak: many consensus runs with random parameters,
-    /// inputs and adversaries, asserting the paper's properties on each.
-    Soak {
-        /// Number of iterations.
-        runs: usize,
-        /// Base seed.
-        seed: u64,
-    },
     /// Print the analytic model for a parameter set.
     Info {
         /// Processors.
@@ -467,13 +458,6 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
         return Err(err("missing subcommand"));
     };
     let rest = &argv[1..];
-    if sub == "soak" {
-        let flags = Flags::new("soak", rest, &["--runs", "--seed"])?;
-        return Ok(Command::Soak {
-            runs: flags.usize_of("--runs")?.unwrap_or(50),
-            seed: flags.usize_of("--seed")?.unwrap_or(7) as u64,
-        });
-    }
     if sub == "smr" && rest.first().map(String::as_str) == Some("soak") {
         let flags = Flags::new(
             "smr soak",
@@ -719,6 +703,10 @@ mod tests {
             parse(&argv("smr --n 7 --t 2 --slots 10 --round-timeout-secs 300")),
             unknown("--round-timeout-secs", "smr")
         );
+        // Nor do subcommands: `smr soak` is the only soak.
+        let gone = Err(err("unknown subcommand 'soak'"));
+        assert_eq!(parse(&argv("soak")), gone);
+        assert_eq!(parse(&argv("soak --runs 3")), gone);
         // A typo of a live flag.
         assert_eq!(
             parse(&argv("smr --n 7 --t 2 --slots 10 --pipline 4")),
@@ -731,7 +719,6 @@ mod tests {
             unknown("--differing", "broadcast")
         );
         assert_eq!(parse(&argv("smr soak --runs 3 --pipeline 2")), unknown("--pipeline", "smr soak"));
-        assert_eq!(parse(&argv("soak --scenario s.json")), unknown("--scenario", "soak"));
         assert_eq!(parse(&argv("inspect r.json --slot 3")), unknown("--slot", "inspect"));
     }
 
@@ -842,15 +829,6 @@ mod tests {
         // A regular smr run still parses (and still demands its flags).
         assert!(matches!(parse(&argv("smr --n 4 --t 1 --slots 5")).unwrap(), Command::Smr { .. }));
         assert!(parse(&argv("smr")).is_err());
-    }
-
-    #[test]
-    fn parses_soak() {
-        assert_eq!(parse(&argv("soak")).unwrap(), Command::Soak { runs: 50, seed: 7 });
-        assert_eq!(
-            parse(&argv("soak --runs 9 --seed 3")).unwrap(),
-            Command::Soak { runs: 9, seed: 3 }
-        );
     }
 
     #[test]

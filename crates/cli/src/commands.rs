@@ -6,10 +6,7 @@ use std::io::Read as _;
 use mvbc_adversary::campaign::{run_scenario, CampaignReport, CampaignRunner, Scenario};
 use mvbc_adversary::{CorruptSymbolTo, RandomAdversary, Silent, WorstCaseDiagnosis};
 use mvbc_bsb::{BsbDriver, DolevStrongDriver, EigDriver, PhaseKingDriver};
-use mvbc_broadcast::attacks::{
-    EquivocatingSource, FalseDetector, FramingEcho, LyingDiagnosisSource, LyingEcho, SilentEcho,
-    SilentSource,
-};
+use mvbc_broadcast::attacks::{EquivocatingSource, LyingEcho, SilentSource};
 use mvbc_broadcast::{simulate_broadcast, BroadcastConfig, BroadcastHooks, NoopBroadcastHooks};
 use mvbc_core::{dsel, simulate_consensus_traced, ConsensusConfig, NoopHooks, ProtocolHooks};
 use mvbc_netsim::trace::TraceSink;
@@ -88,142 +85,10 @@ pub fn run(cmd: Command) {
         } => smr(n, t, slots, batch, batch_bytes, seed, attack, byz, pipeline, net, report),
         Command::Inspect { path } => inspect(&path),
         Command::Info { n, t, l } => info(n, t, l),
-        Command::Soak { runs, seed } => soak(runs, seed),
         Command::SmrSoak { runs, seed, scenario, emit_failures } => {
             smr_soak(runs, seed, scenario, &emit_failures)
         }
     }
-}
-
-/// Small deterministic PRNG for soak parameter draws (xorshift64*).
-struct SoakRng(u64);
-
-impl SoakRng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
-
-fn soak(runs: usize, seed: u64) {
-    use mvbc_adversary::{
-        CorruptSymbolTo, EquivocateSymbol, FalseDetect, LieMVector, RandomAdversary,
-        ShiftedInput, Silent, Sleeper,
-    };
-
-    let mut rng = SoakRng(seed | 1);
-    let mut diagnosed_runs = 0usize;
-    for run_idx in 0..runs {
-        let (n, t) = [(4usize, 1usize), (7, 2), (10, 3)][rng.below(3)];
-        let l = 8 + rng.below(120);
-        let cfg = ConsensusConfig::new(n, t, l).expect("soak draws valid parameters");
-        let value = workload(l, rng.next());
-        let faulty = rng.below(n);
-        let hooks: Vec<Box<dyn ProtocolHooks>> = (0..n)
-            .map(|i| {
-                if i != faulty {
-                    return NoopHooks::boxed();
-                }
-                let strategy: Box<dyn ProtocolHooks> = match rng.below(8) {
-                    0 => Box::new(Silent),
-                    1 => Box::new(CorruptSymbolTo::new(vec![(faulty + 1) % n])),
-                    2 => Box::new(EquivocateSymbol),
-                    3 => Box::new(FalseDetect),
-                    4 => Box::new(LieMVector { claim: true }),
-                    5 => Box::new(ShiftedInput),
-                    6 => Box::new(Sleeper::new(1 + rng.below(3), EquivocateSymbol)),
-                    _ => Box::new(RandomAdversary::new(rng.next(), 0.35)),
-                };
-                strategy
-            })
-            .collect();
-        let run = simulate_consensus_traced(
-            &cfg,
-            vec![value.clone(); n],
-            hooks,
-            bsb_fleet(BsbChoice::PhaseKing, n),
-            MetricsSink::new(),
-            TraceSink::new(),
-        );
-        let honest: Vec<usize> = (0..n).filter(|&i| i != faulty).collect();
-        for &h in &honest {
-            assert_eq!(
-                run.outputs[h], value,
-                "soak run {run_idx}: node {h} violated validity (n={n}, t={t}, l={l})"
-            );
-            assert!(run.reports[h].diagnosis_invocations <= (t * (t + 1)) as u64);
-            assert!(run.reports[h].isolated.iter().all(|&i| i == faulty));
-        }
-        if run.reports[honest[0]].diagnosis_invocations > 0 {
-            diagnosed_runs += 1;
-        }
-
-        // Paired broadcast draw: one single-shot broadcast execution under
-        // a random broadcast-layer attack, asserting the per-execution
-        // t(t+2) dispute budget alongside the consensus t(t+1) above.
-        let bl = 8 + rng.below(64);
-        let source = rng.below(n);
-        let bfaulty = rng.below(n);
-        let bcfg = mvbc_broadcast::BroadcastConfig::new(n, t, source, bl)
-            .expect("soak draws valid broadcast parameters");
-        let bvalue = workload(bl, rng.next());
-        let bhooks: Vec<Box<dyn BroadcastHooks>> = (0..n)
-            .map(|i| -> Box<dyn BroadcastHooks> {
-                if i != bfaulty {
-                    return NoopBroadcastHooks::boxed();
-                }
-                if i == source {
-                    match rng.below(3) {
-                        0 => Box::new(EquivocatingSource),
-                        1 => Box::new(SilentSource),
-                        _ => Box::new(LyingDiagnosisSource),
-                    }
-                } else {
-                    match rng.below(4) {
-                        0 => Box::new(LyingEcho::new(vec![(bfaulty + 1) % n])),
-                        1 => Box::new(SilentEcho),
-                        2 => Box::new(FramingEcho),
-                        _ => Box::new(FalseDetector),
-                    }
-                }
-            })
-            .collect();
-        let brun = simulate_broadcast(&bcfg, bvalue.clone(), bhooks, MetricsSink::new());
-        let bhonest: Vec<usize> = (0..n).filter(|&i| i != bfaulty).collect();
-        for w in bhonest.windows(2) {
-            assert_eq!(
-                brun.outputs[w[0]], brun.outputs[w[1]],
-                "soak run {run_idx}: broadcast agreement violated (n={n}, t={t}, source={source})"
-            );
-        }
-        if source != bfaulty {
-            assert_eq!(
-                brun.outputs[bhonest[0]], bvalue,
-                "soak run {run_idx}: broadcast validity violated (n={n}, t={t}, source={source})"
-            );
-        }
-        for &h in &bhonest {
-            assert!(
-                brun.reports[h].diagnosis_invocations <= (t * (t + 2)) as u64,
-                "soak run {run_idx}: broadcast dispute budget t(t+2) exceeded \
-                 ({} > {}, n={n}, t={t})",
-                brun.reports[h].diagnosis_invocations,
-                t * (t + 2),
-            );
-            assert!(brun.reports[h].isolated.iter().all(|&i| i == bfaulty));
-        }
-    }
-    println!(
-        "soak: {runs} randomized consensus+broadcast run pairs OK ({diagnosed_runs} reached the \
-         diagnosis stage); validity, consistency, the consensus t(t+1) and broadcast t(t+2) \
-         dispute budgets and isolation safety held on every run"
-    );
 }
 
 /// The adversary-campaign soak: generated (or replayed) scenarios,

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use mvbc_broadcast::{broadcast_optimal_d_bits, run_broadcast_slot, BroadcastConfig, BroadcastReport};
-use mvbc_bsb::{BsbDriver, PhaseKingDriver};
+use mvbc_bsb::PhaseKingDriver;
 use mvbc_core::DiagGraph;
 use mvbc_metrics::MetricsSink;
 use mvbc_netsim::lanes::{LaneId, LaneMux};
@@ -354,16 +354,15 @@ struct Flight {
 /// `W`; attack slots pay discarded work bounded by the log's global
 /// dispute budget.
 ///
-/// `make_driver` supplies one fresh `Broadcast_Single_Bit` driver per
-/// slot attempt (each lane needs its own). [`SmrHooks::slot_hooks`] may
-/// be called more than once per slot (once per attempt) and must be
-/// deterministic in `(slot, i_am_primary)`.
+/// Every slot runs `Broadcast_Single_Bit` on [`PhaseKingDriver`], which
+/// is stateless, so concurrent lanes share no driver state.
+/// [`SmrHooks::slot_hooks`] may be called more than once per slot (once
+/// per attempt) and must be deterministic in `(slot, i_am_primary)`.
 pub fn run_replicated_log<S: StateMachine>(
     ctx: &mut NodeCtx,
     cfg: &SmrConfig,
     commands: Vec<Command>,
     hooks: &mut dyn SmrHooks,
-    make_driver: &mut dyn FnMut() -> Box<dyn BsbDriver>,
     state: &mut S,
 ) -> SmrReport {
     let me = ctx.id();
@@ -453,7 +452,6 @@ pub fn run_replicated_log<S: StateMachine>(
                 bits: 0,
             };
             let mut slot_hooks = hooks.slot_hooks(slot, me == primary);
-            let mut driver = make_driver();
             let bcfg = cfg.broadcast_config(primary);
             let mut slot_diag = diag.clone();
             let lane_scope = scope.clone();
@@ -465,7 +463,7 @@ pub fn run_replicated_log<S: StateMachine>(
                     &scope,
                     &mut slot_diag,
                     slot_hooks.as_mut(),
-                    driver.as_mut(),
+                    &mut PhaseKingDriver,
                 );
                 (report, slot_diag)
             };
@@ -694,15 +692,7 @@ pub fn simulate_smr_traced(
             let cfg = cfg.clone();
             Box::new(move |ctx: &mut NodeCtx| {
                 let mut store = KvStore::default();
-                let mut make_driver = || Box::new(PhaseKingDriver) as Box<dyn BsbDriver>;
-                let report = run_replicated_log(
-                    ctx,
-                    &cfg,
-                    commands,
-                    hook.as_mut(),
-                    &mut make_driver,
-                    &mut store,
-                );
+                let report = run_replicated_log(ctx, &cfg, commands, hook.as_mut(), &mut store);
                 (report, store)
             }) as NodeLogic<(SmrReport, KvStore)>
         })

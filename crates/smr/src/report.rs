@@ -439,7 +439,8 @@ impl RunReport {
                         share_pct: p
                             .get("share_pct")
                             .and_then(JsonValue::as_f64)
-                            .ok_or("share_pct")?,
+                            .filter(|pct| (0.0..=100.0).contains(pct))
+                            .ok_or("share_pct is not a percentage in 0..=100")?,
                     })
                 })
                 .collect::<Result<_, String>>()?,
@@ -511,9 +512,8 @@ impl RunReport {
 mod tests {
     use super::*;
 
-    #[test]
-    fn report_json_round_trips() {
-        let report = RunReport {
+    fn sample_report() -> RunReport {
+        RunReport {
             n: 6,
             t: 1,
             slots: 6,
@@ -555,9 +555,32 @@ mod tests {
                 commands: 2,
                 rounds: 24,
             }],
-        };
+        }
+    }
+
+    #[test]
+    fn report_json_round_trips() {
+        let report = sample_report();
         let parsed = RunReport::from_json(&report.to_json()).unwrap();
         assert_eq!(parsed, report);
+    }
+
+    #[test]
+    fn from_json_rejects_a_share_outside_0_to_100() {
+        // `inspect` draws one '#' per two percent of a phase share, so an
+        // unchecked share is an allocation as large as the file says.
+        let good = sample_report().to_json();
+        let echo = "\"share_pct\": 75.0000";
+        assert!(good.contains(echo));
+        for pct in ["100", "0"] {
+            let edited = good.replace(echo, &format!("\"share_pct\": {pct}"));
+            assert!(RunReport::from_json(&edited).is_ok(), "{pct}");
+        }
+        for pct in ["1e300", "4e9", "1e400", "-0.5", "100.5"] {
+            let edited = good.replace(echo, &format!("\"share_pct\": {pct}"));
+            let err = RunReport::from_json(&edited).unwrap_err();
+            assert!(err.contains("share_pct"), "{pct}: {err}");
+        }
     }
 
     #[test]

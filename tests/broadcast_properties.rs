@@ -1,10 +1,16 @@
 //! Property-based tests of the broadcast extension: consistency always,
 //! validity for a fault-free source, bounded dispute budget.
 
-use mvbc_broadcast::attacks::{EquivocatingSource, FalseDetector, LyingEcho, SilentSource};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use mvbc_broadcast::attacks::{
+    EquivocatingSource, FalseDetector, FramingAccuser, FramingEcho, LyingDiagnosisSource,
+    LyingEcho, SilentEcho, SilentSource,
+};
 use mvbc_broadcast::{
     simulate_broadcast, BroadcastConfig, BroadcastHooks, NoopBroadcastHooks,
 };
+use mvbc_bsb::BsbHooks;
 use mvbc_metrics::MetricsSink;
 use mvbc_systests::test_value;
 use proptest::prelude::*;
@@ -89,6 +95,71 @@ fn silent_source_all_positions() {
         let mut hooks = honest(4);
         hooks[source] = Box::new(SilentSource);
         check_broadcast(4, 1, source, v, 8, hooks, vec![source]).unwrap();
+    }
+}
+
+/// One Byzantine processor running a strategy of
+/// `mvbc_broadcast::attacks`, given its own id and `n`.
+type Attack = fn(usize, usize) -> Box<dyn BroadcastHooks>;
+
+/// A `FalseDetector` that also frames the source like a
+/// `FramingAccuser`. The frame in generation 0 costs it one edge; its
+/// false detection in generation 1 removes nothing, which isolates it.
+/// That is two diagnoses from one processor. Every strategy alone costs at
+/// most one, below half of the smallest `t(t+2)` budget (3 at `t = 1`).
+struct FramingFalseDetector;
+
+impl BsbHooks for FramingFalseDetector {}
+
+impl BroadcastHooks for FramingFalseDetector {
+    fn detected_flag(&mut self, g: usize, flag: &mut bool) {
+        FalseDetector.detected_flag(g, flag);
+    }
+
+    fn trust_bits(&mut self, g: usize, bits: &mut Vec<bool>) {
+        FramingAccuser.trust_bits(g, bits);
+    }
+}
+
+/// Every broadcast attack in the role it targets: the source-role ones at
+/// the source, the echo-role ones at every other position. `L = 2D + 3`
+/// leaves a short final generation, and every `n` runs at its largest
+/// `t`. `LyingDiagnosisSource` and `SilentEcho` are inert alone: the one
+/// lies only inside a diagnosis, the other leaves `n - t - 1 >= k`
+/// symbols, so nothing triggers one.
+#[test]
+fn every_attack_in_its_role_at_every_position() {
+    let source_role: [(&str, Attack); 3] = [
+        ("EquivocatingSource", |_, _| Box::new(EquivocatingSource)),
+        ("SilentSource", |_, _| Box::new(SilentSource)),
+        ("LyingDiagnosisSource", |_, _| Box::new(LyingDiagnosisSource)),
+    ];
+    let echo_role: [(&str, Attack); 6] = [
+        ("LyingEcho", |me, n| Box::new(LyingEcho::new((0..n).filter(|&x| x != me).collect()))),
+        ("SilentEcho", |_, _| Box::new(SilentEcho)),
+        ("FramingEcho", |_, _| Box::new(FramingEcho)),
+        ("FalseDetector", |_, _| Box::new(FalseDetector)),
+        ("FramingAccuser", |_, _| Box::new(FramingAccuser)),
+        ("FramingFalseDetector", |_, _| Box::new(FramingFalseDetector)),
+    ];
+    let (source, gen) = (0, 8);
+    let l = 2 * gen + 3;
+    for n in [4, 7, 10] {
+        let t = (n - 1) / 3;
+        let runs = source_role
+            .iter()
+            .map(|attack| (attack, source))
+            .chain(echo_role.iter().flat_map(|attack| (1..n).map(move |at| (attack, at))));
+        for (&(name, attack), at) in runs {
+            let mut hooks = honest(n);
+            hooks[at] = attack(at, n);
+            let value = test_value(l, (n * 100 + at) as u64);
+            // `prop_assert!` panics outside `proptest!`: catch it to name the row.
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                check_broadcast(n, t, source, value, gen, hooks, vec![at])
+            }));
+            assert!(matches!(outcome, Ok(Ok(()))), "{name} at {at}, n = {n}, t = {t}");
+        }
     }
 }
 
