@@ -12,6 +12,12 @@ use rand::{RngExt, SeedableRng};
 /// Used by the property tests: for *any* seed, fault-free safety must
 /// hold — agreement, validity, bounded diagnosis count, and no
 /// honest-honest diagnosis-graph edge ever removed.
+///
+/// Its choices depend on the order of hook calls, not on the generation
+/// argument: one RNG draw per opportunity, in call order. The engine's
+/// window interleaves its generations' hook calls stage by stage and
+/// calls them again for generations it runs again, so the same seed
+/// misbehaves differently at different window sizes.
 #[derive(Debug)]
 pub struct RandomAdversary {
     rng: StdRng,

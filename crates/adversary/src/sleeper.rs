@@ -14,9 +14,11 @@ use mvbc_netsim::NodeId;
 
 /// Wraps an inner strategy, activating it from `start_generation` on.
 ///
-/// Before activation every hook behaves honestly. BSB-level hooks
-/// (which have no generation parameter) are keyed off the most recent
-/// `observe_generation_start` call.
+/// Before activation every hook behaves honestly. Protocol-level hooks
+/// are gated by their generation argument. BSB-level hooks have none and
+/// are gated by the most recent `observe_generation_start` call; a window
+/// observes all its generations before its batches run, so that is the
+/// window's last generation: BSB-level gating follows the window.
 ///
 /// # Examples
 ///
@@ -53,8 +55,13 @@ impl<H: ProtocolHooks> Sleeper<H> {
         }
     }
 
+    /// BSB-level gate: the window's last generation is awake.
     fn awake(&self) -> bool {
-        self.current_generation >= self.start_generation
+        self.awake_at(self.current_generation)
+    }
+
+    fn awake_at(&self, g: usize) -> bool {
+        g >= self.start_generation
     }
 }
 
@@ -105,13 +112,13 @@ impl<H: ProtocolHooks> ProtocolHooks for Sleeper<H> {
     }
 
     fn input_override(&mut self, g: usize, value: &mut Vec<u8>) {
-        if self.awake() {
+        if self.awake_at(g) {
             self.inner.input_override(g, value);
         }
     }
 
     fn matching_symbol(&mut self, g: usize, to: NodeId, payload: &mut Vec<u8>) -> bool {
-        if self.awake() {
+        if self.awake_at(g) {
             self.inner.matching_symbol(g, to, payload)
         } else {
             true
@@ -119,31 +126,31 @@ impl<H: ProtocolHooks> ProtocolHooks for Sleeper<H> {
     }
 
     fn m_vector(&mut self, g: usize, m: &mut Vec<bool>) {
-        if self.awake() {
+        if self.awake_at(g) {
             self.inner.m_vector(g, m);
         }
     }
 
     fn detected_flag(&mut self, g: usize, flag: &mut bool) {
-        if self.awake() {
+        if self.awake_at(g) {
             self.inner.detected_flag(g, flag);
         }
     }
 
     fn diagnosis_symbol_bits(&mut self, g: usize, bits: &mut Vec<bool>) {
-        if self.awake() {
+        if self.awake_at(g) {
             self.inner.diagnosis_symbol_bits(g, bits);
         }
     }
 
     fn trust_vector(&mut self, g: usize, trust: &mut Vec<bool>) {
-        if self.awake() {
+        if self.awake_at(g) {
             self.inner.trust_vector(g, trust);
         }
     }
 
     fn crash_before_generation(&mut self, g: usize) -> bool {
-        self.awake() && self.inner.crash_before_generation(g)
+        self.awake_at(g) && self.inner.crash_before_generation(g)
     }
 }
 
@@ -152,7 +159,9 @@ impl<H: ProtocolHooks> ProtocolHooks for Sleeper<H> {
 ///
 /// Used by experiment E14 to bound how long an orchestrated adversary
 /// keeps attacking, separating "attack persistence" from the `t(t+1)`
-/// diagnosis budget it can actually spend.
+/// diagnosis budget it can actually spend. Gating is as for [`Sleeper`]:
+/// protocol-level hooks by their generation argument, BSB-level hooks by
+/// the window.
 #[derive(Debug)]
 pub struct Deadline<H> {
     inner: H,
@@ -170,8 +179,13 @@ impl<H: ProtocolHooks> Deadline<H> {
         }
     }
 
+    /// BSB-level gate: the window's last generation is still active.
     fn active(&self) -> bool {
-        self.current_generation < self.stop_generation
+        self.active_at(self.current_generation)
+    }
+
+    fn active_at(&self, g: usize) -> bool {
+        g < self.stop_generation
     }
 }
 
@@ -222,13 +236,13 @@ impl<H: ProtocolHooks> ProtocolHooks for Deadline<H> {
     }
 
     fn input_override(&mut self, g: usize, value: &mut Vec<u8>) {
-        if self.active() {
+        if self.active_at(g) {
             self.inner.input_override(g, value);
         }
     }
 
     fn matching_symbol(&mut self, g: usize, to: NodeId, payload: &mut Vec<u8>) -> bool {
-        if self.active() {
+        if self.active_at(g) {
             self.inner.matching_symbol(g, to, payload)
         } else {
             true
@@ -236,31 +250,31 @@ impl<H: ProtocolHooks> ProtocolHooks for Deadline<H> {
     }
 
     fn m_vector(&mut self, g: usize, m: &mut Vec<bool>) {
-        if self.active() {
+        if self.active_at(g) {
             self.inner.m_vector(g, m);
         }
     }
 
     fn detected_flag(&mut self, g: usize, flag: &mut bool) {
-        if self.active() {
+        if self.active_at(g) {
             self.inner.detected_flag(g, flag);
         }
     }
 
     fn diagnosis_symbol_bits(&mut self, g: usize, bits: &mut Vec<bool>) {
-        if self.active() {
+        if self.active_at(g) {
             self.inner.diagnosis_symbol_bits(g, bits);
         }
     }
 
     fn trust_vector(&mut self, g: usize, trust: &mut Vec<bool>) {
-        if self.active() {
+        if self.active_at(g) {
             self.inner.trust_vector(g, trust);
         }
     }
 
     fn crash_before_generation(&mut self, g: usize) -> bool {
-        self.active() && self.inner.crash_before_generation(g)
+        self.active_at(g) && self.inner.crash_before_generation(g)
     }
 }
 

@@ -21,12 +21,21 @@ use mvbc_netsim::NodeId;
 
 /// One member of the colluding worst-case team (create one per faulty
 /// processor, all with the same `faulty` list).
+///
+/// Its state is keyed by the generation argument of each hook, so the
+/// stage-by-stage interleaving of a window's generations (see
+/// [`ProtocolHooks`]) attacks each generation exactly as the
+/// one-generation-at-a-time engine would.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WorstCaseDiagnosis {
     faulty: Vec<NodeId>,
     me: Option<NodeId>,
-    acting: bool,
-    victim: Option<NodeId>,
+    isolated: bool,
+    /// The highest-id honest processor that trusts `me` in the most
+    /// recently observed diagnosis graph.
+    target: Option<NodeId>,
+    /// The most recently observed generation.
+    last: usize,
 }
 
 impl WorstCaseDiagnosis {
@@ -36,14 +45,28 @@ impl WorstCaseDiagnosis {
         WorstCaseDiagnosis {
             faulty,
             me: None,
-            acting: false,
-            victim: None,
+            isolated: false,
+            target: None,
+            last: 0,
         }
     }
 
-    /// The victim currently under attack (visible for tests).
+    /// Whether this member acts in generation `g`. The team takes turns:
+    /// faulty processor `g mod |faulty|` acts (isolated members skip
+    /// their turn implicitly — the engine stops running them).
+    fn acting(&self, g: usize) -> bool {
+        self.me == Some(self.faulty[g % self.faulty.len()]) && !self.isolated
+    }
+
+    /// The victim of generation `g`, when this member acts in it.
+    fn victim_in(&self, g: usize) -> Option<NodeId> {
+        self.target.filter(|_| self.acting(g))
+    }
+
+    /// The victim in the most recently observed generation (visible for
+    /// tests).
     pub fn victim(&self) -> Option<NodeId> {
-        self.victim
+        self.victim_in(self.last)
     }
 }
 
@@ -52,23 +75,16 @@ impl BsbHooks for WorstCaseDiagnosis {}
 impl ProtocolHooks for WorstCaseDiagnosis {
     fn observe_generation_start(&mut self, g: usize, me: NodeId, diag: &DiagGraph) {
         self.me = Some(me);
-        // Take turns: faulty processor `g mod |faulty|` acts this
-        // generation (isolated members skip their turn implicitly — the
-        // engine stops running them).
-        let turn = self.faulty[g % self.faulty.len()];
-        self.acting = turn == me && !diag.is_isolated(me);
+        self.isolated = diag.is_isolated(me);
+        self.last = g;
         // Victim: highest-id honest processor that still trusts me.
-        self.victim = if self.acting {
-            (0..diag.n())
-                .rev()
-                .find(|&v| v != me && !self.faulty.contains(&v) && diag.trusts(me, v))
-        } else {
-            None
-        };
+        self.target = (0..diag.n())
+            .rev()
+            .find(|&v| v != me && !self.faulty.contains(&v) && diag.trusts(me, v));
     }
 
-    fn matching_symbol(&mut self, _g: usize, to: NodeId, payload: &mut Vec<u8>) -> bool {
-        if self.acting && Some(to) == self.victim {
+    fn matching_symbol(&mut self, g: usize, to: NodeId, payload: &mut Vec<u8>) -> bool {
+        if self.victim_in(g) == Some(to) {
             for b in payload.iter_mut() {
                 *b ^= 0xFF;
             }
@@ -76,12 +92,12 @@ impl ProtocolHooks for WorstCaseDiagnosis {
         true
     }
 
-    fn detected_flag(&mut self, _g: usize, flag: &mut bool) {
+    fn detected_flag(&mut self, g: usize, flag: &mut bool) {
         // If the acting processor landed outside P_match its symbol
         // corruption is invisible (all P_match symbols are consistent);
         // claim a detection anyway to force the diagnosis stage and burn
         // one more of our own edges (or get isolated per line 3(f)).
-        if self.acting {
+        if self.acting(g) {
             *flag = true;
         }
     }
@@ -96,11 +112,14 @@ mod tests {
         let diag = DiagGraph::new(7, 2);
         let mut a = WorstCaseDiagnosis::new(vec![0, 1]);
         a.observe_generation_start(0, 0, &diag);
-        assert!(a.acting);
+        assert!(a.acting(0));
+        assert!(!a.acting(1));
+        assert!(a.acting(2));
+        // Keyed by the generation, not by the last observation: a window
+        // observes all its generations before any of them sends.
         a.observe_generation_start(1, 0, &diag);
-        assert!(!a.acting);
-        a.observe_generation_start(2, 0, &diag);
-        assert!(a.acting);
+        assert!(a.acting(0));
+        assert!(!a.acting(1));
     }
 
     #[test]
@@ -120,7 +139,7 @@ mod tests {
         let diag = DiagGraph::new(7, 2);
         let mut a = WorstCaseDiagnosis::new(vec![0, 1]);
         a.observe_generation_start(0, 1, &diag); // node 1, but turn = 0
-        assert!(!a.acting);
+        assert!(!a.acting(0));
         let mut payload = vec![0xAB];
         a.matching_symbol(0, 6, &mut payload);
         assert_eq!(payload, vec![0xAB]);

@@ -1,8 +1,9 @@
 //! Baseline 2: a Fitzi-Hirt-style probabilistic multi-valued consensus
 //! (PODC 2006 — "Optimally efficient multi-valued Byzantine agreement").
 //!
-//! Structure (simplified per DESIGN.md §2, preserving the complexity
-//! shape `O(nL + n³(n+κ))` and the probabilistic-correctness property):
+//! Structure (simplified as README.md's "Substitutions" records,
+//! preserving the complexity shape `O(nL + n³(n+κ))` and the
+//! probabilistic-correctness property):
 //!
 //! 1. A common random hash key is derived from a seed (the original paper
 //!    generates it interactively; the cost of that sub-protocol is folded

@@ -72,7 +72,7 @@ pub(super) fn run(quick: bool) -> Report {
     r.line("The L-linear symbol traffic is substrate-independent; only the B-priced");
     r.line("control traffic moves. Dolev-Strong trades error-freedom for resilience");
     r.line("(t < n with idealised signatures) exactly as §4 prescribes — the");
-    r.line("consensus layer's own lemmas still need t < n/3 (DESIGN.md §2).");
+    r.line("consensus layer's own lemmas still need t < n/3 (README.md, \"Substitutions\").");
     r.csv("e11_substrates_consensus", cons);
     r
 }

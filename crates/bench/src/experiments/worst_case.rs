@@ -58,7 +58,10 @@ pub(super) fn run(quick: bool) -> Report {
     r.line(table.to_markdown());
     r.line("paper: at most t(t+1) diagnosis stages in any execution; all faulty");
     r.line("processors end up identified and isolated. Negative overhead is real:");
-    r.line("isolated processors stop costing traffic in later generations.");
+    r.line("isolated processors stop costing traffic in later generations. The");
+    r.line("overhead includes the window's reruns: each diagnosis discards up to");
+    r.line("W - 1 generations whose matching and checking already ran, the worst-case");
+    r.line("term dsel::model_window_rerun_bits adds to Eq. (1).");
     r.csv("e4_worst_case", table);
     r
 }

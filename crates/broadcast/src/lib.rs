@@ -8,9 +8,10 @@
 //! `L` (the 1.5-factor construction is in their companion technical
 //! report, arXiv:1006.2422).
 //!
-//! This crate builds the variant described in DESIGN.md §2 with the same
-//! building blocks and guarantees (error-free, `Θ((n-1)L)` with a small
-//! constant), at a failure-free rate of about `2(n-1)L` for `t ≈ n/3`:
+//! This crate builds the variant described in README.md
+//! ("Substitutions") with the same building blocks and guarantees
+//! (error-free, `Θ((n-1)L)` with a small constant), at a failure-free
+//! rate of about `2(n-1)L` for `t ≈ n/3`:
 //!
 //! 1. **Dispersal** — the source Reed-Solomon-encodes each `D`-bit
 //!    generation of its value with the `(n, n-2t)` code and sends coded

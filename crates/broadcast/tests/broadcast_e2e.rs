@@ -173,7 +173,7 @@ fn diagnosis_count_bounded() {
 
 #[test]
 fn failure_free_cost_near_two_nl() {
-    // DESIGN.md §2: failure-free cost ≈ (n-t)(n-1)/(n-2t) · L plus
+    // README.md, "Substitutions": failure-free cost ≈ (n-t)(n-1)/(n-2t) · L plus
     // sub-linear terms; for n = 7, t = 2 the coefficient is 10(n-1)/3 ≈
     // 3.33(n-1)... measured against (n-1)L directly.
     let n = 7;

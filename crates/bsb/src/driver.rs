@@ -161,7 +161,7 @@ impl BsbDriver for EigDriver {
 /// The §4 substitution: authenticated Dolev-Strong broadcast under an
 /// idealised [`SignatureOracle`]. Tolerates any `t < n`.
 ///
-/// Note the paper-level caveat (documented in DESIGN.md): the *consensus*
+/// Note the paper-level caveat (README.md, "Substitutions"): the *consensus*
 /// algorithm's own lemmas still need `t < n/3` (`P_decide` of size
 /// `n - 2t` must contain a fault-free processor), so plugging this driver
 /// into `mvbc-core` raises the broadcast layer's resilience only. The

@@ -20,9 +20,9 @@
 //! Consistency follows from consensus agreement; validity from consensus
 //! validity (an honest source gives every honest processor the same input).
 //!
-//! **Substitution note (see DESIGN.md §2):** the paper assumes a
-//! bit-optimal primitive with `B = Θ(n²)` total bits; the simple Phase-King
-//! construction used here costs `B = Θ(n²·t)` bits. `B` only multiplies the
+//! **Substitution note (see README.md, "Substitutions"):** the paper
+//! assumes a bit-optimal primitive with `B = Θ(n²)` total bits; the simple
+//! Phase-King construction used here costs `B = Θ(n²·t)` bits. `B` only multiplies the
 //! sub-linear terms of the paper's Eq. (1), so the headline `O(nL)` result
 //! is unaffected; the benchmark harness reports both the measured `B` and
 //! the paper's `Θ(n²)` model.

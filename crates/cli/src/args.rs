@@ -4,6 +4,12 @@ use std::fmt;
 
 use mvbc_smr::MAX_PIPELINE;
 
+/// The largest value `--l` accepts and the largest file `inspect` and
+/// `smr soak --scenario` read, in bytes. Run reports and scenarios are
+/// kilobytes; the big files this binary writes are `consensus --trace`
+/// CSVs, 46 MiB at n = 7 and 484 MiB at n = 16 for L = 1 MiB.
+pub const MAX_INPUT_BYTES: u64 = 1 << 30;
+
 /// Usage text printed on parse errors.
 pub const USAGE: &str = "\
 usage:
@@ -536,6 +542,11 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
     let n = flags.required_usize("--n")?;
     let t = flags.required_usize("--t")?;
     let l = flags.required_usize("--l")?;
+    if l as u64 > MAX_INPUT_BYTES {
+        return Err(ParseError::Invalid(format!(
+            "L = {l} bytes is over the cap of {MAX_INPUT_BYTES}"
+        )));
+    }
     match sub.as_str() {
         "consensus" => Ok(Command::Consensus {
             n,
@@ -683,6 +694,23 @@ mod tests {
             Err(ParseError::Invalid("pipeline = 17 is over the cap of 16".to_owned()))
         );
         assert!(parse(&argv("smr --n 4 --t 1 --slots 5 --pipeline x")).is_err());
+    }
+
+    #[test]
+    fn caps_value_length() {
+        for sub in ["consensus", "broadcast", "info"] {
+            let at_cap = parse(&argv(&format!("{sub} --n 4 --t 1 --l 1073741824")));
+            assert!(at_cap.is_ok(), "{sub}: 2^30 bytes is within the cap");
+            for l in ["1073741825", "18446744073709551615"] {
+                assert_eq!(
+                    parse(&argv(&format!("{sub} --n 4 --t 1 --l {l}"))),
+                    Err(ParseError::Invalid(format!(
+                        "L = {l} bytes is over the cap of 1073741824"
+                    ))),
+                    "{sub} --l {l}"
+                );
+            }
+        }
     }
 
     #[test]

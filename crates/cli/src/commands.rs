@@ -8,7 +8,10 @@ use mvbc_adversary::{CorruptSymbolTo, RandomAdversary, Silent, WorstCaseDiagnosi
 use mvbc_bsb::{BsbDriver, DolevStrongDriver, EigDriver, PhaseKingDriver};
 use mvbc_broadcast::attacks::{EquivocatingSource, LyingEcho, SilentSource};
 use mvbc_broadcast::{simulate_broadcast, BroadcastConfig, BroadcastHooks, NoopBroadcastHooks};
-use mvbc_core::{dsel, simulate_consensus_traced, ConsensusConfig, NoopHooks, ProtocolHooks};
+use mvbc_core::{
+    dsel, simulate_consensus_traced, ConsensusConfig, EngineReport, NoopHooks, ProtocolHooks,
+    GENERATION_WINDOW,
+};
 use mvbc_netsim::trace::TraceSink;
 use mvbc_netsim::{LinkModel, NetModel, Partition, PartitionBehavior, SchedulingPolicy, Topology};
 use mvbc_metrics::MetricsSink;
@@ -19,7 +22,7 @@ use mvbc_smr::{
 
 use crate::args::{
     BroadcastAttack, BsbChoice, Command, ConsensusAttack, IslandSpec, LatencySpec, NetSpec,
-    SmrAttack, TopologySpec,
+    SmrAttack, TopologySpec, MAX_INPUT_BYTES,
 };
 
 fn workload(len: usize, seed: u64) -> Vec<u8> {
@@ -33,12 +36,6 @@ fn workload(len: usize, seed: u64) -> Vec<u8> {
         })
         .collect()
 }
-
-/// The largest file `inspect` and `smr soak --scenario` read. Run
-/// reports and scenarios are kilobytes; the big files this binary
-/// writes are `consensus --trace` CSVs, 46 MiB at n = 7 and 484 MiB at
-/// n = 16 for L = 1 MiB.
-const MAX_INPUT_BYTES: u64 = 1 << 30;
 
 /// Reads the text file at `path` for subcommand `sub`, refusing one
 /// larger than [`MAX_INPUT_BYTES`] before allocating for it. Exits with
@@ -279,7 +276,8 @@ fn consensus(
     );
     println!("attack: {attack:?}; Byzantine processors: {faulty:?}");
     let honest: Vec<usize> = (0..n).filter(|i| !faulty.contains(i)).collect();
-    let agreed = honest.windows(2).all(|w| run.outputs[w[0]] == run.outputs[w[1]]);
+    let violations = consensus_violations(t, &inputs, differing, &honest, &run.reports);
+    let agreed = !violations.contains(&Violation::Disagreement);
     println!("fault-free agreement: {}", if agreed { "YES" } else { "NO (BUG!)" });
     let decided = &run.outputs[honest[0]];
     if *decided == inputs[honest[0]] && !differing {
@@ -296,6 +294,10 @@ fn consensus(
         t * (t + 1),
         report.isolated
     );
+    println!(
+        "windows of up to {GENERATION_WINDOW} generation(s); {} rerun after a diagnosis",
+        report.generations_rerun
+    );
     let snap = metrics.snapshot();
     println!(
         "communication: {} bits over {} rounds ({:.2} bits per value bit; Eq. (3) coefficient {:.2})",
@@ -305,6 +307,67 @@ fn consensus(
         dsel::linear_coefficient(n, t),
     );
     println!("\nper-stage breakdown:\n{}", snap.to_markdown());
+    if !violations.is_empty() {
+        for v in &violations {
+            println!("VIOLATION: {v}");
+        }
+        std::process::exit(1);
+    }
+}
+
+/// A consensus property an execution broke at its honest nodes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Violation {
+    /// Two honest nodes decided different values.
+    Disagreement,
+    /// Honest inputs were common (and not `--differing`), yet an honest
+    /// node decided something else.
+    Validity,
+    /// An honest node ran more diagnosis stages than Theorem 1's
+    /// `t(t+1)`.
+    DiagnosisBound,
+    /// An honest node isolated an honest node.
+    HonestIsolated,
+}
+
+impl std::fmt::Display for Violation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Violation::Disagreement => "honest nodes decided different values",
+            Violation::Validity => "honest nodes shared an input but decided another value",
+            Violation::DiagnosisBound => "diagnosis stages exceed Theorem 1's t(t+1)",
+            Violation::HonestIsolated => "an honest node was isolated",
+        })
+    }
+}
+
+/// The properties the honest nodes' `reports` violate, in declaration
+/// order; empty for a correct run. `inputs` holds every node's input.
+fn consensus_violations(
+    t: usize,
+    inputs: &[Vec<u8>],
+    differing: bool,
+    honest: &[usize],
+    reports: &[EngineReport],
+) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    if honest.windows(2).any(|w| reports[w[0]].output != reports[w[1]].output) {
+        violations.push(Violation::Disagreement);
+    }
+    let common_input = honest.windows(2).all(|w| inputs[w[0]] == inputs[w[1]]);
+    if !differing
+        && common_input
+        && honest.iter().any(|&i| reports[i].output != inputs[honest[0]])
+    {
+        violations.push(Violation::Validity);
+    }
+    if honest.iter().any(|&i| reports[i].diagnosis_invocations > (t * (t + 1)) as u64) {
+        violations.push(Violation::DiagnosisBound);
+    }
+    if honest.iter().any(|&i| reports[i].isolated.iter().any(|v| honest.contains(v))) {
+        violations.push(Violation::HonestIsolated);
+    }
+    violations
 }
 
 fn broadcast(
@@ -720,12 +783,96 @@ fn info(n: usize, t: usize, l: usize) {
         dsel::model_ccon_failure_free_bits(n, t, l_bits, d_bits, b_pk) / l_bits as f64
     );
     println!(
-        "Eq. (1) worst-case model:   {:.0} bits (includes t(t+1) = {} diagnosis stages)",
+        "Eq. (1) worst-case model:   {:.0} bits (includes t(t+1) = {} diagnosis stages, \
+         each discarding up to W - 1 = {} generations)",
         dsel::model_ccon_bits(n, t, l_bits, d_bits, b_pk),
-        t * (t + 1)
+        t * (t + 1),
+        GENERATION_WINDOW - 1
     );
     println!("\nBroadcast_Single_Bit substrates (--bsb; see §4):");
     println!("  phase-king    error-free, t < n/3, B = Θ(n²(t+1)), 1+3(t+1) rounds/batch");
     println!("  eig           error-free, t < n/3, B = Θ(n^(t+2)), 1+(t+1) rounds/batch");
     println!("  dolev-strong  idealised signatures, t < n at the broadcast layer, t+1 rounds/batch");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Four nodes, node 3 faulty; every honest node decides `[7; 4]`
+    /// from the common input `[7; 4]` after one diagnosis that isolated
+    /// node 3.
+    fn clean() -> (Vec<Vec<u8>>, Vec<EngineReport>) {
+        let inputs = vec![vec![7u8; 4]; 4];
+        let report = EngineReport {
+            output: vec![7; 4],
+            diagnosis_invocations: 1,
+            generations_completed: 2,
+            generations_rerun: 0,
+            defaulted: false,
+            isolated: vec![3],
+            edges_removed: 3,
+        };
+        (inputs, vec![report; 4])
+    }
+
+    const HONEST: [usize; 3] = [0, 1, 2];
+
+    #[test]
+    fn a_clean_run_violates_nothing() {
+        let (inputs, reports) = clean();
+        assert!(consensus_violations(1, &inputs, false, &HONEST, &reports).is_empty());
+        // The faulty node's report does not count.
+        let mut reports = reports;
+        reports[3].output = vec![0; 4];
+        reports[3].diagnosis_invocations = 99;
+        reports[3].isolated = vec![0, 1];
+        assert!(consensus_violations(1, &inputs, false, &HONEST, &reports).is_empty());
+    }
+
+    #[test]
+    fn disagreement_alone() {
+        // Differing inputs: validity has nothing to say.
+        let (mut inputs, mut reports) = clean();
+        inputs[1] = vec![8; 4];
+        reports[2].output = vec![0; 4];
+        assert_eq!(
+            consensus_violations(1, &inputs, true, &HONEST, &reports),
+            vec![Violation::Disagreement]
+        );
+    }
+
+    #[test]
+    fn validity_alone() {
+        let (inputs, mut reports) = clean();
+        for r in &mut reports[..3] {
+            r.output = vec![0; 4];
+        }
+        assert_eq!(
+            consensus_violations(1, &inputs, false, &HONEST, &reports),
+            vec![Violation::Validity]
+        );
+        // `--differing` waives validity.
+        assert!(consensus_violations(1, &inputs, true, &HONEST, &reports).is_empty());
+    }
+
+    #[test]
+    fn diagnosis_bound_alone() {
+        let (inputs, mut reports) = clean();
+        reports[1].diagnosis_invocations = 3; // t(t+1) = 2 at t = 1
+        assert_eq!(
+            consensus_violations(1, &inputs, false, &HONEST, &reports),
+            vec![Violation::DiagnosisBound]
+        );
+    }
+
+    #[test]
+    fn honest_isolated_alone() {
+        let (inputs, mut reports) = clean();
+        reports[0].isolated = vec![2, 3];
+        assert_eq!(
+            consensus_violations(1, &inputs, false, &HONEST, &reports),
+            vec![Violation::HonestIsolated]
+        );
+    }
 }

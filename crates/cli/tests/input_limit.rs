@@ -9,7 +9,7 @@ use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// `MAX_INPUT_BYTES` in `src/commands.rs`.
+/// `MAX_INPUT_BYTES` in `src/args.rs`.
 const LIMIT: u64 = 1 << 30;
 
 fn oversize_file(name: &str) -> PathBuf {

@@ -9,7 +9,18 @@
 //! ```
 //!
 //! where `B` is the cost of one `Broadcast_Single_Bit` instance.
-//! Minimising over `D` yields Equation (2)'s optimum
+//!
+//! Running generations in windows of `W` (see [`GENERATION_WINDOW`])
+//! adds one worst-case term: each diagnosis discards up to `W − 1`
+//! generations whose matching and checking stages already ran, so
+//!
+//! ```text
+//! C_con,W(L) = C_con(L) + (W-1) · t(t+1) · ( n(n-1)/(n-2t) · D  +  n(n-1)·B  +  t·B )
+//! ```
+//!
+//! A fault-free run pays nothing for the window.
+//!
+//! Minimising Eq. (1) over `D` yields Equation (2)'s optimum
 //!
 //! ```text
 //! D* = sqrt( (n² - n + t)(n - 2t) L / ( t(t+1)(n-t) ) )
@@ -19,6 +30,8 @@
 //! [`ConsensusConfig`](crate::ConsensusConfig) and the model curves that
 //! the benchmark harness prints next to measured bit counts (experiments
 //! E1/E2/E5).
+
+use crate::GENERATION_WINDOW;
 
 /// The paper's Eq. (2): the `D` (in bits) minimising Eq. (1).
 ///
@@ -38,32 +51,43 @@ pub fn optimal_d_bits(n: usize, t: usize, l_bits: u64) -> u64 {
     (d.round() as u64).clamp(1, l_bits.max(1))
 }
 
-/// The paper's Eq. (1): modelled total bits for generation size `d_bits`
-/// and 1-bit-broadcast cost `b_bits`, assuming the worst case of `t(t+1)`
-/// diagnosis-stage executions.
+/// Eq. (1)'s per-generation matching and checking cost:
+/// `n(n-1)/(n-2t)·D + n(n-1)·B + t·B`.
+fn per_generation_bits(n: usize, t: usize, d_bits: u64, b_bits: f64) -> f64 {
+    let nf = n as f64;
+    let k = nf - 2.0 * t as f64;
+    nf * (nf - 1.0) / k * d_bits as f64 + nf * (nf - 1.0) * b_bits + t as f64 * b_bits
+}
+
+/// The paper's Eq. (1) plus the window's worst-case term: modelled total
+/// bits for generation size `d_bits` and 1-bit-broadcast cost `b_bits`,
+/// assuming the worst case of `t(t+1)` diagnosis-stage executions, each
+/// discarding `W − 1` generations ([`model_window_rerun_bits`]).
 pub fn model_ccon_bits(n: usize, t: usize, l_bits: u64, d_bits: u64, b_bits: f64) -> f64 {
     let nf = n as f64;
     let tf = t as f64;
-    let l = l_bits as f64;
     let d = d_bits as f64;
     let k = nf - 2.0 * tf;
-    let generations = (l / d).ceil();
-    let per_generation = nf * (nf - 1.0) / k * d + nf * (nf - 1.0) * b_bits + tf * b_bits;
     let diagnosis = tf * (tf + 1.0) * ((nf - tf) / k * d + nf * (nf - tf)) * b_bits;
-    per_generation * generations + diagnosis
+    model_ccon_failure_free_bits(n, t, l_bits, d_bits, b_bits)
+        + diagnosis
+        + model_window_rerun_bits(n, t, d_bits, b_bits)
+}
+
+/// The window's worst-case extra term: `(W − 1)·t(t+1)` generations'
+/// matching and checking cost, the most that the `t(t+1)` diagnoses of
+/// Theorem 1 can discard.
+pub fn model_window_rerun_bits(n: usize, t: usize, d_bits: u64, b_bits: f64) -> f64 {
+    let tf = t as f64;
+    (GENERATION_WINDOW - 1) as f64 * tf * (tf + 1.0) * per_generation_bits(n, t, d_bits, b_bits)
 }
 
 /// Failure-free model: Eq. (1) without the diagnosis term and without the
 /// checking-stage `t·B` term's worst case (kept — non-members always
 /// broadcast `Detected`), i.e. the cost when no processor misbehaves.
 pub fn model_ccon_failure_free_bits(n: usize, t: usize, l_bits: u64, d_bits: u64, b_bits: f64) -> f64 {
-    let nf = n as f64;
-    let tf = t as f64;
-    let l = l_bits as f64;
-    let d = d_bits as f64;
-    let k = nf - 2.0 * tf;
-    let generations = (l / d).ceil();
-    (nf * (nf - 1.0) / k * d + nf * (nf - 1.0) * b_bits + tf * b_bits) * generations
+    let generations = (l_bits as f64 / d_bits as f64).ceil();
+    per_generation_bits(n, t, d_bits, b_bits) * generations
 }
 
 /// The dominant `L`-linear coefficient of Eq. (3): `n(n-1)/(n-2t)`.
@@ -160,6 +184,22 @@ mod tests {
         assert!(
             model_ccon_failure_free_bits(n, t, l, d, b) < model_ccon_bits(n, t, l, d, b)
         );
+    }
+
+    #[test]
+    fn window_term_is_w_minus_one_generations_per_diagnosis() {
+        let (n, t, l, d) = (7usize, 2usize, 1u64 << 20, 6080u64);
+        let b = model_b_phase_king(n, t);
+        let per_generation = 14.0 * d as f64 + 42.0 * b + 2.0 * b;
+        let window = model_window_rerun_bits(n, t, d, b);
+        let expect = (GENERATION_WINDOW - 1) as f64 * 6.0 * per_generation;
+        assert!((window - expect).abs() <= 1e-6 * expect, "{window} vs {expect}");
+        let diagnosis = 6.0 * (5.0 / 3.0 * d as f64 + 35.0) * b;
+        let worst = model_ccon_bits(n, t, l, d, b);
+        let clean = model_ccon_failure_free_bits(n, t, l, d, b);
+        assert!((worst - clean - diagnosis - window).abs() <= 1e-9 * worst);
+        // No faults tolerated, no diagnosis, nothing discarded.
+        assert_eq!(model_window_rerun_bits(4, 0, d, b), 0.0);
     }
 
     #[test]

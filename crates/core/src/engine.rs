@@ -1,8 +1,27 @@
 //! The multi-generation consensus engine (Theorem 1).
 //!
-//! Splits the `L`-bit input into `L/D` generations, runs Algorithm 1 per
-//! generation with a diagnosis graph carried across generations ("memory
+//! Splits the `L`-bit input into `L/D` generations, runs Algorithm 1 on
+//! them with a diagnosis graph carried across generations ("memory
 //! across generations", §2), and assembles the `L`-bit decision.
+//!
+//! Generations run in **windows** of up to [`GENERATION_WINDOW`]. A
+//! window runs the matching and checking stages of its generations
+//! together, under the diagnosis graph from its start: one symbol round
+//! and two `Broadcast_Single_Bit` batches for the whole window instead of
+//! per generation. Generations commit in order up to the first one with
+//! a detection, `g*`, which runs the diagnosis stage alone; generations
+//! `g* + 1` onward are discarded and the next window starts at `g* + 1`
+//! under the updated graph. Every committed generation therefore ran
+//! under the graph the one-generation-at-a-time algorithm gives it, and
+//! decides the same value.
+//!
+//! Cost: a fault-free run takes `⌈G/W⌉·(1 + 2b)` rounds instead of
+//! `G·(1 + 2b)` (`b` rounds per batch) and sends the same bits. Each
+//! diagnosis discards at most `W − 1` generations that already ran their
+//! matching and checking stages, and Theorem 1 caps diagnoses at
+//! `t(t + 1)`, so the worst case adds `(W − 1)·t(t + 1)` generations'
+//! matching-and-checking cost to Eq. (1) (see
+//! [`dsel::model_window_rerun_bits`](crate::dsel::model_window_rerun_bits)).
 
 use mvbc_bsb::{BsbDriver, PhaseKingDriver};
 use mvbc_netsim::NodeCtx;
@@ -10,8 +29,16 @@ use mvbc_rscode::StripedCode;
 
 use crate::config::ConsensusConfig;
 use crate::diag::DiagGraph;
-use crate::generation::{run_generation, GenerationOutcome};
+use crate::generation::{run_window, RunTags};
 use crate::hooks::ProtocolHooks;
+
+/// `W`: the most generations one window runs together.
+///
+/// Chosen from a sweep over `W ∈ {1, 2, 4, 8, 16, 32}` on the 1 MiB,
+/// `n = 7` workload: the smallest `W` within 10 % of the best
+/// throughput. [`ConsensusConfig::ablation_reset_diag`] runs with a
+/// window of 1, since its reset comes before every generation.
+pub const GENERATION_WINDOW: usize = 32;
 
 /// Per-node summary of one consensus execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,6 +51,9 @@ pub struct EngineReport {
     /// Generations fully executed (equals `cfg.generations()` unless the
     /// default decision of line 1(f) terminated the run early).
     pub generations_completed: usize,
+    /// Generations discarded after a diagnosis earlier in their window
+    /// and run again; at most `(W − 1)·diagnosis_invocations`.
+    pub generations_rerun: usize,
     /// Whether line 1(f) fired (fault-free inputs provably differed).
     pub defaulted: bool,
     /// Processors identified as faulty and isolated, ascending.
@@ -70,6 +100,20 @@ pub fn run_consensus_with(
     hooks: &mut dyn ProtocolHooks,
     bsb: &mut dyn BsbDriver,
 ) -> EngineReport {
+    let window = if cfg.ablation_reset_diag { 1 } else { GENERATION_WINDOW };
+    run_windowed(ctx, cfg, input, hooks, bsb, window)
+}
+
+/// [`run_consensus_with`] with windows of up to `window` generations.
+pub(crate) fn run_windowed(
+    ctx: &mut NodeCtx,
+    cfg: &ConsensusConfig,
+    input: &[u8],
+    hooks: &mut dyn ProtocolHooks,
+    bsb: &mut dyn BsbDriver,
+    window: usize,
+) -> EngineReport {
+    assert!(window >= 1, "a window holds at least one generation");
     assert_eq!(
         input.len(),
         cfg.value_bytes,
@@ -78,25 +122,24 @@ pub fn run_consensus_with(
     let d = cfg.resolved_gen_bytes();
     let generations = cfg.generations();
     let code = StripedCode::c2t(cfg.n, cfg.t, d).expect("validated parameters");
+    let tags = RunTags::new(window.min(generations));
+    let me = ctx.id();
     let mut diag = DiagGraph::new(cfg.n, cfg.t);
 
     let mut output: Vec<u8> = Vec::with_capacity(cfg.value_bytes);
     let mut diagnosis_invocations = 0u64;
-    let mut generations_completed = 0usize;
+    let mut generations_rerun = 0usize;
     let mut defaulted = false;
+    // The first generation not yet committed: each window starts here.
+    let mut next = 0usize;
 
-    for g in 0..generations {
-        if hooks.crash_before_generation(g) {
-            // Byzantine crash: stop participating. The returned output is
-            // meaningless (the processor is faulty by definition).
-            output.resize(cfg.value_bytes, cfg.default_byte);
-            break;
-        }
-        if diag.is_isolated(ctx.id()) {
-            // This processor has been identified as faulty; fault-free
-            // processors no longer communicate with it, so it cannot
-            // follow the protocol. Only a faulty processor can get here.
-            output.resize(cfg.value_bytes, cfg.default_byte);
+    while next < generations {
+        let gens = next..(next + window).min(generations);
+        if gens.clone().any(|g| hooks.crash_before_generation(g)) || diag.is_isolated(me) {
+            // A Byzantine crash (the processor stops participating), or
+            // this processor has been identified as faulty and fault-free
+            // processors no longer communicate with it. Either way only a
+            // faulty processor gets here, and its output is meaningless.
             break;
         }
 
@@ -105,31 +148,35 @@ pub fn run_consensus_with(
             // locations (disables the paper's memory across generations).
             diag = DiagGraph::new(cfg.n, cfg.t);
         }
-        hooks.observe_generation_start(g, ctx.id(), &diag);
+        let parts: Vec<Vec<u8>> = gens
+            .map(|g| {
+                hooks.observe_generation_start(g, me, &diag);
+                let start = g * d;
+                let end = ((g + 1) * d).min(cfg.value_bytes);
+                let mut part = input[start..end].to_vec();
+                part.resize(d, cfg.default_byte); // pad the final generation
+                hooks.input_override(g, &mut part);
+                part
+            })
+            .collect();
 
-        let start = g * d;
-        let end = ((g + 1) * d).min(cfg.value_bytes);
-        let mut part = input[start..end].to_vec();
-        part.resize(d, cfg.default_byte); // pad the final generation
-        hooks.input_override(g, &mut part);
-
-        let report = run_generation(ctx, cfg, &code, &mut diag, g, &part, hooks, bsb);
-        if report.diagnosis_ran {
-            diagnosis_invocations += 1;
+        let report = run_window(ctx, cfg, &code, &tags, &mut diag, next, &parts, hooks, bsb);
+        next += report.decided.len();
+        for value in &report.decided {
+            debug_assert_eq!(value.len(), d);
+            output.extend_from_slice(value);
         }
-        match report.outcome {
-            GenerationOutcome::Decided(v) => {
-                debug_assert_eq!(v.len(), d);
-                output.extend_from_slice(&v);
-                generations_completed += 1;
-            }
-            GenerationOutcome::NoMatch => {
-                // Line 1(f): decide the default value for this and all
-                // remaining generations and terminate.
-                defaulted = true;
-                output.resize(cfg.value_bytes, cfg.default_byte);
-                break;
-            }
+        if report.diagnosed {
+            // Generations after the diagnosed one ran under a graph that
+            // no longer holds: discard them and run them again.
+            diagnosis_invocations += 1;
+            generations_rerun += parts.len() - report.decided.len();
+        }
+        if report.no_match {
+            // Line 1(f): decide the default value for this and all
+            // remaining generations and terminate.
+            defaulted = true;
+            break;
         }
     }
     output.truncate(cfg.value_bytes);
@@ -140,9 +187,304 @@ pub fn run_consensus_with(
     EngineReport {
         output,
         diagnosis_invocations,
-        generations_completed,
+        generations_completed: next,
+        generations_rerun,
         defaulted,
         isolated,
         edges_removed,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Window equivalence: every window size decides what the
+    //! one-generation-at-a-time engine (`W = 1`) decides, under the same
+    //! diagnosis-graph updates.
+
+    use mvbc_bsb::BsbHooks;
+    use mvbc_metrics::{intern_tag, MetricsSink};
+    use mvbc_netsim::{run_simulation, NodeId, NodeLogic, SimConfig};
+
+    use super::*;
+    use crate::NoopHooks;
+
+    /// Test-local Byzantine behaviour, keyed by generation.
+    #[derive(Default, Clone)]
+    struct Script {
+        /// `(g, to)`: flip the matching-stage symbol sent to `to` in `g`.
+        corrupt: Vec<(usize, NodeId)>,
+        /// Claim a detection (as an outsider) in these generations.
+        false_detect: Vec<usize>,
+        /// Send malformed matching-stage symbols in every generation:
+        /// truncated, oversized or empty by `g mod 3`.
+        malformed: bool,
+    }
+
+    impl BsbHooks for Script {}
+
+    impl ProtocolHooks for Script {
+        fn matching_symbol(&mut self, g: usize, to: NodeId, payload: &mut Vec<u8>) -> bool {
+            if self.corrupt.contains(&(g, to)) {
+                payload.iter_mut().for_each(|b| *b ^= 0xFF);
+            }
+            if self.malformed {
+                match g % 3 {
+                    0 => payload.truncate(payload.len() / 2),
+                    1 => payload.extend_from_slice(&[0xAB; 5]),
+                    _ => payload.clear(),
+                }
+            }
+            true
+        }
+
+        fn detected_flag(&mut self, g: usize, flag: &mut bool) {
+            if self.false_detect.contains(&g) {
+                *flag = true;
+            }
+        }
+    }
+
+    /// Everything a run decides or learns, per node.
+    #[derive(Debug, PartialEq, Eq)]
+    struct Decisions {
+        outputs: Vec<Vec<u8>>,
+        diagnoses: Vec<u64>,
+        isolated: Vec<Vec<usize>>,
+        edges_removed: Vec<usize>,
+        defaulted: Vec<bool>,
+    }
+
+    struct Run {
+        decisions: Decisions,
+        reports: Vec<EngineReport>,
+        rounds: u64,
+        bits: u64,
+    }
+
+    fn run(
+        cfg: &ConsensusConfig,
+        inputs: &[Vec<u8>],
+        scripts: &[(NodeId, Script)],
+        window: usize,
+    ) -> Run {
+        let metrics = MetricsSink::new();
+        let logics: Vec<NodeLogic<EngineReport>> = (0..cfg.n)
+            .map(|id| {
+                let cfg = cfg.clone();
+                let input = inputs[id].clone();
+                let mut hooks: Box<dyn ProtocolHooks> =
+                    match scripts.iter().find(|(who, _)| *who == id) {
+                        Some((_, script)) => Box::new(script.clone()),
+                        None => NoopHooks::boxed(),
+                    };
+                Box::new(move |ctx: &mut NodeCtx| {
+                    run_windowed(ctx, &cfg, &input, hooks.as_mut(), &mut PhaseKingDriver, window)
+                }) as NodeLogic<EngineReport>
+            })
+            .collect();
+        let result = run_simulation(SimConfig::new(cfg.n), metrics.clone(), logics);
+        let reports = result.outputs;
+        Run {
+            decisions: Decisions {
+                outputs: reports.iter().map(|r| r.output.clone()).collect(),
+                diagnoses: reports.iter().map(|r| r.diagnosis_invocations).collect(),
+                isolated: reports.iter().map(|r| r.isolated.clone()).collect(),
+                edges_removed: reports.iter().map(|r| r.edges_removed).collect(),
+                defaulted: reports.iter().map(|r| r.defaulted).collect(),
+            },
+            reports,
+            rounds: result.rounds,
+            bits: metrics.snapshot().total_logical_bits(),
+        }
+    }
+
+    fn value(len: usize, seed: u8) -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_mul(31).wrapping_add(seed)).collect()
+    }
+
+    /// n = 4, t = 1, seven generations of 4 bytes.
+    fn small_cfg() -> ConsensusConfig {
+        ConsensusConfig::with_gen_bytes(4, 1, 28, 4).expect("valid parameters")
+    }
+
+    /// The window sizes under test for `g` generations.
+    fn windows(g: usize) -> [usize; 5] {
+        [1, 2, 3, g, g + 1]
+    }
+
+    /// Runs `scripts` at every window size and asserts each reproduces
+    /// `W = 1` on the honest nodes, within the rerun bound.
+    fn assert_window_equivalent(inputs: &[Vec<u8>], scripts: &[(NodeId, Script)]) -> Decisions {
+        let cfg = small_cfg();
+        let honest: Vec<usize> =
+            (0..cfg.n).filter(|id| scripts.iter().all(|(who, _)| who != id)).collect();
+        let only_honest = |d: Decisions| Decisions {
+            outputs: honest.iter().map(|&i| d.outputs[i].clone()).collect(),
+            diagnoses: honest.iter().map(|&i| d.diagnoses[i]).collect(),
+            isolated: honest.iter().map(|&i| d.isolated[i].clone()).collect(),
+            edges_removed: honest.iter().map(|&i| d.edges_removed[i]).collect(),
+            defaulted: honest.iter().map(|&i| d.defaulted[i]).collect(),
+        };
+        let reference = only_honest(run(&cfg, inputs, scripts, 1).decisions);
+        for w in windows(cfg.generations()) {
+            let got = run(&cfg, inputs, scripts, w);
+            for &i in &honest {
+                let r = &got.reports[i];
+                assert!(
+                    r.generations_rerun as u64 <= (w as u64 - 1) * r.diagnosis_invocations,
+                    "W = {w}: {} reruns for {} diagnoses",
+                    r.generations_rerun,
+                    r.diagnosis_invocations
+                );
+            }
+            assert_eq!(only_honest(got.decisions), reference, "W = {w}");
+        }
+        reference
+    }
+
+    #[test]
+    fn fault_free_windows_decide_the_same_in_fewer_rounds() {
+        let cfg = small_cfg();
+        let g = cfg.generations() as u64;
+        assert_eq!(g, 7);
+        let v = value(cfg.value_bytes, 3);
+        let inputs = vec![v.clone(); cfg.n];
+        let reference = run(&cfg, &inputs, &[], 1);
+        assert!(reference.decisions.outputs.iter().all(|o| *o == v));
+        // Per window: one symbol round plus two Phase-King batches of
+        // 1 + 3(t + 1) rounds each.
+        let b = 1 + 3 * (cfg.t as u64 + 1);
+        for w in windows(cfg.generations()) {
+            let got = run(&cfg, &inputs, &[], w);
+            assert_eq!(got.decisions, reference.decisions, "W = {w}");
+            assert_eq!(got.bits, reference.bits, "W = {w}: logical bits");
+            assert_eq!(got.rounds, g.div_ceil(w as u64) * (1 + 2 * b), "W = {w}: rounds");
+            assert!(got.reports.iter().all(|r| r.generations_rerun == 0));
+        }
+    }
+
+    #[test]
+    fn symbol_corruption_anywhere_in_a_window_matches_w1() {
+        let cfg = small_cfg();
+        let v = value(cfg.value_bytes, 5);
+        let inputs = vec![v.clone(); cfg.n];
+        // Generations 0, 1 and 2 are the start, middle and end of the
+        // first W = 3 window; 3 and 6 start later ones, and pairs put two
+        // corruptions in one window.
+        for corrupt in [vec![0], vec![1], vec![2], vec![3], vec![6], vec![1, 2], vec![0, 4, 5]] {
+            let script = Script {
+                corrupt: corrupt.iter().map(|&g| (g, 3)).collect(),
+                ..Script::default()
+            };
+            let d = assert_window_equivalent(&inputs, &[(0, script)]);
+            assert!(d.outputs.iter().all(|o| *o == v), "corrupt {corrupt:?}");
+            assert!(d.diagnoses[0] >= 1, "corrupt {corrupt:?} must be diagnosed");
+        }
+    }
+
+    #[test]
+    fn false_detection_at_a_window_end_matches_w1() {
+        let cfg = small_cfg();
+        let v = value(cfg.value_bytes, 9);
+        let inputs = vec![v.clone(); cfg.n];
+        // The last generation of a W = 2, a W = 3 and the W = G window.
+        for g in [1, 2, cfg.generations() - 1] {
+            // With every symbol intact the clique search settles on the
+            // lowest ids, P_match = {0, 1, 2}, so processor 3 is the
+            // outsider whose flag counts.
+            let script = Script { false_detect: vec![g], ..Script::default() };
+            let d = assert_window_equivalent(&inputs, &[(3, script)]);
+            assert!(d.outputs.iter().all(|o| *o == v), "false detect at {g}");
+            assert_eq!(d.diagnoses[0], 1, "false detect at {g} is diagnosed once");
+            assert_eq!(d.isolated[0], vec![3], "the false detector is isolated");
+        }
+    }
+
+    #[test]
+    fn no_match_mid_window_matches_w1() {
+        let cfg = small_cfg();
+        // Honest inputs agree on generations 0..3 and differ from
+        // generation 3 on: line 1(f) fires there, mid-window for W = 2
+        // and W = G.
+        let common = value(cfg.value_bytes, 1);
+        let inputs: Vec<Vec<u8>> = (0..cfg.n)
+            .map(|i| {
+                let mut v = common.clone();
+                v[3 * 4 + i] ^= 0x5A;
+                v
+            })
+            .collect();
+        let d = assert_window_equivalent(&inputs, &[]);
+        for out in &d.outputs {
+            assert_eq!(out[..12], common[..12], "generations before the mismatch commit");
+            assert!(out[12..].iter().all(|&b| b == cfg.default_byte), "then the default");
+        }
+        assert!(d.defaulted.iter().all(|&x| x));
+
+        // The same mismatch behind a diagnosed corruption in its window.
+        let script = Script { corrupt: vec![(1, 3)], ..Script::default() };
+        assert_window_equivalent(&inputs, &[(0, script)]);
+    }
+
+    #[test]
+    fn malformed_symbols_at_every_offset_are_bottom() {
+        // A faulty peer sends truncated, oversized and empty symbols in
+        // every generation, so every window offset sees each kind.
+        let cfg = small_cfg();
+        let v = value(cfg.value_bytes, 7);
+        let inputs = vec![v.clone(); cfg.n];
+        let script = Script { malformed: true, ..Script::default() };
+        let d = assert_window_equivalent(&inputs, &[(2, script)]);
+        assert!(d.outputs.iter().all(|o| *o == v));
+    }
+
+    #[test]
+    fn raw_peer_symbols_at_every_offset_are_bottom() {
+        // A raw peer that never runs the engine: in round 0 it sends a
+        // truncated, an oversized and an empty payload under every
+        // offset's symbol tag, then stops.
+        let cfg = small_cfg();
+        let g = cfg.generations();
+        let v = value(cfg.value_bytes, 11);
+        for w in windows(g) {
+            let logics: Vec<NodeLogic<Option<EngineReport>>> = (0..cfg.n)
+                .map(|id| {
+                    let cfg = cfg.clone();
+                    let v = v.clone();
+                    Box::new(move |ctx: &mut NodeCtx| {
+                        if id != 1 {
+                            let report = run_windowed(
+                                ctx,
+                                &cfg,
+                                &v,
+                                &mut NoopHooks,
+                                &mut PhaseKingDriver,
+                                w,
+                            );
+                            return Some(report);
+                        }
+                        for k in 0..w.min(g) {
+                            let tag = match k {
+                                0 => "consensus.matching.symbol",
+                                k => intern_tag(&format!("consensus.matching.symbol.w{k}")),
+                            };
+                            let payloads: [&[u8]; 3] = [&[0x01], &[0xEE; 64], &[]];
+                            for to in (0..cfg.n).filter(|&to| to != id) {
+                                ctx.send(to, tag, payloads[(k + to) % 3].to_vec(), 8);
+                            }
+                        }
+                        ctx.end_round();
+                        None
+                    }) as NodeLogic<Option<EngineReport>>
+                })
+                .collect();
+            let result = run_simulation(SimConfig::new(cfg.n), MetricsSink::new(), logics);
+            for (id, report) in result.outputs.iter().enumerate() {
+                if id != 1 {
+                    let report = report.as_ref().expect("honest nodes report");
+                    assert_eq!(report.output, v, "W = {w}: node {id}");
+                }
+            }
+        }
     }
 }

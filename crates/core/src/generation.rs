@@ -1,4 +1,7 @@
-//! One generation of Algorithm 1: matching, checking and diagnosis stages.
+//! One window of Algorithm 1: the matching and checking stages of up to
+//! [`GENERATION_WINDOW`](crate::GENERATION_WINDOW) consecutive
+//! generations, and the diagnosis stage of the first generation that
+//! needs one.
 //!
 //! The line numbers in comments refer to the pseudo-code of Algorithm 1 in
 //! the paper (§3). All control information flows through
@@ -6,8 +9,21 @@
 //! `P_match`, the same `Detected` flags, the same `R#`, the same `Trust`
 //! vectors — and therefore makes the same decisions and the same diagnosis
 //! graph updates.
+//!
+//! Generations share only the diagnosis graph, and only the diagnosis
+//! stage changes it. A window therefore runs its generations' matching
+//! and checking stages side by side under the graph from the window's
+//! start: one symbol round carries every generation's symbols (one
+//! message per generation per trusted ordered pair), one
+//! `Broadcast_Single_Bit` batch every generation's `M` vectors and one
+//! more every generation's `Detected` flags. Generations commit in order
+//! up to the first one with a detection, which alone runs the diagnosis
+//! stage; the generations after it are discarded and run again in the
+//! next window under the updated graph — the graph the
+//! one-generation-at-a-time algorithm would have given them.
 
-use mvbc_bsb::{BsbConfig, BsbDriver, BsbInstance, BsbValueSpec};
+use mvbc_bsb::{BsbConfig, BsbDriver, BsbInstance, BsbValueSpec, SessionTags};
+use mvbc_metrics::intern_tag;
 use mvbc_netsim::bits::{pack_bits, unpack_bits};
 use mvbc_netsim::NodeCtx;
 use mvbc_rscode::{StripedCode, Symbol};
@@ -17,7 +33,8 @@ use crate::config::ConsensusConfig;
 use crate::diag::DiagGraph;
 use crate::hooks::ProtocolHooks;
 
-/// Message tag for the matching-stage symbol dispersal (line 1(a)).
+/// Message tag for the matching-stage symbol dispersal (line 1(a)) of a
+/// window's first generation; offset `k > 0` appends `.w<k>`.
 const TAG_SYMBOL: &str = "consensus.matching.symbol";
 /// BSB session for the `M` vectors (line 1(d)).
 const SESSION_M: &str = "consensus.matching.m";
@@ -28,47 +45,227 @@ const SESSION_RSHARP: &str = "consensus.diagnosis.rsharp";
 /// BSB session for the `Trust` vectors (line 3(d)).
 const SESSION_TRUST: &str = "consensus.diagnosis.trust";
 
-/// The decision of one generation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GenerationOutcome {
-    /// Consensus achieved on this `D`-byte generation value.
-    Decided(Vec<u8>),
-    /// No `P_match` exists: the fault-free inputs provably differ and the
-    /// algorithm decides the default value (line 1(f)).
-    NoMatch,
+/// The wire tags of one consensus run, interned once per run.
+pub(crate) struct RunTags {
+    /// The symbol tag of each window offset.
+    symbol: Vec<&'static str>,
+    m: SessionTags,
+    detected: SessionTags,
 }
 
-/// What happened during one generation (consumed by experiments).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GenerationReport {
-    /// The decision.
-    pub outcome: GenerationOutcome,
-    /// Whether the diagnosis stage executed (misbehaviour was detected).
-    pub diagnosis_ran: bool,
-    /// The matching set, when one was found.
-    pub p_match: Option<Vec<usize>>,
-    /// Undirected edges removed from the diagnosis graph this generation.
-    pub edges_removed: Vec<(usize, usize)>,
-    /// Processors newly isolated this generation.
-    pub newly_isolated: Vec<usize>,
+impl RunTags {
+    /// Tags for windows of up to `window` generations.
+    pub(crate) fn new(window: usize) -> Self {
+        let symbol = (0..window)
+            .map(|k| if k == 0 { TAG_SYMBOL } else { intern_tag(&format!("{TAG_SYMBOL}.w{k}")) })
+            .collect();
+        RunTags {
+            symbol,
+            m: SessionTags::derive(SESSION_M),
+            detected: SessionTags::derive(SESSION_DETECTED),
+        }
+    }
 }
 
-/// Executes Algorithm 1 for one generation.
+/// What one window committed.
+pub(crate) struct WindowReport {
+    /// Decided `D`-byte values of the committed generations, in order
+    /// from the window's first generation.
+    pub decided: Vec<Vec<u8>>,
+    /// The last committed generation ran the diagnosis stage; the
+    /// window's later generations were discarded.
+    pub diagnosed: bool,
+    /// Line 1(f) fired for the generation after the last committed one:
+    /// the run decides the default value from there on.
+    pub no_match: bool,
+}
+
+/// One generation that found its `P_match` (lines 1(a)-(e)).
+struct Matched {
+    /// This processor's codeword of its input part.
+    symbols: Vec<Symbol>,
+    /// Line 1(b)'s symbols; `None` is ⊥.
+    received: Vec<Option<Symbol>>,
+    p_match: Vec<usize>,
+    in_match: Vec<bool>,
+    /// Active processors outside `P_match`, ascending.
+    outsiders: Vec<usize>,
+    /// The symbols this processor holds from trusted members of
+    /// `P_match` (the set X in the paper's Lemma 4 case 2a).
+    my_x: Vec<(usize, Symbol)>,
+}
+
+/// Executes one window of Algorithm 1: generations
+/// `first..first + parts.len()`, where `parts[k]` is this processor's
+/// `D`-byte input part for generation `first + k`.
 ///
 /// All fault-free processors must call this in the same round with equal
-/// `cfg`, `code`, a diagnosis graph in the same state, and `g`; `my_part`
-/// is this processor's `D`-byte input part for generation `g`.
+/// `cfg`, `code`, a diagnosis graph in the same state, `first` and
+/// window length.
 #[allow(clippy::too_many_arguments)] // one call site; mirrors the paper's per-generation state
-pub(crate) fn run_generation(
+pub(crate) fn run_window(
+    ctx: &mut NodeCtx,
+    cfg: &ConsensusConfig,
+    code: &StripedCode,
+    tags: &RunTags,
+    diag: &mut DiagGraph,
+    first: usize,
+    parts: &[Vec<u8>],
+    hooks: &mut dyn ProtocolHooks,
+    bsb: &mut dyn BsbDriver,
+) -> WindowReport {
+    let n = cfg.n;
+    let t = cfg.t;
+    let me = ctx.id();
+    let active = diag.active_ids();
+    let participants = diag.participants();
+    let stripes = code.layout().stripes;
+
+    // ------------------------------------------------------------------
+    // Matching stage
+    // ------------------------------------------------------------------
+
+    // 1(a): encode each generation's value and send own symbol to every
+    // trusted processor, one message per generation.
+    let codewords: Vec<Vec<Symbol>> = parts
+        .iter()
+        .map(|part| code.encode_value(part).expect("generation part has the configured size"))
+        .collect();
+    if participants[me] {
+        for (k, symbols) in codewords.iter().enumerate() {
+            for j in 0..n {
+                if j == me || !diag.trusts(me, j) {
+                    continue;
+                }
+                let mut payload = symbols[me].to_bytes();
+                if hooks.matching_symbol(first + k, j, &mut payload) {
+                    ctx.send(j, tags.symbol[k], payload, code.symbol_bits());
+                }
+            }
+        }
+    }
+    let mut inbox = ctx.end_round();
+
+    // 1(b): receive symbols; untrusted senders and malformed payloads
+    // become the distinguished symbol ⊥ (None), per generation.
+    // 1(c): match flags against the local codeword.
+    let mut received_all: Vec<Vec<Option<Symbol>>> = Vec::with_capacity(parts.len());
+    let mut m_specs: Vec<BsbValueSpec> = Vec::with_capacity(parts.len() * active.len());
+    for (k, symbols) in codewords.iter().enumerate() {
+        let mut received: Vec<Option<Symbol>> = vec![None; n];
+        received[me] = Some(symbols[me].clone());
+        for (j, slot) in received.iter_mut().enumerate() {
+            if j == me || !diag.trusts(me, j) {
+                continue;
+            }
+            *slot = inbox
+                .take(j, tags.symbol[k])
+                .and_then(|b| Symbol::from_bytes(&b, stripes, code.symbol_bits()));
+        }
+        let mut m: Vec<bool> = (0..n)
+            .map(|j| j == me || (diag.trusts(me, j) && received[j].as_ref() == Some(&symbols[j])))
+            .collect();
+        hooks.m_vector(first + k, &mut m);
+        m_specs.extend(active.iter().map(|&src| BsbValueSpec {
+            source: src,
+            bits: n,
+            input: (src == me).then(|| m.clone()),
+        }));
+        received_all.push(received);
+    }
+
+    // 1(d): broadcast every generation's M_i in one Broadcast_Single_Bit
+    // batch (one instance per bit); isolated processors neither broadcast
+    // nor are broadcast to.
+    let bsb_m = BsbConfig::with_tags(t, SESSION_M, tags.m, participants.clone());
+    let m_broadcast = bsb.run_values(ctx, &bsb_m, &m_specs, &mut *hooks);
+
+    // 1(e): find P_match of size n - t with pairwise true M flags. 1(f):
+    // no P_match means the fault-free inputs differ, and the window stops
+    // at that generation.
+    let mut matched: Vec<Matched> = Vec::with_capacity(parts.len());
+    for ((symbols, received), m_rows) in
+        codewords.into_iter().zip(received_all).zip(m_broadcast.chunks(active.len()))
+    {
+        let mut m_all: Vec<&[bool]> = vec![&[]; n];
+        for (&src, row) in active.iter().zip(m_rows) {
+            m_all[src] = row;
+        }
+        let Some(p_match) = find_clique_of_size(&active, n - t, |a, b| m_all[a][b] && m_all[b][a])
+        else {
+            break;
+        };
+        let mut in_match = vec![false; n];
+        for &j in &p_match {
+            in_match[j] = true;
+        }
+        let outsiders = active.iter().copied().filter(|&j| !in_match[j]).collect();
+        let my_x = p_match.iter().filter_map(|&j| received[j].clone().map(|s| (j, s))).collect();
+        matched.push(Matched { symbols, received, p_match, in_match, outsiders, my_x });
+    }
+    let no_match = matched.len() < parts.len();
+    if matched.is_empty() {
+        return WindowReport { decided: Vec::new(), diagnosed: false, no_match };
+    }
+
+    // ------------------------------------------------------------------
+    // Checking stage
+    // ------------------------------------------------------------------
+
+    // 2(a)/2(b): processors outside P_match check consistency and
+    // broadcast their 1-bit verdicts, every generation's in one batch.
+    let mut det_instances: Vec<BsbInstance> = Vec::new();
+    for (k, gen) in matched.iter().enumerate() {
+        let mut detected = false;
+        if !gen.in_match[me] {
+            detected = !code.is_consistent(&gen.my_x).expect("received positions are valid");
+            hooks.detected_flag(first + k, &mut detected);
+        }
+        det_instances.extend(gen.outsiders.iter().map(|&src| BsbInstance {
+            source: src,
+            input: (src == me).then_some(detected),
+        }));
+    }
+    let bsb_det = BsbConfig::with_tags(t, SESSION_DETECTED, tags.detected, participants);
+    let det_flags = bsb.run_batch(ctx, &bsb_det, &det_instances, &mut *hooks);
+
+    // 2(c): generations in which nobody detected an inconsistency decode
+    // from the symbols at hand. (For a fault-free processor this succeeds
+    // and all fault-free processors obtain the same value, Lemma 3; only
+    // a *faulty* processor can reach the fallback.) The first generation
+    // with a detection runs the diagnosis stage and ends the window.
+    let mut decided: Vec<Vec<u8>> = Vec::with_capacity(matched.len());
+    let mut flags = det_flags.as_slice();
+    for (k, gen) in matched.iter().enumerate() {
+        let (gen_flags, rest) = flags.split_at(gen.outsiders.len());
+        flags = rest;
+        if gen_flags.iter().any(|&d| d) {
+            decided.push(diagnose(ctx, cfg, code, diag, first + k, gen, gen_flags, hooks, bsb));
+            return WindowReport { decided, diagnosed: true, no_match: false };
+        }
+        decided.push(
+            code.decode_value(&gen.my_x)
+                .unwrap_or_else(|_| vec![cfg.default_byte; code.layout().value_bytes]),
+        );
+    }
+    WindowReport { decided, diagnosed: false, no_match }
+}
+
+/// The diagnosis stage (lines 3(a)-(i)) of generation `g`, whose checking
+/// stage returned `det_flags` (aligned with `gen.outsiders`); updates
+/// `diag` and returns the generation's decided value.
+#[allow(clippy::too_many_arguments)] // one call site; mirrors the paper's per-generation state
+fn diagnose(
     ctx: &mut NodeCtx,
     cfg: &ConsensusConfig,
     code: &StripedCode,
     diag: &mut DiagGraph,
     g: usize,
-    my_part: &[u8],
+    gen: &Matched,
+    det_flags: &[bool],
     hooks: &mut dyn ProtocolHooks,
     bsb: &mut dyn BsbDriver,
-) -> GenerationReport {
+) -> Vec<u8> {
     let n = cfg.n;
     let t = cfg.t;
     let me = ctx.id();
@@ -76,145 +273,13 @@ pub(crate) fn run_generation(
     let participants = diag.participants();
     let stripes = code.layout().stripes;
     let sym_wire_bits = stripes * 16;
-
-    // ------------------------------------------------------------------
-    // Matching stage
-    // ------------------------------------------------------------------
-
-    // 1(a): encode the generation value and send own symbol to every
-    // trusted processor.
-    let symbols = code
-        .encode_value(my_part)
-        .expect("generation part has the configured size");
-    if participants[me] {
-        for j in 0..n {
-            if j == me || !diag.trusts(me, j) {
-                continue;
-            }
-            let mut payload = symbols[me].to_bytes();
-            if hooks.matching_symbol(g, j, &mut payload) {
-                ctx.send(j, TAG_SYMBOL, payload, code.symbol_bits());
-            }
-        }
-    }
-    let mut inbox = ctx.end_round();
-
-    // 1(b): receive symbols; untrusted senders and malformed payloads
-    // become the distinguished symbol ⊥ (None).
-    let mut received: Vec<Option<Symbol>> = vec![None; n];
-    received[me] = Some(symbols[me].clone());
-    for (j, slot) in received.iter_mut().enumerate() {
-        if j == me || !diag.trusts(me, j) {
-            continue;
-        }
-        *slot = inbox
-            .take(j, TAG_SYMBOL)
-            .and_then(|b| Symbol::from_bytes(&b, stripes, code.symbol_bits()));
-    }
-
-    // 1(c): match flags against the local codeword.
-    let mut m: Vec<bool> = (0..n)
-        .map(|j| j == me || (diag.trusts(me, j) && received[j].as_ref() == Some(&symbols[j])))
-        .collect();
-    hooks.m_vector(g, &mut m);
-
-    // 1(d): broadcast M_i with Broadcast_Single_Bit (one instance per
-    // bit); isolated processors neither broadcast nor are broadcast to.
-    let bsb_m = BsbConfig::new(t, SESSION_M, participants.clone());
-    let m_specs: Vec<BsbValueSpec> = active
-        .iter()
-        .map(|&src| BsbValueSpec {
-            source: src,
-            bits: n,
-            input: (src == me).then(|| m.clone()),
-        })
-        .collect();
-    let m_broadcast = bsb.run_values(ctx, &bsb_m, &m_specs, &mut *hooks);
-    let mut m_all: Vec<Vec<bool>> = vec![vec![false; n]; n];
-    for (idx, &src) in active.iter().enumerate() {
-        m_all[src].clone_from(&m_broadcast[idx]);
-    }
-
-    // 1(e): find P_match of size n - t with pairwise true M flags.
-    let p_match = find_clique_of_size(&active, n - t, |a, b| m_all[a][b] && m_all[b][a]);
-
-    // 1(f): no P_match => fault-free inputs differ; decide default.
-    let Some(p_match) = p_match else {
-        return GenerationReport {
-            outcome: GenerationOutcome::NoMatch,
-            diagnosis_ran: false,
-            p_match: None,
-            edges_removed: Vec::new(),
-            newly_isolated: Vec::new(),
-        };
-    };
-    let mut in_match = vec![false; n];
-    for &j in &p_match {
-        in_match[j] = true;
-    }
-
-    // ------------------------------------------------------------------
-    // Checking stage
-    // ------------------------------------------------------------------
-
-    // The symbols this processor holds from trusted members of P_match
-    // (the set X in the paper's Lemma 4 case 2a).
-    let my_x: Vec<(usize, Symbol)> = p_match
-        .iter()
-        .filter_map(|&j| received[j].clone().map(|s| (j, s)))
-        .collect();
-
-    // 2(a)/2(b): processors outside P_match check consistency and
-    // broadcast their 1-bit verdicts.
-    let outsiders: Vec<usize> = active.iter().copied().filter(|&j| !in_match[j]).collect();
-    let mut detected = if !in_match[me] {
-        !code
-            .is_consistent(&my_x)
-            .expect("received positions are valid")
-    } else {
-        false
-    };
-    if !in_match[me] {
-        hooks.detected_flag(g, &mut detected);
-    }
-    let bsb_det = BsbConfig::new(t, SESSION_DETECTED, participants.clone());
-    let det_instances: Vec<BsbInstance> = outsiders
-        .iter()
-        .map(|&src| BsbInstance {
-            source: src,
-            input: (src == me).then_some(detected),
-        })
-        .collect();
-    let det_flags = bsb.run_batch(ctx, &bsb_det, &det_instances, &mut *hooks);
-    let any_detected = det_flags.iter().any(|&d| d);
-
-    // 2(c): nobody detected an inconsistency — decode from the symbols at
-    // hand. (For a fault-free processor this succeeds and all fault-free
-    // processors obtain the same value, Lemma 3; only a *faulty*
-    // processor can reach the fallback.)
-    if !any_detected {
-        let value = code
-            .decode_value(&my_x)
-            .unwrap_or_else(|_| vec![cfg.default_byte; code.layout().value_bytes]);
-        return GenerationReport {
-            outcome: GenerationOutcome::Decided(value),
-            diagnosis_ran: false,
-            p_match: Some(p_match),
-            edges_removed: Vec::new(),
-            newly_isolated: Vec::new(),
-        };
-    }
-
-    // ------------------------------------------------------------------
-    // Diagnosis stage
-    // ------------------------------------------------------------------
+    let Matched { symbols, received, p_match, in_match, outsiders, .. } = gen;
 
     // 3(a)/3(b): every member of P_match broadcasts the symbol it sent in
     // the matching stage (one Broadcast_Single_Bit per bit); R#[j] is the
     // common result.
-    let my_sym_bits: Vec<bool> = unpack_bits(&symbols[me].to_bytes(), sym_wire_bits)
+    let mut my_sym_bits: Vec<bool> = unpack_bits(&symbols[me].to_bytes(), sym_wire_bits)
         .expect("symbol serialisation is self-consistent");
-    let mut my_sym_bits = my_sym_bits;
     if in_match[me] {
         hooks.diagnosis_symbol_bits(g, &mut my_sym_bits);
     }
@@ -247,7 +312,7 @@ pub(crate) fn run_generation(
 
     // 3(d): broadcast Trust_i / P_match from every (non-isolated)
     // processor.
-    let bsb_trust = BsbConfig::new(t, SESSION_TRUST, participants.clone());
+    let bsb_trust = BsbConfig::new(t, SESSION_TRUST, participants);
     let trust_specs: Vec<BsbValueSpec> = active
         .iter()
         .map(|&src| BsbValueSpec {
@@ -260,7 +325,6 @@ pub(crate) fn run_generation(
 
     // 3(e): remove accused edges. All processors hold identical
     // trust_all, so they remove identical edges.
-    let mut edges_removed: Vec<(usize, usize)> = Vec::new();
     let mut edge_removed_at = vec![false; n];
     for (ai, &i) in active.iter().enumerate() {
         for (pj, &j) in p_match.iter().enumerate() {
@@ -271,7 +335,6 @@ pub(crate) fn run_generation(
                 diag.remove_edge(i, j);
                 edge_removed_at[i] = true;
                 edge_removed_at[j] = true;
-                edges_removed.push((i.min(j), i.max(j)));
             }
         }
     }
@@ -282,25 +345,21 @@ pub(crate) fn run_generation(
     let rsharp_consistent = code
         .is_consistent(&rsharp)
         .expect("broadcast positions are valid");
-    let mut newly_isolated: Vec<usize> = Vec::new();
     if rsharp_consistent {
         for (oi, &j) in outsiders.iter().enumerate() {
             if det_flags[oi] && !edge_removed_at[j] && !diag.is_isolated(j) {
                 diag.isolate(j);
-                newly_isolated.push(j);
             }
         }
     }
 
     // 3(g): the cumulative t + 1 rule.
-    newly_isolated.extend(diag.enforce_isolation());
-    newly_isolated.sort_unstable();
-    newly_isolated.dedup();
+    diag.enforce_isolation();
 
     // 3(h): P_decide ⊂ P_match of size n - 2t, pairwise trusting in the
     // updated graph (existence guaranteed by Lemma 5: the ≥ n - 2t
     // fault-free members of P_match always trust each other).
-    let p_decide = find_clique_of_size(&p_match, n - 2 * t, |a, b| diag.trusts(a, b))
+    let p_decide = find_clique_of_size(p_match, n - 2 * t, |a, b| diag.trusts(a, b))
         .expect("Lemma 5: P_decide always exists");
 
     // 3(i): decide on the broadcast symbols of P_decide. For a fault-free
@@ -311,15 +370,6 @@ pub(crate) fn run_generation(
         .filter(|(j, _)| p_decide.contains(j))
         .cloned()
         .collect();
-    let value = code
-        .decode_value(&decide_pairs)
-        .unwrap_or_else(|_| vec![cfg.default_byte; code.layout().value_bytes]);
-
-    GenerationReport {
-        outcome: GenerationOutcome::Decided(value),
-        diagnosis_ran: true,
-        p_match: Some(p_match),
-        edges_removed,
-        newly_isolated,
-    }
+    code.decode_value(&decide_pairs)
+        .unwrap_or_else(|_| vec![cfg.default_byte; code.layout().value_bytes])
 }

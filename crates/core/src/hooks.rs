@@ -17,9 +17,42 @@ use crate::diag::DiagGraph;
 ///
 /// All methods default to honest no-ops. Slices/vectors are mutated in
 /// place; indices refer to processor ids except where noted.
+///
+/// # Call order
+///
+/// The engine runs generations in windows of up to
+/// [`GENERATION_WINDOW`](crate::GENERATION_WINDOW) (see the crate
+/// documentation's *Windows* section), and the calls for a window's
+/// generations are interleaved stage by stage:
+///
+/// 1. [`crash_before_generation`](Self::crash_before_generation) for each
+///    generation of the window in order, until one returns `true` (the
+///    processor then crashes at the window's start);
+/// 2. [`observe_generation_start`](Self::observe_generation_start) and
+///    [`input_override`](Self::input_override) per generation — every
+///    generation sees the diagnosis graph of the window's start;
+/// 3. [`matching_symbol`](Self::matching_symbol) for every generation,
+///    then [`m_vector`](Self::m_vector) for every generation, then one
+///    `Broadcast_Single_Bit` batch (the [`BsbHooks`] calls) for all of
+///    them;
+/// 4. [`detected_flag`](Self::detected_flag) for each generation before
+///    the first without a `P_match` in which this processor is outside
+///    `P_match`, then one batch for all those generations' flags;
+/// 5. [`diagnosis_symbol_bits`](Self::diagnosis_symbol_bits) and
+///    [`trust_vector`](Self::trust_vector), with their batches, for the
+///    first generation with a detection, if any.
+///
+/// A diagnosis discards the window's later generations, which the next
+/// window runs again: their hooks are called again, under the updated
+/// graph. A strategy whose behaviour in generation `g` should match the
+/// one-generation-at-a-time algorithm must therefore key its state by
+/// the `g` argument, not by call order. BSB-level hooks carry no
+/// generation, and one batch serves the whole window.
 pub trait ProtocolHooks: BsbHooks {
     /// Observation point: called at the start of every generation with
-    /// this processor's id and the current diagnosis graph. The paper's
+    /// this processor's id and the current diagnosis graph (the graph at
+    /// the start of the generation's window, which is the graph the
+    /// generation runs under). The paper's
     /// adversary has complete knowledge of all state (§1, "no secret is
     /// hidden from the adversary"); adaptive strategies use this to plan
     /// which edges to sacrifice.
@@ -65,8 +98,9 @@ pub trait ProtocolHooks: BsbHooks {
         let _ = (g, trust);
     }
 
-    /// Called at the start of generation `g`; returning `true` makes the
-    /// processor crash (stop participating permanently).
+    /// Called before generation `g`'s window starts; returning `true`
+    /// makes the processor crash (stop participating permanently) at the
+    /// start of that window.
     fn crash_before_generation(&mut self, g: usize) -> bool {
         let _ = g;
         false

@@ -33,6 +33,24 @@
 //!    edge adjacent to a faulty processor. After at most `t(t+1)`
 //!    diagnoses all faulty processors are identified and isolated.
 //!
+//! # Windows
+//!
+//! Generations share only the diagnosis graph, and only the diagnosis
+//! stage changes it, so the engine runs up to [`GENERATION_WINDOW`]
+//! generations' matching and checking stages together: one symbol round
+//! (one message per generation per trusted pair) and one
+//! `Broadcast_Single_Bit` batch each for the `M` vectors and the
+//! `Detected` flags, all under the graph from the window's start.
+//! Generations commit in order up to the first with a detection, which
+//! runs the diagnosis stage alone; the window's later generations are
+//! discarded and run again under the updated graph, so every committed
+//! generation decides what the one-generation-at-a-time algorithm would.
+//! A fault-free run takes `⌈G/W⌉` windows' rounds instead of `G`
+//! generations' and sends the same bits; under attack each diagnosis
+//! discards at most `W − 1` generations, the worst-case term
+//! [`dsel::model_window_rerun_bits`] adds to Eq. (1).
+//! [`ProtocolHooks`] documents the resulting call order.
+//!
 //! # Examples
 //!
 //! Four processors (tolerating one Byzantine fault) agree on a 1 KiB
@@ -66,7 +84,6 @@ mod runner;
 pub use clique::find_clique_of_size;
 pub use config::{ConfigError, ConsensusConfig};
 pub use diag::DiagGraph;
-pub use engine::{run_consensus, run_consensus_with, EngineReport};
-pub use generation::{GenerationOutcome, GenerationReport};
+pub use engine::{run_consensus, run_consensus_with, EngineReport, GENERATION_WINDOW};
 pub use hooks::{NoopHooks, ProtocolHooks};
 pub use runner::{simulate_consensus, simulate_consensus_traced, simulate_consensus_with, ConsensusRun};

@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("honest coordinator: every processor received the {file_len}-byte file ✓");
     println!(
         "  cost: {:.0} bits = {:.2}x the (n-1)·L lower bound \
-         (companion TR achieves 1.5x; see DESIGN.md §2)",
+         (companion TR achieves 1.5x; see README.md, Substitutions)",
         total,
         total / lower_bound
     );

@@ -89,6 +89,6 @@ fn main() {
     println!("behaviour-preserving (§4); only the B-priced control traffic and the");
     println!("round count change. Phase-King and EIG are error-free for t < n/3;");
     println!("Dolev-Strong additionally covers t >= n/3 at the broadcast layer under");
-    println!("the idealised-signature assumption (see DESIGN.md §2 for the Lemma 5");
+    println!("the idealised-signature assumption (see README.md, Substitutions, for the Lemma 5");
     println!("caveat on end-to-end resilience).");
 }

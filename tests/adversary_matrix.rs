@@ -4,6 +4,11 @@
 //! Consistency + Validity for fault-free processors, keep the diagnosis
 //! count within Theorem 1's bound, and never isolate a fault-free
 //! processor.
+//!
+//! The single-strategy sweeps also pin each cell's outcome — the first
+//! honest node's `(diagnosis_invocations, isolated, edges_removed)` — to
+//! what the one-generation-at-a-time engine produced: the windowed engine
+//! must run every committed generation under the same diagnosis graph.
 
 use mvbc_adversary::{
     BsbEquivocator, CorruptDiagnosisSymbol, CorruptSymbolTo, CrashAt, Deadline,
@@ -61,7 +66,79 @@ const ALL_STRATEGIES: &[&str] = &[
     "deadline_random",
 ];
 
-fn run_and_check(n: usize, t: usize, l: usize, d: usize, team: &[(usize, &str)]) {
+/// The first honest node's `(diagnosis_invocations, isolated,
+/// edges_removed)`.
+type Cell = (u64, &'static [usize], usize);
+
+/// Strategies whose cells may differ from the one-generation-at-a-time
+/// engine and are held to the property checks only: `RandomAdversary`
+/// draws in hook-call order, which the window interleaves, and a crash
+/// moves to the start of its window.
+const UNPINNED: &[&str] = &["random", "deadline_random", "crash_mid"];
+
+/// `every_strategy_every_position_n4`'s cells, per strategy and position
+/// 0..4, as the one-generation-at-a-time engine produced them.
+const CELLS_N4: &[(&str, [Cell; 4])] = &[
+    ("silent", [(0, &[], 0), (0, &[], 0), (0, &[], 0), (0, &[], 0)]),
+    ("crash_mid", [(0, &[], 0), (0, &[], 0), (0, &[], 0), (0, &[], 0)]),
+    ("corrupt_low", [(0, &[], 0), (0, &[], 0), (0, &[], 0), (0, &[], 0)]),
+    ("corrupt_high", [(1, &[], 1), (1, &[], 1), (1, &[], 1), (0, &[], 0)]),
+    ("equivocate", [(0, &[], 0), (1, &[], 1), (0, &[], 0), (0, &[], 0)]),
+    ("lie_m_true", [(0, &[], 0), (0, &[], 0), (0, &[], 0), (0, &[], 0)]),
+    ("lie_m_false", [(0, &[], 0), (0, &[], 0), (0, &[], 0), (0, &[], 0)]),
+    ("false_detect", [(0, &[], 0), (0, &[], 0), (0, &[], 0), (1, &[3], 3)]),
+    ("lie_trust", [(0, &[], 0), (0, &[], 0), (0, &[], 0), (1, &[3], 3)]),
+    ("corrupt_diag", [(0, &[], 0), (0, &[], 0), (0, &[], 0), (1, &[3], 3)]),
+    ("bsb_equivocate", [(0, &[], 0), (0, &[], 0), (0, &[], 0), (1, &[3], 3)]),
+    ("king_liar", [(0, &[], 0), (0, &[], 0), (0, &[], 0), (0, &[], 0)]),
+    ("shifted_input", [(0, &[], 0), (0, &[], 0), (0, &[], 0), (0, &[], 0)]),
+    ("random", [(1, &[0], 3), (1, &[], 1), (1, &[], 1), (1, &[], 1)]),
+    ("sleeper_corrupt", [(1, &[], 1), (1, &[], 1), (1, &[], 1), (0, &[], 0)]),
+    ("sleeper_equivocate", [(0, &[], 0), (1, &[], 1), (0, &[], 0), (0, &[], 0)]),
+    ("deadline_corrupt", [(1, &[], 1), (1, &[], 1), (1, &[], 1), (0, &[], 0)]),
+    ("deadline_random", [(2, &[0], 3), (1, &[1], 3), (1, &[2], 3), (1, &[3], 3)]),
+];
+
+/// `every_strategy_once_n7`'s cells, per strategy (at position
+/// `i mod 7`), as the one-generation-at-a-time engine produced them.
+const CELLS_N7: &[(&str, Cell)] = &[
+    ("silent", (0, &[], 0)),
+    ("crash_mid", (0, &[], 0)),
+    ("corrupt_low", (0, &[], 0)),
+    ("corrupt_high", (1, &[], 1)),
+    ("equivocate", (0, &[], 0)),
+    ("lie_m_true", (0, &[], 0)),
+    ("lie_m_false", (0, &[], 0)),
+    ("false_detect", (0, &[], 0)),
+    ("lie_trust", (0, &[], 0)),
+    ("corrupt_diag", (0, &[], 0)),
+    ("bsb_equivocate", (0, &[], 0)),
+    ("king_liar", (0, &[], 0)),
+    ("shifted_input", (0, &[], 0)),
+    ("random", (0, &[], 0)),
+    ("sleeper_corrupt", (1, &[], 1)),
+    ("sleeper_equivocate", (1, &[], 2)),
+    ("deadline_corrupt", (1, &[], 1)),
+    ("deadline_random", (2, &[3], 6)),
+];
+
+fn assert_cell(name: &str, pos: usize, got: (u64, Vec<usize>, usize), pinned: &Cell) {
+    if UNPINNED.contains(&name) {
+        return;
+    }
+    let want = (pinned.0, pinned.1.to_vec(), pinned.2);
+    assert_eq!(got, want, "{name} at {pos}: (diagnoses, isolated, edges removed)");
+}
+
+/// Runs one team against unanimous inputs, checks the safety properties
+/// and returns the first honest node's cell.
+fn run_and_check(
+    n: usize,
+    t: usize,
+    l: usize,
+    d: usize,
+    team: &[(usize, &str)],
+) -> (u64, Vec<usize>, usize) {
     let cfg = ConsensusConfig::with_gen_bytes(n, t, l, d).unwrap();
     let v = test_value(l, 0xC0FFEE);
     let mut hooks = honest_hooks(n);
@@ -85,22 +162,31 @@ fn run_and_check(n: usize, t: usize, l: usize, d: usize, team: &[(usize, &str)])
             assert!(faulty.contains(iso), "team {team:?}: honest {iso} isolated");
         }
     }
+    let first_honest = (0..n).find(|id| !faulty.contains(id)).expect("an honest node");
+    let r = &run.reports[first_honest];
+    (r.diagnosis_invocations, r.isolated.clone(), r.edges_removed)
 }
 
 #[test]
 fn every_strategy_every_position_n4() {
-    for name in ALL_STRATEGIES {
-        for pos in 0..4 {
-            run_and_check(4, 1, 48, 12, &[(pos, name)]);
+    assert_eq!(ALL_STRATEGIES.len(), CELLS_N4.len());
+    for (name, (pinned_name, pinned)) in ALL_STRATEGIES.iter().zip(CELLS_N4) {
+        assert_eq!(name, pinned_name);
+        for (pos, pinned) in pinned.iter().enumerate() {
+            let cell = run_and_check(4, 1, 48, 12, &[(pos, name)]);
+            assert_cell(name, pos, cell, pinned);
         }
     }
 }
 
 #[test]
 fn every_strategy_once_n7() {
-    for (i, name) in ALL_STRATEGIES.iter().enumerate() {
+    assert_eq!(ALL_STRATEGIES.len(), CELLS_N7.len());
+    for (i, (name, (pinned_name, pinned))) in ALL_STRATEGIES.iter().zip(CELLS_N7).enumerate() {
+        assert_eq!(name, pinned_name);
         let pos = i % 7;
-        run_and_check(7, 2, 48, 16, &[(pos, name)]);
+        let cell = run_and_check(7, 2, 48, 16, &[(pos, name)]);
+        assert_cell(name, pos, cell, pinned);
     }
 }
 

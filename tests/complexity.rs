@@ -132,7 +132,8 @@ fn diagnosis_overhead_is_bounded_under_attack() {
     use mvbc_adversary::WorstCaseDiagnosis;
     use mvbc_core::ProtocolHooks;
     // Even the worst-case adversary adds only the bounded t(t+1)
-    // diagnosis term of Eq. (1): compare attacked vs failure-free cost.
+    // diagnosis term of Eq. (1) and the window's rerun term: compare
+    // attacked vs failure-free cost.
     let (n, t, l, d) = (4usize, 1usize, 8192usize, 64usize);
     let (clean, _) = measure(n, t, l, Some(d));
 
@@ -147,18 +148,20 @@ fn diagnosis_overhead_is_bounded_under_attack() {
     }
     let attacked = metrics.snapshot().total_logical_bits() as f64;
 
-    // Diagnosis adds (per stage) about (n-t)/(n-2t)*D*B + n(n-t)*B bits;
-    // with at most t(t+1) = 2 stages the overhead is bounded. Generous
-    // envelope: attacked <= clean + 3 * model-diagnosis-term. (The
-    // attacked run can even be *cheaper* than the clean one: once the
-    // faulty processor is isolated, nobody pays for its traffic in the
-    // remaining generations — the flip side of "memory across
-    // generations".)
+    // Diagnosis adds (per stage) about (n-t)/(n-2t)*D*B + n(n-t)*B bits,
+    // and each diagnosis discards at most W - 1 generations of its
+    // window that already ran matching and checking; with at most
+    // t(t+1) = 2 stages the overhead is bounded by the worst-case terms
+    // of the windowed Eq. (1). Generous envelope: attacked <= clean + 3
+    // * model worst-case terms. (The attacked run can even be *cheaper*
+    // than the clean one: once the faulty processor is isolated, nobody
+    // pays for its traffic in the remaining generations — the flip side
+    // of "memory across generations".)
     let b = dsel::model_b_phase_king(n, t);
-    let d_bits = (d * 8) as f64;
-    let diag_term = (t * (t + 1)) as f64
-        * ((n - t) as f64 / (n - 2 * t) as f64 * d_bits + (n * (n - t)) as f64)
-        * b;
+    let l_bits = (l * 8) as u64;
+    let d_bits = (d * 8) as u64;
+    let diag_term = dsel::model_ccon_bits(n, t, l_bits, d_bits, b)
+        - dsel::model_ccon_failure_free_bits(n, t, l_bits, d_bits, b);
     assert_eq!(
         run.reports[1].diagnosis_invocations,
         (t * (t + 1)) as u64,
@@ -166,6 +169,6 @@ fn diagnosis_overhead_is_bounded_under_attack() {
     );
     assert!(
         attacked < clean + 3.0 * diag_term,
-        "attacked {attacked} vs clean {clean} + 3x diagnosis model {diag_term}"
+        "attacked {attacked} vs clean {clean} + 3x worst-case model terms {diag_term}"
     );
 }

@@ -7,7 +7,9 @@
 
 use mvbc_adversary::CorruptSymbolTo;
 use mvbc_bsb::{BsbDriver, EigDriver, PhaseKingDriver};
-use mvbc_core::{simulate_consensus_traced, ConsensusConfig, NoopHooks, ProtocolHooks};
+use mvbc_core::{
+    simulate_consensus_traced, ConsensusConfig, NoopHooks, ProtocolHooks, GENERATION_WINDOW,
+};
 use mvbc_metrics::MetricsSink;
 use mvbc_netsim::trace::TraceSink;
 
@@ -83,17 +85,18 @@ fn matching_stage_sends_one_symbol_per_trusted_pair() {
     // Protocol-shape check via the trace: in a failure-free run, the
     // matching stage's symbol dispersal is exactly one message per
     // ordered pair per generation (each processor sends its own coded
-    // symbol to every other).
+    // symbol to every other), and a window's generations share one
+    // round.
     let cfg = ConsensusConfig::with_gen_bytes(4, 1, 32, 8).unwrap(); // 4 generations
     let (trace, _) = traced_run(&cfg, None, false);
     let symbol_events = trace.events_with_tag_prefix("consensus.matching.symbol");
     assert_eq!(symbol_events.len(), 4 * (4 * 3));
-    // And all of them in the first round of their generation: rounds are
-    // distinct per generation.
+    // And all of them in the first round of their window: rounds are
+    // distinct per window.
     let mut rounds: Vec<u64> = symbol_events.iter().map(|e| e.round).collect();
     rounds.sort_unstable();
     rounds.dedup();
-    assert_eq!(rounds.len(), 4, "one dispersal round per generation");
+    assert_eq!(rounds.len(), 4usize.div_ceil(GENERATION_WINDOW), "one dispersal round per window");
 }
 
 #[test]

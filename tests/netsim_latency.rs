@@ -102,17 +102,23 @@ fn smr_digest_with_sink(
 /// digest is a pure function of the parameters and adversary (the
 /// digest covers message shape, not payload bytes, so it is also
 /// independent of the seeded inputs).
+///
+/// Re-pinned when Algorithm 1 began running generations in windows of
+/// `GENERATION_WINDOW`: a window's symbols share one round and its
+/// control bits one batch each, which moves rounds, tags and message
+/// counts. With the window set to 1 the engine reproduces the earlier
+/// pins, `0x655d_9f92_3e01_71e5` and `0xb6f2_452e_f2a8_e9da`.
 #[test]
 fn round_barrier_consensus_digests_match_the_pre_refactor_coordinator() {
     for seed in [3u64, 11, 29] {
         assert_eq!(
             consensus_digest(4, 1, 48, seed, false),
-            0x655d_9f92_3e01_71e5,
+            0x21f3_9c24_6620_b179,
             "honest n=4 digest drifted from the pre-refactor coordinator (seed {seed})"
         );
         assert_eq!(
             consensus_digest(7, 2, 96, seed, true),
-            0xb6f2_452e_f2a8_e9da,
+            0x4274_a135_0a17_8cb4,
             "attacked n=7 digest drifted from the pre-refactor coordinator (seed {seed})"
         );
     }
