@@ -9,7 +9,7 @@
 use mvbc_bsb::{run_king_batch, BsbConfig, NoopBsbHooks};
 use mvbc_metrics::MetricsSink;
 use mvbc_netsim::bits::{pack_bits, unpack_bits};
-use mvbc_netsim::{run_simulation, NodeCtx, NodeLogic, SimConfig};
+use mvbc_netsim::{block_on, run_simulation, NodeCtx, NodeLogic, SimConfig};
 
 /// Modelled bit cost of the bitwise baseline with the paper's assumed
 /// `B = Θ(n²)` primitive.
@@ -49,7 +49,7 @@ pub fn simulate_bitwise(
             Box::new(move |ctx: &mut NodeCtx| {
                 let bits = unpack_bits(&value, value.len() * 8).expect("exact length");
                 let cfg = BsbConfig::new(t, "baseline.bitwise", vec![true; ctx.n()]);
-                let decided = run_king_batch(ctx, &cfg, bits, &mut NoopBsbHooks);
+                let decided = block_on(run_king_batch(ctx, &cfg, bits, &mut NoopBsbHooks));
                 pack_bits(&decided)
             }) as NodeLogic<Vec<u8>>
         })

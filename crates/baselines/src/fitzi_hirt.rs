@@ -30,7 +30,7 @@
 use mvbc_gf::{Field, Gf65536, Poly};
 use mvbc_metrics::MetricsSink;
 use mvbc_netsim::bits::{pack_bits, unpack_bits};
-use mvbc_netsim::{run_simulation, NodeCtx, NodeLogic, SimConfig};
+use mvbc_netsim::{block_on, run_simulation, NodeCtx, NodeLogic, SimConfig};
 use mvbc_rscode::{StripedCode, Symbol};
 use mvbc_bsb::{run_king_batch, BsbConfig, NoopBsbHooks};
 use rand::rngs::StdRng;
@@ -218,7 +218,7 @@ pub fn simulate_fitzi_hirt_with_attack(
         .enumerate()
         .map(|(id, value)| {
             let attack = faulty.contains(&id).then(|| attack.clone()).flatten();
-            Box::new(move |ctx: &mut NodeCtx| run_fh_node(ctx, &cfg, &value, attack.as_ref()))
+            Box::new(move |ctx: &mut NodeCtx| block_on(run_fh_node(ctx, &cfg, &value, attack.as_ref())))
                 as NodeLogic<FhOutcome>
         })
         .collect();
@@ -228,7 +228,7 @@ pub fn simulate_fitzi_hirt_with_attack(
 const TAG_DISPERSE: &str = "baseline.fh.disperse";
 const TAG_EXCHANGE: &str = "baseline.fh.exchange";
 
-fn run_fh_node(
+async fn run_fh_node(
     ctx: &mut NodeCtx,
     cfg: &FitziHirtConfig,
     value: &[u8],
@@ -247,7 +247,7 @@ fn run_fh_node(
         .collect();
     let hash_bits = unpack_bits(&hash_bytes, cfg.kappa_symbols * 16).expect("exact length");
     let king_cfg = BsbConfig::new(t, "baseline.fh.hash", vec![true; n]);
-    let agreed_bits = run_king_batch(ctx, &king_cfg, hash_bits, &mut NoopBsbHooks);
+    let agreed_bits = run_king_batch(ctx, &king_cfg, hash_bits, &mut NoopBsbHooks).await;
     let agreed_bytes = pack_bits(&agreed_bits);
     let agreed_hash: Vec<Gf65536> = agreed_bytes
         .chunks_exact(2)
@@ -277,7 +277,7 @@ fn run_fh_node(
             }
         }
     }
-    let mut inbox = ctx.end_round();
+    let mut inbox = ctx.next_round().await;
     let stripes = code.layout().stripes;
     // Majority vote over the received copies of *my* symbol.
     let mut copies: Vec<Vec<u8>> = Vec::new();
@@ -314,7 +314,7 @@ fn run_fh_node(
             }
         }
     }
-    let mut inbox = ctx.end_round();
+    let mut inbox = ctx.next_round().await;
     let mut pairs: Vec<(usize, Symbol)> = Vec::new();
     if let Some(sym) = my_symbol {
         pairs.push((me, sym));

@@ -5,7 +5,7 @@
 
 use mvbc_bsb::{BsbConfig, BsbDriver, BsbInstance, DolevStrongDriver, EigDriver, NoopBsbHooks, PhaseKingDriver};
 use mvbc_metrics::{MetricsSink, Snapshot};
-use mvbc_netsim::{run_simulation, NodeCtx, NodeLogic, SimConfig};
+use mvbc_netsim::{block_on, run_simulation, NodeCtx, NodeLogic, SimConfig};
 
 use crate::Report;
 
@@ -96,7 +96,7 @@ fn bsb_batch(substrate: &str, n: usize, t: usize, instances: usize) -> Snapshot 
                         input: (id == i % ctx.n()).then_some(i % 2 == 0),
                     })
                     .collect();
-                driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks)
+                block_on(driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks))
             }) as NodeLogic<Vec<bool>>
         })
         .collect();

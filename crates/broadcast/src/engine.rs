@@ -2,7 +2,7 @@
 
 use mvbc_bsb::{BsbDriver, PhaseKingDriver};
 use mvbc_core::DiagGraph;
-use mvbc_netsim::NodeCtx;
+use mvbc_netsim::{block_on, NodeCtx};
 use mvbc_rscode::StripedCode;
 
 use crate::config::BroadcastConfig;
@@ -64,7 +64,7 @@ pub fn run_broadcast_with(
     bsb: &mut dyn BsbDriver,
 ) -> BroadcastReport {
     let mut diag = DiagGraph::new(cfg.n, cfg.t);
-    run_broadcast_slot(ctx, cfg, input, STANDALONE_SCOPE, &mut diag, hooks, bsb)
+    block_on(run_broadcast_slot(ctx, cfg, input, STANDALONE_SCOPE, &mut diag, hooks, bsb))
 }
 
 /// Runs one broadcast execution *mid-simulation*, against caller-owned
@@ -87,10 +87,14 @@ pub fn run_broadcast_with(
 /// *cumulative* state of `diag`, not just this call's changes; callers
 /// interested in per-slot changes should diff the graph around the call.
 ///
+/// It is `async` so that a slot can run as a
+/// [`LaneMux`](mvbc_netsim::lanes::LaneMux) lane next to other slots; on a
+/// simulator node's context, [`block_on`] runs it to completion.
+///
 /// # Panics
 ///
 /// As [`run_broadcast`]; additionally `diag` must have `cfg.n` vertices.
-pub fn run_broadcast_slot(
+pub async fn run_broadcast_slot(
     ctx: &mut NodeCtx,
     cfg: &BroadcastConfig,
     input: Option<&[u8]>,
@@ -134,7 +138,8 @@ pub fn run_broadcast_slot(
         });
 
         let report =
-            run_broadcast_generation(ctx, cfg, &code, diag, tags, g, part.as_deref(), hooks, bsb);
+            run_broadcast_generation(ctx, cfg, &code, diag, tags, g, part.as_deref(), hooks, bsb)
+                .await;
         if report.diagnosis_ran {
             diagnosis_invocations += 1;
         }

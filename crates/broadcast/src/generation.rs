@@ -99,7 +99,7 @@ pub(crate) fn echo_set(cfg: &BroadcastConfig, diag: &DiagGraph) -> Option<Vec<us
 }
 
 #[allow(clippy::too_many_arguments)] // one call site; mirrors the paper's per-generation state
-pub(crate) fn run_broadcast_generation(
+pub(crate) async fn run_broadcast_generation(
     ctx: &mut NodeCtx,
     cfg: &BroadcastConfig,
     code: &StripedCode,
@@ -156,7 +156,7 @@ pub(crate) fn run_broadcast_generation(
             }
         }
     }
-    let mut inbox = ctx.end_round();
+    let mut inbox = ctx.next_round().await;
     let own: Option<Symbol> = if me == src {
         my_symbols.as_ref().map(|s| s[src].clone())
     } else if diag.trusts(me, src) {
@@ -188,7 +188,7 @@ pub(crate) fn run_broadcast_generation(
             }
         }
     }
-    let mut inbox = ctx.end_round();
+    let mut inbox = ctx.next_round().await;
     let echo_rx: Vec<Option<Symbol>> = e_set
         .iter()
         .map(|&e| {
@@ -245,7 +245,7 @@ pub(crate) fn run_broadcast_generation(
         })
         .collect();
     let span = telemetry.as_ref().map(|t| t.span(me, tags.scope, "vote", ctx.vtime()));
-    let det_flags = bsb.run_batch(ctx, &bsb_det, &det_instances, &mut *hooks);
+    let det_flags = bsb.run_batch(ctx, &bsb_det, &det_instances, &mut *hooks).await;
     let any_detected = det_flags.iter().any(|&d| d);
     if let Some(span) = span {
         span.finish(ctx.vtime());
@@ -283,7 +283,7 @@ pub(crate) fn run_broadcast_generation(
         bits: data_bits_len,
         input: (me == src).then(|| my_data_bits.clone()),
     }];
-    let data_bits = bsb.run_values(ctx, &bsb_data, &data_spec, &mut *hooks).remove(0);
+    let data_bits = bsb.run_values(ctx, &bsb_data, &data_spec, &mut *hooks).await.remove(0);
     let data_bytes = pack_bits(&data_bits);
     let claimed_codeword = code
         .encode_value(&data_bytes)
@@ -316,7 +316,7 @@ pub(crate) fn run_broadcast_generation(
             input: (e == me).then(|| my_claim.clone()),
         })
         .collect();
-    let claim_bits = bsb.run_values(ctx, &bsb_claims, &claim_specs, &mut *hooks);
+    let claim_bits = bsb.run_values(ctx, &bsb_claims, &claim_specs, &mut *hooks).await;
     let claims: Vec<Option<Symbol>> = claim_bits
         .iter()
         .map(|bits| {
@@ -351,7 +351,7 @@ pub(crate) fn run_broadcast_generation(
             input: (v == me).then(|| trust.clone()),
         })
         .collect();
-    let trust_all = bsb.run_values(ctx, &bsb_trust, &trust_specs, &mut *hooks);
+    let trust_all = bsb.run_values(ctx, &bsb_trust, &trust_specs, &mut *hooks).await;
 
     // Edge removals: accusations (i -> source), (i -> echo), and
     // source-vs-echo claim mismatches. Every removed edge is adjacent to

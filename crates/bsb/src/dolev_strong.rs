@@ -154,7 +154,7 @@ fn decode_chain(payload: &[u8]) -> Option<(bool, Vec<NodeId>)> {
 /// # Panics
 ///
 /// Panics when `config.t >= n` or the participants mask is malformed.
-pub fn run_dolev_strong(
+pub async fn run_dolev_strong(
     ctx: &mut NodeCtx,
     config: &BsbConfig,
     source: NodeId,
@@ -205,7 +205,7 @@ pub fn run_dolev_strong(
             }
         }
         relay.clear();
-        let inbox = ctx.end_round();
+        let inbox = ctx.next_round().await;
 
         for from in 0..n {
             if from == me || !config.participants[from] {
@@ -320,7 +320,7 @@ fn decode_batch(payload: &[u8]) -> Option<Vec<(usize, bool, Vec<NodeId>)>> {
 ///
 /// Panics when `config.t >= n`, the participants mask is malformed, or
 /// an instance is sourced at a non-participant.
-pub fn run_ds_batch(
+pub async fn run_ds_batch(
     ctx: &mut NodeCtx,
     config: &BsbConfig,
     instances: &[crate::BsbInstance],
@@ -382,7 +382,7 @@ pub fn run_ds_batch(
                 }
             }
         }
-        let inbox = ctx.end_round();
+        let inbox = ctx.next_round().await;
 
         for from in 0..n {
             if from == me || !config.participants[from] {
@@ -433,6 +433,7 @@ pub fn run_ds_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvbc_netsim::block_on;
     use crate::BsbConfig;
     use mvbc_metrics::MetricsSink;
     use mvbc_netsim::{run_simulation, NodeLogic, SimConfig};
@@ -445,7 +446,7 @@ mod tests {
                 Box::new(move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(t, "ds", vec![true; ctx.n()]);
                     let handle = oracle.handle(id);
-                    run_dolev_strong(ctx, &cfg, source, (id == source).then_some(bit), &handle, &oracle)
+                    block_on(run_dolev_strong(ctx, &cfg, source, (id == source).then_some(bit), &handle, &oracle))
                 }) as NodeLogic<bool>
             })
             .collect();
@@ -482,7 +483,7 @@ mod tests {
                     }
                     let cfg = BsbConfig::new(2, "ds-silent", vec![true; ctx.n()]);
                     let handle = oracle.handle(id);
-                    Some(run_dolev_strong(ctx, &cfg, 0, None, &handle, &oracle))
+                    Some(block_on(run_dolev_strong(ctx, &cfg, 0, None, &handle, &oracle)))
                 }) as NodeLogic<Option<bool>>
             })
             .collect();
@@ -520,7 +521,7 @@ mod tests {
                         }
                         return None;
                     }
-                    Some(run_dolev_strong(ctx, &cfg, 0, None, &handle, &oracle))
+                    Some(block_on(run_dolev_strong(ctx, &cfg, 0, None, &handle, &oracle)))
                 }) as NodeLogic<Option<bool>>
             })
             .collect();
@@ -557,11 +558,11 @@ mod tests {
                     }
                     if id == 0 {
                         // Honest source broadcasting false.
-                        return Some(run_dolev_strong(
+                        return Some(block_on(run_dolev_strong(
                             ctx, &cfg, 0, Some(false), &handle, &oracle,
-                        ));
+                        )));
                     }
-                    Some(run_dolev_strong(ctx, &cfg, 0, None, &handle, &oracle))
+                    Some(block_on(run_dolev_strong(ctx, &cfg, 0, None, &handle, &oracle)))
                 }) as NodeLogic<Option<bool>>
             })
             .collect();

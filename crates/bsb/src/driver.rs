@@ -18,10 +18,16 @@
 //! deviate in message content but, like every processor in the
 //! synchronous model, not in the round structure.
 
+use std::future::Future;
+use std::pin::Pin;
+
 use mvbc_netsim::NodeCtx;
 
 use crate::dolev_strong::{run_ds_batch, SignatureOracle, SignerHandle};
-use crate::{eig, source_round_initial, BsbConfig, BsbHooks, BsbInstance, BsbValueSpec};
+use crate::{
+    eig, source_round_initial, split_values, value_instances, BsbConfig, BsbHooks, BsbInstance,
+    BsbValueSpec,
+};
 
 /// A substrate implementing batched `Broadcast_Single_Bit`.
 ///
@@ -38,7 +44,7 @@ use crate::{eig, source_round_initial, BsbConfig, BsbHooks, BsbInstance, BsbValu
 /// ```
 /// use mvbc_bsb::{BsbConfig, BsbDriver, BsbInstance, EigDriver, NoopBsbHooks};
 /// use mvbc_metrics::MetricsSink;
-/// use mvbc_netsim::{run_simulation, NodeCtx, SimConfig};
+/// use mvbc_netsim::{block_on, run_simulation, NodeCtx, SimConfig};
 ///
 /// let n = 4;
 /// let logics = (0..n)
@@ -47,7 +53,7 @@ use crate::{eig, source_round_initial, BsbConfig, BsbHooks, BsbInstance, BsbValu
 ///             let mut driver = EigDriver; // or PhaseKingDriver, DolevStrongDriver
 ///             let cfg = BsbConfig::new(1, "doc", vec![true; 4]);
 ///             let inst = [BsbInstance { source: 2, input: (id == 2).then_some(true) }];
-///             driver.run_batch(ctx, &cfg, &inst, &mut NoopBsbHooks)[0]
+///             block_on(driver.run_batch(ctx, &cfg, &inst, &mut NoopBsbHooks))[0]
 ///         }) as Box<dyn FnOnce(&mut NodeCtx) -> bool + Send>
 ///     })
 ///     .collect();
@@ -62,47 +68,36 @@ pub trait BsbDriver: Send {
     fn max_tolerated(&self, n: usize) -> usize;
 
     /// Runs one batch of 1-bit broadcasts; same calling convention as
-    /// [`run_bsb_batch`](crate::run_bsb_batch).
-    fn run_batch(
-        &mut self,
-        ctx: &mut NodeCtx,
-        config: &BsbConfig,
-        instances: &[BsbInstance],
-        hooks: &mut dyn BsbHooks,
-    ) -> Vec<bool>;
+    /// [`run_bsb_batch`](crate::run_bsb_batch). Await it from `async`
+    /// protocol code, or run it with [`block_on`](mvbc_netsim::block_on)
+    /// on a simulator node's context.
+    fn run_batch<'a>(
+        &'a mut self,
+        ctx: &'a mut NodeCtx,
+        config: &'a BsbConfig,
+        instances: &'a [BsbInstance],
+        hooks: &'a mut dyn BsbHooks,
+    ) -> BsbFuture<'a, Vec<bool>>;
 
     /// Broadcasts one multi-bit value per spec (one 1-bit instance per
     /// bit, as the paper prescribes); same calling convention as
     /// [`run_bsb_values`](crate::run_bsb_values).
-    fn run_values(
-        &mut self,
-        ctx: &mut NodeCtx,
-        config: &BsbConfig,
-        specs: &[BsbValueSpec],
-        hooks: &mut dyn BsbHooks,
-    ) -> Vec<Vec<bool>> {
-        let mut instances = Vec::new();
-        for spec in specs {
-            if let Some(input) = &spec.input {
-                assert_eq!(input.len(), spec.bits, "input length must equal bits");
-            }
-            for b in 0..spec.bits {
-                instances.push(BsbInstance {
-                    source: spec.source,
-                    input: spec.input.as_ref().map(|v| v[b]),
-                });
-            }
-        }
-        let flat = self.run_batch(ctx, config, &instances, hooks);
-        let mut out = Vec::with_capacity(specs.len());
-        let mut off = 0;
-        for spec in specs {
-            out.push(flat[off..off + spec.bits].to_vec());
-            off += spec.bits;
-        }
-        out
+    fn run_values<'a>(
+        &'a mut self,
+        ctx: &'a mut NodeCtx,
+        config: &'a BsbConfig,
+        specs: &'a [BsbValueSpec],
+        hooks: &'a mut dyn BsbHooks,
+    ) -> BsbFuture<'a, Vec<Vec<bool>>> {
+        Box::pin(async move {
+            let flat = self.run_batch(ctx, config, &value_instances(specs), hooks).await;
+            split_values(specs, &flat)
+        })
     }
 }
+
+/// The boxed future of one [`BsbDriver`] batch.
+pub type BsbFuture<'a, T> = Pin<Box<dyn Future<Output = T> + 'a>>;
 
 /// The default substrate: source multicast + Phase-King binary
 /// consensus (see the crate docs). Error-free for `t < n/3`.
@@ -118,14 +113,24 @@ impl BsbDriver for PhaseKingDriver {
         n.saturating_sub(1) / 3
     }
 
-    fn run_batch(
-        &mut self,
-        ctx: &mut NodeCtx,
-        config: &BsbConfig,
-        instances: &[BsbInstance],
-        hooks: &mut dyn BsbHooks,
-    ) -> Vec<bool> {
-        crate::run_bsb_batch(ctx, config, instances, hooks)
+    fn run_batch<'a>(
+        &'a mut self,
+        ctx: &'a mut NodeCtx,
+        config: &'a BsbConfig,
+        instances: &'a [BsbInstance],
+        hooks: &'a mut dyn BsbHooks,
+    ) -> BsbFuture<'a, Vec<bool>> {
+        Box::pin(crate::bsb_batch(ctx, config, instances, hooks))
+    }
+
+    fn run_values<'a>(
+        &'a mut self,
+        ctx: &'a mut NodeCtx,
+        config: &'a BsbConfig,
+        specs: &'a [BsbValueSpec],
+        hooks: &'a mut dyn BsbHooks,
+    ) -> BsbFuture<'a, Vec<Vec<bool>>> {
+        Box::pin(crate::bsb_values(ctx, config, specs, hooks))
     }
 }
 
@@ -145,16 +150,18 @@ impl BsbDriver for EigDriver {
         n.saturating_sub(1) / 3
     }
 
-    fn run_batch(
-        &mut self,
-        ctx: &mut NodeCtx,
-        config: &BsbConfig,
-        instances: &[BsbInstance],
-        hooks: &mut dyn BsbHooks,
-    ) -> Vec<bool> {
-        config.assert_valid(ctx.n());
-        let initial = source_round_initial(ctx, config, instances, hooks);
-        eig::run_eig_batch(ctx, config, initial, hooks)
+    fn run_batch<'a>(
+        &'a mut self,
+        ctx: &'a mut NodeCtx,
+        config: &'a BsbConfig,
+        instances: &'a [BsbInstance],
+        hooks: &'a mut dyn BsbHooks,
+    ) -> BsbFuture<'a, Vec<bool>> {
+        Box::pin(async move {
+            config.assert_valid(ctx.n());
+            let initial = source_round_initial(ctx, config, instances, hooks).await;
+            eig::run_eig_batch(ctx, config, initial, hooks).await
+        })
     }
 }
 
@@ -198,14 +205,14 @@ impl BsbDriver for DolevStrongDriver {
         n.saturating_sub(1)
     }
 
-    fn run_batch(
-        &mut self,
-        ctx: &mut NodeCtx,
-        config: &BsbConfig,
-        instances: &[BsbInstance],
-        hooks: &mut dyn BsbHooks,
-    ) -> Vec<bool> {
-        run_ds_batch(ctx, config, instances, &self.signer, &self.oracle, hooks)
+    fn run_batch<'a>(
+        &'a mut self,
+        ctx: &'a mut NodeCtx,
+        config: &'a BsbConfig,
+        instances: &'a [BsbInstance],
+        hooks: &'a mut dyn BsbHooks,
+    ) -> BsbFuture<'a, Vec<bool>> {
+        Box::pin(run_ds_batch(ctx, config, instances, &self.signer, &self.oracle, hooks))
     }
 }
 
@@ -214,7 +221,7 @@ mod tests {
     use super::*;
     use crate::NoopBsbHooks;
     use mvbc_metrics::MetricsSink;
-    use mvbc_netsim::{run_simulation, NodeLogic, SimConfig};
+    use mvbc_netsim::{block_on, run_simulation, NodeLogic, SimConfig};
 
     /// Runs the same mixed batch (every node broadcasts `id % 2 == 0`)
     /// under `mk_driver` and returns the per-node outputs.
@@ -235,7 +242,7 @@ mod tests {
                             input: (id == src).then_some(src % 2 == 0),
                         })
                         .collect();
-                    driver.run_batch(ctx, &cfg, &instances, &mut NoopBsbHooks)
+                    block_on(driver.run_batch(ctx, &cfg, &instances, &mut NoopBsbHooks))
                 }) as NodeLogic<Vec<bool>>
             })
             .collect();
@@ -312,7 +319,7 @@ mod tests {
                         bits: 3,
                         input: (id == 2).then_some(value.clone()),
                     }];
-                    EigDriver.run_values(ctx, &cfg, &specs, &mut NoopBsbHooks)
+                    block_on(EigDriver.run_values(ctx, &cfg, &specs, &mut NoopBsbHooks))
                 }) as NodeLogic<Vec<Vec<bool>>>
             })
             .collect();

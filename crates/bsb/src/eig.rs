@@ -136,7 +136,7 @@ impl EigTree {
 ///
 /// Panics when `t >= n/3` or the participants mask length differs from
 /// `n`.
-pub fn run_eig_batch(
+pub async fn run_eig_batch(
     ctx: &mut NodeCtx,
     config: &BsbConfig,
     initial: Vec<bool>,
@@ -179,7 +179,7 @@ pub fn run_eig_batch(
                 ctx.send(to, tag, pack_bits(&bits), bits.len() as u64);
             }
         }
-        let mut inbox = ctx.end_round();
+        let mut inbox = ctx.next_round().await;
 
         // My own relayed values populate my α·me nodes directly.
         for &idx in &my_relay {
@@ -246,6 +246,7 @@ fn resolve_root(tree: &EigTree, tree_vals: &[Vec<bool>], count: usize) -> Vec<bo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvbc_netsim::block_on;
     use crate::NoopBsbHooks;
     use mvbc_metrics::MetricsSink;
     use mvbc_netsim::{run_simulation, SimConfig};
@@ -312,7 +313,7 @@ mod tests {
             .map(|init| {
                 Box::new(move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(t, "eig", vec![true; ctx.n()]);
-                    run_eig_batch(ctx, &cfg, init, &mut NoopBsbHooks)
+                    block_on(run_eig_batch(ctx, &cfg, init, &mut NoopBsbHooks))
                 }) as Logic<Vec<bool>>
             })
             .collect();
@@ -372,7 +373,7 @@ mod tests {
             .map(|_| {
                 Box::new(move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(1, "eig-rounds", vec![true; 4]);
-                    run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks)
+                    block_on(run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks))
                 }) as Logic<Vec<bool>>
             })
             .collect();
@@ -390,7 +391,7 @@ mod tests {
                         return None; // crash from the start
                     }
                     let cfg = BsbConfig::new(1, "eig-silent", vec![true; 4]);
-                    Some(run_eig_batch(ctx, &cfg, vec![id == 0], &mut NoopBsbHooks)[0])
+                    Some(block_on(run_eig_batch(ctx, &cfg, vec![id == 0], &mut NoopBsbHooks))[0])
                 }) as Logic<Option<bool>>
             })
             .collect();
@@ -419,9 +420,9 @@ mod tests {
                         let cfg = BsbConfig::new(1, "eig-equiv", vec![true; 4]);
                         let init = vec![id % 2 == 0];
                         if id == faulty {
-                            run_eig_batch(ctx, &cfg, init, &mut Equivocate)[0]
+                            block_on(run_eig_batch(ctx, &cfg, init, &mut Equivocate))[0]
                         } else {
-                            run_eig_batch(ctx, &cfg, init, &mut NoopBsbHooks)[0]
+                            block_on(run_eig_batch(ctx, &cfg, init, &mut NoopBsbHooks))[0]
                         }
                     }) as Logic<bool>
                 })
@@ -452,9 +453,9 @@ mod tests {
                     Box::new(move |ctx: &mut NodeCtx| {
                         let cfg = BsbConfig::new(1, "eig-valid", vec![true; 4]);
                         if id == faulty {
-                            run_eig_batch(ctx, &cfg, vec![false], &mut AllFalse)[0]
+                            block_on(run_eig_batch(ctx, &cfg, vec![false], &mut AllFalse))[0]
                         } else {
-                            run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks)[0]
+                            block_on(run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks))[0]
                         }
                     }) as Logic<bool>
                 })
@@ -480,7 +481,7 @@ mod tests {
                     let mut participants = vec![true; 4];
                     participants[3] = false;
                     let cfg = BsbConfig::new(1, "eig-iso", participants);
-                    Some(run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks)[0])
+                    Some(block_on(run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks))[0])
                 }) as Logic<Option<bool>>
             })
             .collect();
@@ -505,7 +506,7 @@ mod tests {
                 .map(|_| {
                     Box::new(move |ctx: &mut NodeCtx| {
                         let cfg = BsbConfig::new(t, "eig-cost", vec![true; ctx.n()]);
-                        run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks)
+                        block_on(run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks))
                     }) as Logic<Vec<bool>>
                 })
                 .collect();
@@ -523,7 +524,7 @@ mod tests {
             .map(|_| {
                 Box::new(move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(1, "eig-bad", vec![true; 3]);
-                    let _ = run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks);
+                    let _ = block_on(run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks));
                 }) as Logic<()>
             })
             .collect();

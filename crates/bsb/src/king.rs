@@ -49,11 +49,15 @@ const PROPOSE_TRUE: u8 = 2;
 /// Non-participants (isolated processors) still return a vector, computed
 /// without sending or receiving.
 ///
+/// Like every round-ending function of this crate it is `async`: await
+/// it from protocol code, or run it with
+/// [`block_on`](mvbc_netsim::block_on) on a simulator node's context.
+///
 /// # Panics
 ///
 /// Panics when `t >= n/3` or the participants mask length differs from
 /// `n`.
-pub fn run_king_batch(
+pub async fn run_king_batch(
     ctx: &mut NodeCtx,
     config: &BsbConfig,
     initial: Vec<bool>,
@@ -85,7 +89,7 @@ pub fn run_king_batch(
                 hooks.king_values(config.session, phase, to, v)
             });
         }
-        let mut inbox = ctx.end_round();
+        let mut inbox = ctx.next_round().await;
 
         // Count supporters of true per instance (own value included);
         // every reporter that did not say true said false.
@@ -121,7 +125,7 @@ pub fn run_king_batch(
                 hooks.king_proposals(config.session, phase, to, p)
             });
         }
-        let mut inbox = ctx.end_round();
+        let mut inbox = ctx.next_round().await;
 
         for ((tt, tf), &p) in props_true.iter_mut().zip(props_false.iter_mut()).zip(&proposals) {
             *tt = u32::from(p == PROPOSE_TRUE);
@@ -158,7 +162,7 @@ pub fn run_king_batch(
                 hooks.king_bits(config.session, phase, to, v)
             });
         }
-        let mut inbox = ctx.end_round();
+        let mut inbox = ctx.next_round().await;
         if me != king {
             // Follow the king; a silent, malformed or isolated king
             // defaults to false (all fault-free processors apply the same
@@ -266,6 +270,7 @@ fn tally_crumbs(props_true: &mut [u32], props_false: &mut [u32], packed: &[u8]) 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvbc_netsim::block_on;
     use crate::NoopBsbHooks;
     use mvbc_metrics::MetricsSink;
     use mvbc_netsim::{run_simulation, SimConfig};
@@ -278,7 +283,7 @@ mod tests {
             .map(|init| {
                 Box::new(move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(t, "king", vec![true; ctx.n()]);
-                    run_king_batch(ctx, &cfg, init, &mut NoopBsbHooks)
+                    block_on(run_king_batch(ctx, &cfg, init, &mut NoopBsbHooks))
                 }) as Logic<Vec<bool>>
             })
             .collect();
@@ -340,7 +345,7 @@ mod tests {
             .map(|_| {
                 Box::new(move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(1, "rounds", vec![true; 4]);
-                    run_king_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks)
+                    block_on(run_king_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks))
                 }) as Logic<Vec<bool>>
             })
             .collect();

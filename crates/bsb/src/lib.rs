@@ -75,14 +75,14 @@ mod eig;
 mod hooks;
 mod king;
 
-pub use driver::{BsbDriver, DolevStrongDriver, EigDriver, PhaseKingDriver};
+pub use driver::{BsbDriver, BsbFuture, DolevStrongDriver, EigDriver, PhaseKingDriver};
 pub use eig::{run_eig_batch, EigTree};
 pub use hooks::{BsbHooks, NoopBsbHooks};
 pub use king::run_king_batch;
 
 use mvbc_metrics::intern_tag;
 use mvbc_netsim::bits::pack_bits;
-use mvbc_netsim::{NodeCtx, NodeId};
+use mvbc_netsim::{block_on, NodeCtx, NodeId};
 
 use king::{multicast, packed_bit};
 
@@ -206,10 +206,21 @@ pub fn run_bsb_batch(
     instances: &[BsbInstance],
     hooks: &mut dyn BsbHooks,
 ) -> Vec<bool> {
+    block_on(bsb_batch(ctx, config, instances, hooks))
+}
+
+/// [`run_bsb_batch`] as a future: the body of [`PhaseKingDriver`], which
+/// is how `async` protocol code reaches it.
+pub(crate) async fn bsb_batch(
+    ctx: &mut NodeCtx,
+    config: &BsbConfig,
+    instances: &[BsbInstance],
+    hooks: &mut dyn BsbHooks,
+) -> Vec<bool> {
     config.assert_valid(ctx.n());
-    let initial = source_round_initial(ctx, config, instances, hooks);
+    let initial = source_round_initial(ctx, config, instances, hooks).await;
     // Phase-King consensus over the received bits.
-    king::run_king_batch(ctx, config, initial, hooks)
+    king::run_king_batch(ctx, config, initial, hooks).await
 }
 
 /// Round 0 of the source-multicast construction shared by the Phase-King
@@ -217,7 +228,7 @@ pub fn run_bsb_batch(
 /// participant, and each node assembles its initial consensus inputs
 /// (own bit for self-sourced instances; received bit, defaulting to
 /// `false` on silence, otherwise).
-pub(crate) fn source_round_initial(
+pub(crate) async fn source_round_initial(
     ctx: &mut NodeCtx,
     config: &BsbConfig,
     instances: &[BsbInstance],
@@ -255,7 +266,7 @@ pub(crate) fn source_round_initial(
             hooks.source_bits(config.session, to, bits)
         });
     }
-    let mut inbox = ctx.end_round();
+    let mut inbox = ctx.next_round().await;
 
     // Collect initial consensus inputs: the bit received from each source
     // (own bit for self-sourced instances; false when silent/malformed).
@@ -308,6 +319,22 @@ pub fn run_bsb_values(
     specs: &[BsbValueSpec],
     hooks: &mut dyn BsbHooks,
 ) -> Vec<Vec<bool>> {
+    block_on(bsb_values(ctx, config, specs, hooks))
+}
+
+/// [`run_bsb_values`] as a future (see [`bsb_batch`]).
+pub(crate) async fn bsb_values(
+    ctx: &mut NodeCtx,
+    config: &BsbConfig,
+    specs: &[BsbValueSpec],
+    hooks: &mut dyn BsbHooks,
+) -> Vec<Vec<bool>> {
+    let flat = bsb_batch(ctx, config, &value_instances(specs), hooks).await;
+    split_values(specs, &flat)
+}
+
+/// The 1-bit instances of `specs`, one per bit in spec order.
+pub(crate) fn value_instances(specs: &[BsbValueSpec]) -> Vec<BsbInstance> {
     let mut instances = Vec::new();
     for spec in specs {
         if let Some(input) = &spec.input {
@@ -320,7 +347,12 @@ pub fn run_bsb_values(
             });
         }
     }
-    let flat = run_bsb_batch(ctx, config, &instances, hooks);
+    instances
+}
+
+/// Splits the flat per-bit decisions of [`value_instances`] back into
+/// one value per spec.
+pub(crate) fn split_values(specs: &[BsbValueSpec], flat: &[bool]) -> Vec<Vec<bool>> {
     let mut out = Vec::with_capacity(specs.len());
     let mut off = 0;
     for spec in specs {

@@ -4,7 +4,7 @@
 
 use mvbc_bsb::{run_bsb_batch, BsbConfig, BsbHooks, BsbInstance, NoopBsbHooks};
 use mvbc_metrics::MetricsSink;
-use mvbc_netsim::{run_simulation, NodeCtx, NodeId, SimConfig};
+use mvbc_netsim::{block_on, run_simulation, NodeCtx, NodeId, SimConfig};
 
 type Logic<O> = Box<dyn FnOnce(&mut NodeCtx) -> O + Send>;
 
@@ -155,9 +155,9 @@ fn exhaustive_small_space_n4() {
                     Box::new(move |ctx: &mut NodeCtx| {
                         let cfg = BsbConfig::new(1, "exh", vec![true; 4]);
                         if id == byz {
-                            run_king_batch(ctx, &cfg, vec![my], &mut Chaos)[0]
+                            block_on(run_king_batch(ctx, &cfg, vec![my], &mut Chaos))[0]
                         } else {
-                            run_king_batch(ctx, &cfg, vec![my], &mut NoopBsbHooks)[0]
+                            block_on(run_king_batch(ctx, &cfg, vec![my], &mut NoopBsbHooks))[0]
                         }
                     }) as Logic<bool>
                 })
@@ -199,7 +199,7 @@ fn dolev_strong_composes_after_other_phases() {
                 }
                 let cfg = BsbConfig::new(t, "ds-late", vec![true; ctx.n()]);
                 let handle = oracle.handle(id);
-                run_dolev_strong(ctx, &cfg, 1, (id == 1).then_some(true), &handle, &oracle)
+                block_on(run_dolev_strong(ctx, &cfg, 1, (id == 1).then_some(true), &handle, &oracle))
             }) as Logic<bool>
         })
         .collect();

@@ -7,7 +7,7 @@ use mvbc_bsb::{
     PhaseKingDriver,
 };
 use mvbc_metrics::MetricsSink;
-use mvbc_netsim::{run_simulation, NodeCtx, NodeLogic, SimConfig};
+use mvbc_netsim::{block_on, run_simulation, NodeCtx, NodeLogic, SimConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -86,7 +86,7 @@ proptest! {
                                 input: (id == src).then_some(inputs[src]),
                             })
                             .collect();
-                        driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks)
+                        block_on(driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks))
                     }) as NodeLogic<Vec<bool>>
                 })
                 .collect();
@@ -124,7 +124,7 @@ proptest! {
                             input: (id == i % ctx.n()).then_some(b),
                         })
                         .collect();
-                    driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks)
+                    block_on(driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks))
                 }) as NodeLogic<Vec<bool>>
             })
             .collect();
@@ -165,7 +165,7 @@ fn dolev_strong_matches_phase_king_all_patterns() {
                                 input: (id == src).then_some(inputs[src]),
                             })
                             .collect();
-                        driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks)
+                        block_on(driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks))
                     }) as NodeLogic<Vec<bool>>
                 })
                 .collect();

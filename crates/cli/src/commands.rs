@@ -7,7 +7,9 @@ use mvbc_adversary::campaign::{run_scenario, CampaignReport, CampaignRunner, Sce
 use mvbc_adversary::{CorruptSymbolTo, RandomAdversary, Silent, WorstCaseDiagnosis};
 use mvbc_bsb::{BsbDriver, DolevStrongDriver, EigDriver, PhaseKingDriver};
 use mvbc_broadcast::attacks::{EquivocatingSource, LyingEcho, SilentSource};
-use mvbc_broadcast::{simulate_broadcast, BroadcastConfig, BroadcastHooks, NoopBroadcastHooks};
+use mvbc_broadcast::{
+    simulate_broadcast, BroadcastConfig, BroadcastHooks, BroadcastReport, NoopBroadcastHooks,
+};
 use mvbc_core::{
     dsel, simulate_consensus_traced, ConsensusConfig, EngineReport, NoopHooks, ProtocolHooks,
     GENERATION_WINDOW,
@@ -16,8 +18,8 @@ use mvbc_netsim::trace::TraceSink;
 use mvbc_netsim::{LinkModel, NetModel, Partition, PartitionBehavior, SchedulingPolicy, Topology};
 use mvbc_metrics::MetricsSink;
 use mvbc_smr::{
-    simulate_smr, synthetic_workloads, EquivocatingPrimary, HonestReplica, RunReport,
-    SilentPrimary, SmrConfig, SmrHooks,
+    simulate_smr, synthetic_workloads, EquivocatingPrimary, HonestReplica, KvStore, RunReport,
+    SilentPrimary, SmrConfig, SmrHooks, SmrReport,
 };
 
 use crate::args::{
@@ -307,27 +309,33 @@ fn consensus(
         dsel::linear_coefficient(n, t),
     );
     println!("\nper-stage breakdown:\n{}", snap.to_markdown());
-    if !violations.is_empty() {
-        for v in &violations {
-            println!("VIOLATION: {v}");
-        }
-        std::process::exit(1);
-    }
+    exit_on_violations(&violations);
 }
 
-/// A consensus property an execution broke at its honest nodes.
+/// A property a consensus, broadcast or log execution broke at its
+/// honest nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Violation {
-    /// Two honest nodes decided different values.
+    /// Two honest nodes decided (or delivered) different values.
     Disagreement,
     /// Honest inputs were common (and not `--differing`), yet an honest
     /// node decided something else.
     Validity,
+    /// The broadcast source was honest, yet an honest node delivered
+    /// something other than its input.
+    SourceValidity,
     /// An honest node ran more diagnosis stages than Theorem 1's
     /// `t(t+1)`.
     DiagnosisBound,
+    /// An honest node ran more diagnosis stages than the `t(t+2)`
+    /// dispute budget of a broadcast, or of a whole log.
+    DisputeBudget,
     /// An honest node isolated an honest node.
     HonestIsolated,
+    /// Two honest replicas committed different logs.
+    LogDisagreement,
+    /// Two honest replicas ended in different states.
+    StateDisagreement,
 }
 
 impl std::fmt::Display for Violation {
@@ -335,9 +343,24 @@ impl std::fmt::Display for Violation {
         f.write_str(match self {
             Violation::Disagreement => "honest nodes decided different values",
             Violation::Validity => "honest nodes shared an input but decided another value",
+            Violation::SourceValidity => "honest nodes delivered other than the honest source's input",
             Violation::DiagnosisBound => "diagnosis stages exceed Theorem 1's t(t+1)",
+            Violation::DisputeBudget => "diagnosis stages exceed the t(t+2) dispute budget",
             Violation::HonestIsolated => "an honest node was isolated",
+            Violation::LogDisagreement => "honest replicas committed different logs",
+            Violation::StateDisagreement => "honest replicas hold different states",
         })
+    }
+}
+
+/// Prints every violation as a `VIOLATION:` line and exits 1, or
+/// returns when there is none.
+fn exit_on_violations(violations: &[Violation]) {
+    if !violations.is_empty() {
+        for v in violations {
+            println!("VIOLATION: {v}");
+        }
+        std::process::exit(1);
     }
 }
 
@@ -366,6 +389,61 @@ fn consensus_violations(
     }
     if honest.iter().any(|&i| reports[i].isolated.iter().any(|v| honest.contains(v))) {
         violations.push(Violation::HonestIsolated);
+    }
+    violations
+}
+
+/// The broadcast properties the honest nodes' `reports` violate —
+/// agreement, source validity, honest isolation, the dispute budget, in
+/// that order; empty for a correct run. `value` is the source's input
+/// when the source is honest.
+fn broadcast_violations(
+    t: usize,
+    value: Option<&[u8]>,
+    honest: &[usize],
+    reports: &[BroadcastReport],
+) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    if honest.windows(2).any(|w| reports[w[0]].output != reports[w[1]].output) {
+        violations.push(Violation::Disagreement);
+    }
+    if value.is_some_and(|v| honest.iter().any(|&i| reports[i].output != v)) {
+        violations.push(Violation::SourceValidity);
+    }
+    if honest.iter().any(|&i| reports[i].isolated.iter().any(|v| honest.contains(v))) {
+        violations.push(Violation::HonestIsolated);
+    }
+    if honest.iter().any(|&i| reports[i].diagnosis_invocations > (t * (t + 2)) as u64) {
+        violations.push(Violation::DisputeBudget);
+    }
+    violations
+}
+
+/// The log properties the honest replicas' `reports` and `stores`
+/// violate — log agreement, state agreement, honest isolation, the
+/// log-wide dispute budget over every committed slot's diagnoses, in
+/// that order; empty for a correct run.
+fn smr_violations(
+    t: usize,
+    honest: &[usize],
+    reports: &[SmrReport],
+    stores: &[KvStore],
+) -> Vec<Violation> {
+    let mut violations = Vec::new();
+    if honest.windows(2).any(|w| reports[w[0]].agreed_log() != reports[w[1]].agreed_log()) {
+        violations.push(Violation::LogDisagreement);
+    }
+    if honest.windows(2).any(|w| stores[w[0]] != stores[w[1]]) {
+        violations.push(Violation::StateDisagreement);
+    }
+    if honest.iter().any(|&i| reports[i].isolated.iter().any(|v| honest.contains(v))) {
+        violations.push(Violation::HonestIsolated);
+    }
+    if honest.iter().any(|&i| {
+        let diagnoses: u64 = reports[i].slots.iter().map(|s| s.diagnosis_invocations).sum();
+        diagnoses > (t * (t + 2)) as u64
+    }) {
+        violations.push(Violation::DisputeBudget);
     }
     violations
 }
@@ -418,13 +496,18 @@ fn broadcast(
     );
     println!("attack: {attack:?}; Byzantine processors: {faulty:?}");
     let honest: Vec<usize> = (0..n).filter(|i| !faulty.contains(i)).collect();
-    let agreed = honest.windows(2).all(|w| run.outputs[w[0]] == run.outputs[w[1]]);
+    let source_honest = !faulty.contains(&source);
+    let violations = broadcast_violations(
+        t,
+        source_honest.then_some(value.as_slice()),
+        &honest,
+        &run.reports,
+    );
+    let agreed = !violations.contains(&Violation::Disagreement);
     println!("fault-free agreement: {}", if agreed { "YES" } else { "NO (BUG!)" });
-    if !faulty.contains(&source) {
-        println!(
-            "validity (delivered == source input): {}",
-            if run.outputs[honest[0]] == value { "YES" } else { "NO (BUG!)" }
-        );
+    if source_honest {
+        let valid = !violations.contains(&Violation::SourceValidity);
+        println!("validity (delivered == source input): {}", if valid { "YES" } else { "NO (BUG!)" });
     }
     let snap = metrics.snapshot();
     println!(
@@ -434,6 +517,7 @@ fn broadcast(
         snap.rounds(),
         run.reports[honest[0]].diagnosis_invocations,
     );
+    exit_on_violations(&violations);
 }
 
 /// Converts the CLI's [`NetSpec`] into a [`SchedulingPolicy`], exiting
@@ -579,11 +663,10 @@ fn smr(
         );
     }
     let honest: Vec<usize> = (0..n).filter(|i| !faulty.contains(i)).collect();
-    let agreed = honest
-        .windows(2)
-        .all(|w| run.reports[w[0]].agreed_log() == run.reports[w[1]].agreed_log());
+    let violations = smr_violations(t, &honest, &run.reports, &run.stores);
+    let agreed = !violations.contains(&Violation::LogDisagreement);
     println!("fault-free log agreement: {}", if agreed { "YES" } else { "NO (BUG!)" });
-    let state_ok = honest.windows(2).all(|w| run.stores[w[0]] == run.stores[w[1]]);
+    let state_ok = !violations.contains(&Violation::StateDisagreement);
     println!("fault-free state agreement: {}", if state_ok { "YES" } else { "NO (BUG!)" });
     let r = &run.reports[honest[0]];
     println!(
@@ -628,6 +711,7 @@ fn smr(
     if r.slots.len() > 8 {
         println!("  ... ({} more slots)", r.slots.len() - 8);
     }
+    exit_on_violations(&violations);
 }
 
 /// Pretty-prints a `RunReport` JSON (from `smr --report`) or a network
@@ -798,6 +882,7 @@ fn info(n: usize, t: usize, l: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvbc_smr::{Command, SlotReport, StateMachine};
 
     /// Four nodes, node 3 faulty; every honest node decides `[7; 4]`
     /// from the common input `[7; 4]` after one diagnosis that isolated
@@ -873,6 +958,156 @@ mod tests {
         assert_eq!(
             consensus_violations(1, &inputs, false, &HONEST, &reports),
             vec![Violation::HonestIsolated]
+        );
+    }
+
+    /// Four broadcast nodes, node 3 faulty, source 0 honest: every
+    /// honest node delivers `[5; 4]` after one diagnosis that isolated
+    /// node 3.
+    fn clean_broadcast() -> (Vec<u8>, Vec<BroadcastReport>) {
+        let report = BroadcastReport {
+            output: vec![5; 4],
+            diagnosis_invocations: 1,
+            defaulted: false,
+            isolated: vec![3],
+            edges_removed: 3,
+        };
+        (vec![5; 4], vec![report; 4])
+    }
+
+    #[test]
+    fn a_clean_broadcast_violates_nothing() {
+        let (value, mut reports) = clean_broadcast();
+        assert!(broadcast_violations(1, Some(&value), &HONEST, &reports).is_empty());
+        reports[3].output = vec![0; 4];
+        reports[3].diagnosis_invocations = 99;
+        reports[3].isolated = vec![0];
+        assert!(broadcast_violations(1, Some(&value), &HONEST, &reports).is_empty());
+    }
+
+    #[test]
+    fn broadcast_disagreement_alone() {
+        let (_, mut reports) = clean_broadcast();
+        reports[1].output = vec![6; 4];
+        // A faulty source: validity has nothing to say.
+        assert_eq!(
+            broadcast_violations(1, None, &HONEST, &reports),
+            vec![Violation::Disagreement]
+        );
+    }
+
+    #[test]
+    fn broadcast_source_validity_alone() {
+        let (value, mut reports) = clean_broadcast();
+        for r in &mut reports[..3] {
+            r.output = vec![0; 4];
+        }
+        assert_eq!(
+            broadcast_violations(1, Some(&value), &HONEST, &reports),
+            vec![Violation::SourceValidity]
+        );
+        assert!(broadcast_violations(1, None, &HONEST, &reports).is_empty());
+    }
+
+    #[test]
+    fn broadcast_honest_isolated_alone() {
+        let (value, mut reports) = clean_broadcast();
+        reports[2].isolated = vec![1, 3];
+        assert_eq!(
+            broadcast_violations(1, Some(&value), &HONEST, &reports),
+            vec![Violation::HonestIsolated]
+        );
+    }
+
+    #[test]
+    fn broadcast_dispute_budget_alone() {
+        let (value, mut reports) = clean_broadcast();
+        reports[0].diagnosis_invocations = 3;
+        assert!(broadcast_violations(1, Some(&value), &HONEST, &reports).is_empty());
+        reports[0].diagnosis_invocations = 4; // t(t+2) = 3 at t = 1
+        assert_eq!(
+            broadcast_violations(1, Some(&value), &HONEST, &reports),
+            vec![Violation::DisputeBudget]
+        );
+    }
+
+    /// Four replicas, replica 3 faulty: every honest replica committed
+    /// one command in slot 0 and a fallback in slot 1 (one diagnosis
+    /// each), and isolated replica 3.
+    fn clean_log() -> (Vec<SmrReport>, Vec<KvStore>) {
+        let command = Command { key: 1, value: 10 };
+        let mut store = KvStore::default();
+        store.apply_batch(&[command]);
+        let mut slots = vec![SlotReport::degraded(0, 0, 9), SlotReport::degraded(1, 3, 18)];
+        slots[0].committed = vec![command];
+        slots[0].fallback = false;
+        for s in &mut slots {
+            s.diagnosis_ran = true;
+            s.diagnosis_invocations = 1;
+        }
+        let report = SmrReport {
+            slots,
+            digest: store.digest(),
+            committed_commands: 1,
+            fallback_slots: 1,
+            isolated: vec![3],
+            suspects: vec![3],
+            restarts: 0,
+        };
+        (vec![report; 4], vec![store; 4])
+    }
+
+    #[test]
+    fn a_clean_log_violates_nothing() {
+        let (mut reports, mut stores) = clean_log();
+        assert!(smr_violations(1, &HONEST, &reports, &stores).is_empty());
+        reports[3].slots.clear();
+        reports[3].isolated = vec![0];
+        stores[3] = KvStore::default();
+        assert!(smr_violations(1, &HONEST, &reports, &stores).is_empty());
+    }
+
+    #[test]
+    fn log_disagreement_alone() {
+        let (mut reports, stores) = clean_log();
+        reports[1].slots[1].primary = 2;
+        assert_eq!(
+            smr_violations(1, &HONEST, &reports, &stores),
+            vec![Violation::LogDisagreement]
+        );
+    }
+
+    #[test]
+    fn state_disagreement_alone() {
+        let (reports, mut stores) = clean_log();
+        stores[2].apply_batch(&[Command { key: 2, value: 20 }]);
+        assert_eq!(
+            smr_violations(1, &HONEST, &reports, &stores),
+            vec![Violation::StateDisagreement]
+        );
+    }
+
+    #[test]
+    fn log_honest_isolated_alone() {
+        let (mut reports, stores) = clean_log();
+        reports[0].isolated = vec![1, 3];
+        assert_eq!(
+            smr_violations(1, &HONEST, &reports, &stores),
+            vec![Violation::HonestIsolated]
+        );
+    }
+
+    #[test]
+    fn log_dispute_budget_counts_every_slot() {
+        // Two diagnoses per replica are within t(t+2) = 3; a third slot
+        // diagnosis at one replica is not, though no slot alone exceeds it.
+        let (mut reports, stores) = clean_log();
+        reports[1].slots[0].diagnosis_invocations = 2;
+        assert!(smr_violations(1, &HONEST, &reports, &stores).is_empty());
+        reports[1].slots[1].diagnosis_invocations = 2;
+        assert_eq!(
+            smr_violations(1, &HONEST, &reports, &stores),
+            vec![Violation::DisputeBudget]
         );
     }
 }

@@ -24,7 +24,7 @@
 //! [`dsel::model_window_rerun_bits`](crate::dsel::model_window_rerun_bits)).
 
 use mvbc_bsb::{BsbDriver, PhaseKingDriver};
-use mvbc_netsim::NodeCtx;
+use mvbc_netsim::{block_on, NodeCtx};
 use mvbc_rscode::StripedCode;
 
 use crate::config::ConsensusConfig;
@@ -101,11 +101,11 @@ pub fn run_consensus_with(
     bsb: &mut dyn BsbDriver,
 ) -> EngineReport {
     let window = if cfg.ablation_reset_diag { 1 } else { GENERATION_WINDOW };
-    run_windowed(ctx, cfg, input, hooks, bsb, window)
+    block_on(run_windowed(ctx, cfg, input, hooks, bsb, window))
 }
 
 /// [`run_consensus_with`] with windows of up to `window` generations.
-pub(crate) fn run_windowed(
+pub(crate) async fn run_windowed(
     ctx: &mut NodeCtx,
     cfg: &ConsensusConfig,
     input: &[u8],
@@ -160,7 +160,7 @@ pub(crate) fn run_windowed(
             })
             .collect();
 
-        let report = run_window(ctx, cfg, &code, &tags, &mut diag, next, &parts, hooks, bsb);
+        let report = run_window(ctx, cfg, &code, &tags, &mut diag, next, &parts, hooks, bsb).await;
         next += report.decided.len();
         for value in &report.decided {
             debug_assert_eq!(value.len(), d);
@@ -278,7 +278,7 @@ mod tests {
                         None => NoopHooks::boxed(),
                     };
                 Box::new(move |ctx: &mut NodeCtx| {
-                    run_windowed(ctx, &cfg, &input, hooks.as_mut(), &mut PhaseKingDriver, window)
+                    block_on(run_windowed(ctx, &cfg, &input, hooks.as_mut(), &mut PhaseKingDriver, window))
                 }) as NodeLogic<EngineReport>
             })
             .collect();
@@ -453,14 +453,14 @@ mod tests {
                     let v = v.clone();
                     Box::new(move |ctx: &mut NodeCtx| {
                         if id != 1 {
-                            let report = run_windowed(
+                            let report = block_on(run_windowed(
                                 ctx,
                                 &cfg,
                                 &v,
                                 &mut NoopHooks,
                                 &mut PhaseKingDriver,
                                 w,
-                            );
+                            ));
                             return Some(report);
                         }
                         for k in 0..w.min(g) {

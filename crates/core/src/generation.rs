@@ -103,7 +103,7 @@ struct Matched {
 /// `cfg`, `code`, a diagnosis graph in the same state, `first` and
 /// window length.
 #[allow(clippy::too_many_arguments)] // one call site; mirrors the paper's per-generation state
-pub(crate) fn run_window(
+pub(crate) async fn run_window(
     ctx: &mut NodeCtx,
     cfg: &ConsensusConfig,
     code: &StripedCode,
@@ -144,7 +144,7 @@ pub(crate) fn run_window(
             }
         }
     }
-    let mut inbox = ctx.end_round();
+    let mut inbox = ctx.next_round().await;
 
     // 1(b): receive symbols; untrusted senders and malformed payloads
     // become the distinguished symbol ⊥ (None), per generation.
@@ -178,7 +178,7 @@ pub(crate) fn run_window(
     // batch (one instance per bit); isolated processors neither broadcast
     // nor are broadcast to.
     let bsb_m = BsbConfig::with_tags(t, SESSION_M, tags.m, participants.clone());
-    let m_broadcast = bsb.run_values(ctx, &bsb_m, &m_specs, &mut *hooks);
+    let m_broadcast = bsb.run_values(ctx, &bsb_m, &m_specs, &mut *hooks).await;
 
     // 1(e): find P_match of size n - t with pairwise true M flags. 1(f):
     // no P_match means the fault-free inputs differ, and the window stops
@@ -227,7 +227,7 @@ pub(crate) fn run_window(
         }));
     }
     let bsb_det = BsbConfig::with_tags(t, SESSION_DETECTED, tags.detected, participants);
-    let det_flags = bsb.run_batch(ctx, &bsb_det, &det_instances, &mut *hooks);
+    let det_flags = bsb.run_batch(ctx, &bsb_det, &det_instances, &mut *hooks).await;
 
     // 2(c): generations in which nobody detected an inconsistency decode
     // from the symbols at hand. (For a fault-free processor this succeeds
@@ -240,7 +240,7 @@ pub(crate) fn run_window(
         let (gen_flags, rest) = flags.split_at(gen.outsiders.len());
         flags = rest;
         if gen_flags.iter().any(|&d| d) {
-            decided.push(diagnose(ctx, cfg, code, diag, first + k, gen, gen_flags, hooks, bsb));
+            decided.push(diagnose(ctx, cfg, code, diag, first + k, gen, gen_flags, hooks, bsb).await);
             return WindowReport { decided, diagnosed: true, no_match: false };
         }
         decided.push(
@@ -255,7 +255,7 @@ pub(crate) fn run_window(
 /// stage returned `det_flags` (aligned with `gen.outsiders`); updates
 /// `diag` and returns the generation's decided value.
 #[allow(clippy::too_many_arguments)] // one call site; mirrors the paper's per-generation state
-fn diagnose(
+async fn diagnose(
     ctx: &mut NodeCtx,
     cfg: &ConsensusConfig,
     code: &StripedCode,
@@ -292,7 +292,7 @@ fn diagnose(
             input: (src == me).then(|| my_sym_bits.clone()),
         })
         .collect();
-    let rsharp_bits = bsb.run_values(ctx, &bsb_rsharp, &rsharp_specs, &mut *hooks);
+    let rsharp_bits = bsb.run_values(ctx, &bsb_rsharp, &rsharp_specs, &mut *hooks).await;
     let rsharp: Vec<(usize, Symbol)> = p_match
         .iter()
         .zip(&rsharp_bits)
@@ -321,7 +321,7 @@ fn diagnose(
             input: (src == me).then(|| trust.clone()),
         })
         .collect();
-    let trust_all = bsb.run_values(ctx, &bsb_trust, &trust_specs, &mut *hooks);
+    let trust_all = bsb.run_values(ctx, &bsb_trust, &trust_specs, &mut *hooks).await;
 
     // 3(e): remove accused edges. All processors hold identical
     // trust_all, so they remove identical edges.

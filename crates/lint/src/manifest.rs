@@ -178,6 +178,9 @@ pub struct Manifest {
     /// Identifiers that read the machine's thread count (pool sizing
     /// may never influence committed bytes or trace digests).
     pub thread_count: Vec<String>,
+    /// Exact files inside a zone that may start OS threads
+    /// (`thread::{spawn, scope, Builder}`): the simulator's executor.
+    pub executor_files: Vec<String>,
 
     /// Path prefixes where unordered-container state is forbidden.
     pub hash_state_zones: Vec<String>,
@@ -237,6 +240,7 @@ impl Manifest {
                 &["thread_rng", "from_entropy", "OsRng"],
             )?,
             thread_count: list("determinism", "thread_count", &["available_parallelism"])?,
+            executor_files: list("determinism", "executor_files", &[])?,
             hash_state_zones: list("hash_state", "zones", &[])?,
             trace_order_files: list("trace_order", "files", &[])?,
             panic_zones: list("panics", "zones", &[])?,

@@ -31,6 +31,7 @@ pub const KNOWN_RULES: &[&str] = &[
     "determinism.sleep",
     "determinism.unseeded_rng",
     "determinism.thread_count",
+    "determinism.thread_spawn",
     "determinism.hash_state",
     "trace.hash_iter",
     "unsafe.missing_safety",
@@ -289,7 +290,8 @@ fn unsafe_rules(path: &str, lexed: &Lexed, out: &mut FileOutcome, raw: &mut Vec<
     }
 }
 
-/// Wall clock, sleep, and entropy rules for determinism zones.
+/// Wall clock, sleep, entropy, core-count and thread-spawn rules for
+/// determinism zones.
 fn determinism_rules(
     path: &str,
     lexed: &Lexed,
@@ -330,6 +332,21 @@ fn determinism_rules(
                      from an explicit seed"
                 ),
             ));
+        } else if THREAD_SPAWNS.contains(&id)
+            && (preceded_by_path(&lexed.toks, i, "thread") || in_thread_use_group(&lexed.toks, i))
+            && !manifest.executor_files.iter().any(|f| f == path)
+        {
+            raw.push(Diagnostic::new(
+                "determinism.thread_spawn",
+                path,
+                t.line,
+                format!(
+                    "`thread::{id}` in a determinism zone outside the executor ({}); run \
+                     concurrent protocol work as lane futures on the node's own thread \
+                     (`mvbc_netsim::lanes`)",
+                    manifest.executor_files.join(", ")
+                ),
+            ));
         } else if manifest.thread_count.iter().any(|w| w == id) {
             raw.push(Diagnostic::new(
                 "determinism.thread_count",
@@ -344,6 +361,32 @@ fn determinism_rules(
             ));
         }
     }
+}
+
+/// The `std::thread` items that start OS threads.
+const THREAD_SPAWNS: &[&str] = &["spawn", "scope", "Builder"];
+
+/// Whether token `i` sits in a `thread::{...}` import group, e.g. the
+/// `spawn` of `use std::thread::{sleep, spawn};`.
+fn in_thread_use_group(toks: &[Tok], i: usize) -> bool {
+    let mut depth = 0usize;
+    for j in (0..i).rev() {
+        let t = &toks[j];
+        if t.is_punct(';') {
+            return false;
+        } else if t.is_punct('}') {
+            depth += 1;
+        } else if t.is_punct('{') {
+            if depth == 0 {
+                return j >= 3
+                    && toks[j - 1].is_punct(':')
+                    && toks[j - 2].is_punct(':')
+                    && toks[j - 3].is_ident("thread");
+            }
+            depth -= 1;
+        }
+    }
+    false
 }
 
 /// Whether token `i` is reached via `prefix::` (e.g. `thread::sleep`).
@@ -578,6 +621,7 @@ mod tests {
 [determinism]
 zones = ["crates/proto"]
 allow_files = ["crates/proto/src/seam.rs"]
+executor_files = ["crates/proto/src/exec.rs"]
 
 [hash_state]
 zones = ["crates/proto"]
@@ -637,6 +681,27 @@ required_context = ["round", "node", "vtime"]
             "// mvbc-lint: allow(determinism.thread_count): workers shard disjoint bands, bytes pinned invariant\n{src}"
         );
         assert!(rules_hit("crates/proto/src/lib.rs", &justified).is_empty());
+    }
+
+    #[test]
+    fn thread_spawns_flagged_outside_the_executor() {
+        let src = "use std::thread::{self, Builder};\n\
+                   fn f() { std::thread::spawn(|| ()); thread::scope(|_| ()); }\n\
+                   fn g() { let h = task::spawn(); let b = Builder::new(); }";
+        let lines = |path: &str| -> Vec<(String, u32)> {
+            check_file(path, src, &manifest())
+                .diagnostics
+                .into_iter()
+                .map(|d| (d.rule, d.line))
+                .collect()
+        };
+        let rule = "determinism.thread_spawn".to_owned();
+        assert_eq!(
+            lines("crates/proto/src/lib.rs"),
+            [(rule.clone(), 1), (rule.clone(), 2), (rule, 2)]
+        );
+        assert!(lines("crates/proto/src/exec.rs").is_empty());
+        assert!(lines("crates/other/src/lib.rs").is_empty());
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn justified_suppression_silences_and_is_counted() {
     // suppressed.rs has the one effective directive; allow_bad.rs has
     // two ineffective ones — all three are *directives* and counted.
     assert_eq!(proto.suppressions, 3);
-    assert_eq!(proto.files, 9);
+    assert_eq!(proto.files, 11);
 }
 
 #[test]

@@ -40,6 +40,14 @@ fn workspace_lints_clean() {
         None,
         "the workspace suppresses determinism.thread_count again"
     );
+    // Lanes run as futures on their node's thread: no zone file but
+    // the simulator's executor starts a thread, and none may do so
+    // behind a suppression comment.
+    assert_eq!(
+        report.suppressed_rules.get("determinism.thread_spawn"),
+        None,
+        "the workspace suppresses determinism.thread_spawn"
+    );
     // The codec's memo tables are state of each code value, so no
     // process-wide map is left to justify: an unordered container must
     // not come back behind a suppression comment either.
@@ -47,6 +55,29 @@ fn workspace_lints_clean() {
         report.suppressed_rules.get("determinism.hash_state"),
         None,
         "the workspace suppresses determinism.hash_state again"
+    );
+}
+
+#[test]
+fn only_the_executor_starts_threads() {
+    // Without its executor allowance, the workspace trips
+    // determinism.thread_spawn in exactly one file: the simulator's
+    // coordinator, which runs each node on an OS thread.
+    let root = workspace_root();
+    let mut manifest = load_manifest(&root).expect("lint.toml parses");
+    assert_eq!(manifest.executor_files, ["crates/netsim/src/lib.rs"]);
+    manifest.executor_files.clear();
+    let report = scan_workspace(&root, &manifest).expect("scan succeeds");
+    let files: Vec<&str> = report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == "determinism.thread_spawn")
+        .map(|d| d.file.as_str())
+        .collect();
+    assert!(!files.is_empty(), "the executor's thread::scope must trip the rule");
+    assert!(
+        files.iter().all(|f| *f == "crates/netsim/src/lib.rs"),
+        "threads started outside the executor: {files:?}"
     );
 }
 

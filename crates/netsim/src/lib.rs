@@ -19,6 +19,13 @@
 //! [`MetricsSink`] that experiments use to
 //! measure communication complexity.
 //!
+//! Protocol code that ends rounds is `async`: it awaits
+//! [`NodeCtx::next_round`], and a synchronous entry point runs it with
+//! [`block_on`], which on a node's context completes every round at once.
+//! That makes a protocol execution a future, so a node can run several
+//! of them concurrently on its own thread as [`lanes`] sharing its round
+//! barrier — no executor but the coordinator starts a thread.
+//!
 //! # Scheduling policies
 //!
 //! The coordinator runs one of two [`SchedulingPolicy`]s (configured via
@@ -70,7 +77,10 @@ pub mod net;
 pub mod trace;
 
 use std::fmt;
+use std::future::Future;
+use std::rc::Rc;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use bytes::Bytes;
@@ -334,6 +344,19 @@ enum CoordMsg {
     },
 }
 
+/// Where a context's round submissions go.
+enum Link {
+    /// A simulator node: submits to the coordinator and blocks for the
+    /// routed inbox.
+    Node {
+        to_coord: Sender<CoordMsg>,
+        from_coord: Receiver<Inbox>,
+    },
+    /// A lane ([`lanes::LaneMux::spawn`]): parks its submission for the
+    /// mux, which hands the routed inbox back on the next poll.
+    Lane(Rc<lanes::LaneLink>),
+}
+
 /// Handle through which node logic interacts with the network.
 ///
 /// See the crate docs for the round semantics.
@@ -345,8 +368,7 @@ pub struct NodeCtx {
     /// Logical bits this context has sent (see [`NodeCtx::bits_sent`]).
     bits_sent: u64,
     pending: Vec<Outgoing>,
-    to_coord: Sender<CoordMsg>,
-    from_coord: Receiver<Inbox>,
+    link: Link,
     metrics: MetricsSink,
 }
 
@@ -439,22 +461,76 @@ impl NodeCtx {
     /// # Panics
     ///
     /// Panics when the coordinator has shut down (another node panicked or
-    /// the round limit was hit).
+    /// the round limit was hit), and on a lane context, whose rounds only
+    /// its [`lanes::LaneMux`] can complete: lane code awaits
+    /// [`NodeCtx::next_round`] instead.
     pub fn end_round(&mut self) -> Inbox {
+        let Link::Node { to_coord, from_coord } = &self.link else {
+            panic!("end_round() on a lane context: lane code must await next_round()");
+        };
         let outgoing = std::mem::take(&mut self.pending);
-        self.to_coord
+        to_coord
             .send(CoordMsg::Submit {
                 from: self.id,
                 outgoing,
             })
             .expect("coordinator alive");
-        let inbox = self
-            .from_coord
-            .recv()
-            .expect("coordinator delivers a round inbox");
+        let inbox = from_coord.recv().expect("coordinator delivers a round inbox");
+        self.finish_round(inbox)
+    }
+
+    /// Completes the current round like [`NodeCtx::end_round`], as a
+    /// future: protocol code that ends rounds is `async` and awaits this.
+    ///
+    /// On a simulator node's context the first poll does the blocking
+    /// [`NodeCtx::end_round`] and is ready, so [`block_on`] runs such
+    /// code to completion in one poll. On a lane context the first poll
+    /// parks the round's messages for the lane's [`lanes::LaneMux`] and
+    /// yields; the mux's next step resumes it with the routed inbox.
+    pub async fn next_round(&mut self) -> Inbox {
+        let Link::Lane(link) = &self.link else {
+            return self.end_round();
+        };
+        let link = link.clone();
+        link.submission.set(Some(std::mem::take(&mut self.pending)));
+        let mut parked = false;
+        std::future::poll_fn(|_| {
+            if std::mem::replace(&mut parked, true) { Poll::Ready(()) } else { Poll::Pending }
+        })
+        .await;
+        let inbox = link.inbox.take().expect("a lane resumes only after its mux routed its inbox");
+        self.finish_round(inbox)
+    }
+
+    /// Counts a completed round whose deliveries are `inbox`.
+    fn finish_round(&mut self, inbox: Inbox) -> Inbox {
         self.round += 1;
         self.vtime = inbox.vtime;
         inbox
+    }
+}
+
+/// Runs a protocol future to completion on the calling thread.
+///
+/// Every `async` protocol function of the workspace ends its rounds with
+/// [`NodeCtx::next_round`]; on a simulator node's context each of those
+/// completes at once, so one poll runs the future to its end. This is
+/// the whole executor of the synchronous entry points (`run_bsb_batch`,
+/// `run_consensus`, `run_replicated_log`, ...).
+///
+/// # Panics
+///
+/// Panics when the future is not ready after one poll: it awaited a lane
+/// context's round, and lane futures run only under their
+/// [`lanes::LaneMux`].
+pub fn block_on<F: Future>(future: F) -> F::Output {
+    let mut future = std::pin::pin!(future);
+    match future.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(output) => output,
+        Poll::Pending => panic!(
+            "block_on: the future awaited a lane context's round; \
+             lane futures must be driven by their LaneMux"
+        ),
     }
 }
 
@@ -541,8 +617,10 @@ pub fn run_simulation_traced<O: Send + 'static>(
                     vtime: 0,
                     bits_sent: 0,
                     pending: Vec::new(),
-                    to_coord: to_coord.clone(),
-                    from_coord: rx,
+                    link: Link::Node {
+                        to_coord: to_coord.clone(),
+                        from_coord: rx,
+                    },
                     metrics,
                 };
                 // Always announce termination, even on panic, so the

@@ -1,7 +1,7 @@
 //! The replicated-log engine: many broadcast slots in one simulation,
-//! through a window of up to [`MAX_PIPELINE`] concurrent slots. A window
-//! of one runs its slot inline on the replica's context; wider windows
-//! run each slot on a lane. Both commit through the same code.
+//! through a window of up to [`MAX_PIPELINE`] concurrent slots, each a
+//! lane future polled on the replica's own thread. Every depth, 1
+//! included, runs and commits through the same code.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -13,7 +13,8 @@ use mvbc_metrics::MetricsSink;
 use mvbc_netsim::lanes::{LaneId, LaneMux};
 use mvbc_netsim::trace::TraceSink;
 use mvbc_netsim::{
-    run_simulation_traced, slot_scope, NodeCtx, NodeLogic, SchedulingPolicy, SimConfig, VirtualTime,
+    block_on, run_simulation_traced, slot_scope, NodeCtx, NodeLogic, SchedulingPolicy, SimConfig,
+    VirtualTime,
 };
 
 use crate::batch::{decode_batch, encode_batch, BatchBuilder, Command};
@@ -32,11 +33,10 @@ pub const COMMIT_VTIME_TAG: &str = "smr.commit.vtime";
 /// can commit at the same tick, so gaps of zero are real).
 pub const COMMIT_GAP_TAG: &str = "smr.commit.gap";
 
-/// Deepest pipeline [`SmrConfig::with_pipeline`] accepts. At depth
-/// `W > 1` each replica runs one lane thread per in-flight slot, so a run
-/// uses up to `n × MAX_PIPELINE` threads; depth 1 runs its slot inline
-/// and spawns no lane thread. 16 is twice the deepest pipeline the repo
-/// runs (the `smr_pipeline` paper table's W = 8).
+/// Deepest pipeline [`SmrConfig::with_pipeline`] accepts. Each in-flight
+/// slot is one lane future on its replica's thread, so depth costs
+/// memory and per-round polling, not threads. 16 is twice the deepest
+/// pipeline the repo runs (the `smr_pipeline` paper table's W = 8).
 pub const MAX_PIPELINE: usize = 16;
 
 /// Error for invalid replicated-log parameters.
@@ -182,8 +182,8 @@ impl SmrConfig {
     /// # Panics
     ///
     /// Panics unless `1 <= w <= MAX_PIPELINE` (the log needs at least
-    /// one slot in flight, and at depth > 1 each in-flight slot costs
-    /// every replica a thread).
+    /// one slot in flight, and each in-flight slot costs every replica a
+    /// lane).
     pub fn with_pipeline(mut self, w: usize) -> Self {
         assert!(
             (1..=MAX_PIPELINE).contains(&w),
@@ -284,8 +284,7 @@ struct Flight {
     /// committed.
     version: u64,
     degraded: bool,
-    /// The attempt's lane (`None` for a degraded slot, or for a slot run
-    /// inline in a window of one).
+    /// The attempt's lane (`None` for a degraded slot).
     lane: Option<LaneId>,
     /// The batch this replica popped for its own proposal (requeued if
     /// the attempt is discarded or the slot falls back).
@@ -332,10 +331,10 @@ struct Flight {
 ///
 /// Each in-flight slot runs the unmodified [`run_broadcast_slot`] against
 /// a *clone* of the diagnosis graph taken at proposal time, under its own
-/// attempt scope `smr.slot<S>.a<K>`. In a window of one the slot runs
-/// inline on the replica's own context; in a wider window each slot runs
-/// on its own [`lane`](mvbc_netsim::lanes), so up to `W` slots share every
-/// synchronous round (the per-attempt tag scopes prevent cross-delivery).
+/// attempt scope `smr.slot<S>.a<K>`, as a [`lane`](mvbc_netsim::lanes)
+/// future polled on the replica's own thread, so up to `W` slots share
+/// every synchronous round (the per-attempt tag scopes prevent
+/// cross-delivery). A window of one is a mux with one lane.
 /// Commits apply strictly in slot order. The shared dispute state
 /// (diagnosis graph + suspect set + this replica's pending queue) carries
 /// a version counter: a commit that changes any of it — a caught primary,
@@ -359,6 +358,18 @@ struct Flight {
 /// [`SmrHooks::slot_hooks`] may be called more than once per slot (once
 /// per attempt) and must be deterministic in `(slot, i_am_primary)`.
 pub fn run_replicated_log<S: StateMachine>(
+    ctx: &mut NodeCtx,
+    cfg: &SmrConfig,
+    commands: Vec<Command>,
+    hooks: &mut dyn SmrHooks,
+    state: &mut S,
+) -> SmrReport {
+    block_on(replicate(ctx, cfg, commands, hooks, state))
+}
+
+/// The body of [`run_replicated_log`]: its only awaits are the mux's
+/// physical rounds.
+async fn replicate<S: StateMachine>(
     ctx: &mut NodeCtx,
     cfg: &SmrConfig,
     commands: Vec<Command>,
@@ -440,22 +451,11 @@ pub fn run_replicated_log<S: StateMachine>(
             if let Some(span) = span {
                 span.finish(ctx.vtime());
             }
-            let mut flight = Flight {
-                primary,
-                version,
-                degraded: false,
-                lane: None,
-                my_batch,
-                pre_trust: (0..n).map(|x| diag.trusts(primary, x)).collect(),
-                outcome: None,
-                rounds: 0,
-                bits: 0,
-            };
+            let pre_trust = (0..n).map(|x| diag.trusts(primary, x)).collect();
             let mut slot_hooks = hooks.slot_hooks(slot, me == primary);
             let bcfg = cfg.broadcast_config(primary);
             let mut slot_diag = diag.clone();
-            let lane_scope = scope.clone();
-            let run_slot = move |slot_ctx: &mut NodeCtx| {
+            let lane = mux.spawn(ctx, scope.clone(), async move |slot_ctx: &mut NodeCtx| {
                 let report = run_broadcast_slot(
                     slot_ctx,
                     &bcfg,
@@ -464,22 +464,25 @@ pub fn run_replicated_log<S: StateMachine>(
                     &mut slot_diag,
                     slot_hooks.as_mut(),
                     &mut PhaseKingDriver,
-                );
+                )
+                .await;
                 (report, slot_diag)
-            };
-            if window == 1 {
-                // Nothing to interleave with: run the slot on the
-                // replica's own context, no lane thread.
-                let (round_before, bits_before) = (ctx.round(), ctx.bits_sent());
-                flight.outcome = Some(run_slot(ctx));
-                flight.rounds = ctx.round() - round_before;
-                flight.bits = ctx.bits_sent() - bits_before;
-            } else {
-                let lane = mux.spawn(ctx, lane_scope, run_slot);
-                lane_slots.insert(lane, slot);
-                flight.lane = Some(lane);
-            }
-            flights.insert(slot, flight);
+            });
+            lane_slots.insert(lane, slot);
+            flights.insert(
+                slot,
+                Flight {
+                    primary,
+                    version,
+                    degraded: false,
+                    lane: Some(lane),
+                    my_batch,
+                    pre_trust,
+                    outcome: None,
+                    rounds: 0,
+                    bits: 0,
+                },
+            );
         }
 
         // --- Commit resolved flights, strictly in slot order. ---
@@ -584,7 +587,7 @@ pub fn run_replicated_log<S: StateMachine>(
         // --- One physical round: every live lane advances one round
         // (the commit head is an unresolved lane flight here, so the mux
         // is non-empty; discarded lanes drain alongside). ---
-        for finished in mux.step(ctx) {
+        for finished in mux.step(ctx).await {
             let Some(slot) = lane_slots.remove(&finished.id) else {
                 continue; // a discarded attempt drained; drop its result
             };
@@ -595,10 +598,10 @@ pub fn run_replicated_log<S: StateMachine>(
         }
     }
 
-    // Drain discarded lanes so no lane thread outlives the log (their
-    // peers at other replicas drain in the same rounds).
+    // Drain discarded lanes so their remaining rounds stay on the wire
+    // (their peers at other replicas drain in the same rounds).
     while mux.has_lanes() {
-        for finished in mux.step(ctx) {
+        for finished in mux.step(ctx).await {
             lane_slots.remove(&finished.id);
         }
     }

@@ -120,6 +120,11 @@ pub trait SmrHooks: Send {
     /// so this method can be called several times for one `slot` and must
     /// be deterministic in `(slot, i_am_primary)` for every depth to
     /// commit exactly the depth-1 log.
+    ///
+    /// The returned hooks live in the attempt's lane future, which the
+    /// replica polls on its own thread next to the other attempts in
+    /// flight; they are dropped when the attempt ends (a discarded
+    /// attempt first drains its remaining rounds).
     fn slot_hooks(&mut self, slot: u64, i_am_primary: bool) -> Box<dyn BroadcastHooks>;
 }
 

@@ -14,11 +14,13 @@ use mvbc_broadcast::{run_broadcast_slot, BroadcastHooks, NoopBroadcastHooks};
 use mvbc_bsb::PhaseKingDriver;
 use mvbc_core::DiagGraph;
 use mvbc_metrics::MetricsSink;
-use mvbc_netsim::{run_simulation, slot_scope, NodeCtx, NodeLogic, SimConfig};
+use mvbc_netsim::trace::TraceSink;
+use mvbc_netsim::{block_on, run_simulation, slot_scope, NodeCtx, NodeLogic, SimConfig};
 use mvbc_smr::{
-    decode_batch, encode_batch, plan_for_slot, simulate_smr, synthetic_workloads, BatchBuilder,
-    Command, EquivocatingPrimary, HonestReplica, KvStore, SilentPrimary, SlotPlan, SlotReport,
-    SmrConfig, SmrHooks, SmrReport, SmrRun, StateMachine,
+    decode_batch, encode_batch, plan_for_slot, simulate_smr, simulate_smr_traced,
+    synthetic_workloads, BatchBuilder, Command, EquivocatingPrimary, HonestReplica, KvStore,
+    SilentPrimary, SlotPlan, SlotReport, SmrConfig, SmrHooks, SmrReport, SmrRun, StateMachine,
+    MAX_PIPELINE,
 };
 
 /// The replicated log as a plain loop over slots, one broadcast at a
@@ -57,7 +59,7 @@ fn reference_log(
         let mut slot_hooks = hooks.slot_hooks(slot, me == primary);
         let pre_trust: Vec<bool> = (0..cfg.n).map(|x| diag.trusts(primary, x)).collect();
         let (round_before, bits_before) = (ctx.round(), ctx.bits_sent());
-        let report = run_broadcast_slot(
+        let report = block_on(run_broadcast_slot(
             ctx,
             &cfg.broadcast_config(primary),
             proposal.as_deref(),
@@ -65,7 +67,7 @@ fn reference_log(
             &mut diag,
             slot_hooks.as_mut(),
             &mut PhaseKingDriver,
-        );
+        ));
         let caught = report.defaulted
             || diag.is_isolated(primary)
             || (0..cfg.n).any(|x| pre_trust[x] && !diag.trusts(primary, x) && !diag.is_isolated(x));
@@ -270,6 +272,50 @@ fn two_byzantine_replicas_pipeline_equivalently() {
     // Both attacks were caught and excluded.
     let r = &reference.reports[honest[0]];
     assert!(r.suspects.contains(&byz_eq) && r.suspects.contains(&byz_silent));
+}
+
+/// The deepest pipeline — `MAX_PIPELINE` slot lanes per replica, all
+/// polled on the replica's own thread — commits the reference log under
+/// an equivocating and under a silent primary, and two runs of it put
+/// byte-identical traces on the wire.
+#[test]
+fn max_pipeline_commits_the_reference_log_deterministically() {
+    let n = 4usize;
+    let cfg = SmrConfig::new(n, 1, 2 * MAX_PIPELINE, 2).unwrap();
+    let workloads = || synthetic_workloads(n, 2 * MAX_PIPELINE, 5);
+    for (kind, byz) in [("equivocating", 1usize), ("silent", 2)] {
+        let mk_hooks = || -> Vec<Box<dyn SmrHooks>> {
+            (0..n)
+                .map(|i| -> Box<dyn SmrHooks> {
+                    match (i == byz, kind) {
+                        (false, _) => HonestReplica::boxed(),
+                        (true, "equivocating") => Box::new(EquivocatingPrimary::default()),
+                        (true, _) => Box::new(SilentPrimary),
+                    }
+                })
+                .collect()
+        };
+        let reference = simulate_reference(&cfg, workloads(), mk_hooks());
+        let honest: Vec<usize> = (0..n).filter(|&i| i != byz).collect();
+        let pipe_cfg = cfg.clone().with_pipeline(MAX_PIPELINE);
+        let digests: Vec<u64> = (0..2)
+            .map(|_| {
+                let trace = TraceSink::new();
+                let run = simulate_smr_traced(
+                    &pipe_cfg,
+                    workloads(),
+                    mk_hooks(),
+                    MetricsSink::new(),
+                    Some(trace.clone()),
+                );
+                let label = format!("{kind} primary W {MAX_PIPELINE}");
+                assert_equivalent(&reference, &run, MAX_PIPELINE, &honest, &label);
+                assert!(run.reports[honest[0]].restarts > 0, "{label}: the window was discarded");
+                trace.digest()
+            })
+            .collect();
+        assert_eq!(digests[0], digests[1], "{kind} primary: trace digests differ between runs");
+    }
 }
 
 /// A colluding team member that frames sitting primaries on scheduled
