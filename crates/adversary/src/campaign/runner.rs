@@ -15,14 +15,12 @@ use std::collections::BTreeMap;
 
 use mvbc_metrics::MetricsSink;
 use mvbc_netsim::trace::TraceSink;
-use mvbc_netsim::{
-    LinkModel, NetModel, Partition, PartitionBehavior, SchedulingPolicy, Topology, VirtualTime,
-};
+use mvbc_netsim::{SchedulingPolicy, VirtualTime};
 use mvbc_smr::{simulate_smr_traced, synthetic_workloads, SmrConfig, SmrReport};
 
 use super::behavior::hooks_for;
 use super::generator::ScenarioGenerator;
-use super::scenario::{LinkPlan, Scenario};
+use super::scenario::{NetPlan, Scenario};
 
 /// One failed invariant check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,39 +70,12 @@ pub struct RunOutcome {
     pub rounds: u64,
 }
 
-/// Builds the scheduling policy a scenario's network plan describes.
-fn policy_for(scenario: &Scenario) -> SchedulingPolicy {
-    let Some(net) = &scenario.net else {
-        return SchedulingPolicy::RoundBarrier;
-    };
-    let link = match net.link {
-        LinkPlan::Fixed(ticks) => LinkModel::Fixed(ticks),
-        LinkPlan::Jitter { base, jitter } => LinkModel::UniformJitter { base, jitter },
-        LinkPlan::Wan { intra, inter, jitter } => LinkModel::Wan { intra, inter, jitter },
-    };
-    let topology = if net.clusters.is_empty() {
-        Topology::Clique
-    } else {
-        Topology::Clusters(net.clusters.clone())
-    };
-    let mut model = NetModel::new(link, topology).with_seed(net.net_seed);
-    for p in &net.partitions {
-        model = model.with_partition(Partition {
-            start: p.start,
-            heal: p.heal,
-            island: p.island.clone(),
-            behavior: if p.drop { PartitionBehavior::Drop } else { PartitionBehavior::Delay },
-        });
-    }
-    SchedulingPolicy::EventDriven(model)
-}
-
 /// The [`SmrConfig`] a scenario describes.
 fn config_for(scenario: &Scenario) -> Result<SmrConfig, String> {
     let mut cfg = SmrConfig::new(scenario.n, scenario.t, scenario.slots, scenario.batch)
         .map_err(|e| format!("scenario {}: {e:?}", scenario.name))?
         .with_pipeline(scenario.pipeline)
-        .with_policy(policy_for(scenario));
+        .with_policy(scenario.net.as_ref().map_or(SchedulingPolicy::RoundBarrier, NetPlan::policy));
     if let Some(limit) = scenario.max_vtime {
         cfg = cfg.with_max_vtime(limit);
     }

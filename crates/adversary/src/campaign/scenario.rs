@@ -9,6 +9,7 @@
 //! JSON alone.
 
 use mvbc_metrics::json::{parse_json, JsonValue};
+use mvbc_netsim::{LinkModel, NetModel, Partition, PartitionBehavior, SchedulingPolicy, Topology};
 use mvbc_smr::MAX_PIPELINE;
 
 /// Schema marker embedded in every scenario document.
@@ -296,8 +297,11 @@ impl PartitionPlan {
     }
 }
 
-/// A scenario's event-driven network plan; a scenario without one runs
-/// under the round-barrier policy.
+/// The workspace's one description of an event-driven network, shared
+/// by scenario documents and the `mvbc smr` network flags: a plain-data
+/// [`mvbc_netsim::NetModel`] that [`NetPlan::validate`] checks against
+/// `n` and [`NetPlan::policy`] turns into a scheduling policy. A
+/// scenario without one runs under the round-barrier policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetPlan {
     /// Per-link latency model.
@@ -311,6 +315,63 @@ pub struct NetPlan {
 }
 
 impl NetPlan {
+    /// Checks the plan against `n` nodes: cluster sizes, the wan link
+    /// model's topology and every partition's window and island.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first inconsistency.
+    pub fn validate(&self, n: usize) -> Result<(), String> {
+        if !self.clusters.is_empty() {
+            if self.clusters.contains(&0) {
+                return Err("clusters must be non-empty".to_owned());
+            }
+            let total: usize = self.clusters.iter().sum();
+            if total != n {
+                return Err(format!("cluster sizes {:?} sum to {total}, not n = {n}", self.clusters));
+            }
+        }
+        if matches!(self.link, LinkPlan::Wan { .. }) && self.clusters.is_empty() {
+            return Err("the wan link model needs a clusters topology".to_owned());
+        }
+        for p in &self.partitions {
+            if p.start >= p.heal {
+                return Err(format!("partition window [{}, {}) is empty", p.start, p.heal));
+            }
+            if p.island.is_empty() {
+                return Err("partition island is empty".to_owned());
+            }
+            if let Some(bad) = p.island.iter().find(|&&i| i >= n) {
+                return Err(format!("partition island id {bad} out of range (n = {n})"));
+            }
+        }
+        Ok(())
+    }
+
+    /// The event-driven scheduling policy this plan describes.
+    pub fn policy(&self) -> SchedulingPolicy {
+        let link = match self.link {
+            LinkPlan::Fixed(ticks) => LinkModel::Fixed(ticks),
+            LinkPlan::Jitter { base, jitter } => LinkModel::UniformJitter { base, jitter },
+            LinkPlan::Wan { intra, inter, jitter } => LinkModel::Wan { intra, inter, jitter },
+        };
+        let topology = if self.clusters.is_empty() {
+            Topology::Clique
+        } else {
+            Topology::Clusters(self.clusters.clone())
+        };
+        let mut model = NetModel::new(link, topology).with_seed(self.net_seed);
+        for p in &self.partitions {
+            model = model.with_partition(Partition {
+                start: p.start,
+                heal: p.heal,
+                island: p.island.clone(),
+                behavior: if p.drop { PartitionBehavior::Drop } else { PartitionBehavior::Delay },
+            });
+        }
+        SchedulingPolicy::EventDriven(model)
+    }
+
     fn to_json(&self) -> JsonValue {
         JsonValue::Obj(vec![
             ("link".to_owned(), self.link.to_json()),
@@ -404,8 +465,8 @@ impl Scenario {
                 .is_none_or(|net| net.partitions.iter().all(|p| !p.drop))
     }
 
-    /// Structural validation: parameter ranges, cluster coverage,
-    /// partition windows and corruption targets.
+    /// Structural validation: parameter ranges, corruption targets and
+    /// the network plan ([`NetPlan::validate`]).
     ///
     /// # Errors
     ///
@@ -450,31 +511,7 @@ impl Scenario {
                 }
             }
         }
-        let Some(net) = &self.net else { return Ok(()) };
-        if !net.clusters.is_empty() {
-            if net.clusters.contains(&0) {
-                return Err("clusters must be non-empty".to_owned());
-            }
-            let total: usize = net.clusters.iter().sum();
-            if total != self.n {
-                return Err(format!("cluster sizes {:?} sum to {total}, not n = {}", net.clusters, self.n));
-            }
-        }
-        if matches!(net.link, LinkPlan::Wan { .. }) && net.clusters.is_empty() {
-            return Err("the wan link model needs a clusters topology".to_owned());
-        }
-        for p in &net.partitions {
-            if p.start >= p.heal {
-                return Err(format!("partition window [{}, {}) is empty", p.start, p.heal));
-            }
-            if p.island.is_empty() {
-                return Err("partition island is empty".to_owned());
-            }
-            if let Some(bad) = p.island.iter().find(|&&i| i >= self.n) {
-                return Err(format!("partition island id {bad} out of range (n = {})", self.n));
-            }
-        }
-        Ok(())
+        self.net.as_ref().map_or(Ok(()), |net| net.validate(self.n))
     }
 
     /// Renders the scenario as its canonical JSON document.
@@ -664,6 +701,24 @@ mod tests {
         let mut s = sample();
         s.corruptions[0].behavior = Behavior::LyingEcho { step: 0 };
         assert!(s.validate().is_err());
+    }
+
+    #[test]
+    fn net_plan_policy_builds_the_described_model() {
+        let plan = sample().net.unwrap();
+        let SchedulingPolicy::EventDriven(model) = plan.policy() else {
+            panic!("a net plan is event-driven");
+        };
+        let expect = NetModel::new(
+            LinkModel::Wan { intra: 10, inter: 100, jitter: 5 },
+            Topology::Clusters(vec![3, 2, 2]),
+        )
+        .with_seed(9)
+        .with_partition(Partition::of_node(6, 50, 500, PartitionBehavior::Delay));
+        assert_eq!(model, expect);
+        let clique = NetPlan { link: LinkPlan::Fixed(4), clusters: Vec::new(), ..plan };
+        let SchedulingPolicy::EventDriven(model) = clique.policy() else { unreachable!() };
+        assert_eq!((model.link, model.topology), (LinkModel::Fixed(4), Topology::Clique));
     }
 
     #[test]

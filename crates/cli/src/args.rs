@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use mvbc_adversary::campaign::{LinkPlan, NetPlan, PartitionPlan};
+use mvbc_netsim::Topology;
 use mvbc_smr::MAX_PIPELINE;
 
 /// The largest value `--l` accepts and the largest file `inspect` and
@@ -124,106 +126,17 @@ pub enum BroadcastAttack {
     LyingEcho,
 }
 
-/// Parsed `--latency-model` value: per-link latency in virtual ticks
-/// (the CLI-side mirror of [`mvbc_netsim::LinkModel`]; converted — and
-/// validated against `n` — in `commands::smr`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LatencySpec {
-    /// `fixed:<t>`: every link takes exactly `t` ticks.
-    Fixed(u64),
-    /// `jitter:<base>:<jitter>`: `base` plus uniform jitter in `[0, jitter]`.
-    Jitter {
-        /// Base latency in ticks.
-        base: u64,
-        /// Uniform jitter bound in ticks.
-        jitter: u64,
-    },
-    /// `wan:<intra>:<inter>[:<jitter>]`: cluster-dependent base latency
-    /// (requires a `clusters` topology).
-    Wan {
-        /// Base latency inside a cluster.
-        intra: u64,
-        /// Base latency across clusters.
-        inter: u64,
-        /// Uniform jitter bound added to either base.
-        jitter: u64,
-    },
-}
-
-/// Parsed `--topology` value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TopologySpec {
-    /// `clique`: one flat site, every link equivalent.
-    Clique,
-    /// `clusters:<a,b,...>`: consecutive node ranges of the given sizes
-    /// (they must sum to `n`; checked in `commands::smr`).
-    Clusters(Vec<usize>),
-}
-
-/// The island selector of a `--partition` spec.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IslandSpec {
-    /// `c<k>`: every node of cluster `k` (requires a `clusters` topology).
-    Cluster(usize),
-    /// A comma-separated node-id list, e.g. `0,1,5`.
-    Nodes(Vec<usize>),
-}
-
-/// Parsed `--partition <start>:<heal>:<island>[:drop|delay]`: the island
-/// is cut off from the rest of the network for virtual times in
-/// `[start, heal)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionSpec {
-    /// Virtual time at which the cut forms.
-    pub start: u64,
-    /// Virtual time at which the cut heals.
-    pub heal: u64,
-    /// Which nodes are cut off.
-    pub island: IslandSpec,
-    /// `true`: crossing messages are silently lost (`drop`, the default);
-    /// `false`: they are delayed until `heal` (`delay`).
-    pub drop: bool,
-}
-
-/// The event-driven network flags of an `smr` run, grouped. All `None`
-/// (the default) keeps the legacy round-barrier scheduling policy.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct NetSpec {
-    /// `--latency-model`.
-    pub latency: Option<LatencySpec>,
-    /// `--topology`.
-    pub topology: Option<TopologySpec>,
-    /// `--partition`.
-    pub partition: Option<PartitionSpec>,
-    /// `--net-seed` (defaults to 1 when event-driven).
-    pub net_seed: Option<u64>,
-    /// `--max-vtime`.
-    pub max_vtime: Option<u64>,
-}
-
-impl NetSpec {
-    /// Whether any flag selecting event-driven scheduling was given.
-    /// (`--max-vtime` alone also counts: a virtual-time budget under the
-    /// round-barrier policy caps the round count.)
-    pub fn is_event_driven(&self) -> bool {
-        self.latency.is_some()
-            || self.topology.is_some()
-            || self.partition.is_some()
-            || self.net_seed.is_some()
-    }
-}
-
-fn parse_latency(s: &str) -> Result<LatencySpec, ParseError> {
+fn parse_latency(s: &str) -> Result<LinkPlan, ParseError> {
     let num = |v: &str| {
         v.parse::<u64>()
             .map_err(|_| err(format!("--latency-model expects tick counts, got '{v}'")))
     };
     let parts: Vec<&str> = s.split(':').collect();
     match parts.as_slice() {
-        ["fixed", t] => Ok(LatencySpec::Fixed(num(t)?)),
-        ["jitter", b, j] => Ok(LatencySpec::Jitter { base: num(b)?, jitter: num(j)? }),
-        ["wan", a, e] => Ok(LatencySpec::Wan { intra: num(a)?, inter: num(e)?, jitter: 0 }),
-        ["wan", a, e, j] => Ok(LatencySpec::Wan { intra: num(a)?, inter: num(e)?, jitter: num(j)? }),
+        ["fixed", t] => Ok(LinkPlan::Fixed(num(t)?)),
+        ["jitter", b, j] => Ok(LinkPlan::Jitter { base: num(b)?, jitter: num(j)? }),
+        ["wan", a, e] => Ok(LinkPlan::Wan { intra: num(a)?, inter: num(e)?, jitter: 0 }),
+        ["wan", a, e, j] => Ok(LinkPlan::Wan { intra: num(a)?, inter: num(e)?, jitter: num(j)? }),
         _ => Err(err(format!(
             "--latency-model expects fixed:<t>, jitter:<base>:<jitter> or \
              wan:<intra>:<inter>[:<jitter>], got '{s}'"
@@ -231,32 +144,27 @@ fn parse_latency(s: &str) -> Result<LatencySpec, ParseError> {
     }
 }
 
-fn parse_topology(s: &str) -> Result<TopologySpec, ParseError> {
+/// Parses `--topology` into cluster sizes (empty for `clique`).
+fn parse_topology(s: &str) -> Result<Vec<usize>, ParseError> {
     if s == "clique" {
-        return Ok(TopologySpec::Clique);
+        return Ok(Vec::new());
     }
     let Some(sizes) = s.strip_prefix("clusters:") else {
         return Err(err(format!("--topology expects clique or clusters:<a,b,...>, got '{s}'")));
     };
-    let sizes: Vec<usize> = sizes
+    sizes
         .split(',')
         .map(|v| {
             v.parse::<usize>()
                 .map_err(|_| err(format!("--topology expects cluster sizes, got '{v}'")))
         })
-        .collect::<Result<_, _>>()?;
-    if sizes.is_empty() || sizes.contains(&0) {
-        return Err(err("--topology clusters need at least one node each"));
-    }
-    Ok(TopologySpec::Clusters(sizes))
+        .collect()
 }
 
-fn parse_partition(s: &str) -> Result<PartitionSpec, ParseError> {
-    let bad = || {
-        err(format!(
-            "--partition expects <start>:<heal>:<island>[:drop|delay] with start < heal, got '{s}'"
-        ))
-    };
+/// Parses `--partition <start>:<heal>:<island>[:drop|delay]`, resolving
+/// a `c<k>` island to the node ids of cluster `k` of `clusters`.
+fn parse_partition(s: &str, clusters: &[usize]) -> Result<PartitionPlan, ParseError> {
+    let bad = || err(format!("--partition expects <start>:<heal>:<island>[:drop|delay], got '{s}'"));
     let parts: Vec<&str> = s.split(':').collect();
     let (start, heal, island, mode) = match parts.as_slice() {
         [a, b, i] => (a, b, i, "drop"),
@@ -265,29 +173,60 @@ fn parse_partition(s: &str) -> Result<PartitionSpec, ParseError> {
     };
     let start: u64 = start.parse().map_err(|_| bad())?;
     let heal: u64 = heal.parse().map_err(|_| bad())?;
-    if start >= heal {
-        return Err(bad());
-    }
-    let island = match island.strip_prefix('c') {
-        Some(k) if k.chars().all(|c| c.is_ascii_digit()) && !k.is_empty() => {
-            IslandSpec::Cluster(k.parse().map_err(|_| bad())?)
-        }
-        _ => IslandSpec::Nodes(
-            island
-                .split(',')
-                .map(|v| {
-                    v.parse::<usize>()
-                        .map_err(|_| err(format!("--partition island expects c<k> or node ids, got '{v}'")))
-                })
-                .collect::<Result<_, _>>()?,
-        ),
-    };
     let drop = match mode {
         "drop" => true,
         "delay" => false,
         other => return Err(err(format!("--partition mode is drop or delay, got '{other}'"))),
     };
-    Ok(PartitionSpec { start, heal, island, drop })
+    let island = match island.strip_prefix('c') {
+        Some(k) if k.chars().all(|c| c.is_ascii_digit()) && !k.is_empty() => {
+            let k: usize = k.parse().map_err(|_| bad())?;
+            if clusters.is_empty() {
+                return Err(ParseError::Invalid(format!("island c{k} needs --topology clusters:<a,b,...>")));
+            }
+            if k >= clusters.len() {
+                return Err(ParseError::Invalid(format!(
+                    "island c{k} is out of range ({} cluster(s))",
+                    clusters.len()
+                )));
+            }
+            Topology::Clusters(clusters.to_vec()).cluster_nodes(k)
+        }
+        _ => island
+            .split(',')
+            .map(|v| {
+                v.parse::<usize>()
+                    .map_err(|_| err(format!("--partition island expects c<k> or node ids, got '{v}'")))
+            })
+            .collect::<Result<_, _>>()?,
+    };
+    Ok(PartitionPlan { start, heal, island, drop })
+}
+
+/// Parses the `smr` network flags into the [`NetPlan`] they describe,
+/// validated against `n`: `None` when none of `--latency-model`,
+/// `--topology`, `--partition` and `--net-seed` is given (the
+/// round-barrier policy). Unset parts default to `fixed:1` latency, a
+/// clique and net seed 1.
+fn parse_net(flags: &Flags, n: usize) -> Result<Option<NetPlan>, ParseError> {
+    let latency = flags.value_of("--latency-model").map(parse_latency).transpose()?;
+    let topology = flags.value_of("--topology").map(parse_topology).transpose()?;
+    let partition = flags
+        .value_of("--partition")
+        .map(|p| parse_partition(p, topology.as_deref().unwrap_or_default()))
+        .transpose()?;
+    let net_seed = flags.usize_of("--net-seed")?.map(|s| s as u64);
+    if latency.is_none() && topology.is_none() && partition.is_none() && net_seed.is_none() {
+        return Ok(None);
+    }
+    let plan = NetPlan {
+        link: latency.unwrap_or(LinkPlan::Fixed(1)),
+        clusters: topology.unwrap_or_default(),
+        partitions: partition.into_iter().collect(),
+        net_seed: net_seed.unwrap_or(1),
+    };
+    plan.validate(n).map_err(ParseError::Invalid)?;
+    Ok(Some(plan))
 }
 
 /// A parsed command line.
@@ -352,9 +291,11 @@ pub enum Command {
         byz: usize,
         /// Pipeline depth: log slots in flight concurrently.
         pipeline: usize,
-        /// Event-driven network flags (latency model, topology,
-        /// partitions, jitter seed, virtual-time budget).
-        net: NetSpec,
+        /// The network the latency, topology, partition and jitter-seed
+        /// flags describe (`None`: the round-barrier policy).
+        net: Option<NetPlan>,
+        /// Virtual-time budget in ticks.
+        max_vtime: Option<u64>,
         /// Write a telemetry `RunReport` JSON to this path.
         report: Option<String>,
     },
@@ -393,8 +334,9 @@ pub enum Command {
 pub enum ParseError {
     /// A malformed command line (exit code 1).
     Usage(String),
-    /// A well-formed value over a resource cap (exit code 2, as for any
-    /// other invalid protocol parameter).
+    /// A well-formed value over a resource cap, or well-formed network
+    /// flags that do not fit together or fit `n` (exit code 2, as for
+    /// any other invalid protocol parameter).
     Invalid(String),
 }
 
@@ -512,13 +454,8 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
             },
             byz: flags.usize_of("--byz")?.unwrap_or(n.saturating_sub(1)),
             pipeline,
-            net: NetSpec {
-                latency: flags.value_of("--latency-model").map(parse_latency).transpose()?,
-                topology: flags.value_of("--topology").map(parse_topology).transpose()?,
-                partition: flags.value_of("--partition").map(parse_partition).transpose()?,
-                net_seed: flags.usize_of("--net-seed")?.map(|s| s as u64),
-                max_vtime: flags.usize_of("--max-vtime")?.map(|v| v as u64),
-            },
+            net: parse_net(&flags, n)?,
+            max_vtime: flags.usize_of("--max-vtime")?.map(|v| v as u64),
             report: flags.value_of("--report").map(String::from),
         });
     }
@@ -594,6 +531,7 @@ pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvbc_netsim::SchedulingPolicy;
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(String::from).collect()
@@ -662,7 +600,8 @@ mod tests {
                 attack: SmrAttack::None,
                 byz: 3,
                 pipeline: 1,
-                net: NetSpec::default(),
+                net: None,
+                max_vtime: None,
                 report: None,
             }
         );
@@ -750,50 +689,124 @@ mod tests {
         assert_eq!(parse(&argv("inspect r.json --slot 3")), unknown("--slot", "inspect"));
     }
 
+    /// The parsed `(net, max_vtime)` of an `smr` command line.
+    fn net_of(line: &str) -> Result<(Option<NetPlan>, Option<u64>), ParseError> {
+        match parse(&argv(line))? {
+            Command::Smr { net, max_vtime, .. } => Ok((net, max_vtime)),
+            other => panic!("wrong command {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_smr_net_flags() {
-        let cmd = parse(&argv(
+        let (net, max_vtime) = net_of(
             "smr --n 9 --t 2 --slots 12 --latency-model wan:100:3000:200 \
              --topology clusters:3,3,3 --partition 5000:20000:c2:delay \
              --net-seed 11 --max-vtime 900000",
-        ))
+        )
         .unwrap();
-        match cmd {
-            Command::Smr { net, .. } => {
-                assert_eq!(net.latency, Some(LatencySpec::Wan { intra: 100, inter: 3000, jitter: 200 }));
-                assert_eq!(net.topology, Some(TopologySpec::Clusters(vec![3, 3, 3])));
-                assert_eq!(
-                    net.partition,
-                    Some(PartitionSpec {
-                        start: 5000,
-                        heal: 20000,
-                        island: IslandSpec::Cluster(2),
-                        drop: false,
-                    })
-                );
-                assert_eq!(net.net_seed, Some(11));
-                assert_eq!(net.max_vtime, Some(900_000));
-                assert!(net.is_event_driven());
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        // The remaining latency forms, a node-list island, and the
-        // default drop behaviour.
-        assert_eq!(parse_latency("fixed:50"), Ok(LatencySpec::Fixed(50)));
-        assert_eq!(parse_latency("jitter:10:5"), Ok(LatencySpec::Jitter { base: 10, jitter: 5 }));
-        assert_eq!(parse_latency("wan:10:100"), Ok(LatencySpec::Wan { intra: 10, inter: 100, jitter: 0 }));
         assert_eq!(
-            parse_partition("10:20:0,1,5"),
-            Ok(PartitionSpec { start: 10, heal: 20, island: IslandSpec::Nodes(vec![0, 1, 5]), drop: true })
+            net,
+            Some(NetPlan {
+                link: LinkPlan::Wan { intra: 100, inter: 3000, jitter: 200 },
+                clusters: vec![3, 3, 3],
+                partitions: vec![PartitionPlan { start: 5000, heal: 20000, island: vec![6, 7, 8], drop: false }],
+                net_seed: 11,
+            })
         );
-        // --max-vtime alone keeps the round-barrier policy.
-        match parse(&argv("smr --n 4 --t 1 --slots 5 --max-vtime 100")).unwrap() {
-            Command::Smr { net, .. } => {
-                assert!(!net.is_event_driven());
-                assert_eq!(net.max_vtime, Some(100));
-            }
-            other => panic!("wrong command {other:?}"),
+        assert_eq!(max_vtime, Some(900_000));
+        // The remaining latency forms, a node-list island, and the
+        // defaults: fixed:1 latency, a clique, seed 1, drop mode.
+        assert_eq!(parse_latency("fixed:50"), Ok(LinkPlan::Fixed(50)));
+        assert_eq!(parse_latency("jitter:10:5"), Ok(LinkPlan::Jitter { base: 10, jitter: 5 }));
+        assert_eq!(parse_latency("wan:10:100"), Ok(LinkPlan::Wan { intra: 10, inter: 100, jitter: 0 }));
+        assert_eq!(
+            net_of("smr --n 6 --t 1 --slots 5 --partition 10:20:0,1,5").unwrap().0,
+            Some(NetPlan {
+                link: LinkPlan::Fixed(1),
+                clusters: Vec::new(),
+                partitions: vec![PartitionPlan { start: 10, heal: 20, island: vec![0, 1, 5], drop: true }],
+                net_seed: 1,
+            })
+        );
+        // Any one net flag selects the event-driven policy...
+        for flag in ["--net-seed 4", "--topology clique", "--latency-model jitter:3:2"] {
+            let (net, _) = net_of(&format!("smr --n 4 --t 1 --slots 5 {flag}")).unwrap();
+            let net = net.unwrap_or_else(|| panic!("{flag} gives a net plan"));
+            assert!(matches!(net.policy(), SchedulingPolicy::EventDriven(_)), "{flag}");
         }
+        // ...but --max-vtime alone keeps the round-barrier policy.
+        assert_eq!(net_of("smr --n 4 --t 1 --slots 5 --max-vtime 100"), Ok((None, Some(100))));
+    }
+
+    #[test]
+    fn resolves_cluster_islands() {
+        let island = |line: &str| net_of(line).unwrap().0.unwrap().partitions[0].island.clone();
+        let base = "smr --n 7 --t 2 --slots 5 --topology clusters:3,2,2";
+        assert_eq!(island(&format!("{base} --partition 1:2:c0")), vec![0, 1, 2]);
+        assert_eq!(island(&format!("{base} --partition 1:2:c1")), vec![3, 4]);
+        assert_eq!(island(&format!("{base} --partition 1:2:c2:delay")), vec![5, 6]);
+        // The flags' order on the command line does not matter.
+        let swapped = "smr --n 7 --t 2 --slots 5 --partition 1:2:c2 --topology clusters:3,2,2";
+        assert_eq!(island(swapped), vec![5, 6]);
+    }
+
+    #[test]
+    fn rejects_inconsistent_net_flags() {
+        // Each combination fails NetPlan::validate, with its message.
+        for (line, plan) in [
+            (
+                "smr --n 7 --t 2 --slots 5 --topology clusters:3,3",
+                NetPlan { link: LinkPlan::Fixed(1), clusters: vec![3, 3], partitions: Vec::new(), net_seed: 1 },
+            ),
+            (
+                "smr --n 7 --t 2 --slots 5 --topology clusters:3,0,4",
+                NetPlan { link: LinkPlan::Fixed(1), clusters: vec![3, 0, 4], partitions: Vec::new(), net_seed: 1 },
+            ),
+            (
+                "smr --n 7 --t 2 --slots 5 --latency-model wan:1:2",
+                NetPlan {
+                    link: LinkPlan::Wan { intra: 1, inter: 2, jitter: 0 },
+                    clusters: Vec::new(),
+                    partitions: Vec::new(),
+                    net_seed: 1,
+                },
+            ),
+            (
+                "smr --n 7 --t 2 --slots 5 --partition 3:400:2,7",
+                NetPlan {
+                    link: LinkPlan::Fixed(1),
+                    clusters: Vec::new(),
+                    partitions: vec![PartitionPlan { start: 3, heal: 400, island: vec![2, 7], drop: true }],
+                    net_seed: 1,
+                },
+            ),
+            (
+                "smr --n 7 --t 2 --slots 5 --partition 400:400:1:delay --net-seed 2",
+                NetPlan {
+                    link: LinkPlan::Fixed(1),
+                    clusters: Vec::new(),
+                    partitions: vec![PartitionPlan { start: 400, heal: 400, island: vec![1], drop: false }],
+                    net_seed: 2,
+                },
+            ),
+        ] {
+            let msg = plan.validate(7).expect_err(line);
+            assert_eq!(net_of(line), Err(ParseError::Invalid(msg)), "{line}");
+        }
+        // A c<k> island needs cluster k to exist.
+        assert_eq!(
+            net_of("smr --n 7 --t 2 --slots 5 --partition 3:400:c0"),
+            Err(ParseError::Invalid("island c0 needs --topology clusters:<a,b,...>".to_owned()))
+        );
+        assert_eq!(
+            net_of("smr --n 7 --t 2 --slots 5 --topology clusters:4,3 --partition 3:400:c2"),
+            Err(ParseError::Invalid("island c2 is out of range (2 cluster(s))".to_owned()))
+        );
+        assert_eq!(
+            parse(&argv("smr --n 7 --t 2 --slots 5 --topology clusters:3,3")).map_err(|e| e.exit_code()),
+            Err(2)
+        );
     }
 
     #[test]
@@ -803,14 +816,15 @@ mod tests {
         assert!(parse_latency("jitter:1:x").is_err());
         assert!(parse_topology("ring").is_err());
         assert!(parse_topology("clusters:").is_err());
-        assert!(parse_topology("clusters:3,0,3").is_err());
-        assert!(parse_partition("20:10:c0").is_err()); // start >= heal
-        assert!(parse_partition("10:20:c0:teleport").is_err());
-        assert!(parse_partition("10:20").is_err());
-        assert!(parse_partition("10:20:cx").is_err());
-        assert!(parse(&argv("smr --n 4 --t 1 --slots 5 --latency-model bogus")).is_err());
-        assert!(parse(&argv("smr --n 4 --t 1 --slots 5 --topology bogus")).is_err());
-        assert!(parse(&argv("smr --n 4 --t 1 --slots 5 --partition bogus")).is_err());
+        assert!(parse_topology("clusters:3,x").is_err());
+        assert!(matches!(parse_partition("10:20:c0:teleport", &[]), Err(ParseError::Usage(_))));
+        assert!(parse_partition("10:20", &[]).is_err());
+        assert!(parse_partition("10:20:cx", &[]).is_err());
+        assert!(matches!(parse_partition("x:20:c5", &[]), Err(ParseError::Usage(_))), "malformed before inconsistent");
+        for flag in ["--latency-model", "--topology", "--partition", "--net-seed"] {
+            let bad = parse(&argv(&format!("smr --n 4 --t 1 --slots 5 {flag} bogus")));
+            assert!(matches!(bad, Err(ParseError::Usage(_))), "{flag}: {bad:?}");
+        }
     }
 
     #[test]

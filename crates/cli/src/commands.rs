@@ -3,7 +3,7 @@
 
 use std::io::Read as _;
 
-use mvbc_adversary::campaign::{run_scenario, CampaignReport, CampaignRunner, Scenario};
+use mvbc_adversary::campaign::{run_scenario, CampaignReport, CampaignRunner, NetPlan, Scenario};
 use mvbc_adversary::{CorruptSymbolTo, RandomAdversary, Silent, WorstCaseDiagnosis};
 use mvbc_bsb::{BsbDriver, DolevStrongDriver, EigDriver, PhaseKingDriver};
 use mvbc_broadcast::attacks::{EquivocatingSource, LyingEcho, SilentSource};
@@ -15,7 +15,7 @@ use mvbc_core::{
     GENERATION_WINDOW,
 };
 use mvbc_netsim::trace::TraceSink;
-use mvbc_netsim::{LinkModel, NetModel, Partition, PartitionBehavior, SchedulingPolicy, Topology};
+use mvbc_netsim::SchedulingPolicy;
 use mvbc_metrics::MetricsSink;
 use mvbc_smr::{
     simulate_smr, synthetic_workloads, EquivocatingPrimary, HonestReplica, KvStore, RunReport,
@@ -23,8 +23,7 @@ use mvbc_smr::{
 };
 
 use crate::args::{
-    BroadcastAttack, BsbChoice, Command, ConsensusAttack, IslandSpec, LatencySpec, NetSpec,
-    SmrAttack, TopologySpec, MAX_INPUT_BYTES,
+    BroadcastAttack, BsbChoice, Command, ConsensusAttack, SmrAttack, MAX_INPUT_BYTES,
 };
 
 fn workload(len: usize, seed: u64) -> Vec<u8> {
@@ -80,8 +79,9 @@ pub fn run(cmd: Command) {
             byz,
             pipeline,
             net,
+            max_vtime,
             report,
-        } => smr(n, t, slots, batch, batch_bytes, seed, attack, byz, pipeline, net, report),
+        } => smr(n, t, slots, batch, batch_bytes, seed, attack, byz, pipeline, net, max_vtime, report),
         Command::Inspect { path } => inspect(&path),
         Command::Info { n, t, l } => info(n, t, l),
         Command::SmrSoak { runs, seed, scenario, emit_failures } => {
@@ -520,63 +520,6 @@ fn broadcast(
     exit_on_violations(&violations);
 }
 
-/// Converts the CLI's [`NetSpec`] into a [`SchedulingPolicy`], exiting
-/// with a friendly message when the flags are inconsistent with `n`
-/// (cluster sizes that don't sum to `n`, a `c<k>` island without a
-/// clusters topology, out-of-range partition node ids, or wan latency on
-/// a clique).
-fn build_policy(n: usize, net: &NetSpec) -> SchedulingPolicy {
-    if !net.is_event_driven() {
-        return SchedulingPolicy::RoundBarrier;
-    }
-    let invalid = |msg: String| -> ! {
-        eprintln!("invalid network flags: {msg}");
-        std::process::exit(2);
-    };
-    let topology = match &net.topology {
-        None | Some(TopologySpec::Clique) => Topology::Clique,
-        Some(TopologySpec::Clusters(sizes)) => {
-            if sizes.iter().sum::<usize>() != n {
-                invalid(format!("cluster sizes {sizes:?} must sum to n = {n}"));
-            }
-            Topology::Clusters(sizes.clone())
-        }
-    };
-    let link = match net.latency.unwrap_or(LatencySpec::Fixed(1)) {
-        LatencySpec::Fixed(t) => LinkModel::Fixed(t),
-        LatencySpec::Jitter { base, jitter } => LinkModel::UniformJitter { base, jitter },
-        LatencySpec::Wan { intra, inter, jitter } => {
-            if matches!(topology, Topology::Clique) {
-                invalid("the wan latency model needs --topology clusters:<a,b,...>".into());
-            }
-            LinkModel::Wan { intra, inter, jitter }
-        }
-    };
-    let mut model = NetModel::new(link, topology).with_seed(net.net_seed.unwrap_or(1));
-    if let Some(p) = &net.partition {
-        let behavior = if p.drop { PartitionBehavior::Drop } else { PartitionBehavior::Delay };
-        let partition = match &p.island {
-            IslandSpec::Cluster(c) => {
-                let Topology::Clusters(sizes) = &model.topology else {
-                    invalid(format!("island c{c} needs --topology clusters:<a,b,...>"));
-                };
-                if *c >= sizes.len() {
-                    invalid(format!("island c{c} is out of range ({} cluster(s))", sizes.len()));
-                }
-                Partition::of_cluster(&model.topology, *c, p.start, p.heal, behavior)
-            }
-            IslandSpec::Nodes(ids) => {
-                if let Some(bad) = ids.iter().find(|id| **id >= n) {
-                    invalid(format!("partition node id {bad} is out of range (n = {n})"));
-                }
-                Partition { start: p.start, heal: p.heal, island: ids.clone(), behavior }
-            }
-        };
-        model = model.with_partition(partition);
-    }
-    SchedulingPolicy::EventDriven(model)
-}
-
 #[allow(clippy::too_many_arguments)]
 fn smr(
     n: usize,
@@ -588,10 +531,11 @@ fn smr(
     attack: SmrAttack,
     byz: usize,
     pipeline: usize,
-    net: NetSpec,
+    net: Option<NetPlan>,
+    max_vtime: Option<u64>,
     report_path: Option<String>,
 ) {
-    let policy = build_policy(n, &net);
+    let policy = net.as_ref().map_or(SchedulingPolicy::RoundBarrier, NetPlan::policy);
     let mut cfg = match batch_bytes {
         Some(b) => SmrConfig::with_batch_bytes(n, t, slots, batch, b),
         None => SmrConfig::new(n, t, slots, batch),
@@ -602,7 +546,7 @@ fn smr(
     })
     .with_pipeline(pipeline.max(1))
     .with_policy(policy.clone());
-    if let Some(limit) = net.max_vtime {
+    if let Some(limit) = max_vtime {
         cfg = cfg.with_max_vtime(limit);
     }
     if byz >= n {

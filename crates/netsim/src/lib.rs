@@ -29,23 +29,30 @@
 //! # Scheduling policies
 //!
 //! The coordinator runs one of two [`SchedulingPolicy`]s (configured via
-//! [`SimConfig::with_policy`]):
+//! [`SimConfig::with_policy`]). Both share one delivery path: each round
+//! the coordinator stamps every message with an arrival tick, sorts the
+//! round's messages stably by that tick (ties keep stamp order: sender
+//! id, then send order), and delivers, traces and closes the round in
+//! that order. The policies differ only in the stamp:
 //!
 //! - [`SchedulingPolicy::RoundBarrier`] (the default): the classic
-//!   lockstep model above, where the round counter *is* the clock — the
-//!   virtual time of round `r`'s deliveries is simply `r`. This path is
-//!   byte-identical to the pre-event-driven simulator: traces, digests
-//!   and metrics do not change.
+//!   lockstep model above, where the round counter *is* the clock —
+//!   every round-`r` message arrives at tick `r` and every node's round
+//!   ends at `r`.
 //! - [`SchedulingPolicy::EventDriven`]: timed rounds over a
-//!   [`NetModel`]. Every node keeps its own virtual clock, each message
-//!   is assigned a per-link latency (seeded, FIFO per directed link) and
-//!   delivered through a discrete-event queue ([`events::EventQueue`]),
-//!   and a node's round ends at the arrival of its last round message.
-//!   Round *semantics* are unchanged — every round-`r` message still
-//!   reaches its recipient within the recipient's round `r`, so protocol
-//!   code runs unmodified — but [`NodeCtx::vtime`], [`Inbox::vtime`] and
-//!   the trace's virtual timestamps now measure the latency shape of a
-//!   WAN deployment, including partitions that form and heal mid-run.
+//!   [`NetModel`]. Every node keeps its own virtual clock; a message
+//!   arrives at its sender's dispatch tick plus a sampled per-link
+//!   latency (seeded, FIFO per directed link, held or lost at an active
+//!   partition cut), and a node's round ends at the arrival of its last
+//!   round message. Round *semantics* are unchanged — every round-`r`
+//!   message still reaches its recipient within the recipient's round
+//!   `r`, so protocol code runs unmodified — but [`NodeCtx::vtime`],
+//!   [`Inbox::vtime`] and the trace's virtual timestamps now measure the
+//!   latency shape of a WAN deployment, including partitions that form
+//!   and heal mid-run.
+//!
+//! Ticks saturate at `u64::MAX`: a latency or heal time near the top of
+//! the range pins the clock there instead of wrapping it.
 //!
 //! # Examples
 //!
@@ -71,7 +78,6 @@
 #![warn(missing_docs)]
 
 pub mod bits;
-pub mod events;
 pub mod lanes;
 pub mod net;
 pub mod trace;
@@ -89,13 +95,15 @@ use mvbc_metrics::MetricsSink;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use events::EventQueue;
-
-pub use events::VirtualTime;
 pub use mvbc_metrics::NodeId;
 pub use net::{
     LinkModel, NetModel, Partition, PartitionBehavior, SchedulingPolicy, Topology,
 };
+
+/// A point on the simulation's virtual clock, in ticks. By convention
+/// the workspace reads one tick as one microsecond, so a 50 ms WAN hop
+/// is `50_000` ticks.
+pub type VirtualTime = u64;
 
 /// Default for [`SimConfig::round_timeout`]: how long the coordinator
 /// waits for a node's round submission before declaring the simulation
@@ -672,7 +680,7 @@ pub fn run_simulation_traced<O: Send + 'static>(
         };
         // Optional telemetry (attached via `MetricsSink::with_telemetry`):
         // per-link delivery accounting, partition outage windows, and the
-        // event-queue high-water mark. Purely observational — it adds no
+        // largest round's delivery count. Purely observational — it adds no
         // messages and moves no timestamps, so trace digests are
         // unchanged whether or not a recorder is attached.
         let telemetry = metrics.telemetry();
@@ -685,6 +693,8 @@ pub fn run_simulation_traced<O: Send + 'static>(
                 tel.register_outage(p.start, p.heal, behavior);
             }
         }
+        // One round's messages with their arrival ticks (reused).
+        let mut deliveries: Vec<(VirtualTime, Outgoing)> = Vec::new();
         while active_count > 0 {
             let mut submissions: Vec<Option<Vec<Outgoing>>> = (0..n).map(|_| None).collect();
             let mut waiting = active_count;
@@ -736,48 +746,21 @@ pub fn run_simulation_traced<O: Send + 'static>(
                 assert!(rounds <= limit, "round limit {limit} exceeded");
             }
             metrics.record_round();
-            // Route: recipients see messages grouped by sender id.
-            // Buffers come from the recycling pool: nodes return them
-            // when they drop the previous round's inbox.
-            let mut inboxes: Vec<Inbox> = (0..n).map(|_| Inbox::pooled(n, &pool)).collect();
-            match &mut event_state {
-                // Round barrier: deliveries iterate submissions in
-                // sender-id order and the round counter is the clock.
-                // This arm must stay byte-identical to the pre-policy
-                // simulator (golden digests pin it).
+            // Stamp every message with its arrival tick, in stamp order:
+            // senders in id order, send order within a sender.
+            let mut round_end = match &mut event_state {
+                // Round barrier: the round counter is every message's
+                // arrival tick and every node's round end.
                 None => {
-                    vtime_now = rounds;
-                    for inbox in &mut inboxes {
-                        inbox.vtime = rounds;
-                    }
-                    for sub in submissions.into_iter().flatten() {
-                        for mut out in sub {
-                            out.msg.at = rounds;
-                            if let Some(trace) = &trace {
-                                trace.record(trace::TraceEvent {
-                                    round: rounds,
-                                    from: out.msg.from,
-                                    to: out.to,
-                                    tag: out.msg.tag,
-                                    logical_bits: out.logical_bits,
-                                    payload_bytes: out.msg.payload.len() as u64,
-                                    vtime: rounds,
-                                });
-                            }
-                            if active[out.to] {
-                                inboxes[out.to].by_sender[out.msg.from].push(out.msg);
-                            }
-                        }
-                    }
+                    deliveries.extend(submissions.into_iter().flatten().flatten().map(|out| (rounds, out)));
+                    vec![rounds; n]
                 }
-                // Event-driven: sample a latency per message (senders in
-                // id order, send order within a sender, so the jitter
-                // stream is a pure function of the send pattern), clamp
-                // each directed link to FIFO, apply partitions at
-                // dispatch time, then deliver through the event queue in
-                // (time, seq) order.
+                // Event-driven: sample a latency per message (so the
+                // jitter stream is a pure function of the send pattern),
+                // apply partitions at dispatch time and clamp each
+                // directed link to FIFO. A node's round ends no earlier
+                // than its dispatch tick.
                 Some(st) => {
-                    let mut queue: EventQueue<Outgoing> = EventQueue::new();
                     for (from, sub) in submissions.into_iter().enumerate() {
                         let Some(sub) = sub else { continue };
                         let dispatch = st.clocks[from];
@@ -812,49 +795,58 @@ pub fn run_simulation_traced<O: Send + 'static>(
                                 continue;
                             }
                             let link_last = &mut st.link_last[from][out.to];
-                            let at = (base + latency).max(*link_last);
+                            let at = base.saturating_add(latency).max(*link_last);
                             *link_last = at;
-                            queue.schedule(at, out);
+                            deliveries.push((at, out));
                         }
                     }
                     if let Some(tel) = &telemetry {
-                        tel.record_queue_depth(queue.len() as u64);
+                        tel.record_queue_depth(deliveries.len() as u64);
                     }
-                    let mut round_end: Vec<VirtualTime> = st.clocks.clone();
-                    while let Some((at, mut out)) = queue.pop() {
-                        out.msg.at = at;
-                        if let Some(tel) = &telemetry {
-                            // Delivery delay: sampled latency plus any
-                            // partition hold and FIFO clamping (clocks
-                            // still hold this round's dispatch times).
-                            tel.record_link(
-                                out.msg.from,
-                                out.to,
-                                out.msg.payload.len() as u64,
-                                at - st.clocks[out.msg.from],
-                            );
-                        }
-                        if let Some(trace) = &trace {
-                            trace.record(trace::TraceEvent {
-                                round: rounds,
-                                from: out.msg.from,
-                                to: out.to,
-                                tag: out.msg.tag,
-                                logical_bits: out.logical_bits,
-                                payload_bytes: out.msg.payload.len() as u64,
-                                vtime: at,
-                            });
-                        }
-                        if active[out.to] {
-                            round_end[out.to] = round_end[out.to].max(at);
-                            inboxes[out.to].by_sender[out.msg.from].push(out.msg);
-                        }
-                    }
-                    for (id, inbox) in inboxes.iter_mut().enumerate() {
-                        inbox.vtime = round_end[id];
-                        st.clocks[id] = round_end[id] + st.model.compute_ticks;
-                        vtime_now = vtime_now.max(round_end[id]);
-                    }
+                    st.clocks.clone()
+                }
+            };
+            // Deliver in arrival order. The sort is stable, so ties keep
+            // stamp order — a barrier round keeps it entirely.
+            deliveries.sort_by_key(|&(at, _)| at);
+            // Recipients see messages grouped by sender id. Buffers come
+            // from the recycling pool: nodes return them when they drop
+            // the previous round's inbox.
+            let mut inboxes: Vec<Inbox> = (0..n).map(|_| Inbox::pooled(n, &pool)).collect();
+            for (at, mut out) in deliveries.drain(..) {
+                out.msg.at = at;
+                if let (Some(st), Some(tel)) = (&event_state, &telemetry) {
+                    // Delivery delay: sampled latency plus any partition
+                    // hold and FIFO clamping (clocks still hold this
+                    // round's dispatch times).
+                    tel.record_link(
+                        out.msg.from,
+                        out.to,
+                        out.msg.payload.len() as u64,
+                        at - st.clocks[out.msg.from],
+                    );
+                }
+                if let Some(trace) = &trace {
+                    trace.record(trace::TraceEvent {
+                        round: rounds,
+                        from: out.msg.from,
+                        to: out.to,
+                        tag: out.msg.tag,
+                        logical_bits: out.logical_bits,
+                        payload_bytes: out.msg.payload.len() as u64,
+                        vtime: at,
+                    });
+                }
+                if active[out.to] {
+                    round_end[out.to] = round_end[out.to].max(at);
+                    inboxes[out.to].by_sender[out.msg.from].push(out.msg);
+                }
+            }
+            for (id, inbox) in inboxes.iter_mut().enumerate() {
+                inbox.vtime = round_end[id];
+                vtime_now = vtime_now.max(round_end[id]);
+                if let Some(st) = &mut event_state {
+                    st.clocks[id] = round_end[id].saturating_add(st.model.compute_ticks);
                 }
             }
             if let Some(limit) = config.max_vtime {
@@ -1429,6 +1421,101 @@ mod tests {
         let (a, b) = (run_once(), run_once());
         assert_eq!(a.outputs, b.outputs, "same seed, same delivery schedule");
         assert_eq!(a.vtime, b.vtime);
+    }
+
+    #[test]
+    fn max_latency_saturates_the_clock() {
+        let model = NetModel::new(LinkModel::Fixed(VirtualTime::MAX), Topology::Clique);
+        let cfg = SimConfig::new(2).with_policy(SchedulingPolicy::EventDriven(model));
+        let res = run_with(cfg, ping_pong(2));
+        assert_eq!(res.rounds, 2);
+        assert_eq!(res.outputs[0], vec![VirtualTime::MAX; 2]);
+        assert_eq!(res.vtime, VirtualTime::MAX);
+    }
+
+    #[test]
+    fn delay_cut_healing_at_the_top_saturates_the_clock() {
+        let model = NetModel::new(LinkModel::Fixed(10), Topology::Clusters(vec![1, 1]))
+            .with_partition(Partition::of_node(1, 0, VirtualTime::MAX, PartitionBehavior::Delay));
+        let cfg = SimConfig::new(2).with_policy(SchedulingPolicy::EventDriven(model));
+        let res = run_with(cfg, ping_pong(2));
+        assert_eq!(res.rounds, 2);
+        assert_eq!(res.outputs[1], vec![VirtualTime::MAX; 2]);
+        assert_eq!(res.vtime, VirtualTime::MAX);
+    }
+
+    /// One traced event-driven round in which node `id` sends to each
+    /// recipient of `sends(id)` in order, numbering its messages in
+    /// their payload and logical bits.
+    struct TracedRound {
+        /// Trace events as `(from, to, number, vtime)`.
+        trace: Vec<(NodeId, NodeId, u64, VirtualTime)>,
+        /// Each node's inbox as `(from, number, at)`.
+        inboxes: Vec<Vec<(NodeId, u64, VirtualTime)>>,
+    }
+
+    fn traced_round(n: usize, model: NetModel, sends: fn(NodeId) -> Vec<NodeId>) -> TracedRound {
+        let trace = trace::TraceSink::new();
+        let cfg = SimConfig::new(n).with_policy(SchedulingPolicy::EventDriven(model));
+        let logics = (0..n)
+            .map(|_| {
+                Box::new(move |ctx: &mut NodeCtx| {
+                    for (i, to) in sends(ctx.id()).into_iter().enumerate() {
+                        ctx.send(to, "m", vec![i as u8], i as u64);
+                    }
+                    let mut inbox = ctx.end_round();
+                    inbox.drain_messages().map(|m| (m.from, u64::from(m.payload[0]), m.at)).collect()
+                }) as Logic<Vec<(NodeId, u64, VirtualTime)>>
+            })
+            .collect();
+        let res = run_simulation_traced(cfg, MetricsSink::new(), Some(trace.clone()), logics);
+        TracedRound {
+            trace: trace.events().iter().map(|e| (e.from, e.to, e.logical_bits, e.vtime)).collect(),
+            inboxes: res.outputs,
+        }
+    }
+
+    #[test]
+    fn ties_at_one_tick_keep_stamp_order() {
+        // Nodes 0 and 1 share a site, node 2 is across the WAN. Each of
+        // 0 and 1 alternates 25 sends to its neighbour (tick 5) with 25
+        // to node 2 (tick 50), so the round really needs sorting, and
+        // node 2 gets two senders' worth of same-link ties at tick 50.
+        let model = NetModel::new(
+            LinkModel::Wan { intra: 5, inter: 50, jitter: 0 },
+            Topology::Clusters(vec![2, 1]),
+        );
+        let round = traced_round(3, model, |id| match id {
+            2 => Vec::new(),
+            _ => (0..50).map(|i| if i % 2 == 0 { 2 } else { 1 - id }).collect(),
+        });
+        // Stamp order within each tick: sender id, then send order.
+        let stamped = |from: NodeId, to: NodeId, at| {
+            (0..50u64)
+                .filter(move |i| (i % 2 == 0) == (to == 2))
+                .map(move |i| (from, to, i, at))
+        };
+        let expect: Vec<_> = stamped(0, 1, 5)
+            .chain(stamped(1, 0, 5))
+            .chain(stamped(0, 2, 50))
+            .chain(stamped(1, 2, 50))
+            .collect();
+        assert_eq!(round.trace, expect, "deliveries are traced in stamp order");
+        let inbox: Vec<_> = expect.iter().filter(|e| e.1 == 2).map(|&(f, _, i, at)| (f, i, at)).collect();
+        assert_eq!(round.inboxes[2], inbox, "and delivered in it");
+    }
+
+    #[test]
+    fn earlier_tick_goes_first_whatever_the_sender() {
+        // Node 0 is alone in its site; node 1 shares node 2's site. The
+        // higher-id sender's message lands first and is delivered first.
+        let model = NetModel::new(
+            LinkModel::Wan { intra: 5, inter: 50, jitter: 0 },
+            Topology::Clusters(vec![1, 2]),
+        );
+        let round = traced_round(3, model, |id| if id == 2 { Vec::new() } else { vec![2] });
+        assert_eq!(round.trace, vec![(1, 2, 0, 5), (0, 2, 0, 50)]);
+        assert_eq!(round.inboxes[2], vec![(0, 0, 50), (1, 0, 5)], "inboxes stay grouped by sender");
     }
 
     fn run_with_sink<O: Send + 'static>(

@@ -8,9 +8,9 @@
 //! rest between two virtual times), and a seed for the jitter stream.
 //! Wrapping one in [`SchedulingPolicy::EventDriven`] switches the
 //! simulator from the lockstep round barrier to timed rounds: every
-//! node keeps its own virtual clock, messages are delivered by a
-//! discrete-event queue at `dispatch + latency`, and a node's round
-//! does not end until its last round message has arrived — so the
+//! node keeps its own virtual clock, each message arrives at
+//! `dispatch + latency`, and a node's round does not end until its
+//! last round message has arrived — so the
 //! protocol semantics of the synchronous model are preserved while the
 //! virtual clock measures what a WAN deployment would actually wait.
 //!
@@ -19,8 +19,7 @@
 //! are FIFO: two messages on the same directed link never reorder, even
 //! under jitter.
 
-use crate::events::VirtualTime;
-use crate::NodeId;
+use crate::{NodeId, VirtualTime};
 
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -283,9 +282,9 @@ pub enum SchedulingPolicy {
     /// simulator exactly — byte-identical traces and digests.
     #[default]
     RoundBarrier,
-    /// Timed rounds over a [`NetModel`]: per-node virtual clocks,
-    /// per-message link latencies, and a `(time, seq)` event queue
-    /// deciding delivery order. Protocol semantics are unchanged (every
+    /// Timed rounds over a [`NetModel`]: per-node virtual clocks and
+    /// per-message link latencies, each round delivered in arrival-tick
+    /// order (ties in sender-id, then send order). Protocol semantics are unchanged (every
     /// round message still reaches its recipient within the recipient's
     /// round); the virtual clock measures real latency shape.
     EventDriven(NetModel),
