@@ -9,7 +9,7 @@
 use mvbc_bsb::{run_king_batch, BsbConfig, NoopBsbHooks};
 use mvbc_metrics::MetricsSink;
 use mvbc_netsim::bits::{pack_bits, unpack_bits};
-use mvbc_netsim::{block_on, run_simulation, NodeCtx, NodeLogic, SimConfig};
+use mvbc_netsim::{node_task, run_tasks, NodeCtx, NodeTask, SimConfig};
 
 /// Modelled bit cost of the bitwise baseline with the paper's assumed
 /// `B = Θ(n²)` primitive.
@@ -43,18 +43,18 @@ pub fn simulate_bitwise(
     let len = inputs[0].len();
     assert!(inputs.iter().all(|v| v.len() == len), "equal-length inputs");
 
-    let logics: Vec<NodeLogic<Vec<u8>>> = inputs
+    let tasks: Vec<NodeTask<Vec<u8>>> = inputs
         .into_iter()
         .map(|value| {
-            Box::new(move |ctx: &mut NodeCtx| {
+            node_task(async move |ctx: &mut NodeCtx| {
                 let bits = unpack_bits(&value, value.len() * 8).expect("exact length");
                 let cfg = BsbConfig::new(t, "baseline.bitwise", vec![true; ctx.n()]);
-                let decided = block_on(run_king_batch(ctx, &cfg, bits, &mut NoopBsbHooks));
+                let decided = run_king_batch(ctx, &cfg, bits, &mut NoopBsbHooks).await;
                 pack_bits(&decided)
-            }) as NodeLogic<Vec<u8>>
+            })
         })
         .collect();
-    run_simulation(SimConfig::new(n), metrics, logics).outputs
+    run_tasks(SimConfig::new(n), metrics, None, tasks).outputs
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@
 use mvbc_gf::{Field, Gf65536, Poly};
 use mvbc_metrics::MetricsSink;
 use mvbc_netsim::bits::{pack_bits, unpack_bits};
-use mvbc_netsim::{block_on, run_simulation, NodeCtx, NodeLogic, SimConfig};
+use mvbc_netsim::{node_task, run_tasks, NodeCtx, NodeTask, SimConfig};
 use mvbc_rscode::{StripedCode, Symbol};
 use mvbc_bsb::{run_king_batch, BsbConfig, NoopBsbHooks};
 use rand::rngs::StdRng;
@@ -213,16 +213,15 @@ pub fn simulate_fitzi_hirt_with_attack(
     }
     let cfg = *cfg;
 
-    let logics: Vec<NodeLogic<FhOutcome>> = inputs
+    let tasks: Vec<NodeTask<FhOutcome>> = inputs
         .into_iter()
         .enumerate()
         .map(|(id, value)| {
             let attack = faulty.contains(&id).then(|| attack.clone()).flatten();
-            Box::new(move |ctx: &mut NodeCtx| block_on(run_fh_node(ctx, &cfg, &value, attack.as_ref())))
-                as NodeLogic<FhOutcome>
+            node_task(async move |ctx: &mut NodeCtx| run_fh_node(ctx, &cfg, &value, attack.as_ref()).await)
         })
         .collect();
-    run_simulation(SimConfig::new(cfg.n), metrics, logics).outputs
+    run_tasks(SimConfig::new(cfg.n), metrics, None, tasks).outputs
 }
 
 const TAG_DISPERSE: &str = "baseline.fh.disperse";

@@ -5,7 +5,7 @@
 
 use mvbc_bsb::{BsbConfig, BsbDriver, BsbInstance, DolevStrongDriver, EigDriver, NoopBsbHooks, PhaseKingDriver};
 use mvbc_metrics::{MetricsSink, Snapshot};
-use mvbc_netsim::{block_on, run_simulation, NodeCtx, NodeLogic, SimConfig};
+use mvbc_netsim::{node_task, run_tasks, NodeCtx, NodeTask, SimConfig};
 
 use crate::Report;
 
@@ -84,11 +84,11 @@ fn fleet(name: &str, n: usize) -> Vec<Box<dyn BsbDriver>> {
 /// Panics when two nodes decide differently.
 fn bsb_batch(substrate: &str, n: usize, t: usize, instances: usize) -> Snapshot {
     let metrics = MetricsSink::new();
-    let logics: Vec<NodeLogic<Vec<bool>>> = fleet(substrate, n)
+    let tasks: Vec<NodeTask<Vec<bool>>> = fleet(substrate, n)
         .into_iter()
         .enumerate()
         .map(|(id, mut driver)| {
-            Box::new(move |ctx: &mut NodeCtx| {
+            node_task(async move |ctx: &mut NodeCtx| {
                 let cfg = BsbConfig::new(t, "bench", vec![true; ctx.n()]);
                 let insts: Vec<BsbInstance> = (0..instances)
                     .map(|i| BsbInstance {
@@ -96,11 +96,11 @@ fn bsb_batch(substrate: &str, n: usize, t: usize, instances: usize) -> Snapshot 
                         input: (id == i % ctx.n()).then_some(i % 2 == 0),
                     })
                     .collect();
-                block_on(driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks))
-            }) as NodeLogic<Vec<bool>>
+                driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks).await
+            })
         })
         .collect();
-    let out = run_simulation(SimConfig::new(n), metrics.clone(), logics);
+    let out = run_tasks(SimConfig::new(n), metrics.clone(), None, tasks);
     for o in &out.outputs {
         assert_eq!(*o, out.outputs[0], "substrate {substrate}: instances must agree");
     }

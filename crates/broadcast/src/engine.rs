@@ -63,8 +63,19 @@ pub fn run_broadcast_with(
     hooks: &mut dyn BroadcastHooks,
     bsb: &mut dyn BsbDriver,
 ) -> BroadcastReport {
+    block_on(broadcast(ctx, cfg, input, hooks, bsb))
+}
+
+/// [`run_broadcast_with`] as a future, for a simulation's node tasks.
+pub(crate) async fn broadcast(
+    ctx: &mut NodeCtx,
+    cfg: &BroadcastConfig,
+    input: Option<&[u8]>,
+    hooks: &mut dyn BroadcastHooks,
+    bsb: &mut dyn BsbDriver,
+) -> BroadcastReport {
     let mut diag = DiagGraph::new(cfg.n, cfg.t);
-    block_on(run_broadcast_slot(ctx, cfg, input, STANDALONE_SCOPE, &mut diag, hooks, bsb))
+    run_broadcast_slot(ctx, cfg, input, STANDALONE_SCOPE, &mut diag, hooks, bsb).await
 }
 
 /// Runs one broadcast execution *mid-simulation*, against caller-owned

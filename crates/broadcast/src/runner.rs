@@ -2,10 +2,10 @@
 
 use mvbc_bsb::{BsbDriver, PhaseKingDriver};
 use mvbc_metrics::MetricsSink;
-use mvbc_netsim::{run_simulation, NodeCtx, NodeLogic, SimConfig};
+use mvbc_netsim::{node_task, run_tasks, NodeCtx, NodeTask, SimConfig};
 
 use crate::config::BroadcastConfig;
-use crate::engine::{run_broadcast_with, BroadcastReport};
+use crate::engine::{broadcast, BroadcastReport};
 use crate::hooks::BroadcastHooks;
 
 /// Result of a simulated broadcast.
@@ -56,20 +56,20 @@ pub fn simulate_broadcast_with(
     assert_eq!(value.len(), cfg.value_bytes, "value must be L bytes");
     assert_eq!(drivers.len(), cfg.n, "one BSB driver per processor");
 
-    let logics: Vec<NodeLogic<BroadcastReport>> = hooks
+    let tasks: Vec<NodeTask<BroadcastReport>> = hooks
         .into_iter()
         .zip(drivers)
         .enumerate()
         .map(|(id, (mut hook, mut driver))| {
             let cfg = cfg.clone();
             let input = (id == cfg.source).then(|| value.clone());
-            Box::new(move |ctx: &mut NodeCtx| {
-                run_broadcast_with(ctx, &cfg, input.as_deref(), hook.as_mut(), driver.as_mut())
-            }) as NodeLogic<BroadcastReport>
+            node_task(async move |ctx: &mut NodeCtx| {
+                broadcast(ctx, &cfg, input.as_deref(), hook.as_mut(), driver.as_mut()).await
+            })
         })
         .collect();
 
-    let result = run_simulation(SimConfig::new(cfg.n), metrics, logics);
+    let result = run_tasks(SimConfig::new(cfg.n), metrics, None, tasks);
     let outputs = result.outputs.iter().map(|r| r.output.clone()).collect();
     BroadcastRun {
         outputs,

@@ -39,7 +39,7 @@ flags:
   --d        generation size in bytes (default: the paper's Eq. (2) optimum)
   --seed     workload seed (default 1)
   --source   broadcasting processor (broadcast only, default 0)
-  --attack   Byzantine behaviour to inject (default none)
+  --attack   Byzantine behaviour to inject (default none; any other needs t >= 1)
   --differing  give every processor a different input (consensus only)
   --bsb      Broadcast_Single_Bit substrate (default phase-king; consensus only)
   --trace    write the full network trace as CSV to FILE (consensus only)

@@ -1,6 +1,7 @@
 //! Command execution: run the simulations and print human-oriented
 //! summaries.
 
+use std::fmt;
 use std::io::Read as _;
 
 use mvbc_adversary::campaign::{run_scenario, CampaignReport, CampaignRunner, NetPlan, Scenario};
@@ -36,6 +37,34 @@ fn workload(len: usize, seed: u64) -> Vec<u8> {
             (state >> 32) as u8
         })
         .collect()
+}
+
+/// The error for an `--attack` other than `none` at `t = 0`: the model
+/// then admits no Byzantine processor, so a violation under the attack
+/// would blame the protocol for a fault outside its bound.
+fn attack_outside_model<A: fmt::Debug + PartialEq>(t: usize, attack: A, none: A) -> Option<String> {
+    (t == 0 && attack != none).then(|| {
+        format!(
+            "invalid parameters: --attack {attack:?} corrupts a processor, but t = 0 admits \
+             none (the model tolerates at most t Byzantine processors)"
+        )
+    })
+}
+
+/// Exits 2 with [`attack_outside_model`]'s error, if there is one.
+fn refuse_attack_outside_model<A: fmt::Debug + PartialEq>(t: usize, attack: A, none: A) {
+    if let Some(e) = attack_outside_model(t, attack, none) {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
+}
+
+/// The communication cost as a multiple of the naive `(n-1)L` bits
+/// (the source sending every peer the value); `None` when there is no
+/// peer to send to.
+fn over_naive_broadcast(bits: u64, n: usize, l: usize) -> Option<f64> {
+    let naive = (n - 1) * l * 8;
+    (naive > 0).then(|| bits as f64 / naive as f64)
 }
 
 /// Reads the text file at `path` for subcommand `sub`, refusing one
@@ -225,6 +254,7 @@ fn consensus(
         eprintln!("invalid parameters: {e}");
         std::process::exit(2);
     });
+    refuse_attack_outside_model(t, attack, ConsensusAttack::None);
 
     let inputs: Vec<Vec<u8>> = (0..n)
         .map(|i| workload(l, seed.wrapping_add(if differing { i as u64 } else { 0 })))
@@ -246,7 +276,7 @@ fn consensus(
             faulty.push(n - 1);
         }
         ConsensusAttack::WorstCase => {
-            let team: Vec<usize> = (0..t.max(1)).collect();
+            let team: Vec<usize> = (0..t).collect();
             for &f in &team {
                 hooks[f] = Box::new(WorstCaseDiagnosis::new(team.clone()));
             }
@@ -465,6 +495,7 @@ fn broadcast(
         eprintln!("invalid parameters: {e}");
         std::process::exit(2);
     });
+    refuse_attack_outside_model(t, attack, BroadcastAttack::None);
 
     let value = workload(l, seed);
     let mut hooks: Vec<Box<dyn BroadcastHooks>> =
@@ -510,10 +541,11 @@ fn broadcast(
         println!("validity (delivered == source input): {}", if valid { "YES" } else { "NO (BUG!)" });
     }
     let snap = metrics.snapshot();
+    let ratio = over_naive_broadcast(snap.total_logical_bits(), n, l)
+        .map_or_else(String::new, |r| format!(" = {r:.2} x (n-1)L"));
     println!(
-        "communication: {} bits = {:.2} x (n-1)L over {} rounds; diagnosis stages: {}",
+        "communication: {} bits{ratio} over {} rounds; diagnosis stages: {}",
         snap.total_logical_bits(),
-        snap.total_logical_bits() as f64 / ((n - 1) * l * 8) as f64,
         snap.rounds(),
         run.reports[honest[0]].diagnosis_invocations,
     );
@@ -553,6 +585,7 @@ fn smr(
         eprintln!("invalid parameters: --byz {byz} is out of range");
         std::process::exit(2);
     }
+    refuse_attack_outside_model(t, attack, SmrAttack::None);
 
     // Deterministic per-replica client streams: replica i proposes keys
     // from its own range on its primary turns.
@@ -1053,5 +1086,42 @@ mod tests {
             smr_violations(1, &HONEST, &reports, &stores),
             vec![Violation::DisputeBudget]
         );
+    }
+
+    #[test]
+    fn consensus_refuses_an_attack_at_t0() {
+        use ConsensusAttack::*;
+        for attack in [Silent, Corrupt, Random, WorstCase] {
+            let e = attack_outside_model(0, attack, None).expect("refused");
+            assert!(e.contains("t = 0") && e.contains(&format!("{attack:?}")), "{e}");
+            assert_eq!(attack_outside_model(1, attack, None), Option::None);
+        }
+        assert_eq!(attack_outside_model(0, None, None), Option::None);
+    }
+
+    #[test]
+    fn broadcast_refuses_an_attack_at_t0() {
+        use BroadcastAttack::*;
+        for attack in [Equivocate, SilentSource, LyingEcho] {
+            assert!(attack_outside_model(0, attack, None).is_some(), "{attack:?}");
+            assert_eq!(attack_outside_model(1, attack, None), Option::None);
+        }
+        assert_eq!(attack_outside_model(0, None, None), Option::None);
+    }
+
+    #[test]
+    fn smr_refuses_an_attack_at_t0() {
+        use SmrAttack::*;
+        for attack in [Equivocate, Silent] {
+            assert!(attack_outside_model(0, attack, None).is_some(), "{attack:?}");
+            assert_eq!(attack_outside_model(1, attack, None), Option::None);
+        }
+        assert_eq!(attack_outside_model(0, None, None), Option::None);
+    }
+
+    #[test]
+    fn a_lone_broadcast_source_has_no_naive_ratio() {
+        assert_eq!(over_naive_broadcast(0, 1, 8), None);
+        assert_eq!(over_naive_broadcast(160, 2, 8), Some(2.5));
     }
 }

@@ -100,8 +100,19 @@ pub fn run_consensus_with(
     hooks: &mut dyn ProtocolHooks,
     bsb: &mut dyn BsbDriver,
 ) -> EngineReport {
+    block_on(consensus(ctx, cfg, input, hooks, bsb))
+}
+
+/// [`run_consensus_with`] as a future, for a simulation's node tasks.
+pub(crate) async fn consensus(
+    ctx: &mut NodeCtx,
+    cfg: &ConsensusConfig,
+    input: &[u8],
+    hooks: &mut dyn ProtocolHooks,
+    bsb: &mut dyn BsbDriver,
+) -> EngineReport {
     let window = if cfg.ablation_reset_diag { 1 } else { GENERATION_WINDOW };
-    block_on(run_windowed(ctx, cfg, input, hooks, bsb, window))
+    run_windowed(ctx, cfg, input, hooks, bsb, window).await
 }
 
 /// [`run_consensus_with`] with windows of up to `window` generations.

@@ -4,10 +4,10 @@
 use mvbc_bsb::{BsbDriver, PhaseKingDriver};
 use mvbc_metrics::MetricsSink;
 use mvbc_netsim::trace::TraceSink;
-use mvbc_netsim::{run_simulation_traced, NodeCtx, NodeLogic, SimConfig};
+use mvbc_netsim::{node_task, run_tasks, NodeCtx, NodeTask, SimConfig};
 
 use crate::config::ConsensusConfig;
-use crate::engine::{run_consensus_with, EngineReport};
+use crate::engine::{consensus, EngineReport};
 use crate::hooks::ProtocolHooks;
 
 /// The result of a simulated consensus execution.
@@ -99,19 +99,19 @@ fn simulate_inner(
     assert_eq!(hooks.len(), cfg.n, "one hooks object per processor");
     assert_eq!(drivers.len(), cfg.n, "one BSB driver per processor");
 
-    let logics: Vec<NodeLogic<EngineReport>> = inputs
+    let tasks: Vec<NodeTask<EngineReport>> = inputs
         .into_iter()
         .zip(hooks)
         .zip(drivers)
         .map(|((input, mut hook), mut driver)| {
             let cfg = cfg.clone();
-            Box::new(move |ctx: &mut NodeCtx| {
-                run_consensus_with(ctx, &cfg, &input, hook.as_mut(), driver.as_mut())
-            }) as NodeLogic<EngineReport>
+            node_task(async move |ctx: &mut NodeCtx| {
+                consensus(ctx, &cfg, &input, hook.as_mut(), driver.as_mut()).await
+            })
         })
         .collect();
 
-    let result = run_simulation_traced(SimConfig::new(cfg.n), metrics, trace, logics);
+    let result = run_tasks(SimConfig::new(cfg.n), metrics, trace, tasks);
     let outputs = result.outputs.iter().map(|r| r.output.clone()).collect();
     ConsensusRun {
         outputs,

@@ -9,7 +9,7 @@
 //! all instances' messages multiplexed into the node's single round
 //! submission and demultiplexed back by message-tag scope.
 //!
-//! [`LaneMux`] implements exactly that, on the node's own thread:
+//! [`LaneMux`] implements exactly that, inside the node's own future:
 //!
 //! - [`LaneMux::spawn`] starts a lane: an async closure over its own
 //!   lane-local [`NodeCtx`]. The closure is ordinary `async` protocol
@@ -41,37 +41,35 @@
 //!
 //! ```
 //! use mvbc_netsim::lanes::LaneMux;
-//! use mvbc_netsim::{block_on, run_simulation, NodeCtx, NodeLogic, SimConfig};
+//! use mvbc_netsim::{node_task, run_tasks, NodeCtx, SimConfig};
 //! use mvbc_metrics::MetricsSink;
 //!
-//! let logics: Vec<NodeLogic<Vec<u8>>> = (0..2)
+//! let tasks = (0..2)
 //!     .map(|_| {
-//!         Box::new(|ctx: &mut NodeCtx| {
-//!             block_on(async {
-//!                 let mut mux: LaneMux<u8> = LaneMux::new();
-//!                 for (scope, mark) in [("ping.a", 10u8), ("ping.b", 20u8)] {
-//!                     let me = ctx.id() as u8;
-//!                     mux.spawn(ctx, scope, async move |lane: &mut NodeCtx| {
-//!                         let peer = 1 - lane.id();
-//!                         let tag = mvbc_netsim::scoped_tag(scope, "msg");
-//!                         lane.send(peer, tag, vec![me + mark], 8);
-//!                         let mut inbox = lane.next_round().await;
-//!                         inbox.take(peer, tag).map(|b| b[0]).unwrap_or(0)
-//!                     });
+//!         node_task(async |ctx: &mut NodeCtx| {
+//!             let mut mux: LaneMux<u8> = LaneMux::new();
+//!             for (scope, mark) in [("ping.a", 10u8), ("ping.b", 20u8)] {
+//!                 let me = ctx.id() as u8;
+//!                 mux.spawn(ctx, scope, async move |lane: &mut NodeCtx| {
+//!                     let peer = 1 - lane.id();
+//!                     let tag = mvbc_netsim::scoped_tag(scope, "msg");
+//!                     lane.send(peer, tag, vec![me + mark], 8);
+//!                     let mut inbox = lane.next_round().await;
+//!                     inbox.take(peer, tag).map(|b| b[0]).unwrap_or(0)
+//!                 });
+//!             }
+//!             let mut out = Vec::new();
+//!             while mux.has_lanes() {
+//!                 for lane in mux.step(ctx).await {
+//!                     out.push(lane.output);
 //!                 }
-//!                 let mut out = Vec::new();
-//!                 while mux.has_lanes() {
-//!                     for lane in mux.step(ctx).await {
-//!                         out.push(lane.output);
-//!                     }
-//!                 }
-//!                 out.sort_unstable();
-//!                 out
-//!             })
-//!         }) as NodeLogic<Vec<u8>>
+//!             }
+//!             out.sort_unstable();
+//!             out
+//!         })
 //!     })
 //!     .collect();
-//! let run = run_simulation(SimConfig::new(2), MetricsSink::new(), logics);
+//! let run = run_tasks(SimConfig::new(2), MetricsSink::new(), None, tasks);
 //! assert_eq!(run.outputs[0], vec![11, 21]); // peer id 1, lanes a and b
 //! assert_eq!(run.rounds, 1); // both lanes shared one physical round
 //! ```
@@ -85,7 +83,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 
-use crate::{Inbox, InboxPool, Link, NodeCtx, Outgoing};
+use crate::{panic_message, Inbox, InboxPool, Link, NodeCtx, Outgoing};
 
 /// Identifier of one spawned lane, unique within its [`LaneMux`].
 pub type LaneId = u64;
@@ -105,8 +103,9 @@ pub struct FinishedLane<O> {
     pub logical_bits: u64,
 }
 
-/// The hand-off between a lane's context and its mux: the lane parks
-/// its round submission here and the mux parks the routed inbox.
+/// The hand-off between a lane's context and its mux, or a task's context
+/// and the driver ([`crate::run_tasks`]): the lane or task parks its round
+/// submission here, and the mux or driver parks the routed inbox.
 #[derive(Default)]
 pub(crate) struct LaneLink {
     pub(crate) submission: Cell<Option<Vec<Outgoing>>>,
@@ -150,15 +149,6 @@ fn scope_matches(tag: &str, scope: &str) -> bool {
         && (tag.len() == scope.len() || tag.as_bytes()[scope.len()] == b'.')
 }
 
-/// The message of a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
-    payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&str>().copied())
-        .unwrap_or("<non-string panic>")
-}
-
 impl<O: 'static> LaneMux<O> {
     /// An empty multiplexer.
     pub fn new() -> Self {
@@ -200,16 +190,9 @@ impl<O: 'static> LaneMux<O> {
         }
         let link = Rc::new(LaneLink::default());
         let start = ctx.round;
-        let mut lane_ctx = NodeCtx {
-            id: ctx.id,
-            n: ctx.n,
-            round: start,
-            vtime: ctx.vtime,
-            bits_sent: 0,
-            pending: Vec::new(),
-            link: Link::Lane(link.clone()),
-            metrics: ctx.metrics.clone(),
-        };
+        let mut lane_ctx = NodeCtx::with_link(ctx.id, ctx.n, Link::Lane(link.clone()), ctx.metrics.clone());
+        lane_ctx.round = start;
+        lane_ctx.vtime = ctx.vtime;
         let id = self.next_id;
         self.next_id += 1;
         let future = Box::pin(async move {
@@ -301,7 +284,7 @@ impl<O: 'static> LaneMux<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{block_on, run_simulation, scoped_tag, NodeLogic, SimConfig, SimResult};
+    use crate::{block_on, node_task, run_tasks, scoped_tag, SimConfig, SimResult};
     use mvbc_metrics::MetricsSink;
 
     #[test]
@@ -314,20 +297,14 @@ mod tests {
         assert!(scope_matches("smr.slot1.a0.echo", "smr.slot1.a0"));
     }
 
-    /// Runs `n` nodes; node `id` runs the async `logic(id)` on its own
-    /// context.
+    /// Runs `n` nodes; node `id` runs the async `logic(id)` as its task.
     fn run<O, F>(n: usize, metrics: &MetricsSink, mut logic: impl FnMut(usize) -> F) -> SimResult<O>
     where
         O: Send + 'static,
         F: AsyncFnOnce(&mut NodeCtx) -> O + Send + 'static,
     {
-        let logics = (0..n)
-            .map(|id| {
-                let node = logic(id);
-                Box::new(move |ctx: &mut NodeCtx| block_on(node(ctx))) as NodeLogic<O>
-            })
-            .collect();
-        run_simulation(SimConfig::new(n), metrics.clone(), logics)
+        let tasks = (0..n).map(|id| node_task(logic(id))).collect();
+        run_tasks(SimConfig::new(n), metrics.clone(), None, tasks)
     }
 
     /// Steps `mux` until it is empty, collecting every finished lane.

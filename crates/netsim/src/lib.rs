@@ -11,20 +11,32 @@
 //!   true sender on every delivery; a Byzantine processor can lie about
 //!   content but never about its identity).
 //!
-//! Each processor runs on its own OS thread and proceeds in lockstep
-//! rounds: messages sent during round `r` (via [`NodeCtx::send`]) are
-//! delivered to every recipient at the end of round `r` (from
-//! [`NodeCtx::end_round`]). A coordinator thread enforces the round
-//! barrier, routes messages, and feeds the
-//! [`MetricsSink`] that experiments use to
-//! measure communication complexity.
+//! Processors proceed in lockstep rounds: messages sent during round `r`
+//! (via [`NodeCtx::send`]) are delivered to every recipient at the end of
+//! round `r` (from [`NodeCtx::next_round`]). The calling thread enforces
+//! the round barrier, routes messages, and feeds the [`MetricsSink`] that
+//! experiments use to measure communication complexity.
+//!
+//! # Nodes are futures
 //!
 //! Protocol code that ends rounds is `async`: it awaits
-//! [`NodeCtx::next_round`], and a synchronous entry point runs it with
-//! [`block_on`], which on a node's context completes every round at once.
-//! That makes a protocol execution a future, so a node can run several
-//! of them concurrently on its own thread as [`lanes`] sharing its round
-//! barrier — no executor but the coordinator starts a thread.
+//! [`NodeCtx::next_round`], which parks the round's messages and yields.
+//! Within a round a node only sends, and nothing it does depends on a
+//! peer before the round's barrier, so a node needs no thread of its own:
+//! [`run_tasks`] builds each node's [`NodeTask`] into a future and polls
+//! it once per round. Two workers poll — the calling thread and one
+//! scoped thread — each a fixed, contiguous range of node ids; the
+//! calling thread then merges the round's submissions by node id and
+//! routes them. The split only trades wall-clock time: outputs, traces
+//! and metrics are the same for any number of workers. A node can in turn
+//! run several protocol executions as [`lanes`] sharing its round barrier,
+//! and no code but this driver starts a thread.
+//!
+//! [`run_simulation`] is the synchronous adapter, for [`NodeLogic`]
+//! closures that block in [`NodeCtx::end_round`]: each closure runs on its
+//! own scoped thread, whose rounds a per-node bridge task carries through
+//! the same driver. On such a thread, [`block_on`] runs async protocol
+//! code to completion.
 //!
 //! # Scheduling policies
 //!
@@ -57,20 +69,21 @@
 //! # Examples
 //!
 //! ```
-//! use mvbc_netsim::{run_simulation, NodeCtx, SimConfig};
+//! use mvbc_netsim::{node_task, run_tasks, NodeCtx, SimConfig};
 //! use mvbc_metrics::MetricsSink;
 //!
 //! // Two nodes exchange their ids and report the peer's id.
-//! let metrics = MetricsSink::new();
-//! let mk = |_: usize| {
-//!     Box::new(move |ctx: &mut NodeCtx| {
-//!         let peer = 1 - ctx.id();
-//!         ctx.send(peer, "hello", vec![ctx.id() as u8], 8);
-//!         let mut inbox = ctx.end_round();
-//!         inbox.take(peer, "hello").map(|b| b[0] as usize)
-//!     }) as Box<dyn FnOnce(&mut NodeCtx) -> Option<usize> + Send>
-//! };
-//! let out = run_simulation(SimConfig::new(2), metrics, (0..2).map(mk).collect());
+//! let tasks = (0..2)
+//!     .map(|_| {
+//!         node_task(async |ctx: &mut NodeCtx| {
+//!             let peer = 1 - ctx.id();
+//!             ctx.send(peer, "hello", vec![ctx.id() as u8], 8);
+//!             let mut inbox = ctx.next_round().await;
+//!             inbox.take(peer, "hello").map(|b| b[0] as usize)
+//!         })
+//!     })
+//!     .collect();
+//! let out = run_tasks(SimConfig::new(2), MetricsSink::new(), None, tasks);
 //! assert_eq!(out.outputs, vec![Some(1), Some(0)]);
 //! ```
 
@@ -84,14 +97,16 @@ pub mod trace;
 
 use std::fmt;
 use std::future::Future;
+use std::panic::{self, AssertUnwindSafe};
+use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, Sender};
-use mvbc_metrics::MetricsSink;
+use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use mvbc_metrics::{MetricsSink, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -105,10 +120,11 @@ pub use net::{
 /// is `50_000` ticks.
 pub type VirtualTime = u64;
 
-/// Default for [`SimConfig::round_timeout`]: how long the coordinator
-/// waits for a node's round submission before declaring the simulation
-/// wedged. Protocol bugs (mismatched `end_round` counts between nodes)
-/// surface as this panic instead of a silent hang.
+/// Default for [`SimConfig::round_timeout`]: how long a
+/// [`run_simulation`] node's bridge waits for the node thread's round
+/// submission before declaring the simulation wedged. Protocol bugs
+/// (mismatched `end_round` counts between nodes) surface as this panic
+/// instead of a silent hang.
 pub const DEFAULT_ROUND_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Simulation parameters.
@@ -119,11 +135,13 @@ pub struct SimConfig {
     /// Abort the run if it exceeds this many rounds (guards against
     /// run-away protocols in tests). `None` disables the check.
     pub max_rounds: Option<u64>,
-    /// How long the coordinator waits for any round submission before
-    /// declaring the simulation wedged. Long multi-slot runs on slow
-    /// machines may need more than [`DEFAULT_ROUND_TIMEOUT`]. This is a
-    /// *wall-clock* guard against protocol bugs; for a *virtual-time*
-    /// budget, see [`SimConfig::max_vtime`].
+    /// How long a [`run_simulation`] node's bridge waits for the node
+    /// thread's round submission before declaring the simulation wedged.
+    /// Long multi-slot runs on slow machines may need more than
+    /// [`DEFAULT_ROUND_TIMEOUT`]. This is a *wall-clock* guard against
+    /// protocol bugs in blocking node code; [`run_tasks`] needs none (a
+    /// task that yields without submitting its round is a wedge at once),
+    /// and for a *virtual-time* budget, see [`SimConfig::max_vtime`].
     pub round_timeout: Duration,
     /// How the coordinator schedules rounds (see the crate docs).
     pub policy: SchedulingPolicy,
@@ -204,10 +222,10 @@ type InboxShell = Vec<Vec<Message>>;
 
 /// Recycling pool for inbox buffers, shared between the coordinator
 /// (which takes a shell per node per round) and the node-side [`Inbox`]
-/// drops (which return them). Without the pool, routing allocated
-/// `vec![Vec::new(); n]` per node per round; with it, a steady-state
-/// simulation reuses the same `2n` shells — and their grown inner
-/// capacities — for the whole run.
+/// drops (which return them, on whichever worker steps the node).
+/// Without the pool, routing allocated `vec![Vec::new(); n]` per node per
+/// round; with it, a steady-state simulation reuses the same `2n` shells
+/// — and their grown inner capacities — for the whole run.
 #[derive(Debug, Default)]
 struct InboxPool {
     shells: std::sync::Mutex<Vec<InboxShell>>,
@@ -342,26 +360,17 @@ struct Outgoing {
     logical_bits: u64,
 }
 
-enum CoordMsg {
-    Submit {
-        from: NodeId,
-        outgoing: Vec<Outgoing>,
-    },
-    Finished {
-        from: NodeId,
-    },
-}
-
 /// Where a context's round submissions go.
 enum Link {
-    /// A simulator node: submits to the coordinator and blocks for the
-    /// routed inbox.
+    /// A node thread of the synchronous adapter ([`run_simulation`]):
+    /// submits to its node's bridge task and blocks for the routed inbox.
     Node {
-        to_coord: Sender<CoordMsg>,
-        from_coord: Receiver<Inbox>,
+        to_bridge: Sender<Vec<Outgoing>>,
+        from_bridge: Receiver<Inbox>,
     },
-    /// A lane ([`lanes::LaneMux::spawn`]): parks its submission for the
-    /// mux, which hands the routed inbox back on the next poll.
+    /// A driver task ([`run_tasks`]) or a lane ([`lanes::LaneMux::spawn`]):
+    /// parks its submission for the driver or the mux, which hands the
+    /// routed inbox back on the next poll.
     Lane(Rc<lanes::LaneLink>),
 }
 
@@ -391,6 +400,20 @@ impl fmt::Debug for NodeCtx {
 }
 
 impl NodeCtx {
+    /// A context for node `id` at round 0, submitting through `link`.
+    fn with_link(id: NodeId, n: usize, link: Link, metrics: MetricsSink) -> Self {
+        NodeCtx {
+            id,
+            n,
+            round: 0,
+            vtime: 0,
+            bits_sent: 0,
+            pending: Vec::new(),
+            link,
+            metrics,
+        }
+    }
+
     /// This processor's identity.
     pub fn id(&self) -> NodeId {
         self.id
@@ -407,7 +430,7 @@ impl NodeCtx {
     }
 
     /// This processor's virtual clock: the end time of its last
-    /// completed round (0 before the first [`NodeCtx::end_round`]).
+    /// completed round (0 before the first one completes).
     /// Under the round-barrier policy this equals [`NodeCtx::round`];
     /// under the event-driven policy it is the node's position on the
     /// simulation's virtual clock, in ticks.
@@ -464,37 +487,35 @@ impl NodeCtx {
 
     /// Completes the current round: flushes queued messages and blocks
     /// until every other processor has completed the round too, then
-    /// returns the messages delivered to this processor.
+    /// returns the messages delivered to this processor. Only the
+    /// blocking [`NodeLogic`] closures of the synchronous adapter
+    /// ([`run_simulation`]) can call this.
     ///
     /// # Panics
     ///
-    /// Panics when the coordinator has shut down (another node panicked or
-    /// the round limit was hit), and on a lane context, whose rounds only
-    /// its [`lanes::LaneMux`] can complete: lane code awaits
-    /// [`NodeCtx::next_round`] instead.
+    /// Panics when the simulation has shut down (another node panicked or
+    /// a limit was hit), and on a task's or a lane's context, whose rounds
+    /// only the driver or the lane's [`lanes::LaneMux`] can complete: such
+    /// code awaits [`NodeCtx::next_round`] instead.
     pub fn end_round(&mut self) -> Inbox {
-        let Link::Node { to_coord, from_coord } = &self.link else {
-            panic!("end_round() on a lane context: lane code must await next_round()");
+        let Link::Node { to_bridge, from_bridge } = &self.link else {
+            panic!("end_round() on a lane context: task and lane code must await next_round()");
         };
         let outgoing = std::mem::take(&mut self.pending);
-        to_coord
-            .send(CoordMsg::Submit {
-                from: self.id,
-                outgoing,
-            })
-            .expect("coordinator alive");
-        let inbox = from_coord.recv().expect("coordinator delivers a round inbox");
+        to_bridge.send(outgoing).expect("simulation alive");
+        let inbox = from_bridge.recv().expect("the driver delivers a round inbox");
         self.finish_round(inbox)
     }
 
     /// Completes the current round like [`NodeCtx::end_round`], as a
     /// future: protocol code that ends rounds is `async` and awaits this.
     ///
-    /// On a simulator node's context the first poll does the blocking
-    /// [`NodeCtx::end_round`] and is ready, so [`block_on`] runs such
-    /// code to completion in one poll. On a lane context the first poll
-    /// parks the round's messages for the lane's [`lanes::LaneMux`] and
-    /// yields; the mux's next step resumes it with the routed inbox.
+    /// On a task's or a lane's context the first poll parks the round's
+    /// messages for the driver ([`run_tasks`]) or the lane's
+    /// [`lanes::LaneMux`] and yields; the next poll resumes it with the
+    /// routed inbox. On a [`run_simulation`] node thread's context the
+    /// first poll does the blocking [`NodeCtx::end_round`] and is ready,
+    /// so [`block_on`] runs such code to completion in one poll.
     pub async fn next_round(&mut self) -> Inbox {
         let Link::Lane(link) = &self.link else {
             return self.end_round();
@@ -506,7 +527,7 @@ impl NodeCtx {
             if std::mem::replace(&mut parked, true) { Poll::Ready(()) } else { Poll::Pending }
         })
         .await;
-        let inbox = link.inbox.take().expect("a lane resumes only after its mux routed its inbox");
+        let inbox = link.inbox.take().expect("a task or lane resumes only after its round was routed");
         self.finish_round(inbox)
     }
 
@@ -518,32 +539,142 @@ impl NodeCtx {
     }
 }
 
-/// Runs a protocol future to completion on the calling thread.
+/// Runs a protocol future to completion on a node thread of the
+/// synchronous adapter ([`run_simulation`]).
 ///
 /// Every `async` protocol function of the workspace ends its rounds with
-/// [`NodeCtx::next_round`]; on a simulator node's context each of those
+/// [`NodeCtx::next_round`]; on such a thread's context each of those
 /// completes at once, so one poll runs the future to its end. This is
 /// the whole executor of the synchronous entry points (`run_bsb_batch`,
-/// `run_consensus`, `run_replicated_log`, ...).
+/// `run_consensus`, `run_replicated_log`, ...); a [`NodeTask`] awaits
+/// their async forms instead.
 ///
 /// # Panics
 ///
-/// Panics when the future is not ready after one poll: it awaited a lane
-/// context's round, and lane futures run only under their
-/// [`lanes::LaneMux`].
+/// Panics when the future is not ready after one poll: it awaited a
+/// task's or a lane's round, which only the driver or the lane's
+/// [`lanes::LaneMux`] can complete.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let mut future = std::pin::pin!(future);
     match future.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
         Poll::Ready(output) => output,
         Poll::Pending => panic!(
-            "block_on: the future awaited a lane context's round; \
-             lane futures must be driven by their LaneMux"
+            "block_on: the future awaited a task's or a lane's round; task futures must be \
+             driven by run_tasks, lane futures must be driven by their LaneMux"
         ),
     }
 }
 
-/// The boxed per-node logic closure executed by [`run_simulation`].
+/// The message of a caught panic payload.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("<non-string panic>")
+}
+
+/// The boxed per-node logic closure executed by [`run_simulation`], the
+/// synchronous adapter: it runs on a thread of its own and ends rounds
+/// with the blocking [`NodeCtx::end_round`] (or [`block_on`]).
 pub type NodeLogic<O> = Box<dyn FnOnce(&mut NodeCtx) -> O + Send>;
+
+/// The future of one node's protocol; it lives on the worker that built
+/// it.
+type NodeFuture<O> = Pin<Box<dyn Future<Output = O>>>;
+
+/// One node's protocol for [`run_tasks`], built by [`node_task`].
+///
+/// The task is `Send`, so it can move to the worker that steps its node;
+/// the future it builds there is not, and never leaves that worker.
+pub struct NodeTask<O>(Box<dyn FnOnce(NodeCtx) -> NodeFuture<O> + Send>);
+
+/// Wraps `logic`, an async closure running one node's protocol against
+/// the node's [`NodeCtx`], as a [`NodeTask`].
+///
+/// Inside it, await the async forms of the protocol entry points: every
+/// [`NodeCtx::next_round`] yields the node to the driver until the round
+/// is routed. The blocking [`NodeCtx::end_round`] and [`block_on`] panic
+/// on a task's context.
+pub fn node_task<O, F>(logic: F) -> NodeTask<O>
+where
+    O: 'static,
+    F: AsyncFnOnce(&mut NodeCtx) -> O + Send + 'static,
+{
+    NodeTask(Box::new(move |mut ctx: NodeCtx| {
+        Box::pin(async move { logic(&mut ctx).await })
+    }))
+}
+
+/// How many workers [`run_tasks`] steps the nodes on: the calling thread
+/// plus one scoped thread (fewer when `n` is smaller). A constant, not a
+/// machine-shape read, so every host splits the nodes the same way; the
+/// results are the same for every count (see [`drive`]).
+const WORKERS: usize = 2;
+
+/// What one node did when polled for a round.
+enum Step<O> {
+    /// Parked the round's messages and awaits the round's inbox.
+    Submitted(Vec<Outgoing>),
+    /// Returned its output; whatever it sent after its last round is
+    /// dropped with its context.
+    Finished(O),
+    /// Panicked, with the panic's message.
+    Panicked(String),
+    /// Yielded without parking a submission: it awaited something that
+    /// is not its round, which nothing will ever complete.
+    Wedged,
+}
+
+/// A node as a lane of the driver: its future and the cell its context
+/// parks round submissions in.
+struct Stepped<O> {
+    id: NodeId,
+    link: Rc<lanes::LaneLink>,
+    /// `None` once the node finished or panicked.
+    future: Option<NodeFuture<O>>,
+}
+
+impl<O: 'static> Stepped<O> {
+    /// Builds `task`'s future as node `id`, on the calling thread.
+    fn start(id: NodeId, n: usize, metrics: &MetricsSink, task: NodeTask<O>) -> Self {
+        let link = Rc::new(lanes::LaneLink::default());
+        let ctx = NodeCtx::with_link(id, n, Link::Lane(link.clone()), metrics.clone());
+        Stepped {
+            id,
+            link,
+            future: Some((task.0)(ctx)),
+        }
+    }
+
+    /// Hands the node its routed inbox (none before its first round) and
+    /// polls it up to its next round submission or its end; `None` when
+    /// it is no longer running.
+    fn step(&mut self, inbox: Option<Inbox>) -> Option<Step<O>> {
+        let future = self.future.as_mut()?;
+        self.link.inbox.set(inbox);
+        let mut cx = Context::from_waker(Waker::noop());
+        let step = match panic::catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx))) {
+            Ok(Poll::Pending) => {
+                return Some(self.link.submission.take().map_or(Step::Wedged, Step::Submitted))
+            }
+            Ok(Poll::Ready(output)) => Step::Finished(output),
+            Err(payload) => Step::Panicked(panic_message(&*payload).to_owned()),
+        };
+        self.future = None;
+        Some(step)
+    }
+}
+
+/// Steps one worker's running nodes through a round, in id order;
+/// `inboxes` lines up with `nodes`.
+fn step_range<O: 'static>(nodes: &mut [Stepped<O>], inboxes: Vec<Option<Inbox>>) -> Vec<(NodeId, Step<O>)> {
+    nodes
+        .iter_mut()
+        .zip(inboxes)
+        .filter_map(|(node, inbox)| Some((node.id, node.step(inbox)?)))
+        .collect()
+}
 
 /// Coordinator-side state of an event-driven run.
 struct EventState {
@@ -559,6 +690,212 @@ struct EventState {
     rng: StdRng,
 }
 
+/// The coordinator: the calling thread's half of a run, holding the round
+/// counter, the virtual clock and the one stamp-sort-deliver path both
+/// scheduling policies share.
+struct Router {
+    n: usize,
+    max_rounds: Option<u64>,
+    max_vtime: Option<VirtualTime>,
+    metrics: MetricsSink,
+    /// Optional telemetry (attached via `MetricsSink::with_telemetry`):
+    /// per-link delivery accounting, partition outage windows, and the
+    /// largest round's delivery count. Purely observational — it adds no
+    /// messages and moves no timestamps, so trace digests are unchanged
+    /// whether or not a recorder is attached.
+    telemetry: Option<Telemetry>,
+    trace: Option<trace::TraceSink>,
+    pool: Arc<InboxPool>,
+    /// Rounds routed so far.
+    rounds: u64,
+    /// The simulation's virtual clock: the latest round-end tick routed
+    /// so far. Under the round-barrier policy it tracks the round counter
+    /// exactly.
+    vtime_now: VirtualTime,
+    event_state: Option<EventState>,
+    /// One round's messages with their arrival ticks (reused).
+    deliveries: Vec<(VirtualTime, Outgoing)>,
+}
+
+impl Router {
+    fn new(config: &SimConfig, metrics: &MetricsSink, trace: Option<trace::TraceSink>) -> Self {
+        let n = config.n;
+        let event_state = match &config.policy {
+            SchedulingPolicy::RoundBarrier => None,
+            SchedulingPolicy::EventDriven(model) => {
+                model.topology.validate(n);
+                assert!(model.compute_ticks >= 1, "compute_ticks must be at least 1");
+                for p in &model.partitions {
+                    assert!(
+                        p.start < p.heal,
+                        "partition heals at {} before it starts at {}",
+                        p.heal,
+                        p.start
+                    );
+                    for &node in &p.island {
+                        assert!(node < n, "partition island node {node} out of range (n = {n})");
+                    }
+                }
+                Some(EventState {
+                    clocks: vec![0; n],
+                    link_last: vec![vec![0; n]; n],
+                    rng: StdRng::seed_from_u64(model.seed),
+                    model: model.clone(),
+                })
+            }
+        };
+        let telemetry = metrics.telemetry();
+        if let (Some(st), Some(tel)) = (&event_state, &telemetry) {
+            for p in &st.model.partitions {
+                let behavior = match p.behavior {
+                    PartitionBehavior::Drop => "drop",
+                    PartitionBehavior::Delay => "delay",
+                };
+                tel.register_outage(p.start, p.heal, behavior);
+            }
+        }
+        Router {
+            n,
+            max_rounds: config.max_rounds,
+            max_vtime: config.max_vtime,
+            metrics: metrics.clone(),
+            telemetry,
+            trace,
+            pool: InboxPool::with_cap(2 * n),
+            rounds: 0,
+            vtime_now: 0,
+            event_state,
+            deliveries: Vec::new(),
+        }
+    }
+
+    /// Routes one round: `submissions[id]` holds node `id`'s messages
+    /// (`None` when it finished instead), and `active[id]` tells whether
+    /// it is still running. Returns the inbox of every running node.
+    fn route(&mut self, submissions: Vec<Option<Vec<Outgoing>>>, active: &[bool]) -> Vec<Option<Inbox>> {
+        let n = self.n;
+        self.rounds += 1;
+        let rounds = self.rounds;
+        if let Some(limit) = self.max_rounds {
+            assert!(rounds <= limit, "round limit {limit} exceeded");
+        }
+        self.metrics.record_round();
+        let telemetry = &self.telemetry;
+        // Stamp every message with its arrival tick, in stamp order:
+        // senders in id order, send order within a sender.
+        let mut round_end = match &mut self.event_state {
+            // Round barrier: the round counter is every message's
+            // arrival tick and every node's round end.
+            None => {
+                self.deliveries
+                    .extend(submissions.into_iter().flatten().flatten().map(|out| (rounds, out)));
+                vec![rounds; n]
+            }
+            // Event-driven: sample a latency per message (so the
+            // jitter stream is a pure function of the send pattern),
+            // apply partitions at dispatch time and clamp each
+            // directed link to FIFO. A node's round ends no earlier
+            // than its dispatch tick.
+            Some(st) => {
+                for (from, sub) in submissions.into_iter().enumerate() {
+                    let Some(sub) = sub else { continue };
+                    let dispatch = st.clocks[from];
+                    for out in sub {
+                        // Sample before the partition check so the
+                        // jitter stream does not depend on the
+                        // partition schedule: with and without a
+                        // partition, the same seed yields the same
+                        // latencies for the surviving messages.
+                        let latency = st
+                            .model
+                            .link
+                            .sample(st.model.same_cluster(from, out.to), &mut st.rng);
+                        let mut base = dispatch;
+                        let mut dropped = false;
+                        for (cut, p) in st.model.partitions.iter().enumerate() {
+                            if p.cuts(dispatch, from, out.to) {
+                                match p.behavior {
+                                    PartitionBehavior::Drop => dropped = true,
+                                    PartitionBehavior::Delay => base = base.max(p.heal),
+                                }
+                                if let Some(tel) = telemetry {
+                                    tel.record_outage_hit(cut, dropped);
+                                }
+                                break;
+                            }
+                        }
+                        if dropped {
+                            // Lost at the cut: no delivery, no trace
+                            // event. The send itself was already
+                            // metered — the bits left the sender.
+                            continue;
+                        }
+                        let link_last = &mut st.link_last[from][out.to];
+                        let at = base.saturating_add(latency).max(*link_last);
+                        *link_last = at;
+                        self.deliveries.push((at, out));
+                    }
+                }
+                if let Some(tel) = telemetry {
+                    tel.record_queue_depth(self.deliveries.len() as u64);
+                }
+                st.clocks.clone()
+            }
+        };
+        // Deliver in arrival order. The sort is stable, so ties keep
+        // stamp order — a barrier round keeps it entirely.
+        self.deliveries.sort_by_key(|&(at, _)| at);
+        // Recipients see messages grouped by sender id. Buffers come
+        // from the recycling pool: nodes return them when they drop
+        // the previous round's inbox.
+        let mut inboxes: Vec<Inbox> = (0..n).map(|_| Inbox::pooled(n, &self.pool)).collect();
+        for (at, mut out) in self.deliveries.drain(..) {
+            out.msg.at = at;
+            if let (Some(st), Some(tel)) = (&self.event_state, telemetry) {
+                // Delivery delay: sampled latency plus any partition
+                // hold and FIFO clamping (clocks still hold this
+                // round's dispatch times).
+                tel.record_link(
+                    out.msg.from,
+                    out.to,
+                    out.msg.payload.len() as u64,
+                    at - st.clocks[out.msg.from],
+                );
+            }
+            if let Some(trace) = &self.trace {
+                trace.record(trace::TraceEvent {
+                    round: rounds,
+                    from: out.msg.from,
+                    to: out.to,
+                    tag: out.msg.tag,
+                    logical_bits: out.logical_bits,
+                    payload_bytes: out.msg.payload.len() as u64,
+                    vtime: at,
+                });
+            }
+            if active[out.to] {
+                round_end[out.to] = round_end[out.to].max(at);
+                inboxes[out.to].by_sender[out.msg.from].push(out.msg);
+            }
+        }
+        for (id, inbox) in inboxes.iter_mut().enumerate() {
+            inbox.vtime = round_end[id];
+            self.vtime_now = self.vtime_now.max(round_end[id]);
+            if let Some(st) = &mut self.event_state {
+                st.clocks[id] = round_end[id].saturating_add(st.model.compute_ticks);
+            }
+        }
+        if let Some(limit) = self.max_vtime {
+            assert!(
+                self.vtime_now <= limit,
+                "virtual time limit {limit} exceeded (virtual time {} at round {rounds})",
+                self.vtime_now
+            );
+        }
+        inboxes.into_iter().zip(active).map(|(inbox, &live)| live.then_some(inbox)).collect()
+    }
+}
+
 /// Result of a completed simulation.
 #[derive(Debug)]
 pub struct SimResult<O> {
@@ -571,16 +908,168 @@ pub struct SimResult<O> {
     pub vtime: VirtualTime,
 }
 
-/// Runs `n` node closures to completion under the synchronous round model.
+/// Runs `n` node tasks to completion under the synchronous round model.
 ///
-/// Each closure runs on its own thread; outputs are collected by node id.
-/// Byzantine "crash"/"silence" is modelled by a closure returning early.
+/// Every round, two workers (the calling thread and one scoped thread)
+/// poll their live nodes up to the round's submission; the calling thread
+/// then routes the round (see the crate docs). Outputs are collected by
+/// node id. Byzantine "crash"/"silence" is modelled by a task returning
+/// early. Deliveries are recorded into `trace` when supplied; tracing
+/// does not change scheduling or results, so a traced run is
+/// bit-identical to an untraced one.
+///
+/// # Panics
+///
+/// Panics if a task panics (as `node {id} panicked: {msg}`), if a task
+/// yields without submitting its round (a wedge: it awaited something
+/// other than [`NodeCtx::next_round`]), if `tasks.len() != config.n`, or
+/// if `config.max_rounds` or `config.max_vtime` is exceeded.
+pub fn run_tasks<O: Send + 'static>(
+    config: SimConfig,
+    metrics: MetricsSink,
+    trace: Option<trace::TraceSink>,
+    tasks: Vec<NodeTask<O>>,
+) -> SimResult<O> {
+    drive(WORKERS, config, metrics, trace, tasks)
+}
+
+/// How many times a worker polls for a round hand-off before it blocks:
+/// enough to cover a light round without a thread wake-up, few enough
+/// that a worker waiting out a heavy round soon stops using its core.
+const HAND_OFF_SPINS: u32 = 1 << 11;
+
+/// Receives the next round hand-off on `rx`, polling for it a bounded
+/// number of times before blocking: within a run the other side usually
+/// hands off within microseconds, sooner than a blocked thread wakes.
+fn recv_spinning<T>(rx: &Receiver<T>) -> Result<T, channel::RecvError> {
+    for _ in 0..HAND_OFF_SPINS {
+        match rx.try_recv() {
+            Ok(msg) => return Ok(msg),
+            Err(channel::TryRecvError::Empty) => std::hint::spin_loop(),
+            Err(channel::TryRecvError::Disconnected) => return Err(channel::RecvError),
+        }
+    }
+    rx.recv()
+}
+
+/// [`run_tasks`] on `k` workers (capped at `n`): the calling thread steps
+/// the first range of node ids and routes, `k - 1` scoped threads step
+/// the others. Each worker polls its running nodes in id order, and the
+/// calling thread files every step under its node id before anything
+/// observable happens: routing reads the submissions in node-id order.
+/// Outputs, rounds, virtual time, trace and metrics are therefore the
+/// same for every `k`; `k = 1` is the spec.
+fn drive<O: Send + 'static>(
+    k: usize,
+    config: SimConfig,
+    metrics: MetricsSink,
+    trace: Option<trace::TraceSink>,
+    tasks: Vec<NodeTask<O>>,
+) -> SimResult<O> {
+    let n = config.n;
+    assert!(n > 0, "simulation needs at least one node");
+    assert_eq!(tasks.len(), n, "one task per node required");
+    let k = k.clamp(1, n);
+    // Worker `w` steps node ids `bounds[w]..bounds[w + 1]`.
+    let bounds: Vec<NodeId> = (0..=k).map(|w| w * n / k).collect();
+    let mut router = Router::new(&config, &metrics, trace);
+    std::thread::scope(|scope| {
+        let mut tasks = tasks.into_iter().enumerate();
+        let mut own: Vec<Stepped<O>> = tasks
+            .by_ref()
+            .take(bounds[1])
+            .map(|(id, task)| Stepped::start(id, n, &metrics, task))
+            .collect();
+        // Each other worker's round hand-off: its nodes' inboxes out, their
+        // steps back. A worker ends when the calling thread hangs up, after
+        // the last round or when a panic unwinds it.
+        let mut workers = Vec::with_capacity(k - 1);
+        for w in 1..k {
+            let range: Vec<(NodeId, NodeTask<O>)> = tasks.by_ref().take(bounds[w + 1] - bounds[w]).collect();
+            let (to_worker, inboxes) = channel::unbounded::<Vec<Option<Inbox>>>();
+            let (steps, from_worker) = channel::unbounded::<Vec<(NodeId, Step<O>)>>();
+            let metrics = metrics.clone();
+            scope.spawn(move || {
+                let mut nodes: Vec<Stepped<O>> =
+                    range.into_iter().map(|(id, task)| Stepped::start(id, n, &metrics, task)).collect();
+                while let Ok(round) = recv_spinning(&inboxes) {
+                    if steps.send(step_range(&mut nodes, round)).is_err() {
+                        break;
+                    }
+                }
+            });
+            workers.push((to_worker, from_worker));
+        }
+
+        let mut outputs: Vec<Option<O>> = (0..n).map(|_| None).collect();
+        let mut active = vec![true; n];
+        let mut active_count = n;
+        // Each node's inbox for its next poll: none before round 1.
+        let mut inboxes: Vec<Option<Inbox>> = (0..n).map(|_| None).collect();
+        while active_count > 0 {
+            // Hand every other worker with a running node its inboxes,
+            // step this thread's range meanwhile, then collect.
+            let mut handed = vec![false; workers.len()];
+            for (w, (to_worker, _)) in workers.iter().enumerate().rev() {
+                let (lo, hi) = (bounds[w + 1], bounds[w + 2]);
+                let range = inboxes.split_off(lo);
+                if active[lo..hi].contains(&true) {
+                    to_worker.send(range).expect("a worker outlives the run");
+                    handed[w] = true;
+                }
+            }
+            let mut steps = step_range(&mut own, std::mem::take(&mut inboxes));
+            for ((_, from_worker), handed) in workers.iter().zip(handed) {
+                if handed {
+                    steps.extend(recv_spinning(from_worker).expect("a worker outlives the run"));
+                }
+            }
+            let mut submissions: Vec<Option<Vec<Outgoing>>> = (0..n).map(|_| None).collect();
+            for (id, step) in steps {
+                match step {
+                    Step::Submitted(outgoing) => submissions[id] = Some(outgoing),
+                    Step::Finished(output) => {
+                        outputs[id] = Some(output);
+                        active[id] = false;
+                        active_count -= 1;
+                    }
+                    Step::Panicked(msg) => panic!("node {id} panicked: {msg}"),
+                    Step::Wedged => panic!(
+                        "simulation wedged in round {}: node {id} yielded at vtime {} without \
+                         submitting the round; it awaited something other than its next_round()",
+                        router.rounds + 1,
+                        router.vtime_now,
+                    ),
+                }
+            }
+            if active_count > 0 {
+                inboxes = router.route(submissions, &active);
+            }
+        }
+        SimResult {
+            outputs: outputs.into_iter().map(|o| o.expect("every node finished")).collect(),
+            rounds: router.rounds,
+            vtime: router.vtime_now,
+        }
+    })
+}
+
+/// Runs `n` blocking node closures to completion under the synchronous
+/// round model: the synchronous adapter over [`run_tasks`]' driver.
+///
+/// Each closure runs on its own scoped thread and ends rounds with the
+/// blocking [`NodeCtx::end_round`]; a bridge task per node moves each of
+/// the thread's round submissions into the driver and sends the routed
+/// inbox back. Outputs are collected by node id. Byzantine
+/// "crash"/"silence" is modelled by a closure returning early. Async
+/// protocol code belongs in a [`NodeTask`] instead, which costs no thread.
 ///
 /// # Panics
 ///
 /// Panics if any node logic panics (the panic is propagated with the node
-/// id), if `nodes.len() != config.n`, or if `config.max_rounds` is
-/// exceeded.
+/// id), if a node thread does not submit a round within
+/// `config.round_timeout` (a wedge), if `nodes.len() != config.n`, or if
+/// `config.max_rounds` or `config.max_vtime` is exceeded.
 pub fn run_simulation<O: Send + 'static>(
     config: SimConfig,
     metrics: MetricsSink,
@@ -606,283 +1095,51 @@ pub fn run_simulation_traced<O: Send + 'static>(
     let n = config.n;
     assert!(n > 0, "simulation needs at least one node");
     assert_eq!(nodes.len(), n, "one logic closure per node required");
-
-    let (to_coord, coord_rx) = channel::unbounded::<CoordMsg>();
-
+    let (timeout, policy) = (config.round_timeout, config.policy.name());
     std::thread::scope(|scope| {
-        let mut node_txs = Vec::with_capacity(n);
-        let mut handles = Vec::with_capacity(n);
+        let mut threads = Vec::with_capacity(n);
+        let mut bridges = Vec::with_capacity(n);
         for (id, logic) in nodes.into_iter().enumerate() {
-            let (tx, rx) = channel::unbounded::<Inbox>();
-            node_txs.push(tx);
-            let to_coord = to_coord.clone();
+            let (to_bridge, submissions) = channel::unbounded::<Vec<Outgoing>>();
+            let (to_node, from_bridge) = channel::unbounded::<Inbox>();
             let metrics = metrics.clone();
-            handles.push(scope.spawn(move || {
-                let mut ctx = NodeCtx {
-                    id,
-                    n,
-                    round: 0,
-                    vtime: 0,
-                    bits_sent: 0,
-                    pending: Vec::new(),
-                    link: Link::Node {
-                        to_coord: to_coord.clone(),
-                        from_coord: rx,
-                    },
-                    metrics,
-                };
-                // Always announce termination, even on panic, so the
-                // coordinator never wedges; the panic is re-raised and
-                // surfaced with the node id at join time.
-                let result =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| logic(&mut ctx)));
-                let _ = to_coord.send(CoordMsg::Finished { from: id });
-                match result {
-                    Ok(out) => out,
-                    Err(payload) => std::panic::resume_unwind(payload),
+            // The thread's context hangs up on its bridge when the logic
+            // returns or panics; the join then reports which.
+            threads.push(scope.spawn(move || {
+                logic(&mut NodeCtx::with_link(id, n, Link::Node { to_bridge, from_bridge }, metrics))
+            }));
+            bridges.push(node_task(async move |ctx: &mut NodeCtx| loop {
+                match submissions.recv_timeout(timeout) {
+                    Ok(outgoing) => {
+                        ctx.pending = outgoing;
+                        let inbox = ctx.next_round().await;
+                        // The thread blocks for this inbox, so only a
+                        // thread that has panicked since can refuse it.
+                        let _ = to_node.send(inbox);
+                    }
+                    Err(RecvTimeoutError::Disconnected) => return,
+                    Err(RecvTimeoutError::Timeout) => panic!(
+                        "simulation wedged in round {}: node(s) [{id}] never submitted within \
+                         {timeout:?} under the {policy} policy at virtual time {vtime}",
+                        ctx.round() + 1,
+                        vtime = ctx.vtime(),
+                    ),
                 }
             }));
         }
-        drop(to_coord);
-
-        // Coordinator loop (runs on the scope's owning thread).
-        let pool = InboxPool::with_cap(2 * n);
-        let mut active = vec![true; n];
-        let mut active_count = n;
-        let mut rounds: u64 = 0;
-        // The simulation's virtual clock: the latest round-end tick
-        // routed so far. Under the round-barrier policy it tracks the
-        // round counter exactly.
-        let mut vtime_now: VirtualTime = 0;
-        let mut event_state = match &config.policy {
-            SchedulingPolicy::RoundBarrier => None,
-            SchedulingPolicy::EventDriven(model) => {
-                model.topology.validate(n);
-                assert!(model.compute_ticks >= 1, "compute_ticks must be at least 1");
-                for p in &model.partitions {
-                    assert!(
-                        p.start < p.heal,
-                        "partition heals at {} before it starts at {}",
-                        p.heal,
-                        p.start
-                    );
-                    for &node in &p.island {
-                        assert!(node < n, "partition island node {node} out of range (n = {n})");
-                    }
-                }
-                Some(EventState {
-                    clocks: vec![0; n],
-                    link_last: vec![vec![0; n]; n],
-                    rng: StdRng::seed_from_u64(model.seed),
-                    model: model.clone(),
-                })
-            }
-        };
-        // Optional telemetry (attached via `MetricsSink::with_telemetry`):
-        // per-link delivery accounting, partition outage windows, and the
-        // largest round's delivery count. Purely observational — it adds no
-        // messages and moves no timestamps, so trace digests are
-        // unchanged whether or not a recorder is attached.
-        let telemetry = metrics.telemetry();
-        if let (Some(st), Some(tel)) = (&event_state, &telemetry) {
-            for p in &st.model.partitions {
-                let behavior = match p.behavior {
-                    PartitionBehavior::Drop => "drop",
-                    PartitionBehavior::Delay => "delay",
-                };
-                tel.register_outage(p.start, p.heal, behavior);
-            }
-        }
-        // One round's messages with their arrival ticks (reused).
-        let mut deliveries: Vec<(VirtualTime, Outgoing)> = Vec::new();
-        while active_count > 0 {
-            let mut submissions: Vec<Option<Vec<Outgoing>>> = (0..n).map(|_| None).collect();
-            let mut waiting = active_count;
-            while waiting > 0 {
-                let msg = match coord_rx.recv_timeout(config.round_timeout) {
-                    Ok(msg) => msg,
-                    Err(e) => {
-                        let missing: Vec<NodeId> = (0..n)
-                            .filter(|&i| active[i] && submissions[i].is_none())
-                            .collect();
-                        panic!(
-                            "simulation wedged in round {}: node(s) {missing:?} never submitted \
-                             within {:?} under the {} policy at virtual time {vtime_now} \
-                             ({waiting} of {active_count} active node(s) outstanding, \
-                             channel state: {e:?})",
-                            rounds + 1,
-                            config.round_timeout,
-                            config.policy.name(),
-                        );
-                    }
-                };
-                match msg {
-                    CoordMsg::Submit { from, outgoing } => {
-                        assert!(
-                            submissions[from].is_none(),
-                            "node {from} submitted twice in one round"
-                        );
-                        submissions[from] = Some(outgoing);
-                        waiting -= 1;
-                    }
-                    CoordMsg::Finished { from } => {
-                        if active[from] {
-                            active[from] = false;
-                            active_count -= 1;
-                            // A node that had already submitted this round and
-                            // then finished: its submission stays valid.
-                            if submissions[from].is_none() {
-                                waiting -= 1;
-                            }
-                        }
-                    }
-                }
-            }
-            if active_count == 0 && submissions.iter().all(Option::is_none) {
-                break;
-            }
-            rounds += 1;
-            if let Some(limit) = config.max_rounds {
-                assert!(rounds <= limit, "round limit {limit} exceeded");
-            }
-            metrics.record_round();
-            // Stamp every message with its arrival tick, in stamp order:
-            // senders in id order, send order within a sender.
-            let mut round_end = match &mut event_state {
-                // Round barrier: the round counter is every message's
-                // arrival tick and every node's round end.
-                None => {
-                    deliveries.extend(submissions.into_iter().flatten().flatten().map(|out| (rounds, out)));
-                    vec![rounds; n]
-                }
-                // Event-driven: sample a latency per message (so the
-                // jitter stream is a pure function of the send pattern),
-                // apply partitions at dispatch time and clamp each
-                // directed link to FIFO. A node's round ends no earlier
-                // than its dispatch tick.
-                Some(st) => {
-                    for (from, sub) in submissions.into_iter().enumerate() {
-                        let Some(sub) = sub else { continue };
-                        let dispatch = st.clocks[from];
-                        for out in sub {
-                            // Sample before the partition check so the
-                            // jitter stream does not depend on the
-                            // partition schedule: with and without a
-                            // partition, the same seed yields the same
-                            // latencies for the surviving messages.
-                            let latency = st
-                                .model
-                                .link
-                                .sample(st.model.same_cluster(from, out.to), &mut st.rng);
-                            let mut base = dispatch;
-                            let mut dropped = false;
-                            for (cut, p) in st.model.partitions.iter().enumerate() {
-                                if p.cuts(dispatch, from, out.to) {
-                                    match p.behavior {
-                                        PartitionBehavior::Drop => dropped = true,
-                                        PartitionBehavior::Delay => base = base.max(p.heal),
-                                    }
-                                    if let Some(tel) = &telemetry {
-                                        tel.record_outage_hit(cut, dropped);
-                                    }
-                                    break;
-                                }
-                            }
-                            if dropped {
-                                // Lost at the cut: no delivery, no trace
-                                // event. The send itself was already
-                                // metered — the bits left the sender.
-                                continue;
-                            }
-                            let link_last = &mut st.link_last[from][out.to];
-                            let at = base.saturating_add(latency).max(*link_last);
-                            *link_last = at;
-                            deliveries.push((at, out));
-                        }
-                    }
-                    if let Some(tel) = &telemetry {
-                        tel.record_queue_depth(deliveries.len() as u64);
-                    }
-                    st.clocks.clone()
-                }
-            };
-            // Deliver in arrival order. The sort is stable, so ties keep
-            // stamp order — a barrier round keeps it entirely.
-            deliveries.sort_by_key(|&(at, _)| at);
-            // Recipients see messages grouped by sender id. Buffers come
-            // from the recycling pool: nodes return them when they drop
-            // the previous round's inbox.
-            let mut inboxes: Vec<Inbox> = (0..n).map(|_| Inbox::pooled(n, &pool)).collect();
-            for (at, mut out) in deliveries.drain(..) {
-                out.msg.at = at;
-                if let (Some(st), Some(tel)) = (&event_state, &telemetry) {
-                    // Delivery delay: sampled latency plus any partition
-                    // hold and FIFO clamping (clocks still hold this
-                    // round's dispatch times).
-                    tel.record_link(
-                        out.msg.from,
-                        out.to,
-                        out.msg.payload.len() as u64,
-                        at - st.clocks[out.msg.from],
-                    );
-                }
-                if let Some(trace) = &trace {
-                    trace.record(trace::TraceEvent {
-                        round: rounds,
-                        from: out.msg.from,
-                        to: out.to,
-                        tag: out.msg.tag,
-                        logical_bits: out.logical_bits,
-                        payload_bytes: out.msg.payload.len() as u64,
-                        vtime: at,
-                    });
-                }
-                if active[out.to] {
-                    round_end[out.to] = round_end[out.to].max(at);
-                    inboxes[out.to].by_sender[out.msg.from].push(out.msg);
-                }
-            }
-            for (id, inbox) in inboxes.iter_mut().enumerate() {
-                inbox.vtime = round_end[id];
-                vtime_now = vtime_now.max(round_end[id]);
-                if let Some(st) = &mut event_state {
-                    st.clocks[id] = round_end[id].saturating_add(st.model.compute_ticks);
-                }
-            }
-            if let Some(limit) = config.max_vtime {
-                assert!(
-                    vtime_now <= limit,
-                    "virtual time limit {limit} exceeded (virtual time {vtime_now} at round {rounds})"
-                );
-            }
-            for (id, inbox) in inboxes.into_iter().enumerate() {
-                if active[id] {
-                    // A send error means the node finished right after
-                    // submitting; it will be deactivated via Finished.
-                    let _ = node_txs[id].send(inbox);
-                }
-            }
-        }
-
-        let outputs: Vec<O> = handles
+        let run = drive(WORKERS, config, metrics, trace, bridges);
+        let outputs = threads
             .into_iter()
             .enumerate()
-            .map(|(id, h)| match h.join() {
-                Ok(o) => o,
-                Err(e) => {
-                    let msg = e
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| e.downcast_ref::<&str>().copied())
-                        .unwrap_or("<non-string panic>");
-                    panic!("node {id} panicked: {msg}");
-                }
+            .map(|(id, thread)| match thread.join() {
+                Ok(output) => output,
+                Err(payload) => panic!("node {id} panicked: {}", panic_message(&*payload)),
             })
             .collect();
         SimResult {
             outputs,
-            rounds,
-            vtime: vtime_now,
+            rounds: run.rounds,
+            vtime: run.vtime,
         }
     })
 }
@@ -1610,5 +1867,181 @@ mod tests {
         let model = NetModel::new(LinkModel::Fixed(1), Topology::Clusters(vec![2, 2]));
         let cfg = SimConfig::new(3).with_policy(SchedulingPolicy::EventDriven(model));
         let _ = run_with(cfg, |_| Box::new(|_ctx: &mut NodeCtx| ()) as Logic<()>);
+    }
+
+    // --- the task driver ---
+
+    /// Everything a node saw: each delivered message as `(from, tag,
+    /// payload, at)`, then its final round, clock and bit count.
+    type NodeLog = (Vec<(NodeId, &'static str, Vec<u8>, VirtualTime)>, u64, VirtualTime, u64);
+
+    /// Node `id` first runs two lanes of unequal length, each sending to
+    /// the next node and to itself, then `id` all-to-all rounds of its
+    /// own. Node 0 therefore finishes first and later rounds keep sending
+    /// to it; lanes drop what arrives for scopes that already finished.
+    fn mixed_protocol(id: NodeId) -> NodeTask<NodeLog> {
+        node_task(async move |ctx: &mut NodeCtx| {
+            let mut seen = Vec::new();
+            let mut mux: lanes::LaneMux<Vec<_>> = lanes::LaneMux::new();
+            for (scope, len) in [("eq.a", 1 + id % 2), ("eq.b", 2)] {
+                let tag = scoped_tag(scope, "m");
+                mux.spawn(ctx, scope, async move |lane: &mut NodeCtx| {
+                    let mut got = Vec::new();
+                    for r in 0..len {
+                        lane.send((id + 1) % lane.n(), tag, vec![id as u8, r as u8], 8);
+                        lane.send(id, tag, vec![r as u8], 4);
+                        let mut inbox = lane.next_round().await;
+                        got.extend(inbox.drain_messages().map(|m| (m.from, m.tag, m.payload.to_vec(), m.at)));
+                    }
+                    got
+                });
+            }
+            while mux.has_lanes() {
+                for lane in mux.step(ctx).await {
+                    seen.extend(lane.output);
+                }
+            }
+            for r in 0..id {
+                for to in 0..ctx.n() {
+                    ctx.send(to, "eq.all", vec![id as u8, r as u8, to as u8], 16 + to as u64);
+                }
+                let mut inbox = ctx.next_round().await;
+                seen.extend(inbox.drain_messages().map(|m| (m.from, m.tag, m.payload.to_vec(), m.at)));
+            }
+            (seen, ctx.round(), ctx.vtime(), ctx.bits_sent())
+        })
+    }
+
+    /// What a run of [`mixed_protocol`] exposes.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        outputs: Vec<NodeLog>,
+        rounds: u64,
+        vtime: VirtualTime,
+        trace: Vec<trace::TraceEvent>,
+        snapshot: mvbc_metrics::Snapshot,
+    }
+
+    const MIXED_N: usize = 5;
+
+    fn observe(k: usize, policy: &SchedulingPolicy) -> Observed {
+        let trace = trace::TraceSink::new();
+        let metrics = MetricsSink::new();
+        let cfg = SimConfig::new(MIXED_N).with_policy(policy.clone());
+        let run = drive(k, cfg, metrics.clone(), Some(trace.clone()), (0..MIXED_N).map(mixed_protocol).collect());
+        Observed {
+            outputs: run.outputs,
+            rounds: run.rounds,
+            vtime: run.vtime,
+            trace: trace.events(),
+            snapshot: metrics.snapshot(),
+        }
+    }
+
+    #[test]
+    fn results_are_the_same_for_every_worker_count() {
+        let wan = NetModel::new(
+            LinkModel::Wan { intra: 5, inter: 40, jitter: 7 },
+            Topology::Clusters(vec![2, 3]),
+        )
+        .with_seed(3)
+        .with_partition(Partition::of_node(4, 0, 60, PartitionBehavior::Delay));
+        for policy in [SchedulingPolicy::RoundBarrier, SchedulingPolicy::EventDriven(wan)] {
+            let spec = observe(1, &policy);
+            // The protocol reaches what it is meant to: an early finisher
+            // that is still sent to, self-sends, and a clock of its own
+            // under the WAN.
+            let last = |id: NodeId| spec.outputs[id].1;
+            assert!(last(0) < last(MIXED_N - 1));
+            assert!(spec.trace.iter().any(|e| e.to == 0 && e.round > last(0)));
+            assert!(spec.trace.iter().any(|e| e.from == e.to));
+            if let SchedulingPolicy::EventDriven(_) = policy {
+                assert!(spec.vtime > 60, "the partition holds node 4's crossings to its heal");
+            }
+            for k in [2, 3, MIXED_N] {
+                assert_eq!(observe(k, &policy), spec, "k = {k} under the {} policy", policy.name());
+            }
+        }
+    }
+
+    /// `n` tasks; node `id` runs `logic(id)`.
+    fn tasks<O: 'static, F>(n: usize, logic: impl Fn(NodeId) -> F) -> Vec<NodeTask<O>>
+    where
+        F: AsyncFnOnce(&mut NodeCtx) -> O + Send + 'static,
+    {
+        (0..n).map(|id| node_task(logic(id))).collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "node 3 panicked: boom in round 2")]
+    fn task_panic_on_the_second_worker_names_the_node() {
+        let _ = run_tasks(
+            SimConfig::new(4),
+            MetricsSink::new(),
+            None,
+            tasks(4, |id| async move |ctx: &mut NodeCtx| {
+                ctx.next_round().await;
+                assert!(id != 3, "boom in round {}", ctx.round() + 1);
+                ctx.next_round().await;
+            }),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "simulation wedged in round 2: node 1 yielded at vtime 1")]
+    fn task_awaiting_a_foreign_future_is_a_wedge() {
+        let _ = run_tasks(
+            SimConfig::new(2),
+            MetricsSink::new(),
+            None,
+            tasks(2, |id| async move |ctx: &mut NodeCtx| {
+                ctx.next_round().await;
+                if id == 1 {
+                    std::future::pending::<()>().await;
+                }
+                ctx.next_round().await;
+            }),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "task futures must be driven by run_tasks")]
+    fn block_on_of_a_task_round_panics() {
+        let _ = run_tasks(
+            SimConfig::new(1),
+            MetricsSink::new(),
+            None,
+            tasks(1, |_| async |ctx: &mut NodeCtx| {
+                block_on(ctx.next_round());
+            }),
+        );
+    }
+
+    /// Two tasks, one per worker, that exchange a ping every round forever.
+    fn endless() -> Vec<NodeTask<()>> {
+        tasks(2, |id| async move |ctx: &mut NodeCtx| loop {
+            ctx.send(1 - id, "ping", vec![1u8], 8);
+            ctx.next_round().await;
+        })
+    }
+
+    #[test]
+    #[should_panic(expected = "round limit 10 exceeded")]
+    fn round_limit_ends_a_two_worker_run() {
+        let cfg = SimConfig {
+            max_rounds: Some(10),
+            ..SimConfig::new(2)
+        };
+        let _ = drive(2, cfg, MetricsSink::new(), None, endless());
+    }
+
+    #[test]
+    #[should_panic(expected = "virtual time limit 100 exceeded")]
+    fn vtime_limit_ends_a_two_worker_run() {
+        let model = NetModel::new(LinkModel::Fixed(60), Topology::Clique);
+        let cfg = SimConfig::new(2)
+            .with_policy(SchedulingPolicy::EventDriven(model))
+            .with_max_vtime(100);
+        let _ = drive(2, cfg, MetricsSink::new(), None, endless());
     }
 }

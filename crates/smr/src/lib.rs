@@ -14,7 +14,7 @@
 //! [`simulate_broadcast`](mvbc_broadcast::simulate_broadcast):
 //!
 //! - **One simulation, many slots.** The whole log runs inside a single
-//!   [`run_simulation`](mvbc_netsim::run_simulation) call via the
+//!   [`run_tasks`](mvbc_netsim::run_tasks) call via the
 //!   re-entrant [`run_broadcast_slot`](mvbc_broadcast::run_broadcast_slot)
 //!   seam — no per-slot setup/teardown, and slot-scoped message tags
 //!   (`smr.slot17.…`) keep adjacent slots' messages from cross-delivering.

@@ -1,6 +1,6 @@
 //! The replicated-log engine: many broadcast slots in one simulation,
 //! through a window of up to [`MAX_PIPELINE`] concurrent slots, each a
-//! lane future polled on the replica's own thread. Every depth, 1
+//! lane future polled inside the replica's own future. Every depth, 1
 //! included, runs and commits through the same code.
 
 use std::collections::BTreeMap;
@@ -13,7 +13,7 @@ use mvbc_metrics::MetricsSink;
 use mvbc_netsim::lanes::{LaneId, LaneMux};
 use mvbc_netsim::trace::TraceSink;
 use mvbc_netsim::{
-    block_on, run_simulation_traced, slot_scope, NodeCtx, NodeLogic, SchedulingPolicy, SimConfig,
+    block_on, node_task, run_tasks, slot_scope, NodeCtx, NodeTask, SchedulingPolicy, SimConfig,
     VirtualTime,
 };
 
@@ -332,7 +332,7 @@ struct Flight {
 /// Each in-flight slot runs the unmodified [`run_broadcast_slot`] against
 /// a *clone* of the diagnosis graph taken at proposal time, under its own
 /// attempt scope `smr.slot<S>.a<K>`, as a [`lane`](mvbc_netsim::lanes)
-/// future polled on the replica's own thread, so up to `W` slots share
+/// future polled inside the replica's own future, so up to `W` slots share
 /// every synchronous round (the per-attempt tag scopes prevent
 /// cross-delivery). A window of one is a mux with one lane.
 /// Commits apply strictly in slot order. The shared dispute state
@@ -633,8 +633,8 @@ pub struct SmrRun {
 }
 
 /// Runs a whole replicated log — every slot — inside **one** simulation:
-/// one [`run_simulation`](mvbc_netsim::run_simulation) call, each replica running
-/// [`run_replicated_log`] with dispute-control state carried across slots
+/// one [`run_tasks`] call, each replica a node task running
+/// [`run_replicated_log`]'s future with dispute-control state carried across slots
 /// and a fresh Phase-King driver per slot attempt.
 ///
 /// `workloads[i]` is replica `i`'s client command stream (proposed on its
@@ -688,23 +688,23 @@ pub fn simulate_smr_traced(
     assert_eq!(workloads.len(), cfg.n, "one command stream per replica");
     assert_eq!(hooks.len(), cfg.n, "one hooks object per replica");
 
-    let logics: Vec<NodeLogic<(SmrReport, KvStore)>> = workloads
+    let tasks: Vec<NodeTask<(SmrReport, KvStore)>> = workloads
         .into_iter()
         .zip(hooks)
         .map(|(commands, mut hook)| {
             let cfg = cfg.clone();
-            Box::new(move |ctx: &mut NodeCtx| {
+            node_task(async move |ctx: &mut NodeCtx| {
                 let mut store = KvStore::default();
-                let report = run_replicated_log(ctx, &cfg, commands, hook.as_mut(), &mut store);
+                let report = replicate(ctx, &cfg, commands, hook.as_mut(), &mut store).await;
                 (report, store)
-            }) as NodeLogic<(SmrReport, KvStore)>
+            })
         })
         .collect();
     let mut sim_cfg = SimConfig::new(cfg.n).with_policy(cfg.policy.clone());
     if let Some(limit) = cfg.max_vtime {
         sim_cfg = sim_cfg.with_max_vtime(limit);
     }
-    let result = run_simulation_traced(sim_cfg, metrics, trace, logics);
+    let result = run_tasks(sim_cfg, metrics, trace, tasks);
     let (reports, stores) = result.outputs.into_iter().unzip();
     SmrRun {
         reports,

@@ -122,7 +122,7 @@ pub trait SmrHooks: Send {
     /// commit exactly the depth-1 log.
     ///
     /// The returned hooks live in the attempt's lane future, which the
-    /// replica polls on its own thread next to the other attempts in
+    /// replica polls inside its own future next to the other attempts in
     /// flight; they are dropped when the attempt ends (a discarded
     /// attempt first drains its remaining rounds).
     fn slot_hooks(&mut self, slot: u64, i_am_primary: bool) -> Box<dyn BroadcastHooks>;
