@@ -119,7 +119,8 @@ pub fn run_scenario(scenario: &Scenario) -> Result<RunOutcome, String> {
     let cfg = config_for(scenario)?;
     let per_replica = scenario.batch * scenario.slots;
     let workloads = synthetic_workloads(scenario.n, per_replica, scenario.seed);
-    let trace = TraceSink::new();
+    // Only the digest is read: fold it without keeping the events.
+    let trace = TraceSink::digest_only();
     let run = simulate_smr_traced(
         &cfg,
         workloads.clone(),
@@ -407,5 +408,28 @@ mod tests {
         assert_eq!(report.scenarios, 3);
         assert!(report.total_slots >= 18, "at least 6 slots per draw");
         assert!(!report.behavior_mix.is_empty());
+    }
+
+    /// `run_scenario`'s digest-only trace against a full sink over the
+    /// same run.
+    fn assert_digest_matches_a_full_trace(scenario: &Scenario) {
+        let outcome = run_scenario(scenario).unwrap();
+        let full = TraceSink::new();
+        let cfg = config_for(scenario).unwrap();
+        let workloads = synthetic_workloads(scenario.n, scenario.batch * scenario.slots, scenario.seed);
+        simulate_smr_traced(&cfg, workloads, hooks_for(scenario), MetricsSink::new(), Some(full.clone()));
+        assert!(!full.is_empty(), "{}: the full sink keeps its events", scenario.name);
+        assert_eq!(outcome.trace_digest, full.digest(), "{}", scenario.name);
+    }
+
+    #[test]
+    fn digest_only_trace_matches_a_full_trace() {
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/known_bad_drop_partition.json"
+        );
+        let known_bad = Scenario::from_json(&std::fs::read_to_string(fixture).unwrap()).unwrap();
+        assert_digest_matches_a_full_trace(&known_bad);
+        assert_digest_matches_a_full_trace(&ScenarioGenerator::new(11).next_scenario());
     }
 }

@@ -1,4 +1,9 @@
-//! Multi-generation broadcast engine.
+//! Multi-generation broadcast engine: splits the `L`-byte value into
+//! `D`-byte generations and runs them in windows (crate docs,
+//! "Windows"), a probe window of one generation first and after every
+//! diagnosis, [`BroadcastConfig::window`] generations otherwise. Both
+//! rules read only agreed state and the configuration, so every
+//! fault-free processor runs the same windows in the same rounds.
 
 use mvbc_bsb::{BsbDriver, PhaseKingDriver};
 use mvbc_core::DiagGraph;
@@ -6,7 +11,7 @@ use mvbc_netsim::{block_on, NodeCtx};
 use mvbc_rscode::StripedCode;
 
 use crate::config::BroadcastConfig;
-use crate::generation::{run_broadcast_generation, BroadcastGenerationOutcome, SlotTags};
+use crate::generation::{run_window, SlotTags};
 use crate::hooks::BroadcastHooks;
 
 /// Tag scope of a stand-alone broadcast execution (see
@@ -21,6 +26,12 @@ pub struct BroadcastReport {
     pub output: Vec<u8>,
     /// Number of generations whose diagnosis stage ran.
     pub diagnosis_invocations: u64,
+    /// Windows run (each one dispersal round, one echo round and one
+    /// `Detected` batch).
+    pub windows: usize,
+    /// Generations discarded after a diagnosis earlier in their window
+    /// and run again; at most `(W − 1)·diagnosis_invocations`.
+    pub generations_rerun: usize,
     /// Whether the run fell back to the default value because the source
     /// became unusable (isolated or unable to sustain an echo set).
     pub defaulted: bool,
@@ -114,6 +125,23 @@ pub async fn run_broadcast_slot(
     hooks: &mut dyn BroadcastHooks,
     bsb: &mut dyn BsbDriver,
 ) -> BroadcastReport {
+    run_windowed(ctx, cfg, input, scope, diag, hooks, bsb, cfg.window()).await
+}
+
+/// [`run_broadcast_slot`] with non-probe windows of up to `window`
+/// generations.
+#[allow(clippy::too_many_arguments)] // run_broadcast_slot's arguments plus the window
+pub(crate) async fn run_windowed(
+    ctx: &mut NodeCtx,
+    cfg: &BroadcastConfig,
+    input: Option<&[u8]>,
+    scope: &str,
+    diag: &mut DiagGraph,
+    hooks: &mut dyn BroadcastHooks,
+    bsb: &mut dyn BsbDriver,
+    window: usize,
+) -> BroadcastReport {
+    assert!(window >= 1, "a window holds at least one generation");
     assert_eq!(
         input.is_some(),
         ctx.id() == cfg.source,
@@ -127,43 +155,55 @@ pub async fn run_broadcast_slot(
     let generations = cfg.generations();
     let code = StripedCode::c2t(cfg.n, cfg.t, d).expect("validated parameters");
     let tags = SlotTags::new(scope);
+    let me = ctx.id();
 
     let mut output: Vec<u8> = Vec::with_capacity(cfg.value_bytes);
     let mut diagnosis_invocations = 0u64;
+    let mut windows = 0usize;
+    let mut generations_rerun = 0usize;
     let mut defaulted = false;
+    // The first generation not yet committed: each window starts here.
+    let mut next = 0usize;
+    let mut probe = true;
 
-    for g in 0..generations {
-        if hooks.crash_before_generation(g) || diag.is_isolated(ctx.id()) {
-            output.resize(cfg.value_bytes, cfg.default_byte);
+    while next < generations {
+        let w = if probe { 1 } else { window }.min(generations - next);
+        let gens = next..next + w;
+        if gens.clone().any(|g| hooks.crash_before_generation(g)) || diag.is_isolated(me) {
             break;
         }
-        hooks.observe_generation_start(g, ctx.id(), diag);
-
-        let part: Option<Vec<u8>> = input.map(|v| {
-            let start = g * d;
-            let end = ((g + 1) * d).min(cfg.value_bytes);
-            let mut p = v[start..end].to_vec();
-            p.resize(d, cfg.default_byte);
-            hooks.input_override(g, &mut p);
-            p
+        for g in gens.clone() {
+            hooks.observe_generation_start(g, me, diag);
+        }
+        let parts: Option<Vec<Vec<u8>>> = input.map(|v| {
+            gens.map(|g| {
+                let start = g * d;
+                let end = ((g + 1) * d).min(cfg.value_bytes);
+                let mut p = v[start..end].to_vec();
+                p.resize(d, cfg.default_byte);
+                hooks.input_override(g, &mut p);
+                p
+            })
+            .collect()
         });
 
-        let report =
-            run_broadcast_generation(ctx, cfg, &code, diag, tags, g, part.as_deref(), hooks, bsb)
-                .await;
-        if report.diagnosis_ran {
-            diagnosis_invocations += 1;
+        windows += 1;
+        let report = run_window(ctx, cfg, &code, diag, tags, next, w, parts.as_deref(), hooks, bsb).await;
+        next += report.decided.len();
+        for value in &report.decided {
+            debug_assert_eq!(value.len(), d);
+            output.extend_from_slice(value);
         }
-        match report.outcome {
-            BroadcastGenerationOutcome::Decided(v) => {
-                debug_assert_eq!(v.len(), d);
-                output.extend_from_slice(&v);
-            }
-            BroadcastGenerationOutcome::SourceUnusable => {
-                defaulted = true;
-                output.resize(cfg.value_bytes, cfg.default_byte);
-                break;
-            }
+        probe = report.diagnosed;
+        if report.diagnosed {
+            // Generations after the diagnosed one ran under a graph that
+            // no longer holds: discard them and run them again.
+            diagnosis_invocations += 1;
+            generations_rerun += w - report.decided.len();
+        }
+        if report.source_unusable {
+            defaulted = true;
+            break;
         }
     }
     output.truncate(cfg.value_bytes);
@@ -173,8 +213,264 @@ pub async fn run_broadcast_slot(
     BroadcastReport {
         output,
         diagnosis_invocations,
+        windows,
+        generations_rerun,
         defaulted,
         isolated,
         edges_removed: diag.total_removed(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Window equivalence: every window size delivers what the
+    //! one-generation-at-a-time protocol (`W = 1`) delivers, under the
+    //! same diagnosis-graph updates.
+
+    use mvbc_bsb::BsbHooks;
+    use mvbc_metrics::MetricsSink;
+    use mvbc_netsim::{node_task, run_tasks, NodeId, NodeTask, SimConfig};
+
+    use super::*;
+    use crate::attacks::{
+        EquivocatingSource, FalseDetector, FramingAccuser, FramingEcho, LyingDiagnosisSource, LyingEcho,
+        SilentEcho, SilentSource,
+    };
+    use crate::{NoopBroadcastHooks, MAX_WINDOW};
+
+    /// What one node delivers or learns.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Decision {
+        output: Vec<u8>,
+        diagnoses: u64,
+        isolated: Vec<usize>,
+        edges_removed: usize,
+        defaulted: bool,
+    }
+
+    /// The decisions of nodes `ids`.
+    fn decisions(reports: &[BroadcastReport], ids: &[usize]) -> Vec<Decision> {
+        ids.iter()
+            .map(|&i| {
+                let r = &reports[i];
+                Decision {
+                    output: r.output.clone(),
+                    diagnoses: r.diagnosis_invocations,
+                    isolated: r.isolated.clone(),
+                    edges_removed: r.edges_removed,
+                    defaulted: r.defaulted,
+                }
+            })
+            .collect()
+    }
+
+    struct Run {
+        reports: Vec<BroadcastReport>,
+        rounds: u64,
+        bits: u64,
+    }
+
+    /// The behaviour of node `id` in a run.
+    type Behaviour = fn(NodeId, usize) -> Box<dyn BroadcastHooks>;
+
+    fn honest(_: NodeId, _: usize) -> Box<dyn BroadcastHooks> {
+        NoopBroadcastHooks::boxed()
+    }
+
+    fn run(cfg: &BroadcastConfig, value: &[u8], byz: &[(NodeId, Behaviour)], window: usize) -> Run {
+        let metrics = MetricsSink::new();
+        let tasks: Vec<NodeTask<BroadcastReport>> = (0..cfg.n)
+            .map(|id| {
+                let cfg = cfg.clone();
+                let input = (id == cfg.source).then(|| value.to_vec());
+                let behaviour = byz.iter().find(|(who, _)| *who == id).map_or(honest as Behaviour, |b| b.1);
+                let mut hooks = behaviour(id, cfg.n);
+                node_task(async move |ctx: &mut NodeCtx| {
+                    let mut diag = DiagGraph::new(cfg.n, cfg.t);
+                    let (input, hooks, bsb) = (input.as_deref(), hooks.as_mut(), &mut PhaseKingDriver);
+                    run_windowed(ctx, &cfg, input, STANDALONE_SCOPE, &mut diag, hooks, bsb, window).await
+                })
+            })
+            .collect();
+        let result = run_tasks(SimConfig::new(cfg.n), metrics.clone(), None, tasks);
+        Run {
+            reports: result.outputs,
+            rounds: result.rounds,
+            bits: metrics.snapshot().total_logical_bits(),
+        }
+    }
+
+    fn value(len: usize, seed: u8) -> Vec<u8> {
+        (0..len).map(|i| (i as u8).wrapping_mul(29).wrapping_add(seed)).collect()
+    }
+
+    /// `n` nodes at their largest `t`, six generations of 8 bytes, the
+    /// last one short.
+    fn cfg(n: usize, source: usize) -> BroadcastConfig {
+        BroadcastConfig::with_gen_bytes(n, (n - 1) / 3, source, 5 * 8 + 3, 8).expect("valid parameters")
+    }
+
+    /// Window sizes for `g` generations: windows that split the value
+    /// unevenly, the production cap and one past the whole value.
+    fn windows(g: usize) -> [usize; 4] {
+        [2, 3, MAX_WINDOW, g + 1]
+    }
+
+    /// Runs `byz` at every window size and asserts each reproduces
+    /// `W = 1` on the honest nodes with at most `W − 1` reruns per
+    /// diagnosis; returns the `W = 1` decisions and the most reruns seen.
+    fn assert_window_equivalent(
+        cfg: &BroadcastConfig,
+        v: &[u8],
+        byz: &[(NodeId, Behaviour)],
+    ) -> (Vec<Decision>, usize) {
+        let honest: Vec<usize> = (0..cfg.n).filter(|id| byz.iter().all(|(who, _)| who != id)).collect();
+        let reference = run(cfg, v, byz, 1);
+        assert!(reference.reports.iter().all(|r| r.generations_rerun == 0));
+        let reference = decisions(&reference.reports, &honest);
+        let mut most_reruns = 0;
+        for w in windows(cfg.generations()) {
+            let got = run(cfg, v, byz, w);
+            for &i in &honest {
+                let r = &got.reports[i];
+                assert!(
+                    r.generations_rerun as u64 <= (w as u64 - 1) * r.diagnosis_invocations,
+                    "n = {}, W = {w}: {} reruns for {} diagnoses",
+                    cfg.n,
+                    r.generations_rerun,
+                    r.diagnosis_invocations
+                );
+                most_reruns = most_reruns.max(r.generations_rerun);
+            }
+            let byz_ids: Vec<NodeId> = byz.iter().map(|b| b.0).collect();
+            let got = decisions(&got.reports, &honest);
+            assert_eq!(got, reference, "n = {}, W = {w}, byz {byz_ids:?}", cfg.n);
+        }
+        (reference, most_reruns)
+    }
+
+    #[test]
+    fn fault_free_windows_deliver_the_same_in_fewer_rounds() {
+        let cfg = cfg(4, 1);
+        let g = cfg.generations() as u64;
+        assert_eq!(g, 6);
+        let v = value(cfg.value_bytes, 3);
+        let reference = run(&cfg, &v, &[], 1);
+        assert!(reference.reports.iter().all(|r| r.output == v));
+        let all: Vec<usize> = (0..cfg.n).collect();
+        // Per window: a dispersal round, an echo round and one Phase-King
+        // batch of 1 + 3(t + 1) rounds.
+        let per_window = 2 + 1 + 3 * (cfg.t as u64 + 1);
+        for w in windows(cfg.generations()) {
+            let got = run(&cfg, &v, &[], w);
+            assert_eq!(decisions(&got.reports, &all), decisions(&reference.reports, &all), "W = {w}");
+            assert_eq!(got.bits, reference.bits, "W = {w}: logical bits");
+            // The probe, then windows of up to W over the rest.
+            let windows = 1 + (g - 1).div_ceil(w as u64);
+            assert_eq!(got.rounds, windows * per_window, "W = {w}: rounds");
+            assert!(got.reports.iter().all(|r| r.windows as u64 == windows && r.generations_rerun == 0));
+        }
+    }
+
+    /// Every strategy of [`crate::attacks`] in its role at every
+    /// position of `n` nodes: the source-role ones as the source,
+    /// wherever it sits, the others at every position beside source 0.
+    /// Each shows in the probe, so none costs a rerun.
+    fn every_attack_in_its_role_matches_w1_without_reruns(n: usize) {
+        let source_role: [Behaviour; 3] = [
+            |_, _| Box::new(EquivocatingSource),
+            |_, _| Box::new(SilentSource),
+            |_, _| Box::new(LyingDiagnosisSource),
+        ];
+        let echo_role: [Behaviour; 5] = [
+            |me, n| Box::new(LyingEcho::new((0..n).filter(|&x| x != me).collect())),
+            |_, _| Box::new(SilentEcho),
+            |_, _| Box::new(FramingEcho),
+            |_, _| Box::new(FalseDetector),
+            |_, _| Box::new(FramingAccuser),
+        ];
+        let mut cases: Vec<(BroadcastConfig, NodeId, Behaviour)> = Vec::new();
+        for p in 0..n {
+            cases.extend(source_role.iter().map(|&b| (cfg(n, p), p, b)));
+        }
+        for p in 1..n {
+            cases.extend(echo_role.iter().map(|&b| (cfg(n, 0), p, b)));
+        }
+        for (cfg, p, behaviour) in cases {
+            let v = value(cfg.value_bytes, p as u8);
+            let (d, most_reruns) = assert_window_equivalent(&cfg, &v, &[(p, behaviour)]);
+            assert_eq!(most_reruns, 0, "n = {n}, byz {p}: a probe shows every attack");
+            assert!(d.windows(2).all(|w| w[0].output == w[1].output), "n = {n}, byz {p}: agreement");
+            if p != cfg.source {
+                assert!(d.iter().all(|x| x.output == v), "n = {n}, byz {p}: validity");
+            }
+        }
+    }
+
+    #[test]
+    fn every_attack_in_its_role_n4() {
+        every_attack_in_its_role_matches_w1_without_reruns(4);
+    }
+
+    #[test]
+    fn every_attack_in_its_role_n7() {
+        every_attack_in_its_role_matches_w1_without_reruns(7);
+    }
+
+    #[test]
+    fn every_attack_in_its_role_n10() {
+        every_attack_in_its_role_matches_w1_without_reruns(10);
+    }
+
+    /// Honest through generation 1, then a liar: it flips every symbol
+    /// it relays and claims detections (as an outsider), or, as the
+    /// source, equivocates toward odd ids.
+    #[derive(Default, Clone, Copy)]
+    struct LateLiar;
+
+    const DIRTY_FROM: usize = 2;
+
+    impl BsbHooks for LateLiar {}
+
+    impl BroadcastHooks for LateLiar {
+        fn dispersal_symbol(&mut self, g: usize, to: NodeId, payload: &mut Vec<u8>) -> bool {
+            if g >= DIRTY_FROM && to % 2 == 1 {
+                payload.iter_mut().for_each(|b| *b ^= 0xFF);
+            }
+            true
+        }
+
+        fn echo_symbol(&mut self, g: usize, _to: NodeId, payload: &mut Vec<u8>) -> bool {
+            if g >= DIRTY_FROM {
+                payload.iter_mut().for_each(|b| *b ^= 0x0F);
+            }
+            true
+        }
+
+        fn detected_flag(&mut self, g: usize, flag: &mut bool) {
+            *flag |= g >= DIRTY_FROM;
+        }
+    }
+
+    /// A behaviour that turns dirty mid-slot, past the probe, forces
+    /// reruns — at most `W − 1` per diagnosis — and still delivers what
+    /// `W = 1` delivers.
+    #[test]
+    fn a_late_liar_costs_bounded_reruns_and_matches_w1() {
+        let mut most_reruns = 0;
+        for n in [4, 7] {
+            for p in 0..n {
+                let cfg = cfg(n, 0);
+                let v = value(cfg.value_bytes, 7);
+                let (d, reruns) = assert_window_equivalent(&cfg, &v, &[(p, |_, _| Box::new(LateLiar))]);
+                most_reruns = most_reruns.max(reruns);
+                assert!(d.windows(2).all(|w| w[0].output == w[1].output), "n = {n}, byz {p}: agreement");
+                if p != cfg.source {
+                    assert!(d.iter().all(|x| x.output == v), "n = {n}, byz {p}: validity");
+                }
+                assert!(d.iter().all(|x| x.diagnoses >= 1), "n = {n}, byz {p}: the lie is diagnosed");
+            }
+        }
+        assert!(most_reruns > 0, "a mid-window detection discards later generations");
     }
 }

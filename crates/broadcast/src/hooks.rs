@@ -6,9 +6,36 @@ use mvbc_netsim::NodeId;
 
 /// Mutation points of the broadcast protocol (dispersal / echo /
 /// diagnosis), mirroring [`mvbc_core::ProtocolHooks`] for consensus.
+///
+/// Generations run in windows (see the crate docs), and every hook is
+/// still called per generation, with that generation's index `g`, in
+/// this order within a window:
+///
+/// 1. at its start, [`crash_before_generation`](Self::crash_before_generation)
+///    for each member in order until one returns `true` (which crashes
+///    the node there, before the window runs), then
+///    [`observe_generation_start`](Self::observe_generation_start) for
+///    every member, then, at the source,
+///    [`input_override`](Self::input_override) for every member;
+/// 2. [`dispersal_symbol`](Self::dispersal_symbol) (the source), then
+///    [`echo_symbol`](Self::echo_symbol) (echo-set members): recipient
+///    by recipient in ascending id and, for each recipient, generation
+///    by generation, each on a private copy of the honest symbol;
+/// 3. [`detected_flag`](Self::detected_flag) for every member, in order,
+///    then the `BsbHooks` of the window's one `Detected` batch;
+/// 4. only for the first generation with a detection: its
+///    [`data_bits`](Self::data_bits),
+///    [`echo_claim_bits`](Self::echo_claim_bits) and
+///    [`trust_bits`](Self::trust_bits).
+///
+/// The generations after a diagnosed one are discarded and run again in
+/// a later window, so their hooks are called again. A strategy that
+/// should act in generation `g` as it would one generation at a time
+/// keys its behaviour by `g`, as every strategy in
+/// [`attacks`](crate::attacks) does.
 pub trait BroadcastHooks: BsbHooks {
-    /// Called at the start of each generation with the shared diagnosis
-    /// graph (the paper's full-information adversary).
+    /// Called at the start of each generation's window with the shared
+    /// diagnosis graph (the paper's full-information adversary).
     fn observe_generation_start(&mut self, g: usize, me: NodeId, diag: &DiagGraph) {
         let _ = (g, me, diag);
     }
@@ -55,7 +82,8 @@ pub trait BroadcastHooks: BsbHooks {
         let _ = (g, bits);
     }
 
-    /// Crash (stop participating) before generation `g`.
+    /// Crash (stop participating) before generation `g`: at the start
+    /// of the window that holds `g`.
     fn crash_before_generation(&mut self, g: usize) -> bool {
         let _ = g;
         false

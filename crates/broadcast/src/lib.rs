@@ -31,6 +31,35 @@
 //! [`mvbc_core`](mvbc_core::DiagGraph); the per-execution dispute budget
 //! bounds diagnosis stages by `t(t+2)`.
 //!
+//! # Windows
+//!
+//! Generations run in **windows**, as Algorithm 1 does in `mvbc-core`:
+//! a window of `w` generations takes one dispersal round, one echo round
+//! and one `Detected` batch of `w·(n−1)` instances, so a fault-free
+//! value of `G` generations takes about `G/W` batches instead of `G`,
+//! and exactly the same logical bits (a batch's per-instance bits do not
+//! depend on how many instances it carries). Each round carries one
+//! message per ordered pair: the window's symbols, framed per generation
+//! (a presence byte, a 4-byte length, the bytes), so a malformed or
+//! missing entry is that generation's silence only, and a message's
+//! logical bits are those of the symbols it holds.
+//!
+//! Generations commit in order up to the first detection; only that
+//! generation runs diagnosis, and the window's later generations are
+//! discarded and run again under the updated graph, so every committed
+//! generation decides what one-at-a-time execution decides. A slot's
+//! first generation, and the first after each diagnosis, runs alone as a
+//! **probe**; other windows hold [`BroadcastConfig::window`] generations,
+//! up to [`MAX_WINDOW`] and [`WINDOW_BYTES`] of data. Both rules read
+//! only agreed state and the configuration. Every strategy in
+//! [`attacks`] acts from generation 0 on, so it shows in a probe and
+//! costs no rerun; a clean generation can turn dirty only after the
+//! graph changes, which only a diagnosis does, and the generation after
+//! one is a probe again. [`BroadcastReport::generations_rerun`] counts
+//! the reruns an adversary that first acts mid-slot can force, at most
+//! `W − 1` per diagnosis. The hooks' calling order is in
+//! [`BroadcastHooks`].
+//!
 //! # Examples
 //!
 //! ```
@@ -55,8 +84,9 @@ mod generation;
 mod hooks;
 mod runner;
 
-pub use config::{broadcast_optimal_d_bits, BroadcastConfig, BroadcastConfigError};
+pub use config::{
+    broadcast_optimal_d_bits, BroadcastConfig, BroadcastConfigError, MAX_WINDOW, WINDOW_BYTES,
+};
 pub use engine::{run_broadcast, run_broadcast_slot, run_broadcast_with, BroadcastReport};
-pub use generation::BroadcastGenerationOutcome;
 pub use hooks::{BroadcastHooks, NoopBroadcastHooks};
 pub use runner::{simulate_broadcast, simulate_broadcast_with, BroadcastRun};

@@ -105,6 +105,9 @@ pub async fn run_king_batch(
                 reporters += 1;
             }
         }
+        // Hand the read inbox back to its pool before the next round: a
+        // shadowed inbox would otherwise live to the end of the phase.
+        drop(inbox);
 
         // --- Round 2: proposals. ---
         // Propose z when at least n - t processors reported z. At most one
@@ -138,6 +141,7 @@ pub async fn run_king_batch(
                 tally_crumbs(&mut props_true, &mut props_false, &payload);
             }
         }
+        drop(inbox);
 
         // Adopt a proposal supported by at least t + 1 processors (at
         // least one of them fault-free). At most one value can have t + 1

@@ -543,11 +543,18 @@ fn broadcast(
     let snap = metrics.snapshot();
     let ratio = over_naive_broadcast(snap.total_logical_bits(), n, l)
         .map_or_else(String::new, |r| format!(" = {r:.2} x (n-1)L"));
+    let report = &run.reports[honest[0]];
+    println!(
+        "windows: {} (a probe generation, then up to {} at a time); generations rerun: {}",
+        report.windows,
+        cfg.window(),
+        report.generations_rerun,
+    );
     println!(
         "communication: {} bits{ratio} over {} rounds; diagnosis stages: {}",
         snap.total_logical_bits(),
         snap.rounds(),
-        run.reports[honest[0]].diagnosis_invocations,
+        report.diagnosis_invocations,
     );
     exit_on_violations(&violations);
 }
@@ -945,6 +952,8 @@ mod tests {
         let report = BroadcastReport {
             output: vec![5; 4],
             diagnosis_invocations: 1,
+            windows: 2,
+            generations_rerun: 0,
             defaulted: false,
             isolated: vec![3],
             edges_removed: 3,

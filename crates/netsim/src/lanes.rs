@@ -22,13 +22,17 @@
 //!   outside its mux ([`crate::block_on`]) or calling the blocking
 //!   [`NodeCtx::end_round`] panics.
 //!
+//! - [`LaneMux::cancel`] drops a lane mid-protocol: it sends nothing
+//!   more, and later traffic to its scope is dropped as unmatched.
+//!
 //! Determinism and alignment: all fault-free nodes that spawn the same
 //! lanes at the same physical round, and step them together, keep every
 //! lane's protocol rounds aligned across nodes — a lane's round-`k`
 //! messages are delivered while every fault-free peer is in the same
-//! lane's round `k`. The caller is responsible for spawning lanes at
-//! common-knowledge points (the `mvbc-smr` scheduler derives them from
-//! agreed protocol outputs).
+//! lane's round `k`. The caller is responsible for spawning and
+//! cancelling lanes at common-knowledge points (the `mvbc-smr` scheduler
+//! derives both from agreed protocol outputs), so no fault-free node
+//! awaits a lane its peers have cancelled.
 //!
 //! Scopes must be prefix-free: no lane's scope may be a `.`-boundary
 //! prefix of another live lane's scope, so every message routes to at
@@ -155,12 +159,24 @@ impl<O: 'static> LaneMux<O> {
         Self::default()
     }
 
-    /// True while any lane is live. Dropping the mux drops its live lanes
-    /// mid-protocol; a caller that stops early and wants their remaining
-    /// rounds on the wire keeps calling [`LaneMux::step`] until this
-    /// returns false (draining).
+    /// True while any lane is live: spawned, and neither finished nor
+    /// cancelled.
     pub fn has_lanes(&self) -> bool {
         !self.lanes.is_empty()
+    }
+
+    /// Cancels lane `id`: drops its future mid-protocol, so it sends
+    /// nothing more and never finishes. Later messages to its scope match
+    /// no live lane and are dropped; the other lanes are unaffected.
+    /// Returns whether the lane was live (a finished or already
+    /// cancelled lane is left alone).
+    ///
+    /// A lane's peers at other nodes expect its messages as long as they
+    /// run their own copy of it, so callers cancel at common-knowledge
+    /// points, as they spawn: every fault-free node then cancels the same
+    /// lane after the same [`LaneMux::step`].
+    pub fn cancel(&mut self, id: LaneId) -> bool {
+        self.lanes.remove(&id).is_some()
     }
 
     /// Starts a lane running `logic` against a lane-local [`NodeCtx`]
@@ -449,6 +465,47 @@ mod tests {
             drain(&mut mux, ctx).await.iter().map(|f| f.output).sum()
         });
         assert_eq!(run.outputs[0], 9 + 21);
+    }
+
+    #[test]
+    fn a_cancelled_lane_goes_quiet_and_its_siblings_run_on() {
+        // Both nodes run lanes "a" and "b", each sending one message per
+        // round for three rounds; node 0 cancels "a" after the first
+        // step, while node 1 keeps its "a" running. Node 0 sends nothing
+        // more on "a", node 1's later "a" messages are dropped at node 0,
+        // and "b" is untouched on both.
+        let tag_a = scoped_tag("a", "m");
+        let tag_b = scoped_tag("b", "m");
+        let run = run(2, &MetricsSink::new(), |id| async move |ctx: &mut NodeCtx| {
+            let mut mux: LaneMux<Vec<u8>> = LaneMux::new();
+            let mut ids = Vec::new();
+            for tag in [tag_a, tag_b] {
+                ids.push(mux.spawn(ctx, &tag[..1], async move |lane: &mut NodeCtx| {
+                    let peer = 1 - lane.id();
+                    let mut heard = Vec::new();
+                    for r in 0..3u8 {
+                        lane.send(peer, tag, vec![r], 8);
+                        let mut inbox = lane.next_round().await;
+                        heard.extend(inbox.take(peer, tag).map(|b| b[0]));
+                    }
+                    heard
+                }));
+            }
+            let mut finished = mux.step(ctx).await;
+            if id == 0 {
+                assert!(mux.cancel(ids[0]), "lane a was live");
+                assert!(!mux.cancel(ids[0]), "a second cancel is a no-op");
+            }
+            finished.extend(drain(&mut mux, ctx).await);
+            let mut heard: Vec<(LaneId, Vec<u8>)> = finished.into_iter().map(|f| (f.id, f.output)).collect();
+            heard.sort_unstable();
+            heard
+        });
+        // Node 0's lane a never finishes; its b heard every round.
+        assert_eq!(run.outputs[0], vec![(1, vec![0, 1, 2])]);
+        // Node 1's lane a heard only round 0 from node 0; b every round.
+        assert_eq!(run.outputs[1], vec![(0, vec![0]), (1, vec![0, 1, 2])]);
+        assert_eq!(run.rounds, 3);
     }
 
     #[test]

@@ -70,7 +70,8 @@ pub struct TraceSink {
 /// The events recorded so far and the digest folded over them.
 #[derive(Debug)]
 struct Recorded {
-    events: Vec<TraceEvent>,
+    /// `None` for a [digest-only](TraceSink::digest_only) sink.
+    events: Option<Vec<TraceEvent>>,
     /// FNV-1a state after the last event (see [`TraceSink::digest`]).
     digest: u64,
 }
@@ -92,7 +93,7 @@ impl Default for TraceSink {
     fn default() -> Self {
         TraceSink {
             inner: Arc::new(Mutex::new(Recorded {
-                events: Vec::with_capacity(INITIAL_EVENTS),
+                events: Some(Vec::with_capacity(INITIAL_EVENTS)),
                 digest: FNV_OFFSET,
             })),
         }
@@ -103,6 +104,17 @@ impl TraceSink {
     /// Creates an empty sink.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A sink that folds every delivery into [`TraceSink::digest`], as
+    /// [`TraceSink::new`]'s does, but keeps no event: its
+    /// [`events`](TraceSink::events) stay empty. For callers that read
+    /// only the digest, where a long run's events would cost memory for
+    /// nothing.
+    pub fn digest_only() -> Self {
+        TraceSink {
+            inner: Arc::new(Mutex::new(Recorded { events: None, digest: FNV_OFFSET })),
+        }
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, Recorded> {
@@ -125,19 +137,21 @@ impl TraceSink {
         eat(&[0]);
         eat(&event.logical_bits.to_be_bytes());
         eat(&event.payload_bytes.to_be_bytes());
-        rec.events.push(event);
+        if let Some(events) = &mut rec.events {
+            events.push(event);
+        }
         rec.digest = h;
     }
 
     /// A snapshot of all events recorded so far, in delivery order
     /// (round-major; within a round, sender-submission order).
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.lock().events.clone()
+        self.lock().events.clone().unwrap_or_default()
     }
 
-    /// Number of recorded deliveries.
+    /// Number of recorded deliveries (always 0 for a digest-only sink).
     pub fn len(&self) -> usize {
-        self.lock().events.len()
+        self.lock().events.as_ref().map_or(0, Vec::len)
     }
 
     /// True when nothing has been recorded.
@@ -238,6 +252,19 @@ mod tests {
         c.record(event(1, 0, 1));
         c.record(event(1, 1, 0));
         assert_eq!(a.digest(), c.digest());
+    }
+
+    #[test]
+    fn digest_only_sink_folds_the_same_digest_and_keeps_no_event() {
+        let full = TraceSink::new();
+        let lean = TraceSink::digest_only();
+        for e in [event(1, 0, 1), event(1, 1, 0), event(2, 0, 1)] {
+            full.record(e.clone());
+            lean.record(e);
+        }
+        assert_eq!(lean.digest(), full.digest());
+        assert!(lean.is_empty() && lean.events().is_empty());
+        assert_eq!(full.len(), 3);
     }
 
     #[test]

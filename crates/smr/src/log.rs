@@ -340,8 +340,18 @@ struct Flight {
 /// a version counter: a commit that changes any of it — a caught primary,
 /// a removed edge, an isolation — bumps the version and **discards every
 /// other in-flight attempt** (their popped batches are returned to the
-/// queue in order, their lanes drain in the background, and the slots are
-/// re-proposed under the updated state with a fresh attempt scope).
+/// queue in order, their lanes are [cancelled](LaneMux::cancel), and the
+/// slots are re-proposed under the updated state with a fresh attempt
+/// scope).
+///
+/// Cancelling is safe because a discard follows from an agreed commit:
+/// lanes are aligned across replicas, so every fault-free replica commits
+/// the same slot after the same physical round and cancels the same
+/// attempts there. No fault-free replica is left awaiting a cancelled
+/// lane's messages, and so none reads a peer's silence as a fault. A
+/// Byzantine replica's later messages on a cancelled scope match no live
+/// lane and are dropped, and a re-proposal runs under a fresh
+/// `smr.slot<S>.a<K>` scope, so they cannot reach it either.
 ///
 /// The invariant this buys: the attempt that *commits* slot `s` was
 /// proposed under exactly the post-slot-`(s-1)` state — the same primary,
@@ -387,13 +397,12 @@ async fn replicate<S: StateMachine>(
     let mut version: u64 = 0;
     let mut slots: Vec<SlotReport> = Vec::with_capacity(cfg.slots);
     let mut restarts: u64 = 0;
-    let mut mux: LaneMux<(BroadcastReport, DiagGraph)> = LaneMux::new();
-    let mut flights: BTreeMap<u64, Flight> = BTreeMap::new();
+    let mut mux: LaneMux<(u64, BroadcastReport, DiagGraph)> = LaneMux::new();
     // Ordered maps: this is protocol state on the commit path, and the
     // determinism rules (`mvbc-lint` hash_state) keep unordered
     // containers out of it even when, as here, they are only ever
     // accessed by key.
-    let mut lane_slots: BTreeMap<LaneId, u64> = BTreeMap::new();
+    let mut flights: BTreeMap<u64, Flight> = BTreeMap::new();
     let mut attempts: BTreeMap<u64, u32> = BTreeMap::new();
     let mut next_slot: u64 = 0;
     let mut stopped = false;
@@ -466,9 +475,8 @@ async fn replicate<S: StateMachine>(
                     &mut PhaseKingDriver,
                 )
                 .await;
-                (report, slot_diag)
+                (slot, report, slot_diag)
             });
-            lane_slots.insert(lane, slot);
             flights.insert(
                 slot,
                 Flight {
@@ -528,11 +536,15 @@ async fn replicate<S: StateMachine>(
                 // — deepest slot first so requeues rebuild the pending
                 // queue in exact proposal order — *before* this slot's
                 // own requeue, and rewind proposals to the next slot.
+                // A discarded attempt's lane is cancelled: the discard
+                // follows from this agreed commit, so every fault-free
+                // replica cancels it after the same physical round and
+                // none awaits another's silence on it.
                 version += 1;
                 restarts += flights.len() as u64;
                 for (_, doomed) in std::mem::take(&mut flights).into_iter().rev() {
                     if let Some(lane) = doomed.lane {
-                        lane_slots.remove(&lane);
+                        mux.cancel(lane);
                     }
                     if let Some(batch) = doomed.my_batch {
                         pending.requeue(batch);
@@ -586,23 +598,13 @@ async fn replicate<S: StateMachine>(
 
         // --- One physical round: every live lane advances one round
         // (the commit head is an unresolved lane flight here, so the mux
-        // is non-empty; discarded lanes drain alongside). ---
+        // is non-empty; discarded attempts' lanes were cancelled). ---
         for finished in mux.step(ctx).await {
-            let Some(slot) = lane_slots.remove(&finished.id) else {
-                continue; // a discarded attempt drained; drop its result
-            };
-            let flight = flights.get_mut(&slot).expect("lane maps to a live flight");
-            flight.outcome = Some(finished.output);
+            let (slot, report, slot_diag) = finished.output;
+            let flight = flights.get_mut(&slot).expect("only live flights have lanes");
+            flight.outcome = Some((report, slot_diag));
             flight.rounds = finished.rounds;
             flight.bits = finished.logical_bits;
-        }
-    }
-
-    // Drain discarded lanes so their remaining rounds stay on the wire
-    // (their peers at other replicas drain in the same rounds).
-    while mux.has_lanes() {
-        for finished in mux.step(ctx).await {
-            lane_slots.remove(&finished.id);
         }
     }
 

@@ -123,8 +123,8 @@ pub trait SmrHooks: Send {
     ///
     /// The returned hooks live in the attempt's lane future, which the
     /// replica polls inside its own future next to the other attempts in
-    /// flight; they are dropped when the attempt ends (a discarded
-    /// attempt first drains its remaining rounds).
+    /// flight; they are dropped when the attempt ends or is discarded
+    /// (a discarded attempt's lane is cancelled mid-protocol).
     fn slot_hooks(&mut self, slot: u64, i_am_primary: bool) -> Box<dyn BroadcastHooks>;
 }
 

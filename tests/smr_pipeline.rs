@@ -9,9 +9,12 @@
 //! never change what commits. At `W = 1` the engine must reproduce the
 //! reference's reports exactly, local measurements included.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
 use mvbc_broadcast::attacks::{EquivocatingSource, FramingAccuser};
 use mvbc_broadcast::{run_broadcast_slot, BroadcastHooks, NoopBroadcastHooks};
-use mvbc_bsb::PhaseKingDriver;
+use mvbc_bsb::{BsbHooks, PhaseKingDriver};
 use mvbc_core::DiagGraph;
 use mvbc_metrics::MetricsSink;
 use mvbc_netsim::trace::TraceSink;
@@ -437,5 +440,138 @@ fn degraded_mode_pipelines_equivalently() {
     for w in [1usize, 3] {
         let (pipe, _) = degraded_scenario(Some(w));
         assert_equivalent(&reference, &pipe, w, &honest, &format!("degraded endgame W {w}"));
+    }
+}
+
+/// What an honest replica's broadcast saw in one slot attempt.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+struct Seen {
+    /// The replica led the attempt.
+    leads: bool,
+    /// It detected an inconsistency in some generation.
+    detected: bool,
+    /// Positions of `false` in its trust vectors (`0` is the source, `1..`
+    /// the echo set): the processors it accused.
+    accused: Vec<usize>,
+}
+
+/// Per `(replica, slot)`, one [`Seen`] per attempt, in attempt order.
+type Journal = Arc<Mutex<BTreeMap<(usize, u64), Vec<Seen>>>>;
+
+/// Honest behaviour that records what each slot attempt saw.
+struct Watched {
+    me: usize,
+    journal: Journal,
+}
+
+impl SmrHooks for Watched {
+    fn slot_hooks(&mut self, slot: u64, i_am_primary: bool) -> Box<dyn BroadcastHooks> {
+        let key = (self.me, slot);
+        let mut journal = self.journal.lock().unwrap();
+        let attempts = journal.entry(key).or_default();
+        attempts.push(Seen { leads: i_am_primary, ..Seen::default() });
+        let attempt = attempts.len() - 1;
+        Box::new(Watcher { journal: self.journal.clone(), key, attempt })
+    }
+}
+
+struct Watcher {
+    journal: Journal,
+    key: (usize, u64),
+    attempt: usize,
+}
+
+impl Watcher {
+    fn note(&self, f: impl FnOnce(&mut Seen)) {
+        f(&mut self.journal.lock().unwrap().get_mut(&self.key).unwrap()[self.attempt]);
+    }
+}
+
+impl BsbHooks for Watcher {}
+
+impl BroadcastHooks for Watcher {
+    fn detected_flag(&mut self, _g: usize, flag: &mut bool) {
+        let detected = *flag;
+        self.note(|seen| seen.detected |= detected);
+    }
+
+    fn trust_bits(&mut self, _g: usize, bits: &mut Vec<bool>) {
+        let accused: Vec<usize> = (0..bits.len()).filter(|&i| !bits[i]).collect();
+        self.note(|seen| seen.accused.extend(accused));
+    }
+}
+
+/// Cancel safety: a discarded slot attempt's lane is cancelled at every
+/// replica after the same round, so no honest replica ever reads another
+/// honest replica's silence on it as a fault. At n = 7 a silent leader,
+/// and a teammate that frames and later equivocates, force discards; with
+/// twelve one-byte generations per slot a silent leader's slot ends
+/// before the slots spawned after it, so live lanes are cancelled. In
+/// every attempt an honest replica leads, no honest replica detects or
+/// accuses anyone; in every attempt a Byzantine replica leads, honest
+/// replicas accuse only the source; no honest replica is isolated. The
+/// committed log is the reference's at every depth up to `MAX_PIPELINE`.
+/// (Letting only even ids cancel, while odd ones run the attempt on,
+/// fails this test.)
+#[test]
+fn cancelled_attempts_never_turn_honest_replicas_against_each_other() {
+    let n = 7usize;
+    let (silent, framer) = (1usize, 4usize);
+    let byz = [silent, framer];
+    let honest: Vec<usize> = (0..n).filter(|i| !byz.contains(i)).collect();
+    let mk_hooks = |journal: &Journal| -> Vec<Box<dyn SmrHooks>> {
+        (0..n)
+            .map(|i| -> Box<dyn SmrHooks> {
+                match i {
+                    _ if i == silent => Box::new(SilentPrimary),
+                    _ if i == framer => Box::new(ColludingByzantine {
+                        frame_slots: vec![3, 9],
+                        equivocate_slots: vec![11],
+                    }),
+                    _ => Box::new(Watched { me: i, journal: journal.clone() }),
+                }
+            })
+            .collect()
+    };
+    let mut cfg = SmrConfig::new(n, 2, 18, 2).unwrap();
+    cfg.gen_bytes = Some(1);
+    let workloads = || synthetic_workloads(n, 6, 13);
+    let reference = simulate_reference(&cfg, workloads(), mk_hooks(&Journal::default()));
+    for w in [1usize, 2, 4, MAX_PIPELINE] {
+        let label = format!("W {w}");
+        let journal = Journal::default();
+        let pipe_cfg = cfg.clone().with_pipeline(w);
+        let run = simulate_smr(&pipe_cfg, workloads(), mk_hooks(&journal), MetricsSink::new());
+        assert_equivalent(&reference, &run, w, &honest, &label);
+        if w == 4 {
+            assert!(run.reports[honest[0]].restarts > 0, "{label}: attempts were cancelled");
+        }
+        for &h in &honest {
+            let isolated = &run.reports[h].isolated;
+            assert!(isolated.iter().all(|i| byz.contains(i)), "{label}: replica {h} isolated {isolated:?}");
+        }
+        let journal = journal.lock().unwrap();
+        for slot in 0..cfg.slots as u64 {
+            let attempts: Vec<&Vec<Seen>> = honest.iter().map(|&h| &journal[&(h, slot)]).collect();
+            let count = attempts[0].len();
+            assert!(attempts.iter().all(|a| a.len() == count), "{label}: slot {slot} attempts differ");
+            for k in 0..count {
+                let honest_leader = attempts.iter().any(|a| a[k].leads);
+                for (&h, a) in honest.iter().zip(&attempts) {
+                    let seen = &a[k];
+                    if honest_leader {
+                        assert!(
+                            !seen.detected && seen.accused.is_empty(),
+                            "{label}: replica {h}, slot {slot} attempt {k}: {seen:?} under an honest leader"
+                        );
+                    } else {
+                        assert!(
+                            seen.accused.iter().all(|&i| i == 0),
+                            "{label}: replica {h}, slot {slot} attempt {k} accused an echo: {seen:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
