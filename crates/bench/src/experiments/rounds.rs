@@ -6,11 +6,12 @@
 //! `W` ([`GENERATION_WINDOW`]): per window one symbol-dispersal round
 //! plus one batched `Broadcast_Single_Bit` for every generation's `M`,
 //! one for every generation's `Detected`, and — when a generation is
-//! diagnosed — two more (`R#`, `Trust`) after which the window's later
-//! generations run again in a window of their own. With the Phase-King
-//! substrate each batch costs `1 + 3(t+1)` rounds, with EIG `1 + (t+1)`,
-//! with Dolev-Strong `t + 1`. This experiment measures the profile and
-//! checks it against the model.
+//! diagnosed — two more (`R#`, `Trust`), after which a one-generation
+//! probe window runs and the window's later generations run again in
+//! windows the schedule sets (`mvbc_core::WindowSchedule`). With the
+//! Phase-King substrate each batch costs `1 + 3(t+1)` rounds, with EIG
+//! `1 + (t+1)`, with Dolev-Strong `t + 1`. This experiment measures the
+//! profile and checks it against the model.
 
 use mvbc_adversary::WorstCaseDiagnosis;
 use mvbc_core::{ConsensusConfig, NoopHooks, ProtocolHooks, GENERATION_WINDOW};
@@ -28,17 +29,13 @@ fn model_bsb_rounds(name: &str, t: usize) -> u64 {
     }
 }
 
-/// Model: rounds for a failure-free run, `⌈G/W⌉` windows of 1
-/// dispersal round + 2 BSB batches, plus per diagnosed generation 2
-/// extra BSB batches and — when `W > 1` — one more window for the
-/// generations it discards. (A diagnosis in the last generation of a
-/// window discards nothing, which the model assumes only at `W = 1`;
-/// every diagnosis here lands earlier in its window.)
-fn model_rounds(name: &str, t: usize, generations: u64, diagnosed: u64) -> u64 {
+/// Model: rounds for `windows` windows of 1 dispersal round + 2 BSB
+/// batches, plus 2 extra BSB batches per diagnosed generation. A
+/// failure-free run takes `⌈G/W⌉` windows; under attack the schedule's
+/// probes and reruns add more, counted by the processor's report.
+fn model_rounds(name: &str, t: usize, windows: u64, diagnosed: u64) -> u64 {
     let b = model_bsb_rounds(name, t);
-    let windows = generations.div_ceil(GENERATION_WINDOW as u64);
-    let rerun_windows = if GENERATION_WINDOW > 1 { diagnosed } else { 0 };
-    (windows + rerun_windows) * (1 + 2 * b) + diagnosed * 2 * b
+    windows * (1 + 2 * b) + diagnosed * 2 * b
 }
 
 pub(super) fn run(quick: bool) -> Report {
@@ -46,7 +43,8 @@ pub(super) fn run(quick: bool) -> Report {
     let gens = 8usize;
 
     let mut table = Table::new(&[
-        "substrate", "n", "t", "adversary", "generations", "diagnosed", "rounds measured", "rounds model",
+        "substrate", "n", "t", "adversary", "generations", "diagnosed", "windows", "rounds measured",
+        "rounds model",
     ]);
     for &(n, t) in configs {
         // Keep D fixed so the generation count is known exactly.
@@ -58,6 +56,7 @@ pub(super) fn run(quick: bool) -> Report {
             let hooks = (0..n).map(|_| NoopHooks::boxed()).collect();
             let clean = measure_consensus_with(&cfg, hooks, fleet(name, n), &[], 3);
             assert_eq!(clean.diagnosis_invocations, 0);
+            assert_eq!(clean.windows, gens.div_ceil(GENERATION_WINDOW));
             table.row(vec![
                 name.into(),
                 n.to_string(),
@@ -65,8 +64,9 @@ pub(super) fn run(quick: bool) -> Report {
                 "none".into(),
                 gens.to_string(),
                 "0".into(),
+                clean.windows.to_string(),
                 clean.rounds.to_string(),
-                model_rounds(name, t, gens as u64, 0).to_string(),
+                model_rounds(name, t, clean.windows as u64, 0).to_string(),
             ]);
 
             // Worst-case diagnosis-forcing adversary on processor 0.
@@ -81,8 +81,9 @@ pub(super) fn run(quick: bool) -> Report {
                 "worst-case".into(),
                 gens.to_string(),
                 attacked.diagnosis_invocations.to_string(),
+                attacked.windows.to_string(),
                 attacked.rounds.to_string(),
-                model_rounds(name, t, gens as u64, attacked.diagnosis_invocations).to_string(),
+                model_rounds(name, t, attacked.windows as u64, attacked.diagnosis_invocations).to_string(),
             ]);
         }
     }
@@ -95,7 +96,8 @@ pub(super) fn run(quick: bool) -> Report {
         "algorithm adds a fixed number of BSB batches per window of up to W = {GENERATION_WINDOW}"
     ));
     r.line("generations, so total rounds are Θ(L/(D·W) · t) with the constant set by the");
-    r.line("substrate; each diagnosis adds two batches and re-runs the rest of its window.");
+    r.line("substrate; each diagnosis adds two batches and a probe window, and re-runs the");
+    r.line("rest of its window in windows that halve after each discard.");
     r.csv("e12_rounds", table);
     r
 }

@@ -83,7 +83,7 @@ pub(super) fn run(_quick: bool) -> Report {
     r.line("broadcasts fixed-width vectors; the paper books n-1). The diagnosis row's");
     r.line("model is the Eq. (1) worst case; measured diagnosis appears only under attack.");
     r.line("Under attack the matching and checking rows also count the generations each");
-    r.line("diagnosis discarded from its window and ran again (at most W - 1 per diagnosis).");
+    r.line("diagnosis discarded from its window and ran again (fewer than 2W in all).");
     r.csv("e10_stages", table);
     r
 }

@@ -59,9 +59,10 @@ pub(super) fn run(quick: bool) -> Report {
     r.line("paper: at most t(t+1) diagnosis stages in any execution; all faulty");
     r.line("processors end up identified and isolated. Negative overhead is real:");
     r.line("isolated processors stop costing traffic in later generations. The");
-    r.line("overhead includes the window's reruns: each diagnosis discards up to");
-    r.line("W - 1 generations whose matching and checking already ran, the worst-case");
-    r.line("term dsel::model_window_rerun_bits adds to Eq. (1).");
+    r.line("overhead includes the window's reruns: an execution discards fewer than 2W");
+    r.line("generations whose matching and checking already ran (a probe follows each");
+    r.line("diagnosis and windows halve after each discard), the worst-case term");
+    r.line("dsel::model_window_rerun_bits adds to Eq. (1).");
     r.csv("e4_worst_case", table);
     r
 }

@@ -71,6 +71,8 @@ pub(crate) struct MeasuredRun {
     pub(crate) diagnosis_invocations: u64,
     /// Processors isolated by the end.
     pub(crate) isolated: Vec<usize>,
+    /// Windows run (as seen by the first fault-free processor).
+    pub(crate) windows: usize,
 }
 
 /// Runs one unanimous-input consensus on the default Phase-King
@@ -118,6 +120,7 @@ pub(crate) fn measure_consensus_with(
         rounds: snapshot.rounds(),
         diagnosis_invocations: run.reports[honest].diagnosis_invocations,
         isolated: run.reports[honest].isolated.clone(),
+        windows: run.reports[honest].windows,
         snapshot,
     }
 }

@@ -63,8 +63,9 @@ pub fn broadcast_optimal_d_bits(n: usize, t: usize, l_bits: u64) -> u64 {
 
 /// The most generations one window holds.
 ///
-/// Each diagnosis can discard up to `MAX_WINDOW − 1` generations that
-/// already ran, and a window's batch state grows with it. A sweep on the
+/// A slot's reruns total at most
+/// [`rerun_bound`](mvbc_core::rerun_bound)`(MAX_WINDOW) = 11`
+/// generations, and a window's batch state grows with it. A sweep on the
 /// benchmark's `n = 64` log (two-byte generations) read 1.23–1.30,
 /// 1.50–1.82 and 1.80–1.94 slots/s at 21.6, 25.8 and 34.2 MiB peak for
 /// 8, 16 and 32, against 0.41 slots/s at 33.3 MiB one generation at a

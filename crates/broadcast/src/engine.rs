@@ -1,12 +1,9 @@
 //! Multi-generation broadcast engine: splits the `L`-byte value into
-//! `D`-byte generations and runs them in windows (crate docs,
-//! "Windows"), a probe window of one generation first and after every
-//! diagnosis, [`BroadcastConfig::window`] generations otherwise. Both
-//! rules read only agreed state and the configuration, so every
-//! fault-free processor runs the same windows in the same rounds.
+//! `D`-byte generations and runs them on `mvbc-core`'s [`WindowSchedule`],
+//! a probe first, then up to [`BroadcastConfig::window`] at a time.
 
 use mvbc_bsb::{BsbDriver, PhaseKingDriver};
-use mvbc_core::DiagGraph;
+use mvbc_core::{DiagGraph, WindowSchedule};
 use mvbc_netsim::{block_on, NodeCtx};
 use mvbc_rscode::StripedCode;
 
@@ -16,7 +13,7 @@ use crate::hooks::BroadcastHooks;
 
 /// Tag scope of a stand-alone broadcast execution (see
 /// [`run_broadcast_slot`] for scoped executions).
-const STANDALONE_SCOPE: &str = "broadcast";
+pub(crate) const STANDALONE_SCOPE: &str = "broadcast";
 
 /// Per-node summary of one broadcast execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,7 +27,7 @@ pub struct BroadcastReport {
     /// `Detected` batch).
     pub windows: usize,
     /// Generations discarded after a diagnosis earlier in their window
-    /// and run again; at most `(W − 1)·diagnosis_invocations`.
+    /// and run again: fewer than `2W` ([`rerun_bound`](mvbc_core::rerun_bound)).
     pub generations_rerun: usize,
     /// Whether the run fell back to the default value because the source
     /// became unusable (isolated or unable to sustain an echo set).
@@ -74,19 +71,8 @@ pub fn run_broadcast_with(
     hooks: &mut dyn BroadcastHooks,
     bsb: &mut dyn BsbDriver,
 ) -> BroadcastReport {
-    block_on(broadcast(ctx, cfg, input, hooks, bsb))
-}
-
-/// [`run_broadcast_with`] as a future, for a simulation's node tasks.
-pub(crate) async fn broadcast(
-    ctx: &mut NodeCtx,
-    cfg: &BroadcastConfig,
-    input: Option<&[u8]>,
-    hooks: &mut dyn BroadcastHooks,
-    bsb: &mut dyn BsbDriver,
-) -> BroadcastReport {
     let mut diag = DiagGraph::new(cfg.n, cfg.t);
-    run_broadcast_slot(ctx, cfg, input, STANDALONE_SCOPE, &mut diag, hooks, bsb).await
+    block_on(run_broadcast_slot(ctx, cfg, input, STANDALONE_SCOPE, &mut diag, hooks, bsb))
 }
 
 /// Runs one broadcast execution *mid-simulation*, against caller-owned
@@ -128,8 +114,7 @@ pub async fn run_broadcast_slot(
     run_windowed(ctx, cfg, input, scope, diag, hooks, bsb, cfg.window()).await
 }
 
-/// [`run_broadcast_slot`] with non-probe windows of up to `window`
-/// generations.
+/// [`run_broadcast_slot`] with windows of up to `window` generations.
 #[allow(clippy::too_many_arguments)] // run_broadcast_slot's arguments plus the window
 pub(crate) async fn run_windowed(
     ctx: &mut NodeCtx,
@@ -141,82 +126,35 @@ pub(crate) async fn run_windowed(
     bsb: &mut dyn BsbDriver,
     window: usize,
 ) -> BroadcastReport {
-    assert!(window >= 1, "a window holds at least one generation");
-    assert_eq!(
-        input.is_some(),
-        ctx.id() == cfg.source,
-        "exactly the source supplies the value"
-    );
-    if let Some(v) = input {
-        assert_eq!(v.len(), cfg.value_bytes, "value must be L bytes");
-    }
+    assert_eq!(input.is_some(), ctx.id() == cfg.source, "exactly the source supplies the value");
+    assert!(input.is_none_or(|v| v.len() == cfg.value_bytes), "value must be L bytes");
     assert_eq!(diag.n(), cfg.n, "diagnosis graph size must match n");
     let d = cfg.resolved_gen_bytes();
-    let generations = cfg.generations();
     let code = StripedCode::c2t(cfg.n, cfg.t, d).expect("validated parameters");
     let tags = SlotTags::new(scope);
     let me = ctx.id();
+    // A probe first: the campaign's behaviours act from a slot's first generation.
+    let mut schedule = WindowSchedule::new(cfg.value_bytes, d, cfg.default_byte, window, true);
 
-    let mut output: Vec<u8> = Vec::with_capacity(cfg.value_bytes);
-    let mut diagnosis_invocations = 0u64;
-    let mut windows = 0usize;
-    let mut generations_rerun = 0usize;
-    let mut defaulted = false;
-    // The first generation not yet committed: each window starts here.
-    let mut next = 0usize;
-    let mut probe = true;
-
-    while next < generations {
-        let w = if probe { 1 } else { window }.min(generations - next);
-        let gens = next..next + w;
+    while let Some(gens) = schedule.next_window(diag) {
         if gens.clone().any(|g| hooks.crash_before_generation(g)) || diag.is_isolated(me) {
             break;
         }
-        for g in gens.clone() {
-            hooks.observe_generation_start(g, me, diag);
-        }
-        let parts: Option<Vec<Vec<u8>>> = input.map(|v| {
-            gens.map(|g| {
-                let start = g * d;
-                let end = ((g + 1) * d).min(cfg.value_bytes);
-                let mut p = v[start..end].to_vec();
-                p.resize(d, cfg.default_byte);
-                hooks.input_override(g, &mut p);
-                p
-            })
-            .collect()
-        });
-
-        windows += 1;
-        let report = run_window(ctx, cfg, &code, diag, tags, next, w, parts.as_deref(), hooks, bsb).await;
-        next += report.decided.len();
-        for value in &report.decided {
-            debug_assert_eq!(value.len(), d);
-            output.extend_from_slice(value);
-        }
-        probe = report.diagnosed;
-        if report.diagnosed {
-            // Generations after the diagnosed one ran under a graph that
-            // no longer holds: discard them and run them again.
-            diagnosis_invocations += 1;
-            generations_rerun += w - report.decided.len();
-        }
-        if report.source_unusable {
-            defaulted = true;
-            break;
-        }
+        gens.clone().for_each(|g| hooks.observe_generation_start(g, me, diag));
+        let mut parts = input.map(|v| gens.clone().map(|g| schedule.part(v, g)).collect::<Vec<_>>());
+        gens.clone().zip(parts.iter_mut().flatten()).for_each(|(g, p)| hooks.input_override(g, p));
+        let (first, w, parts) = (gens.start, gens.len(), parts.as_deref());
+        schedule.record(run_window(ctx, cfg, &code, diag, tags, first, w, parts, hooks, bsb).await);
     }
-    output.truncate(cfg.value_bytes);
-    output.resize(cfg.value_bytes, cfg.default_byte);
 
-    let isolated: Vec<usize> = (0..cfg.n).filter(|&v| diag.is_isolated(v)).collect();
+    let totals = schedule.finish();
     BroadcastReport {
-        output,
-        diagnosis_invocations,
-        windows,
-        generations_rerun,
-        defaulted,
-        isolated,
+        output: totals.output,
+        diagnosis_invocations: totals.diagnoses,
+        windows: totals.windows,
+        generations_rerun: totals.reruns,
+        defaulted: totals.defaulted,
+        isolated: (0..cfg.n).filter(|&v| diag.is_isolated(v)).collect(),
         edges_removed: diag.total_removed(),
     }
 }
@@ -317,8 +255,8 @@ mod tests {
     }
 
     /// Runs `byz` at every window size and asserts each reproduces
-    /// `W = 1` on the honest nodes with at most `W − 1` reruns per
-    /// diagnosis; returns the `W = 1` decisions and the most reruns seen.
+    /// `W = 1` on the honest nodes with fewer than `2W` reruns; returns
+    /// the `W = 1` decisions and the most reruns seen.
     fn assert_window_equivalent(
         cfg: &BroadcastConfig,
         v: &[u8],
@@ -334,7 +272,7 @@ mod tests {
             for &i in &honest {
                 let r = &got.reports[i];
                 assert!(
-                    r.generations_rerun as u64 <= (w as u64 - 1) * r.diagnosis_invocations,
+                    r.generations_rerun < 2 * w,
                     "n = {}, W = {w}: {} reruns for {} diagnoses",
                     cfg.n,
                     r.generations_rerun,
@@ -453,8 +391,8 @@ mod tests {
     }
 
     /// A behaviour that turns dirty mid-slot, past the probe, forces
-    /// reruns — at most `W − 1` per diagnosis — and still delivers what
-    /// `W = 1` delivers.
+    /// reruns — fewer than `2W` in all — and still delivers what `W = 1`
+    /// delivers.
     #[test]
     fn a_late_liar_costs_bounded_reruns_and_matches_w1() {
         let mut most_reruns = 0;

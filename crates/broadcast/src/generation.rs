@@ -14,7 +14,7 @@
 //! the graph the one-generation-at-a-time protocol gives them.
 
 use mvbc_bsb::{BsbConfig, BsbDriver, BsbInstance, BsbValueSpec, SessionTags};
-use mvbc_core::DiagGraph;
+use mvbc_core::{DiagGraph, WindowOutcome};
 use mvbc_netsim::bits::{pack_bits, unpack_bits};
 use mvbc_netsim::{scoped_tag, Message, NodeCtx, NodeId};
 use mvbc_rscode::{StripedCode, Symbol};
@@ -69,20 +69,6 @@ impl SlotTags {
             trust_session: SessionTags::derive(trust),
         }
     }
-}
-
-/// What one window committed.
-pub(crate) struct WindowReport {
-    /// Decided `D`-byte values of the committed generations, in order
-    /// from the window's first generation.
-    pub decided: Vec<Vec<u8>>,
-    /// The last committed generation ran the diagnosis stage; the
-    /// window's later generations were discarded.
-    pub diagnosed: bool,
-    /// The source is isolated or provably faulty (cannot assemble an echo
-    /// set): every fault-free processor decides the default value from
-    /// the window's first generation on.
-    pub source_unusable: bool,
 }
 
 /// Computes the common-knowledge echo set: the source plus the
@@ -187,7 +173,7 @@ pub(crate) async fn run_window(
     parts: Option<&[Vec<u8>]>,
     hooks: &mut dyn BroadcastHooks,
     bsb: &mut dyn BsbDriver,
-) -> WindowReport {
+) -> WindowOutcome {
     let t = cfg.t;
     let k = cfg.k();
     let src = cfg.source;
@@ -203,8 +189,10 @@ pub(crate) async fn run_window(
     let telemetry = ctx.metrics().telemetry();
 
     // The echo set is common knowledge (derived from the shared graph).
+    // Without one the source is isolated or provably faulty, and every
+    // fault-free processor decides the default value from here on.
     let Some(e_set) = echo_set(cfg, diag) else {
-        return WindowReport { decided: Vec::new(), diagnosed: false, source_unusable: true };
+        return WindowOutcome { decided: Vec::new(), diagnosed: false, defaulted: true };
     };
     let i_am_echo = e_set.contains(&me);
 
@@ -378,14 +366,14 @@ pub(crate) async fn run_window(
                 diagnose(ctx, cfg, code, diag, tags, first + o, &e_set, held, &det_sources, flags, hooks, bsb)
                     .await;
             decided.push(value);
-            return WindowReport { decided, diagnosed: true, source_unusable: false };
+            return WindowOutcome { decided, diagnosed: true, defaulted: false };
         }
         decided.push(match my_part {
             Some(part) => part.to_vec(),
             None => value.unwrap_or_else(|| vec![cfg.default_byte; code.layout().value_bytes]),
         });
     }
-    WindowReport { decided, diagnosed: false, source_unusable: false }
+    WindowOutcome { decided, diagnosed: false, defaulted: false }
 }
 
 /// What one processor holds of the generation under diagnosis.

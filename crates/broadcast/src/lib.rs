@@ -49,15 +49,17 @@
 //! discarded and run again under the updated graph, so every committed
 //! generation decides what one-at-a-time execution decides. A slot's
 //! first generation, and the first after each diagnosis, runs alone as a
-//! **probe**; other windows hold [`BroadcastConfig::window`] generations,
+//! **probe**; other windows hold up to [`BroadcastConfig::window`] generations,
 //! up to [`MAX_WINDOW`] and [`WINDOW_BYTES`] of data. Both rules read
 //! only agreed state and the configuration. Every strategy in
 //! [`attacks`] acts from generation 0 on, so it shows in a probe and
 //! costs no rerun; a clean generation can turn dirty only after the
 //! graph changes, which only a diagnosis does, and the generation after
 //! one is a probe again. [`BroadcastReport::generations_rerun`] counts
-//! the reruns an adversary that first acts mid-slot can force, at most
-//! `W − 1` per diagnosis. The hooks' calling order is in
+//! the reruns an adversary that first acts mid-slot can force, fewer
+//! than `2W` per slot: the windows are `mvbc-core`'s
+//! [`WindowSchedule`](mvbc_core::WindowSchedule), which halves them after
+//! each discard. The hooks' calling order is in
 //! [`BroadcastHooks`].
 //!
 //! # Examples

@@ -1,11 +1,12 @@
 //! One-call broadcast simulation runner.
 
 use mvbc_bsb::{BsbDriver, PhaseKingDriver};
+use mvbc_core::DiagGraph;
 use mvbc_metrics::MetricsSink;
 use mvbc_netsim::{node_task, run_tasks, NodeCtx, NodeTask, SimConfig};
 
 use crate::config::BroadcastConfig;
-use crate::engine::{broadcast, BroadcastReport};
+use crate::engine::{run_broadcast_slot, BroadcastReport, STANDALONE_SCOPE};
 use crate::hooks::BroadcastHooks;
 
 /// Result of a simulated broadcast.
@@ -64,7 +65,9 @@ pub fn simulate_broadcast_with(
             let cfg = cfg.clone();
             let input = (id == cfg.source).then(|| value.clone());
             node_task(async move |ctx: &mut NodeCtx| {
-                broadcast(ctx, &cfg, input.as_deref(), hook.as_mut(), driver.as_mut()).await
+                let mut diag = DiagGraph::new(cfg.n, cfg.t);
+                let (input, hook, driver) = (input.as_deref(), hook.as_mut(), driver.as_mut());
+                run_broadcast_slot(ctx, &cfg, input, STANDALONE_SCOPE, &mut diag, hook, driver).await
             })
         })
         .collect();

@@ -12,8 +12,8 @@ use mvbc_broadcast::{
     simulate_broadcast, BroadcastConfig, BroadcastHooks, BroadcastReport, NoopBroadcastHooks,
 };
 use mvbc_core::{
-    dsel, simulate_consensus_traced, ConsensusConfig, EngineReport, NoopHooks, ProtocolHooks,
-    GENERATION_WINDOW,
+    dsel, rerun_bound, simulate_consensus_traced, ConsensusConfig, EngineReport, NoopHooks,
+    ProtocolHooks, GENERATION_WINDOW,
 };
 use mvbc_netsim::trace::TraceSink;
 use mvbc_netsim::SchedulingPolicy;
@@ -70,6 +70,14 @@ fn over_naive_broadcast(bits: u64, n: usize, l: usize) -> Option<f64> {
 /// Reads the text file at `path` for subcommand `sub`, refusing one
 /// larger than [`MAX_INPUT_BYTES`] before allocating for it. Exits with
 /// status 2 on any failure.
+/// The window line of `consensus` and `broadcast`: windows run, of up to
+/// `width` generations after a first probe when `probe_first`, and the
+/// generations discarded after a diagnosis and run again.
+fn window_line(windows: usize, probe_first: bool, width: usize, rerun: usize) -> String {
+    let probe = if probe_first { "a probe generation, then " } else { "" };
+    format!("windows: {windows} ({probe}up to {width} at a time); generations rerun: {rerun}")
+}
+
 fn read_input(sub: &str, path: &str) -> String {
     let fail = |msg: String| -> ! {
         eprintln!("{sub}: {msg}");
@@ -326,10 +334,7 @@ fn consensus(
         t * (t + 1),
         report.isolated
     );
-    println!(
-        "windows of up to {GENERATION_WINDOW} generation(s); {} rerun after a diagnosis",
-        report.generations_rerun
-    );
+    println!("{}", window_line(report.windows, false, cfg.window(), report.generations_rerun));
     let snap = metrics.snapshot();
     println!(
         "communication: {} bits over {} rounds ({:.2} bits per value bit; Eq. (3) coefficient {:.2})",
@@ -544,12 +549,7 @@ fn broadcast(
     let ratio = over_naive_broadcast(snap.total_logical_bits(), n, l)
         .map_or_else(String::new, |r| format!(" = {r:.2} x (n-1)L"));
     let report = &run.reports[honest[0]];
-    println!(
-        "windows: {} (a probe generation, then up to {} at a time); generations rerun: {}",
-        report.windows,
-        cfg.window(),
-        report.generations_rerun,
-    );
+    println!("{}", window_line(report.windows, true, cfg.window(), report.generations_rerun));
     println!(
         "communication: {} bits{ratio} over {} rounds; diagnosis stages: {}",
         snap.total_logical_bits(),
@@ -851,11 +851,11 @@ fn info(n: usize, t: usize, l: usize) {
         dsel::model_ccon_failure_free_bits(n, t, l_bits, d_bits, b_pk) / l_bits as f64
     );
     println!(
-        "Eq. (1) worst-case model:   {:.0} bits (includes t(t+1) = {} diagnosis stages, \
-         each discarding up to W - 1 = {} generations)",
+        "Eq. (1) worst-case model:   {:.0} bits (includes t(t+1) = {} diagnosis stages \
+         and at most {} generations rerun)",
         dsel::model_ccon_bits(n, t, l_bits, d_bits, b_pk),
         t * (t + 1),
-        GENERATION_WINDOW - 1
+        if t == 0 { 0 } else { rerun_bound(GENERATION_WINDOW) }
     );
     println!("\nBroadcast_Single_Bit substrates (--bsb; see §4):");
     println!("  phase-king    error-free, t < n/3, B = Θ(n²(t+1)), 1+3(t+1) rounds/batch");
@@ -877,6 +877,7 @@ mod tests {
             output: vec![7; 4],
             diagnosis_invocations: 1,
             generations_completed: 2,
+            windows: 2,
             generations_rerun: 0,
             defaulted: false,
             isolated: vec![3],

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::dsel;
+use crate::{dsel, GENERATION_WINDOW};
 
 /// Error returned for invalid consensus parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -156,6 +156,13 @@ impl ConsensusConfig {
     /// Number of generations `ceil(L / D)`.
     pub fn generations(&self) -> usize {
         self.value_bytes.div_ceil(self.resolved_gen_bytes())
+    }
+
+    /// The most generations a window holds: [`GENERATION_WINDOW`], or 1
+    /// under [`ablation_reset_diag`](Self::ablation_reset_diag), whose
+    /// reset comes before every generation.
+    pub fn window(&self) -> usize {
+        if self.ablation_reset_diag { 1 } else { GENERATION_WINDOW }
     }
 
     /// The default decision value (all `default_byte`).

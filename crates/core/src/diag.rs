@@ -133,6 +133,13 @@ impl DiagGraph {
         self.isolated[v]
     }
 
+    /// Whether `t` processors are isolated. Fault-free processors never
+    /// are, so then every faulty one is and no diagnosis can follow
+    /// (Lemma 4).
+    pub(crate) fn all_faulty_isolated(&self) -> bool {
+        self.isolated.iter().filter(|&&v| v).count() >= self.t
+    }
+
     /// Applies line 3(g): any vertex that has lost at least `t + 1` edges
     /// must be faulty and is isolated. Returns the vertices newly
     /// isolated.

@@ -10,12 +10,13 @@
 //!
 //! where `B` is the cost of one `Broadcast_Single_Bit` instance.
 //!
-//! Running generations in windows of `W` (see [`GENERATION_WINDOW`])
-//! adds one worst-case term: each diagnosis discards up to `W − 1`
-//! generations whose matching and checking stages already ran, so
+//! Running generations in windows of up to `W` (see [`GENERATION_WINDOW`])
+//! adds one worst-case term: one execution discards at most
+//! `R(W) = Σₖ((W >> k) − 1) < 2W` generations whose matching and checking
+//! stages already ran ([`rerun_bound`]), whatever `t` is, so for `t > 0`
 //!
 //! ```text
-//! C_con,W(L) = C_con(L) + (W-1) · t(t+1) · ( n(n-1)/(n-2t) · D  +  n(n-1)·B  +  t·B )
+//! C_con,W(L) = C_con(L) + R(W) · ( n(n-1)/(n-2t) · D  +  n(n-1)·B  +  t·B )
 //! ```
 //!
 //! A fault-free run pays nothing for the window.
@@ -31,7 +32,7 @@
 //! the benchmark harness prints next to measured bit counts (experiments
 //! E1/E2/E5).
 
-use crate::GENERATION_WINDOW;
+use crate::{rerun_bound, GENERATION_WINDOW};
 
 /// The paper's Eq. (2): the `D` (in bits) minimising Eq. (1).
 ///
@@ -61,8 +62,8 @@ fn per_generation_bits(n: usize, t: usize, d_bits: u64, b_bits: f64) -> f64 {
 
 /// The paper's Eq. (1) plus the window's worst-case term: modelled total
 /// bits for generation size `d_bits` and 1-bit-broadcast cost `b_bits`,
-/// assuming the worst case of `t(t+1)` diagnosis-stage executions, each
-/// discarding `W − 1` generations ([`model_window_rerun_bits`]).
+/// assuming the worst case of `t(t+1)` diagnosis-stage executions and
+/// the most generations a run can discard ([`model_window_rerun_bits`]).
 pub fn model_ccon_bits(n: usize, t: usize, l_bits: u64, d_bits: u64, b_bits: f64) -> f64 {
     let nf = n as f64;
     let tf = t as f64;
@@ -74,12 +75,14 @@ pub fn model_ccon_bits(n: usize, t: usize, l_bits: u64, d_bits: u64, b_bits: f64
         + model_window_rerun_bits(n, t, d_bits, b_bits)
 }
 
-/// The window's worst-case extra term: `(W − 1)·t(t+1)` generations'
-/// matching and checking cost, the most that the `t(t+1)` diagnoses of
-/// Theorem 1 can discard.
+/// The window's worst-case extra term: [`rerun_bound`]`(W)`
+/// generations' matching and checking cost, the most one execution
+/// discards whatever `t` is; nothing at `t = 0`, where no diagnosis runs.
 pub fn model_window_rerun_bits(n: usize, t: usize, d_bits: u64, b_bits: f64) -> f64 {
-    let tf = t as f64;
-    (GENERATION_WINDOW - 1) as f64 * tf * (tf + 1.0) * per_generation_bits(n, t, d_bits, b_bits)
+    if t == 0 {
+        return 0.0;
+    }
+    rerun_bound(GENERATION_WINDOW) as f64 * per_generation_bits(n, t, d_bits, b_bits)
 }
 
 /// Failure-free model: Eq. (1) without the diagnosis term and without the
@@ -187,13 +190,17 @@ mod tests {
     }
 
     #[test]
-    fn window_term_is_w_minus_one_generations_per_diagnosis() {
+    fn window_term_is_the_rerun_bound_in_generations() {
         let (n, t, l, d) = (7usize, 2usize, 1u64 << 20, 6080u64);
         let b = model_b_phase_king(n, t);
         let per_generation = 14.0 * d as f64 + 42.0 * b + 2.0 * b;
         let window = model_window_rerun_bits(n, t, d, b);
-        let expect = (GENERATION_WINDOW - 1) as f64 * 6.0 * per_generation;
+        // 31 + 15 + 7 + 3 + 1 generations at W = 32, whatever t > 0 is.
+        assert_eq!(GENERATION_WINDOW, 32);
+        let expect = 57.0 * per_generation;
         assert!((window - expect).abs() <= 1e-6 * expect, "{window} vs {expect}");
+        let at_t3 = 57.0 * (90.0 / 4.0 * d as f64 + 90.0 * b + 3.0 * b);
+        assert!((model_window_rerun_bits(10, 3, d, b) - at_t3).abs() <= 1e-6 * at_t3);
         let diagnosis = 6.0 * (5.0 / 3.0 * d as f64 + 35.0) * b;
         let worst = model_ccon_bits(n, t, l, d, b);
         let clean = model_ccon_failure_free_bits(n, t, l, d, b);

@@ -1,27 +1,15 @@
 //! The multi-generation consensus engine (Theorem 1).
 //!
 //! Splits the `L`-bit input into `L/D` generations, runs Algorithm 1 on
-//! them with a diagnosis graph carried across generations ("memory
-//! across generations", §2), and assembles the `L`-bit decision.
-//!
-//! Generations run in **windows** of up to [`GENERATION_WINDOW`]. A
-//! window runs the matching and checking stages of its generations
-//! together, under the diagnosis graph from its start: one symbol round
-//! and two `Broadcast_Single_Bit` batches for the whole window instead of
-//! per generation. Generations commit in order up to the first one with
-//! a detection, `g*`, which runs the diagnosis stage alone; generations
-//! `g* + 1` onward are discarded and the next window starts at `g* + 1`
-//! under the updated graph. Every committed generation therefore ran
-//! under the graph the one-generation-at-a-time algorithm gives it, and
-//! decides the same value.
+//! them in windows of up to [`GENERATION_WINDOW`] on the
+//! [`WindowSchedule`] (crate docs, "Windows"), with a diagnosis graph
+//! carried across generations ("memory across generations", §2), and
+//! assembles the `L`-bit decision.
 //!
 //! Cost: a fault-free run takes `⌈G/W⌉·(1 + 2b)` rounds instead of
-//! `G·(1 + 2b)` (`b` rounds per batch) and sends the same bits. Each
-//! diagnosis discards at most `W − 1` generations that already ran their
-//! matching and checking stages, and Theorem 1 caps diagnoses at
-//! `t(t + 1)`, so the worst case adds `(W − 1)·t(t + 1)` generations'
-//! matching-and-checking cost to Eq. (1) (see
-//! [`dsel::model_window_rerun_bits`](crate::dsel::model_window_rerun_bits)).
+//! `G·(1 + 2b)` (`b` rounds per batch) with the same bits; under attack a
+//! run discards fewer than `2W` generations whatever `t` is
+//! ([`dsel::model_window_rerun_bits`](crate::dsel::model_window_rerun_bits)).
 
 use mvbc_bsb::{BsbDriver, PhaseKingDriver};
 use mvbc_netsim::{block_on, NodeCtx};
@@ -31,13 +19,15 @@ use crate::config::ConsensusConfig;
 use crate::diag::DiagGraph;
 use crate::generation::{run_window, RunTags};
 use crate::hooks::ProtocolHooks;
+use crate::window::WindowSchedule;
 
 /// `W`: the most generations one window runs together.
 ///
 /// Chosen from a sweep over `W ∈ {1, 2, 4, 8, 16, 32}` on the 1 MiB,
 /// `n = 7` workload: the smallest `W` within 10 % of the best
-/// throughput. [`ConsensusConfig::ablation_reset_diag`] runs with a
-/// window of 1, since its reset comes before every generation.
+/// throughput. One run reruns at most
+/// [`rerun_bound`](crate::rerun_bound)`(32) = 57` generations. See
+/// [`ConsensusConfig::window`].
 pub const GENERATION_WINDOW: usize = 32;
 
 /// Per-node summary of one consensus execution.
@@ -51,8 +41,10 @@ pub struct EngineReport {
     /// Generations fully executed (equals `cfg.generations()` unless the
     /// default decision of line 1(f) terminated the run early).
     pub generations_completed: usize,
+    /// Windows run, each one symbol round and two BSB batches.
+    pub windows: usize,
     /// Generations discarded after a diagnosis earlier in their window
-    /// and run again; at most `(W − 1)·diagnosis_invocations`.
+    /// and run again: fewer than `2W` ([`rerun_bound`](crate::rerun_bound)).
     pub generations_rerun: usize,
     /// Whether line 1(f) fired (fault-free inputs provably differed).
     pub defaulted: bool,
@@ -100,23 +92,12 @@ pub fn run_consensus_with(
     hooks: &mut dyn ProtocolHooks,
     bsb: &mut dyn BsbDriver,
 ) -> EngineReport {
-    block_on(consensus(ctx, cfg, input, hooks, bsb))
+    block_on(consensus(ctx, cfg, input, hooks, bsb, cfg.window()))
 }
 
-/// [`run_consensus_with`] as a future, for a simulation's node tasks.
+/// [`run_consensus_with`] as a future with windows of up to `window`
+/// generations, for a simulation's node tasks.
 pub(crate) async fn consensus(
-    ctx: &mut NodeCtx,
-    cfg: &ConsensusConfig,
-    input: &[u8],
-    hooks: &mut dyn ProtocolHooks,
-    bsb: &mut dyn BsbDriver,
-) -> EngineReport {
-    let window = if cfg.ablation_reset_diag { 1 } else { GENERATION_WINDOW };
-    run_windowed(ctx, cfg, input, hooks, bsb, window).await
-}
-
-/// [`run_consensus_with`] with windows of up to `window` generations.
-pub(crate) async fn run_windowed(
     ctx: &mut NodeCtx,
     cfg: &ConsensusConfig,
     input: &[u8],
@@ -124,85 +105,48 @@ pub(crate) async fn run_windowed(
     bsb: &mut dyn BsbDriver,
     window: usize,
 ) -> EngineReport {
-    assert!(window >= 1, "a window holds at least one generation");
-    assert_eq!(
-        input.len(),
-        cfg.value_bytes,
-        "input must be exactly L = value_bytes bytes"
-    );
+    assert_eq!(input.len(), cfg.value_bytes, "input must be exactly L = value_bytes bytes");
     let d = cfg.resolved_gen_bytes();
-    let generations = cfg.generations();
     let code = StripedCode::c2t(cfg.n, cfg.t, d).expect("validated parameters");
-    let tags = RunTags::new(window.min(generations));
+    let tags = RunTags::new(window.min(cfg.generations()));
     let me = ctx.id();
     let mut diag = DiagGraph::new(cfg.n, cfg.t);
+    // No probe first: a fault-free value would pay one more window.
+    let mut schedule = WindowSchedule::new(cfg.value_bytes, d, cfg.default_byte, window, false);
 
-    let mut output: Vec<u8> = Vec::with_capacity(cfg.value_bytes);
-    let mut diagnosis_invocations = 0u64;
-    let mut generations_rerun = 0usize;
-    let mut defaulted = false;
-    // The first generation not yet committed: each window starts here.
-    let mut next = 0usize;
-
-    while next < generations {
-        let gens = next..(next + window).min(generations);
+    while let Some(gens) = schedule.next_window(&diag) {
         if gens.clone().any(|g| hooks.crash_before_generation(g)) || diag.is_isolated(me) {
-            // A Byzantine crash (the processor stops participating), or
-            // this processor has been identified as faulty and fault-free
-            // processors no longer communicate with it. Either way only a
-            // faulty processor gets here, and its output is meaningless.
+            // A Byzantine crash, or fault-free processors isolated this one:
+            // only a faulty processor stops here; its output is meaningless.
             break;
         }
-
         if cfg.ablation_reset_diag {
             // E9 ablation: forget everything learned about fault
             // locations (disables the paper's memory across generations).
             diag = DiagGraph::new(cfg.n, cfg.t);
         }
         let parts: Vec<Vec<u8>> = gens
+            .clone()
             .map(|g| {
                 hooks.observe_generation_start(g, me, &diag);
-                let start = g * d;
-                let end = ((g + 1) * d).min(cfg.value_bytes);
-                let mut part = input[start..end].to_vec();
-                part.resize(d, cfg.default_byte); // pad the final generation
+                let mut part = schedule.part(input, g);
                 hooks.input_override(g, &mut part);
                 part
             })
             .collect();
-
-        let report = run_window(ctx, cfg, &code, &tags, &mut diag, next, &parts, hooks, bsb).await;
-        next += report.decided.len();
-        for value in &report.decided {
-            debug_assert_eq!(value.len(), d);
-            output.extend_from_slice(value);
-        }
-        if report.diagnosed {
-            // Generations after the diagnosed one ran under a graph that
-            // no longer holds: discard them and run them again.
-            diagnosis_invocations += 1;
-            generations_rerun += parts.len() - report.decided.len();
-        }
-        if report.no_match {
-            // Line 1(f): decide the default value for this and all
-            // remaining generations and terminate.
-            defaulted = true;
-            break;
-        }
+        schedule.record(run_window(ctx, cfg, &code, &tags, &mut diag, gens.start, &parts, hooks, bsb).await);
     }
-    output.truncate(cfg.value_bytes);
-    output.resize(cfg.value_bytes, cfg.default_byte);
 
-    let isolated: Vec<usize> = (0..cfg.n).filter(|&v| diag.is_isolated(v)).collect();
-    let edges_removed = diag.total_removed();
+    let totals = schedule.finish();
     EngineReport {
-        output,
-        diagnosis_invocations,
-        generations_completed: next,
-        generations_rerun,
-        defaulted,
-        isolated,
-        edges_removed,
+        output: totals.output,
+        diagnosis_invocations: totals.diagnoses,
+        generations_completed: totals.committed,
+        windows: totals.windows,
+        generations_rerun: totals.reruns,
+        defaulted: totals.defaulted,
+        isolated: (0..cfg.n).filter(|&v| diag.is_isolated(v)).collect(),
+        edges_removed: diag.total_removed(),
     }
 }
 
@@ -214,7 +158,7 @@ mod tests {
 
     use mvbc_bsb::BsbHooks;
     use mvbc_metrics::{intern_tag, MetricsSink};
-    use mvbc_netsim::{run_simulation, NodeId, NodeLogic, SimConfig};
+    use mvbc_netsim::{node_task, run_tasks, NodeId, NodeTask, SimConfig};
 
     use super::*;
     use crate::NoopHooks;
@@ -279,7 +223,7 @@ mod tests {
         window: usize,
     ) -> Run {
         let metrics = MetricsSink::new();
-        let logics: Vec<NodeLogic<EngineReport>> = (0..cfg.n)
+        let tasks: Vec<NodeTask<EngineReport>> = (0..cfg.n)
             .map(|id| {
                 let cfg = cfg.clone();
                 let input = inputs[id].clone();
@@ -288,12 +232,12 @@ mod tests {
                         Some((_, script)) => Box::new(script.clone()),
                         None => NoopHooks::boxed(),
                     };
-                Box::new(move |ctx: &mut NodeCtx| {
-                    block_on(run_windowed(ctx, &cfg, &input, hooks.as_mut(), &mut PhaseKingDriver, window))
-                }) as NodeLogic<EngineReport>
+                node_task(async move |ctx: &mut NodeCtx| {
+                    consensus(ctx, &cfg, &input, hooks.as_mut(), &mut PhaseKingDriver, window).await
+                })
             })
             .collect();
-        let result = run_simulation(SimConfig::new(cfg.n), metrics.clone(), logics);
+        let result = run_tasks(SimConfig::new(cfg.n), metrics.clone(), None, tasks);
         let reports = result.outputs;
         Run {
             decisions: Decisions {
@@ -323,10 +267,15 @@ mod tests {
         [1, 2, 3, g, g + 1]
     }
 
-    /// Runs `scripts` at every window size and asserts each reproduces
-    /// `W = 1` on the honest nodes, within the rerun bound.
-    fn assert_window_equivalent(inputs: &[Vec<u8>], scripts: &[(NodeId, Script)]) -> Decisions {
-        let cfg = small_cfg();
+    /// Runs `scripts` at each window size of `ws` and asserts each
+    /// reproduces `W = 1` on the honest nodes with fewer than `2W`
+    /// reruns; returns the `W = 1` decisions and the most reruns seen.
+    fn assert_window_equivalent(
+        cfg: &ConsensusConfig,
+        inputs: &[Vec<u8>],
+        scripts: &[(NodeId, Script)],
+        ws: &[usize],
+    ) -> (Decisions, usize) {
         let honest: Vec<usize> =
             (0..cfg.n).filter(|id| scripts.iter().all(|(who, _)| who != id)).collect();
         let only_honest = |d: Decisions| Decisions {
@@ -336,21 +285,23 @@ mod tests {
             edges_removed: honest.iter().map(|&i| d.edges_removed[i]).collect(),
             defaulted: honest.iter().map(|&i| d.defaulted[i]).collect(),
         };
-        let reference = only_honest(run(&cfg, inputs, scripts, 1).decisions);
-        for w in windows(cfg.generations()) {
-            let got = run(&cfg, inputs, scripts, w);
+        let reference = only_honest(run(cfg, inputs, scripts, 1).decisions);
+        let mut most_reruns = 0;
+        for &w in ws {
+            let got = run(cfg, inputs, scripts, w);
             for &i in &honest {
                 let r = &got.reports[i];
                 assert!(
-                    r.generations_rerun as u64 <= (w as u64 - 1) * r.diagnosis_invocations,
+                    r.generations_rerun < 2 * w,
                     "W = {w}: {} reruns for {} diagnoses",
                     r.generations_rerun,
                     r.diagnosis_invocations
                 );
+                most_reruns = most_reruns.max(r.generations_rerun);
             }
             assert_eq!(only_honest(got.decisions), reference, "W = {w}");
         }
-        reference
+        (reference, most_reruns)
     }
 
     #[test]
@@ -382,15 +333,19 @@ mod tests {
         // Generations 0, 1 and 2 are the start, middle and end of the
         // first W = 3 window; 3 and 6 start later ones, and pairs put two
         // corruptions in one window.
+        let mut most_reruns = 0;
         for corrupt in [vec![0], vec![1], vec![2], vec![3], vec![6], vec![1, 2], vec![0, 4, 5]] {
             let script = Script {
                 corrupt: corrupt.iter().map(|&g| (g, 3)).collect(),
                 ..Script::default()
             };
-            let d = assert_window_equivalent(&inputs, &[(0, script)]);
+            let (d, reruns) =
+                assert_window_equivalent(&cfg, &inputs, &[(0, script)], &windows(cfg.generations()));
+            most_reruns = most_reruns.max(reruns);
             assert!(d.outputs.iter().all(|o| *o == v), "corrupt {corrupt:?}");
             assert!(d.diagnoses[0] >= 1, "corrupt {corrupt:?} must be diagnosed");
         }
+        assert!(most_reruns > 0, "a mid-window detection discards later generations");
     }
 
     #[test]
@@ -404,7 +359,7 @@ mod tests {
             // lowest ids, P_match = {0, 1, 2}, so processor 3 is the
             // outsider whose flag counts.
             let script = Script { false_detect: vec![g], ..Script::default() };
-            let d = assert_window_equivalent(&inputs, &[(3, script)]);
+            let (d, _) = assert_window_equivalent(&cfg, &inputs, &[(3, script)], &windows(cfg.generations()));
             assert!(d.outputs.iter().all(|o| *o == v), "false detect at {g}");
             assert_eq!(d.diagnoses[0], 1, "false detect at {g} is diagnosed once");
             assert_eq!(d.isolated[0], vec![3], "the false detector is isolated");
@@ -425,7 +380,8 @@ mod tests {
                 v
             })
             .collect();
-        let d = assert_window_equivalent(&inputs, &[]);
+        let ws = windows(cfg.generations());
+        let (d, _) = assert_window_equivalent(&cfg, &inputs, &[], &ws);
         for out in &d.outputs {
             assert_eq!(out[..12], common[..12], "generations before the mismatch commit");
             assert!(out[12..].iter().all(|&b| b == cfg.default_byte), "then the default");
@@ -434,7 +390,7 @@ mod tests {
 
         // The same mismatch behind a diagnosed corruption in its window.
         let script = Script { corrupt: vec![(1, 3)], ..Script::default() };
-        assert_window_equivalent(&inputs, &[(0, script)]);
+        assert_window_equivalent(&cfg, &inputs, &[(0, script)], &ws);
     }
 
     #[test]
@@ -445,7 +401,7 @@ mod tests {
         let v = value(cfg.value_bytes, 7);
         let inputs = vec![v.clone(); cfg.n];
         let script = Script { malformed: true, ..Script::default() };
-        let d = assert_window_equivalent(&inputs, &[(2, script)]);
+        let (d, _) = assert_window_equivalent(&cfg, &inputs, &[(2, script)], &windows(cfg.generations()));
         assert!(d.outputs.iter().all(|o| *o == v));
     }
 
@@ -458,20 +414,14 @@ mod tests {
         let g = cfg.generations();
         let v = value(cfg.value_bytes, 11);
         for w in windows(g) {
-            let logics: Vec<NodeLogic<Option<EngineReport>>> = (0..cfg.n)
+            let tasks: Vec<NodeTask<Option<EngineReport>>> = (0..cfg.n)
                 .map(|id| {
                     let cfg = cfg.clone();
                     let v = v.clone();
-                    Box::new(move |ctx: &mut NodeCtx| {
+                    node_task(async move |ctx: &mut NodeCtx| {
                         if id != 1 {
-                            let report = block_on(run_windowed(
-                                ctx,
-                                &cfg,
-                                &v,
-                                &mut NoopHooks,
-                                &mut PhaseKingDriver,
-                                w,
-                            ));
+                            let report =
+                                consensus(ctx, &cfg, &v, &mut NoopHooks, &mut PhaseKingDriver, w).await;
                             return Some(report);
                         }
                         for k in 0..w.min(g) {
@@ -484,18 +434,41 @@ mod tests {
                                 ctx.send(to, tag, payloads[(k + to) % 3].to_vec(), 8);
                             }
                         }
-                        ctx.end_round();
+                        ctx.next_round().await;
                         None
-                    }) as NodeLogic<Option<EngineReport>>
+                    })
                 })
                 .collect();
-            let result = run_simulation(SimConfig::new(cfg.n), MetricsSink::new(), logics);
+            let result = run_tasks(SimConfig::new(cfg.n), MetricsSink::new(), None, tasks);
             for (id, report) in result.outputs.iter().enumerate() {
                 if id != 1 {
                     let report = report.as_ref().expect("honest nodes report");
                     assert_eq!(report.output, v, "W = {w}: node {id}");
                 }
             }
+        }
+    }
+
+    /// Two liars turn dirty in the middle of successive windows at
+    /// n = 7, t = 2: four diagnoses, each after its window ran later
+    /// generations. Halving the windows keeps the reruns below `2W`;
+    /// full windows after each probe would rerun 15 + 23 + 27 + 23 = 88
+    /// generations at W = 32.
+    #[test]
+    fn mid_window_liars_rerun_less_than_2w_and_match_w1() {
+        let cfg = ConsensusConfig::with_gen_bytes(7, 2, 64 * 3, 3).expect("valid parameters");
+        assert_eq!(cfg.generations(), 64);
+        let v = value(cfg.value_bytes, 13);
+        let inputs = vec![v.clone(); cfg.n];
+        let liars = [
+            (0, Script { corrupt: vec![(16, 6), (26, 5)], ..Script::default() }),
+            (1, Script { corrupt: vec![(32, 6), (40, 5)], ..Script::default() }),
+        ];
+        for w in [4, 8, 32] {
+            let (d, reruns) = assert_window_equivalent(&cfg, &inputs, &liars, &[w]);
+            assert!(d.outputs.iter().all(|o| *o == v), "W = {w}: validity");
+            assert!(d.diagnoses.iter().all(|&x| x == 4), "W = {w}: every lie is diagnosed");
+            assert!(reruns > 0, "W = {w}: diagnoses land mid-window");
         }
     }
 }

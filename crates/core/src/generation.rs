@@ -32,6 +32,7 @@ use crate::clique::find_clique_of_size;
 use crate::config::ConsensusConfig;
 use crate::diag::DiagGraph;
 use crate::hooks::ProtocolHooks;
+use crate::window::WindowOutcome;
 
 /// Message tag for the matching-stage symbol dispersal (line 1(a)) of a
 /// window's first generation; offset `k > 0` appends `.w<k>`.
@@ -67,19 +68,6 @@ impl RunTags {
     }
 }
 
-/// What one window committed.
-pub(crate) struct WindowReport {
-    /// Decided `D`-byte values of the committed generations, in order
-    /// from the window's first generation.
-    pub decided: Vec<Vec<u8>>,
-    /// The last committed generation ran the diagnosis stage; the
-    /// window's later generations were discarded.
-    pub diagnosed: bool,
-    /// Line 1(f) fired for the generation after the last committed one:
-    /// the run decides the default value from there on.
-    pub no_match: bool,
-}
-
 /// One generation that found its `P_match` (lines 1(a)-(e)).
 struct Matched {
     /// This processor's codeword of its input part.
@@ -113,7 +101,7 @@ pub(crate) async fn run_window(
     parts: &[Vec<u8>],
     hooks: &mut dyn ProtocolHooks,
     bsb: &mut dyn BsbDriver,
-) -> WindowReport {
+) -> WindowOutcome {
     let n = cfg.n;
     let t = cfg.t;
     let me = ctx.id();
@@ -203,9 +191,10 @@ pub(crate) async fn run_window(
         let my_x = p_match.iter().filter_map(|&j| received[j].clone().map(|s| (j, s))).collect();
         matched.push(Matched { symbols, received, p_match, in_match, outsiders, my_x });
     }
-    let no_match = matched.len() < parts.len();
+    // Line 1(f) for the first generation without a `P_match`.
+    let defaulted = matched.len() < parts.len();
     if matched.is_empty() {
-        return WindowReport { decided: Vec::new(), diagnosed: false, no_match };
+        return WindowOutcome { decided: Vec::new(), diagnosed: false, defaulted };
     }
 
     // ------------------------------------------------------------------
@@ -241,14 +230,14 @@ pub(crate) async fn run_window(
         flags = rest;
         if gen_flags.iter().any(|&d| d) {
             decided.push(diagnose(ctx, cfg, code, diag, first + k, gen, gen_flags, hooks, bsb).await);
-            return WindowReport { decided, diagnosed: true, no_match: false };
+            return WindowOutcome { decided, diagnosed: true, defaulted: false };
         }
         decided.push(
             code.decode_value(&gen.my_x)
                 .unwrap_or_else(|_| vec![cfg.default_byte; code.layout().value_bytes]),
         );
     }
-    WindowReport { decided, diagnosed: false, no_match }
+    WindowOutcome { decided, diagnosed: false, defaulted }
 }
 
 /// The diagnosis stage (lines 3(a)-(i)) of generation `g`, whose checking

@@ -46,10 +46,12 @@
 //! discarded and run again under the updated graph, so every committed
 //! generation decides what the one-generation-at-a-time algorithm would.
 //! A fault-free run takes `⌈G/W⌉` windows' rounds instead of `G`
-//! generations' and sends the same bits; under attack each diagnosis
-//! discards at most `W − 1` generations, the worst-case term
-//! [`dsel::model_window_rerun_bits`] adds to Eq. (1).
-//! [`ProtocolHooks`] documents the resulting call order.
+//! generations' and sends the same bits. The [`WindowSchedule`], which
+//! `mvbc-broadcast` shares, runs a one-generation probe after each
+//! diagnosis and halves the windows after each discard, so one execution
+//! discards at most [`rerun_bound`]`(W) < 2W` generations whatever `t`
+//! is, the worst-case term [`dsel::model_window_rerun_bits`] adds to
+//! Eq. (1). [`ProtocolHooks`] documents the resulting call order.
 //!
 //! # Examples
 //!
@@ -80,6 +82,7 @@ mod engine;
 mod generation;
 mod hooks;
 mod runner;
+mod window;
 
 pub use clique::find_clique_of_size;
 pub use config::{ConfigError, ConsensusConfig};
@@ -87,3 +90,4 @@ pub use diag::DiagGraph;
 pub use engine::{run_consensus, run_consensus_with, EngineReport, GENERATION_WINDOW};
 pub use hooks::{NoopHooks, ProtocolHooks};
 pub use runner::{simulate_consensus, simulate_consensus_traced, simulate_consensus_with, ConsensusRun};
+pub use window::{rerun_bound, WindowOutcome, WindowSchedule, WindowTotals};

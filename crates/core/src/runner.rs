@@ -106,7 +106,7 @@ fn simulate_inner(
         .map(|((input, mut hook), mut driver)| {
             let cfg = cfg.clone();
             node_task(async move |ctx: &mut NodeCtx| {
-                consensus(ctx, &cfg, &input, hook.as_mut(), driver.as_mut()).await
+                consensus(ctx, &cfg, &input, hook.as_mut(), driver.as_mut(), cfg.window()).await
             })
         })
         .collect();

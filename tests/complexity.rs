@@ -149,10 +149,10 @@ fn diagnosis_overhead_is_bounded_under_attack() {
     let attacked = metrics.snapshot().total_logical_bits() as f64;
 
     // Diagnosis adds (per stage) about (n-t)/(n-2t)*D*B + n(n-t)*B bits,
-    // and each diagnosis discards at most W - 1 generations of its
-    // window that already ran matching and checking; with at most
-    // t(t+1) = 2 stages the overhead is bounded by the worst-case terms
-    // of the windowed Eq. (1). Generous envelope: attacked <= clean + 3
+    // and one execution discards at most rerun_bound(W) < 2W generations
+    // that already ran matching and checking; with at most t(t+1) = 2
+    // stages the overhead is bounded by the worst-case terms of the
+    // windowed Eq. (1). Generous envelope: attacked <= clean + 3
     // * model worst-case terms. (The attacked run can even be *cheaper*
     // than the clean one: once the faulty processor is isolated, nobody
     // pays for its traffic in the remaining generations — the flip side
