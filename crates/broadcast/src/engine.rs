@@ -2,9 +2,9 @@
 //! `D`-byte generations and runs them on `mvbc-core`'s [`WindowSchedule`],
 //! a probe first, then up to [`BroadcastConfig::window`] at a time.
 
-use mvbc_bsb::{BsbDriver, PhaseKingDriver};
+use mvbc_bsb::BsbDriver;
 use mvbc_core::{DiagGraph, WindowSchedule};
-use mvbc_netsim::{block_on, NodeCtx};
+use mvbc_netsim::NodeCtx;
 use mvbc_rscode::StripedCode;
 
 use crate::config::BroadcastConfig;
@@ -38,48 +38,17 @@ pub struct BroadcastReport {
     pub edges_removed: usize,
 }
 
-/// Runs the full multi-valued broadcast for one processor.
+/// Runs the full multi-valued broadcast for one processor, against
+/// caller-owned diagnosis state and under a caller-chosen tag scope.
 ///
 /// The source passes `Some(value)` (of `cfg.value_bytes` bytes); all other
-/// processors pass `None`.
-///
-/// # Panics
-///
-/// Panics when the input presence/length disagrees with the
-/// configuration.
-pub fn run_broadcast(
-    ctx: &mut NodeCtx,
-    cfg: &BroadcastConfig,
-    input: Option<&[u8]>,
-    hooks: &mut dyn BroadcastHooks,
-) -> BroadcastReport {
-    run_broadcast_with(ctx, cfg, input, hooks, &mut PhaseKingDriver)
-}
-
-/// As [`run_broadcast`] with an explicit `Broadcast_Single_Bit`
-/// substrate (the §4 substitution seam, as in
-/// [`run_consensus_with`](mvbc_core::run_consensus_with)). All
+/// processors pass `None`. `bsb` is the `Broadcast_Single_Bit` substrate
+/// (the §4 substitution seam, as in [`mvbc_core::consensus`]); all
 /// fault-free processors must supply the same kind of driver.
 ///
-/// # Panics
-///
-/// As [`run_broadcast`].
-pub fn run_broadcast_with(
-    ctx: &mut NodeCtx,
-    cfg: &BroadcastConfig,
-    input: Option<&[u8]>,
-    hooks: &mut dyn BroadcastHooks,
-    bsb: &mut dyn BsbDriver,
-) -> BroadcastReport {
-    let mut diag = DiagGraph::new(cfg.n, cfg.t);
-    block_on(run_broadcast_slot(ctx, cfg, input, STANDALONE_SCOPE, &mut diag, hooks, bsb))
-}
-
-/// Runs one broadcast execution *mid-simulation*, against caller-owned
-/// diagnosis state and a caller-chosen tag scope.
-///
-/// This is the re-entrant core of [`run_broadcast_with`], the seam that
-/// lets a slot-indexed protocol (the `mvbc-smr` replicated log) run many
+/// A stand-alone broadcast ([`simulate_broadcast`](crate::simulate_broadcast))
+/// passes a fresh graph. The caller-owned state is the seam that lets a
+/// slot-indexed protocol (the `mvbc-smr` replicated log) run many
 /// consecutive broadcasts inside one simulation:
 ///
 /// - `diag` persists across calls, so dispute-control memory carries over
@@ -95,13 +64,14 @@ pub fn run_broadcast_with(
 /// *cumulative* state of `diag`, not just this call's changes; callers
 /// interested in per-slot changes should diff the graph around the call.
 ///
-/// It is `async` so that a slot can run as a
-/// [`LaneMux`](mvbc_netsim::lanes::LaneMux) lane next to other slots; on a
-/// simulator node's context, [`block_on`] runs it to completion.
+/// It is `async`: await it inside a node task
+/// ([`node_task`](mvbc_netsim::node_task)), or as a
+/// [`LaneMux`](mvbc_netsim::lanes::LaneMux) lane next to other slots.
 ///
 /// # Panics
 ///
-/// As [`run_broadcast`]; additionally `diag` must have `cfg.n` vertices.
+/// Panics when the input presence/length disagrees with the
+/// configuration, or when `diag` does not have `cfg.n` vertices.
 pub async fn run_broadcast_slot(
     ctx: &mut NodeCtx,
     cfg: &BroadcastConfig,
@@ -165,7 +135,7 @@ mod tests {
     //! one-generation-at-a-time protocol (`W = 1`) delivers, under the
     //! same diagnosis-graph updates.
 
-    use mvbc_bsb::BsbHooks;
+    use mvbc_bsb::{BsbHooks, PhaseKingDriver};
     use mvbc_metrics::MetricsSink;
     use mvbc_netsim::{node_task, run_tasks, NodeId, NodeTask, SimConfig};
 

@@ -89,6 +89,6 @@ mod runner;
 pub use config::{
     broadcast_optimal_d_bits, BroadcastConfig, BroadcastConfigError, MAX_WINDOW, WINDOW_BYTES,
 };
-pub use engine::{run_broadcast, run_broadcast_slot, run_broadcast_with, BroadcastReport};
+pub use engine::{run_broadcast_slot, BroadcastReport};
 pub use hooks::{BroadcastHooks, NoopBroadcastHooks};
 pub use runner::{simulate_broadcast, simulate_broadcast_with, BroadcastRun};

@@ -145,7 +145,7 @@ fn decode_chain(payload: &[u8]) -> Option<(bool, Vec<NodeId>)> {
 
 /// Runs one Dolev-Strong broadcast.
 ///
-/// Unlike [`run_bsb_batch`](crate::run_bsb_batch) this tolerates any
+/// Unlike [`PhaseKingDriver`](crate::PhaseKingDriver) this tolerates any
 /// `config.t < n` (at the cost of the signature assumption). All
 /// participants must call it in the same round; `input` is `Some` exactly
 /// at `source`. Returns the broadcast bit (default `false` when the
@@ -310,11 +310,12 @@ fn decode_batch(payload: &[u8]) -> Option<Vec<(usize, bool, Vec<NodeId>)>> {
 ///
 /// The [`BsbDriver`](crate::BsbDriver) substitution entry point (§4 of
 /// the paper): same calling convention as
-/// [`run_bsb_batch`](crate::run_bsb_batch), but tolerating any
-/// `config.t < n` under the idealised-signature assumption. The
-/// adversary surface is [`BsbHooks::ds_relay`] (withholding) plus
-/// arbitrary misuse of the node's own [`SignerHandle`]; forging other
-/// processors' signatures is impossible by construction.
+/// [`BsbDriver::run_batch`](crate::BsbDriver::run_batch), but tolerating
+/// any `config.t < n` under the idealised-signature assumption. The
+/// adversary surface is [`BsbHooks::ds_relay`](crate::BsbHooks::ds_relay)
+/// (withholding) plus arbitrary misuse of the node's own
+/// [`SignerHandle`]; forging other processors' signatures is impossible
+/// by construction.
 ///
 /// # Panics
 ///
@@ -433,24 +434,23 @@ pub async fn run_ds_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvbc_netsim::block_on;
     use crate::BsbConfig;
     use mvbc_metrics::MetricsSink;
-    use mvbc_netsim::{run_simulation, NodeLogic, SimConfig};
+    use mvbc_netsim::{node_task, run_tasks, NodeTask, SimConfig};
 
     fn honest_run(n: usize, t: usize, source: NodeId, bit: bool) -> Vec<bool> {
         let oracle = SignatureOracle::new();
-        let logics: Vec<NodeLogic<bool>> = (0..n)
+        let tasks: Vec<NodeTask<bool>> = (0..n)
             .map(|id| {
                 let oracle = oracle.clone();
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(t, "ds", vec![true; ctx.n()]);
                     let handle = oracle.handle(id);
-                    block_on(run_dolev_strong(ctx, &cfg, source, (id == source).then_some(bit), &handle, &oracle))
-                }) as NodeLogic<bool>
+                    run_dolev_strong(ctx, &cfg, source, (id == source).then_some(bit), &handle, &oracle).await
+                })
             })
             .collect();
-        run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs
+        run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs
     }
 
     #[test]
@@ -474,20 +474,20 @@ mod tests {
     fn silent_source_defaults() {
         let n = 4;
         let oracle = SignatureOracle::new();
-        let logics: Vec<NodeLogic<Option<bool>>> = (0..n)
+        let tasks: Vec<NodeTask<Option<bool>>> = (0..n)
             .map(|id| {
                 let oracle = oracle.clone();
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     if id == 0 {
                         return None; // crash
                     }
                     let cfg = BsbConfig::new(2, "ds-silent", vec![true; ctx.n()]);
                     let handle = oracle.handle(id);
-                    Some(block_on(run_dolev_strong(ctx, &cfg, 0, None, &handle, &oracle)))
-                }) as NodeLogic<Option<bool>>
+                    Some(run_dolev_strong(ctx, &cfg, 0, None, &handle, &oracle).await)
+                })
             })
             .collect();
-        let outs = run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs;
+        let outs = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs;
         assert_eq!(outs[1], Some(false));
         assert_eq!(outs[1], outs[2]);
         assert_eq!(outs[2], outs[3]);
@@ -501,10 +501,10 @@ mod tests {
         let n = 4;
         let t = 2;
         let oracle = SignatureOracle::new();
-        let logics: Vec<NodeLogic<Option<bool>>> = (0..n)
+        let tasks: Vec<NodeTask<Option<bool>>> = (0..n)
             .map(|id| {
                 let oracle = oracle.clone();
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(t, "ds-equiv", vec![true; ctx.n()]);
                     let handle = oracle.handle(id);
                     if id == 0 {
@@ -517,15 +517,15 @@ mod tests {
                             ctx.send(to, "ds-equiv.ds", encode_chain(bit, &[0]), 17);
                         }
                         for _ in 0..=t {
-                            ctx.end_round();
+                            ctx.next_round().await;
                         }
                         return None;
                     }
-                    Some(block_on(run_dolev_strong(ctx, &cfg, 0, None, &handle, &oracle)))
-                }) as NodeLogic<Option<bool>>
+                    Some(run_dolev_strong(ctx, &cfg, 0, None, &handle, &oracle).await)
+                })
             })
             .collect();
-        let outs = run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs;
+        let outs = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs;
         let honest: Vec<bool> = (1..n).map(|i| outs[i].unwrap()).collect();
         assert!(honest.windows(2).all(|w| w[0] == w[1]), "honest diverged: {honest:?}");
     }
@@ -538,10 +538,10 @@ mod tests {
         let n = 4;
         let t = 2;
         let oracle = SignatureOracle::new();
-        let logics: Vec<NodeLogic<Option<bool>>> = (0..n)
+        let tasks: Vec<NodeTask<Option<bool>>> = (0..n)
             .map(|id| {
                 let oracle = oracle.clone();
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(t, "ds-forge", vec![true; ctx.n()]);
                     let handle = oracle.handle(id);
                     if id == 3 {
@@ -552,21 +552,21 @@ mod tests {
                             ctx.send(to, "ds-forge.ds", encode_chain(true, &[0, 3]), 33);
                         }
                         for _ in 0..=t {
-                            ctx.end_round();
+                            ctx.next_round().await;
                         }
                         return None;
                     }
                     if id == 0 {
                         // Honest source broadcasting false.
-                        return Some(block_on(run_dolev_strong(
+                        return Some(run_dolev_strong(
                             ctx, &cfg, 0, Some(false), &handle, &oracle,
-                        )));
+                        ).await);
                     }
-                    Some(block_on(run_dolev_strong(ctx, &cfg, 0, None, &handle, &oracle)))
-                }) as NodeLogic<Option<bool>>
+                    Some(run_dolev_strong(ctx, &cfg, 0, None, &handle, &oracle).await)
+                })
             })
             .collect();
-        let outs = run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs;
+        let outs = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs;
         for (id, out) in outs.iter().enumerate().take(3) {
             assert_eq!(*out, Some(false), "node {id} accepted a forged chain");
         }

@@ -44,20 +44,20 @@ use crate::{
 /// ```
 /// use mvbc_bsb::{BsbConfig, BsbDriver, BsbInstance, EigDriver, NoopBsbHooks};
 /// use mvbc_metrics::MetricsSink;
-/// use mvbc_netsim::{block_on, run_simulation, NodeCtx, SimConfig};
+/// use mvbc_netsim::{node_task, run_tasks, NodeCtx, SimConfig};
 ///
 /// let n = 4;
-/// let logics = (0..n)
+/// let tasks = (0..n)
 ///     .map(|id| {
-///         Box::new(move |ctx: &mut NodeCtx| {
+///         node_task(async move |ctx: &mut NodeCtx| {
 ///             let mut driver = EigDriver; // or PhaseKingDriver, DolevStrongDriver
 ///             let cfg = BsbConfig::new(1, "doc", vec![true; 4]);
 ///             let inst = [BsbInstance { source: 2, input: (id == 2).then_some(true) }];
-///             block_on(driver.run_batch(ctx, &cfg, &inst, &mut NoopBsbHooks))[0]
-///         }) as Box<dyn FnOnce(&mut NodeCtx) -> bool + Send>
+///             driver.run_batch(ctx, &cfg, &inst, &mut NoopBsbHooks).await[0]
+///         })
 ///     })
 ///     .collect();
-/// let out = run_simulation(SimConfig::new(n), MetricsSink::new(), logics);
+/// let out = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks);
 /// assert_eq!(out.outputs, vec![true; 4]);
 /// ```
 pub trait BsbDriver: Send {
@@ -67,10 +67,21 @@ pub trait BsbDriver: Send {
     /// Largest `t` this substrate tolerates in an `n`-processor network.
     fn max_tolerated(&self, n: usize) -> usize;
 
-    /// Runs one batch of 1-bit broadcasts; same calling convention as
-    /// [`run_bsb_batch`](crate::run_bsb_batch). Await it from `async`
-    /// protocol code, or run it with [`block_on`](mvbc_netsim::block_on)
-    /// on a simulator node's context.
+    /// Runs one batch of 1-bit broadcasts to completion; await it from
+    /// `async` protocol code.
+    ///
+    /// Every participant must call this in the same round with the same
+    /// `config` and the same instance list (sources and order); only the
+    /// `input` fields differ per node. Returns the broadcast bit of each
+    /// instance, identical at every fault-free participant.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `t` exceeds what the substrate tolerates, when the
+    /// participants mask has the wrong length, or when an instance's
+    /// source is not a participant (callers must drop instances sourced
+    /// at isolated processors — the paper's processors "do not
+    /// communicate with identified faulty processors").
     fn run_batch<'a>(
         &'a mut self,
         ctx: &'a mut NodeCtx,
@@ -79,9 +90,15 @@ pub trait BsbDriver: Send {
         hooks: &'a mut dyn BsbHooks,
     ) -> BsbFuture<'a, Vec<bool>>;
 
-    /// Broadcasts one multi-bit value per spec (one 1-bit instance per
-    /// bit, as the paper prescribes); same calling convention as
-    /// [`run_bsb_values`](crate::run_bsb_values).
+    /// Broadcasts one multi-bit value per spec, using one 1-bit instance
+    /// per bit (the paper: "one instance of Broadcast_Single_Bit is needed
+    /// for each bit"), in one [`run_batch`](BsbDriver::run_batch). Returns
+    /// the received values aligned with `specs`.
+    ///
+    /// # Panics
+    ///
+    /// As [`run_batch`](BsbDriver::run_batch); additionally panics when a
+    /// source's `input` length disagrees with `bits`.
     fn run_values<'a>(
         &'a mut self,
         ctx: &'a mut NodeCtx,
@@ -121,16 +138,6 @@ impl BsbDriver for PhaseKingDriver {
         hooks: &'a mut dyn BsbHooks,
     ) -> BsbFuture<'a, Vec<bool>> {
         Box::pin(crate::bsb_batch(ctx, config, instances, hooks))
-    }
-
-    fn run_values<'a>(
-        &'a mut self,
-        ctx: &'a mut NodeCtx,
-        config: &'a BsbConfig,
-        specs: &'a [BsbValueSpec],
-        hooks: &'a mut dyn BsbHooks,
-    ) -> BsbFuture<'a, Vec<Vec<bool>>> {
-        Box::pin(crate::bsb_values(ctx, config, specs, hooks))
     }
 }
 
@@ -221,7 +228,7 @@ mod tests {
     use super::*;
     use crate::NoopBsbHooks;
     use mvbc_metrics::MetricsSink;
-    use mvbc_netsim::{block_on, run_simulation, NodeLogic, SimConfig};
+    use mvbc_netsim::{node_task, run_tasks, NodeTask, SimConfig};
 
     /// Runs the same mixed batch (every node broadcasts `id % 2 == 0`)
     /// under `mk_driver` and returns the per-node outputs.
@@ -230,11 +237,11 @@ mod tests {
         t: usize,
         drivers: Vec<Box<dyn BsbDriver>>,
     ) -> Vec<Vec<bool>> {
-        let logics: Vec<NodeLogic<Vec<bool>>> = drivers
+        let tasks: Vec<NodeTask<Vec<bool>>> = drivers
             .into_iter()
             .enumerate()
             .map(|(id, mut driver)| {
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(t, "driver", vec![true; ctx.n()]);
                     let instances: Vec<BsbInstance> = (0..ctx.n())
                         .map(|src| BsbInstance {
@@ -242,11 +249,11 @@ mod tests {
                             input: (id == src).then_some(src % 2 == 0),
                         })
                         .collect();
-                    block_on(driver.run_batch(ctx, &cfg, &instances, &mut NoopBsbHooks))
-                }) as NodeLogic<Vec<bool>>
+                    driver.run_batch(ctx, &cfg, &instances, &mut NoopBsbHooks).await
+                })
             })
             .collect();
-        run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs
+        run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs
     }
 
     #[test]
@@ -309,21 +316,21 @@ mod tests {
         let n = 4;
         let value = vec![true, false, true];
         let expect = value.clone();
-        let logics: Vec<NodeLogic<Vec<Vec<bool>>>> = (0..n)
+        let tasks: Vec<NodeTask<Vec<Vec<bool>>>> = (0..n)
             .map(|id| {
                 let value = value.clone();
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(1, "driver-values", vec![true; ctx.n()]);
                     let specs = [BsbValueSpec {
                         source: 2,
                         bits: 3,
                         input: (id == 2).then_some(value.clone()),
                     }];
-                    block_on(EigDriver.run_values(ctx, &cfg, &specs, &mut NoopBsbHooks))
-                }) as NodeLogic<Vec<Vec<bool>>>
+                    EigDriver.run_values(ctx, &cfg, &specs, &mut NoopBsbHooks).await
+                })
             })
             .collect();
-        let out = run_simulation(SimConfig::new(n), MetricsSink::new(), logics);
+        let out = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks);
         for o in &out.outputs {
             assert_eq!(o[0], expect);
         }

@@ -246,12 +246,9 @@ fn resolve_root(tree: &EigTree, tree_vals: &[Vec<bool>], count: usize) -> Vec<bo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvbc_netsim::block_on;
     use crate::NoopBsbHooks;
     use mvbc_metrics::MetricsSink;
-    use mvbc_netsim::{run_simulation, SimConfig};
-
-    type Logic<O> = Box<dyn FnOnce(&mut NodeCtx) -> O + Send>;
+    use mvbc_netsim::{node_task, run_tasks, NodeTask, SimConfig};
 
     #[test]
     fn tree_shape_matches_falling_factorial() {
@@ -308,16 +305,16 @@ mod tests {
     }
 
     fn consensus_run(n: usize, t: usize, inputs: Vec<Vec<bool>>) -> Vec<Vec<bool>> {
-        let logics: Vec<Logic<Vec<bool>>> = inputs
+        let tasks: Vec<NodeTask<Vec<bool>>> = inputs
             .into_iter()
             .map(|init| {
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(t, "eig", vec![true; ctx.n()]);
-                    block_on(run_eig_batch(ctx, &cfg, init, &mut NoopBsbHooks))
-                }) as Logic<Vec<bool>>
+                    run_eig_batch(ctx, &cfg, init, &mut NoopBsbHooks).await
+                })
             })
             .collect();
-        run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs
+        run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs
     }
 
     #[test]
@@ -369,33 +366,33 @@ mod tests {
     fn round_count_is_t_plus_one() {
         let n = 4;
         let metrics = MetricsSink::new();
-        let logics: Vec<Logic<Vec<bool>>> = (0..n)
+        let tasks: Vec<NodeTask<Vec<bool>>> = (0..n)
             .map(|_| {
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(1, "eig-rounds", vec![true; 4]);
-                    block_on(run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks))
-                }) as Logic<Vec<bool>>
+                    run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks).await
+                })
             })
             .collect();
-        let out = run_simulation(SimConfig::new(n), metrics, logics);
+        let out = run_tasks(SimConfig::new(n), metrics, None, tasks);
         assert_eq!(out.rounds, 2); // t + 1
     }
 
     #[test]
     fn silent_faulty_node_does_not_break_agreement() {
         let n = 4;
-        let logics: Vec<Logic<Option<bool>>> = (0..n)
+        let tasks: Vec<NodeTask<Option<bool>>> = (0..n)
             .map(|id| {
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     if id == 3 {
                         return None; // crash from the start
                     }
                     let cfg = BsbConfig::new(1, "eig-silent", vec![true; 4]);
-                    Some(block_on(run_eig_batch(ctx, &cfg, vec![id == 0], &mut NoopBsbHooks))[0])
-                }) as Logic<Option<bool>>
+                    Some(run_eig_batch(ctx, &cfg, vec![id == 0], &mut NoopBsbHooks).await[0])
+                })
             })
             .collect();
-        let outs = run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs;
+        let outs = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs;
         assert_eq!(outs[0], outs[1]);
         assert_eq!(outs[1], outs[2]);
     }
@@ -414,20 +411,20 @@ mod tests {
         }
         for faulty in 0..4usize {
             let n = 4;
-            let logics: Vec<Logic<bool>> = (0..n)
+            let tasks: Vec<NodeTask<bool>> = (0..n)
                 .map(|id| {
-                    Box::new(move |ctx: &mut NodeCtx| {
+                    node_task(async move |ctx: &mut NodeCtx| {
                         let cfg = BsbConfig::new(1, "eig-equiv", vec![true; 4]);
                         let init = vec![id % 2 == 0];
                         if id == faulty {
-                            block_on(run_eig_batch(ctx, &cfg, init, &mut Equivocate))[0]
+                            run_eig_batch(ctx, &cfg, init, &mut Equivocate).await[0]
                         } else {
-                            block_on(run_eig_batch(ctx, &cfg, init, &mut NoopBsbHooks))[0]
+                            run_eig_batch(ctx, &cfg, init, &mut NoopBsbHooks).await[0]
                         }
-                    }) as Logic<bool>
+                    })
                 })
                 .collect();
-            let outs = run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs;
+            let outs = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs;
             let honest: Vec<bool> = (0..n).filter(|&i| i != faulty).map(|i| outs[i]).collect();
             assert!(
                 honest.windows(2).all(|w| w[0] == w[1]),
@@ -448,19 +445,19 @@ mod tests {
         }
         for faulty in 0..4usize {
             let n = 4;
-            let logics: Vec<Logic<bool>> = (0..n)
+            let tasks: Vec<NodeTask<bool>> = (0..n)
                 .map(|id| {
-                    Box::new(move |ctx: &mut NodeCtx| {
+                    node_task(async move |ctx: &mut NodeCtx| {
                         let cfg = BsbConfig::new(1, "eig-valid", vec![true; 4]);
                         if id == faulty {
-                            block_on(run_eig_batch(ctx, &cfg, vec![false], &mut AllFalse))[0]
+                            run_eig_batch(ctx, &cfg, vec![false], &mut AllFalse).await[0]
                         } else {
-                            block_on(run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks))[0]
+                            run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks).await[0]
                         }
-                    }) as Logic<bool>
+                    })
                 })
                 .collect();
-            let outs = run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs;
+            let outs = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs;
             for (id, out) in outs.iter().enumerate() {
                 if id != faulty {
                     assert!(*out, "faulty={faulty}: node {id} decided false");
@@ -472,20 +469,20 @@ mod tests {
     #[test]
     fn isolated_node_excluded() {
         let n = 4;
-        let logics: Vec<Logic<Option<bool>>> = (0..n)
+        let tasks: Vec<NodeTask<Option<bool>>> = (0..n)
             .map(|id| {
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     if id == 3 {
                         return None;
                     }
                     let mut participants = vec![true; 4];
                     participants[3] = false;
                     let cfg = BsbConfig::new(1, "eig-iso", participants);
-                    Some(block_on(run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks))[0])
-                }) as Logic<Option<bool>>
+                    Some(run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks).await[0])
+                })
             })
             .collect();
-        let outs = run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs;
+        let outs = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs;
         assert_eq!(&outs[..3], &[Some(true), Some(true), Some(true)]);
     }
 
@@ -502,15 +499,15 @@ mod tests {
         let mut costs = Vec::new();
         for (n, t) in [(4usize, 1usize), (7, 2)] {
             let metrics = MetricsSink::new();
-            let logics: Vec<Logic<Vec<bool>>> = (0..n)
+            let tasks: Vec<NodeTask<Vec<bool>>> = (0..n)
                 .map(|_| {
-                    Box::new(move |ctx: &mut NodeCtx| {
+                    node_task(async move |ctx: &mut NodeCtx| {
                         let cfg = BsbConfig::new(t, "eig-cost", vec![true; ctx.n()]);
-                        block_on(run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks))
-                    }) as Logic<Vec<bool>>
+                        run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks).await
+                    })
                 })
                 .collect();
-            let _ = run_simulation(SimConfig::new(n), metrics.clone(), logics);
+            let _ = run_tasks(SimConfig::new(n), metrics.clone(), None, tasks);
             costs.push(metrics.snapshot().total_logical_bits());
         }
         let ratio = costs[1] as f64 / costs[0] as f64;
@@ -520,14 +517,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "t < n/3")]
     fn rejects_too_many_faults() {
-        let logics: Vec<Logic<()>> = (0..3)
+        let tasks: Vec<NodeTask<()>> = (0..3)
             .map(|_| {
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(1, "eig-bad", vec![true; 3]);
-                    let _ = block_on(run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks));
-                }) as Logic<()>
+                    let _ = run_eig_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks).await;
+                })
             })
             .collect();
-        let _ = run_simulation(SimConfig::new(3), MetricsSink::new(), logics);
+        let _ = run_tasks(SimConfig::new(3), MetricsSink::new(), None, tasks);
     }
 }

@@ -50,8 +50,7 @@ const PROPOSE_TRUE: u8 = 2;
 /// without sending or receiving.
 ///
 /// Like every round-ending function of this crate it is `async`: await
-/// it from protocol code, or run it with
-/// [`block_on`](mvbc_netsim::block_on) on a simulator node's context.
+/// it from protocol code inside a node task.
 ///
 /// # Panics
 ///
@@ -274,24 +273,21 @@ fn tally_crumbs(props_true: &mut [u32], props_false: &mut [u32], packed: &[u8]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvbc_netsim::block_on;
     use crate::NoopBsbHooks;
     use mvbc_metrics::MetricsSink;
-    use mvbc_netsim::{run_simulation, SimConfig};
-
-    type Logic<O> = Box<dyn FnOnce(&mut NodeCtx) -> O + Send>;
+    use mvbc_netsim::{node_task, run_tasks, NodeTask, SimConfig};
 
     fn consensus_run(n: usize, t: usize, inputs: Vec<Vec<bool>>) -> Vec<Vec<bool>> {
-        let logics: Vec<Logic<Vec<bool>>> = inputs
+        let tasks: Vec<NodeTask<Vec<bool>>> = inputs
             .into_iter()
             .map(|init| {
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(t, "king", vec![true; ctx.n()]);
-                    block_on(run_king_batch(ctx, &cfg, init, &mut NoopBsbHooks))
-                }) as Logic<Vec<bool>>
+                    run_king_batch(ctx, &cfg, init, &mut NoopBsbHooks).await
+                })
             })
             .collect();
-        run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs
+        run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs
     }
 
     #[test]
@@ -345,15 +341,15 @@ mod tests {
     fn round_count_is_three_per_phase() {
         let n = 4;
         let metrics = MetricsSink::new();
-        let logics: Vec<Logic<Vec<bool>>> = (0..n)
+        let tasks: Vec<NodeTask<Vec<bool>>> = (0..n)
             .map(|_| {
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(1, "rounds", vec![true; 4]);
-                    block_on(run_king_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks))
-                }) as Logic<Vec<bool>>
+                    run_king_batch(ctx, &cfg, vec![true], &mut NoopBsbHooks).await
+                })
             })
             .collect();
-        let out = run_simulation(SimConfig::new(n), metrics, logics);
+        let out = run_tasks(SimConfig::new(n), metrics, None, tasks);
         assert_eq!(out.rounds, 6); // (t + 1) phases * 3 rounds
     }
 

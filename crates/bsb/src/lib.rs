@@ -44,25 +44,25 @@
 //! # Examples
 //!
 //! ```
-//! use mvbc_bsb::{run_bsb_batch, BsbConfig, BsbInstance, NoopBsbHooks};
+//! use mvbc_bsb::{BsbConfig, BsbDriver, BsbInstance, NoopBsbHooks, PhaseKingDriver};
 //! use mvbc_metrics::MetricsSink;
-//! use mvbc_netsim::{run_simulation, NodeCtx, SimConfig};
+//! use mvbc_netsim::{node_task, run_tasks, NodeCtx, SimConfig};
 //!
 //! // n = 4, t = 1: node 0 broadcasts `true`; everyone agrees.
 //! let n = 4;
-//! let logics = (0..n)
+//! let tasks = (0..n)
 //!     .map(|id| {
-//!         Box::new(move |ctx: &mut NodeCtx| {
+//!         node_task(async move |ctx: &mut NodeCtx| {
 //!             let cfg = BsbConfig::new(1, "demo", vec![true; 4]);
 //!             let inst = [BsbInstance {
 //!                 source: 0,
 //!                 input: (id == 0).then_some(true),
 //!             }];
-//!             run_bsb_batch(ctx, &cfg, &inst, &mut NoopBsbHooks)[0]
-//!         }) as Box<dyn FnOnce(&mut NodeCtx) -> bool + Send>
+//!             PhaseKingDriver.run_batch(ctx, &cfg, &inst, &mut NoopBsbHooks).await[0]
+//!         })
 //!     })
 //!     .collect();
-//! let out = run_simulation(SimConfig::new(n), MetricsSink::new(), logics);
+//! let out = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks);
 //! assert_eq!(out.outputs, vec![true; 4]);
 //! ```
 
@@ -187,19 +187,11 @@ pub struct BsbInstance {
     pub input: Option<bool>,
 }
 
-/// Runs a batch of `Broadcast_Single_Bit` instances to completion.
-///
-/// Every participant must call this in the same round with the same
-/// `config` and the same instance list (sources and order); only the
-/// `input` fields differ per node. Returns the broadcast bit of each
-/// instance, identical at every fault-free participant.
-///
-/// # Panics
-///
-/// Panics when `t >= n/3`, when the participants mask has the wrong
-/// length, or when an instance's source is not a participant (callers
-/// must drop instances sourced at isolated processors — the paper's
-/// processors "do not communicate with identified faulty processors").
+/// Runs a [`PhaseKingDriver`] batch to completion on a node thread of
+/// [`run_simulation`](mvbc_netsim::run_simulation), blocking through its
+/// rounds: the shim kept only for the benchmark's probes until they move
+/// to node tasks. Protocol code awaits [`BsbDriver::run_batch`] instead,
+/// which documents the calling convention and the panics.
 pub fn run_bsb_batch(
     ctx: &mut NodeCtx,
     config: &BsbConfig,
@@ -209,8 +201,8 @@ pub fn run_bsb_batch(
     block_on(bsb_batch(ctx, config, instances, hooks))
 }
 
-/// [`run_bsb_batch`] as a future: the body of [`PhaseKingDriver`], which
-/// is how `async` protocol code reaches it.
+/// The body of [`PhaseKingDriver`]'s batch: source multicast, then
+/// Phase-King.
 pub(crate) async fn bsb_batch(
     ctx: &mut NodeCtx,
     config: &BsbConfig,
@@ -305,34 +297,6 @@ pub struct BsbValueSpec {
     pub input: Option<Vec<bool>>,
 }
 
-/// Broadcasts one multi-bit value per spec, using one 1-bit instance per
-/// bit (the paper: "one instance of Broadcast_Single_Bit is needed for
-/// each bit"). Returns the received values aligned with `specs`.
-///
-/// # Panics
-///
-/// As [`run_bsb_batch`]; additionally panics when a source's `input`
-/// length disagrees with `bits`.
-pub fn run_bsb_values(
-    ctx: &mut NodeCtx,
-    config: &BsbConfig,
-    specs: &[BsbValueSpec],
-    hooks: &mut dyn BsbHooks,
-) -> Vec<Vec<bool>> {
-    block_on(bsb_values(ctx, config, specs, hooks))
-}
-
-/// [`run_bsb_values`] as a future (see [`bsb_batch`]).
-pub(crate) async fn bsb_values(
-    ctx: &mut NodeCtx,
-    config: &BsbConfig,
-    specs: &[BsbValueSpec],
-    hooks: &mut dyn BsbHooks,
-) -> Vec<Vec<bool>> {
-    let flat = bsb_batch(ctx, config, &value_instances(specs), hooks).await;
-    split_values(specs, &flat)
-}
-
 /// The 1-bit instances of `specs`, one per bit in spec order.
 pub(crate) fn value_instances(specs: &[BsbValueSpec]) -> Vec<BsbInstance> {
     let mut instances = Vec::new();
@@ -366,9 +330,7 @@ pub(crate) fn split_values(specs: &[BsbValueSpec], flat: &[bool]) -> Vec<Vec<boo
 mod tests {
     use super::*;
     use mvbc_metrics::MetricsSink;
-    use mvbc_netsim::{run_simulation, SimConfig};
-
-    type Logic<O> = Box<dyn FnOnce(&mut NodeCtx) -> O + Send>;
+    use mvbc_netsim::{node_task, run_tasks, NodeTask, SimConfig};
 
     fn all_participants(n: usize) -> Vec<bool> {
         vec![true; n]
@@ -377,19 +339,19 @@ mod tests {
     /// Runs one broadcast of `bit` from `source` among `n` honest nodes.
     fn broadcast_honest(n: usize, t: usize, source: NodeId, bit: bool) -> (Vec<bool>, MetricsSink) {
         let metrics = MetricsSink::new();
-        let logics: Vec<Logic<bool>> = (0..n)
+        let tasks: Vec<NodeTask<bool>> = (0..n)
             .map(|id| {
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(t, "t", all_participants(n));
                     let inst = [BsbInstance {
                         source,
                         input: (id == source).then_some(bit),
                     }];
-                    run_bsb_batch(ctx, &cfg, &inst, &mut NoopBsbHooks)[0]
-                }) as Logic<bool>
+                    bsb_batch(ctx, &cfg, &inst, &mut NoopBsbHooks).await[0]
+                })
             })
             .collect();
-        let out = run_simulation(SimConfig::new(n), metrics.clone(), logics);
+        let out = run_tasks(SimConfig::new(n), metrics.clone(), None, tasks);
         (out.outputs, metrics)
     }
 
@@ -421,9 +383,9 @@ mod tests {
     fn batch_of_independent_instances() {
         let n = 4;
         let metrics = MetricsSink::new();
-        let logics: Vec<Logic<Vec<bool>>> = (0..n)
+        let tasks: Vec<NodeTask<Vec<bool>>> = (0..n)
             .map(|id| {
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(1, "batch", all_participants(n));
                     // Every node broadcasts two bits: (id is even, id >= 2).
                     let instances: Vec<BsbInstance> = (0..n)
@@ -440,11 +402,11 @@ mod tests {
                             ]
                         })
                         .collect();
-                    run_bsb_batch(ctx, &cfg, &instances, &mut NoopBsbHooks)
-                }) as Logic<Vec<bool>>
+                    bsb_batch(ctx, &cfg, &instances, &mut NoopBsbHooks).await
+                })
             })
             .collect();
-        let out = run_simulation(SimConfig::new(n), metrics, logics);
+        let out = run_tasks(SimConfig::new(n), metrics, None, tasks);
         let expect: Vec<bool> = (0..n).flat_map(|src| [src % 2 == 0, src >= 2]).collect();
         for o in &out.outputs {
             assert_eq!(*o, expect);
@@ -456,21 +418,21 @@ mod tests {
         let n = 4;
         let value = vec![true, false, true, true, false];
         let expect = value.clone();
-        let logics: Vec<Logic<Vec<Vec<bool>>>> = (0..n)
+        let tasks: Vec<NodeTask<Vec<Vec<bool>>>> = (0..n)
             .map(|id| {
                 let value = value.clone();
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(1, "values", all_participants(n));
                     let specs = [BsbValueSpec {
                         source: 1,
                         bits: 5,
                         input: (id == 1).then_some(value.clone()),
                     }];
-                    run_bsb_values(ctx, &cfg, &specs, &mut NoopBsbHooks)
-                }) as Logic<Vec<Vec<bool>>>
+                    PhaseKingDriver.run_values(ctx, &cfg, &specs, &mut NoopBsbHooks).await
+                })
             })
             .collect();
-        let out = run_simulation(SimConfig::new(n), MetricsSink::new(), logics);
+        let out = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks);
         for o in &out.outputs {
             assert_eq!(o[0], expect);
         }
@@ -481,9 +443,9 @@ mod tests {
         // Source is a participant but crashes before sending: all honest
         // nodes must still agree (on false).
         let n = 4;
-        let logics: Vec<Logic<Option<bool>>> = (0..n)
+        let tasks: Vec<NodeTask<Option<bool>>> = (0..n)
             .map(|id| {
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     if id == 0 {
                         return None; // crash immediately
                     }
@@ -492,11 +454,11 @@ mod tests {
                         source: 0,
                         input: None,
                     }];
-                    Some(run_bsb_batch(ctx, &cfg, &inst, &mut NoopBsbHooks)[0])
-                }) as Logic<Option<bool>>
+                    Some(bsb_batch(ctx, &cfg, &inst, &mut NoopBsbHooks).await[0])
+                })
             })
             .collect();
-        let out = run_simulation(SimConfig::new(n), MetricsSink::new(), logics);
+        let out = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks);
         assert_eq!(out.outputs[1], Some(false));
         assert_eq!(out.outputs[1], out.outputs[2]);
         assert_eq!(out.outputs[2], out.outputs[3]);
@@ -508,9 +470,9 @@ mod tests {
         // completes among the rest.
         let n = 4;
         let metrics = MetricsSink::new();
-        let logics: Vec<Logic<Option<bool>>> = (0..n)
+        let tasks: Vec<NodeTask<Option<bool>>> = (0..n)
             .map(|id| {
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     if id == 3 {
                         return None; // isolated node does nothing
                     }
@@ -521,11 +483,11 @@ mod tests {
                         source: 1,
                         input: (id == 1).then_some(true),
                     }];
-                    Some(run_bsb_batch(ctx, &cfg, &inst, &mut NoopBsbHooks)[0])
-                }) as Logic<Option<bool>>
+                    Some(bsb_batch(ctx, &cfg, &inst, &mut NoopBsbHooks).await[0])
+                })
             })
             .collect();
-        let out = run_simulation(SimConfig::new(n), metrics, logics);
+        let out = run_tasks(SimConfig::new(n), metrics, None, tasks);
         assert_eq!(out.outputs, vec![Some(true), Some(true), Some(true), None]);
     }
 
@@ -547,33 +509,87 @@ mod tests {
     #[test]
     #[should_panic(expected = "t < n/3")]
     fn rejects_too_many_faults() {
-        let logics: Vec<Logic<()>> = (0..3)
+        let tasks: Vec<NodeTask<()>> = (0..3)
             .map(|_| {
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(1, "bad", vec![true; 3]);
                     let inst = [BsbInstance {
                         source: 0,
                         input: (ctx.id() == 0).then_some(true),
                     }];
-                    let _ = run_bsb_batch(ctx, &cfg, &inst, &mut NoopBsbHooks);
-                }) as Logic<()>
+                    let _ = bsb_batch(ctx, &cfg, &inst, &mut NoopBsbHooks).await;
+                })
             })
             .collect();
-        let _ = run_simulation(SimConfig::new(3), MetricsSink::new(), logics);
+        let _ = run_tasks(SimConfig::new(3), MetricsSink::new(), None, tasks);
     }
 
     #[test]
     fn empty_batch_is_noop() {
         let n = 4;
-        let logics: Vec<Logic<usize>> = (0..n)
+        let tasks: Vec<NodeTask<usize>> = (0..n)
             .map(|_| {
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(1, "empty", all_participants(n));
-                    run_bsb_batch(ctx, &cfg, &[], &mut NoopBsbHooks).len()
-                }) as Logic<usize>
+                    bsb_batch(ctx, &cfg, &[], &mut NoopBsbHooks).await.len()
+                })
             })
             .collect();
-        let out = run_simulation(SimConfig::new(n), MetricsSink::new(), logics);
+        let out = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks);
         assert_eq!(out.outputs, vec![0; 4]);
+    }
+
+    /// The benchmark's `bsb` probe batch at `n = 7`, `t = 2`: 21
+    /// instances, three per source, node `me` sourcing its own.
+    fn probe_batch(me: NodeId) -> Vec<BsbInstance> {
+        (0..21)
+            .map(|i| BsbInstance {
+                source: i % 7,
+                input: (i % 7 == me).then_some(i % 3 == 0),
+            })
+            .collect()
+    }
+
+    /// [`run_bsb_batch`] under the benchmark probes' shim decides the same
+    /// bits in the same rounds, at the same cost, as [`PhaseKingDriver`]
+    /// under the driver: two batches back to back, as the probe runs them.
+    #[test]
+    fn the_probes_blocking_batch_matches_the_driver() {
+        use mvbc_netsim::{run_simulation, NodeLogic};
+
+        let (n, t) = (7, 2);
+        let cfg = BsbConfig::new(t, "probe.bsb", all_participants(n));
+        let shim_metrics = MetricsSink::new();
+        let logics: Vec<NodeLogic<Vec<Vec<bool>>>> = (0..n)
+            .map(|me| {
+                let cfg = cfg.clone();
+                Box::new(move |ctx: &mut NodeCtx| {
+                    (0..2).map(|_| run_bsb_batch(ctx, &cfg, &probe_batch(me), &mut NoopBsbHooks)).collect()
+                }) as NodeLogic<Vec<Vec<bool>>>
+            })
+            .collect();
+        let shim = run_simulation(SimConfig::new(n), shim_metrics.clone(), logics);
+        let driver_metrics = MetricsSink::new();
+        let tasks: Vec<NodeTask<Vec<Vec<bool>>>> = (0..n)
+            .map(|me| {
+                let cfg = cfg.clone();
+                node_task(async move |ctx: &mut NodeCtx| {
+                    let mut out = Vec::new();
+                    for _ in 0..2 {
+                        let batch = probe_batch(me);
+                        out.push(PhaseKingDriver.run_batch(ctx, &cfg, &batch, &mut NoopBsbHooks).await);
+                    }
+                    out
+                })
+            })
+            .collect();
+        let driver = run_tasks(SimConfig::new(n), driver_metrics.clone(), None, tasks);
+        let expect: Vec<bool> = (0..21).map(|i| i % 3 == 0).collect();
+        assert_eq!(driver.outputs, vec![vec![expect; 2]; n]);
+        assert_eq!(shim.outputs, driver.outputs);
+        assert_eq!(shim.rounds, driver.rounds);
+        let (shim_snapshot, driver_snapshot) = (shim_metrics.snapshot(), driver_metrics.snapshot());
+        assert_eq!(shim_snapshot.total_logical_bits(), driver_snapshot.total_logical_bits());
+        assert_eq!(shim_snapshot, driver_snapshot);
     }
 }

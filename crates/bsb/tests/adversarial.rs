@@ -2,11 +2,9 @@
 //! isolation: Byzantine participants attack the primitive directly and
 //! agreement + validity must survive for every fault placement.
 
-use mvbc_bsb::{run_bsb_batch, BsbConfig, BsbHooks, BsbInstance, NoopBsbHooks};
+use mvbc_bsb::{BsbConfig, BsbDriver, BsbHooks, BsbInstance, NoopBsbHooks, PhaseKingDriver};
 use mvbc_metrics::MetricsSink;
-use mvbc_netsim::{block_on, run_simulation, NodeCtx, NodeId, SimConfig};
-
-type Logic<O> = Box<dyn FnOnce(&mut NodeCtx) -> O + Send>;
+use mvbc_netsim::{node_task, run_tasks, NodeCtx, NodeId, NodeTask, SimConfig};
 
 /// Flips every outgoing bit at every hook point, equivocating by
 /// recipient parity.
@@ -39,23 +37,23 @@ impl BsbHooks for Chaos {
 /// Runs one broadcast with `byzantine` applying `Chaos`, returns honest
 /// outputs.
 fn broadcast_with_chaos(n: usize, t: usize, source: usize, bit: bool, byzantine: usize) -> Vec<bool> {
-    let logics: Vec<Logic<bool>> = (0..n)
+    let tasks: Vec<NodeTask<bool>> = (0..n)
         .map(|id| {
-            Box::new(move |ctx: &mut NodeCtx| {
+            node_task(async move |ctx: &mut NodeCtx| {
                 let cfg = BsbConfig::new(t, "adv", vec![true; ctx.n()]);
                 let inst = [BsbInstance {
                     source,
                     input: (id == source).then_some(bit),
                 }];
                 if id == byzantine {
-                    run_bsb_batch(ctx, &cfg, &inst, &mut Chaos)[0]
+                    PhaseKingDriver.run_batch(ctx, &cfg, &inst, &mut Chaos).await[0]
                 } else {
-                    run_bsb_batch(ctx, &cfg, &inst, &mut NoopBsbHooks)[0]
+                    PhaseKingDriver.run_batch(ctx, &cfg, &inst, &mut NoopBsbHooks).await[0]
                 }
-            }) as Logic<bool>
+            })
         })
         .collect();
-    run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs
+    run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs
 }
 
 #[test]
@@ -110,9 +108,9 @@ fn batch_with_byzantine_all_instances_agree() {
     let n = 4;
     let t = 1;
     let byz = 3;
-    let logics: Vec<Logic<Vec<bool>>> = (0..n)
+    let tasks: Vec<NodeTask<Vec<bool>>> = (0..n)
         .map(|id| {
-            Box::new(move |ctx: &mut NodeCtx| {
+            node_task(async move |ctx: &mut NodeCtx| {
                 let cfg = BsbConfig::new(t, "advb", vec![true; ctx.n()]);
                 let insts: Vec<BsbInstance> = (0..8)
                     .map(|i| BsbInstance {
@@ -121,14 +119,14 @@ fn batch_with_byzantine_all_instances_agree() {
                     })
                     .collect();
                 if id == byz {
-                    run_bsb_batch(ctx, &cfg, &insts, &mut Chaos)
+                    PhaseKingDriver.run_batch(ctx, &cfg, &insts, &mut Chaos).await
                 } else {
-                    run_bsb_batch(ctx, &cfg, &insts, &mut NoopBsbHooks)
+                    PhaseKingDriver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks).await
                 }
-            }) as Logic<Vec<bool>>
+            })
         })
         .collect();
-    let outs = run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs;
+    let outs = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs;
     #[allow(clippy::needless_range_loop)] // indexes three parallel vectors
     for i in 0..8 {
         // Agreement among honest nodes.
@@ -149,20 +147,20 @@ fn exhaustive_small_space_n4() {
     use mvbc_bsb::run_king_batch;
     for byz in 0..4usize {
         for assignment in 0..16u32 {
-            let logics: Vec<Logic<bool>> = (0..4)
+            let tasks: Vec<NodeTask<bool>> = (0..4)
                 .map(|id| {
                     let my = assignment & (1 << id) != 0;
-                    Box::new(move |ctx: &mut NodeCtx| {
+                    node_task(async move |ctx: &mut NodeCtx| {
                         let cfg = BsbConfig::new(1, "exh", vec![true; 4]);
                         if id == byz {
-                            block_on(run_king_batch(ctx, &cfg, vec![my], &mut Chaos))[0]
+                            run_king_batch(ctx, &cfg, vec![my], &mut Chaos).await[0]
                         } else {
-                            block_on(run_king_batch(ctx, &cfg, vec![my], &mut NoopBsbHooks))[0]
+                            run_king_batch(ctx, &cfg, vec![my], &mut NoopBsbHooks).await[0]
                         }
-                    }) as Logic<bool>
+                    })
                 })
                 .collect();
-            let outs = run_simulation(SimConfig::new(4), MetricsSink::new(), logics).outputs;
+            let outs = run_tasks(SimConfig::new(4), MetricsSink::new(), None, tasks).outputs;
             let honest: Vec<usize> = (0..4).filter(|&i| i != byz).collect();
             let first = outs[honest[0]];
             for &h in &honest {
@@ -189,20 +187,20 @@ fn dolev_strong_composes_after_other_phases() {
     let n = 4;
     let t = 2;
     let oracle = SignatureOracle::new();
-    let logics: Vec<Logic<bool>> = (0..n)
+    let tasks: Vec<NodeTask<bool>> = (0..n)
         .map(|id| {
             let oracle = oracle.clone();
-            Box::new(move |ctx: &mut NodeCtx| {
+            node_task(async move |ctx: &mut NodeCtx| {
                 // Burn a few unrelated rounds first.
                 for _ in 0..5 {
-                    ctx.end_round();
+                    ctx.next_round().await;
                 }
                 let cfg = BsbConfig::new(t, "ds-late", vec![true; ctx.n()]);
                 let handle = oracle.handle(id);
-                block_on(run_dolev_strong(ctx, &cfg, 1, (id == 1).then_some(true), &handle, &oracle))
-            }) as Logic<bool>
+                run_dolev_strong(ctx, &cfg, 1, (id == 1).then_some(true), &handle, &oracle).await
+            })
         })
         .collect();
-    let outs = run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs;
+    let outs = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs;
     assert_eq!(outs, vec![true; n]);
 }

@@ -3,8 +3,8 @@
 //! construction it replaced.
 //!
 //! `reference` is the seed's source round and Phase-King, copied here
-//! verbatim apart from imports and using only the public `NodeCtx` and
-//! `bits` API: it clones and packs per recipient and unpacks every
+//! verbatim apart from imports and `async` round ends, and using only the
+//! public `NodeCtx` and `bits` API: it clones and packs per recipient and unpacks every
 //! received payload into a `Vec`. Both must produce the same outputs at
 //! every node, the same hook calls (order, arguments and the honest copy
 //! handed over, which exposes every node's per-phase values and
@@ -12,10 +12,10 @@
 //! under per-recipient equivocation through the hooks, and against a
 //! raw peer that writes malformed bytes straight onto the wire.
 
-use mvbc_bsb::{run_bsb_batch, BsbConfig, BsbHooks, BsbInstance, NoopBsbHooks, SessionTags};
+use mvbc_bsb::{BsbConfig, BsbDriver, BsbHooks, BsbInstance, NoopBsbHooks, PhaseKingDriver, SessionTags};
 use mvbc_metrics::MetricsSink;
 use mvbc_netsim::trace::TraceSink;
-use mvbc_netsim::{run_simulation_traced, NodeCtx, NodeId, NodeLogic, SimConfig};
+use mvbc_netsim::{node_task, run_tasks, NodeCtx, NodeId, NodeTask, SimConfig};
 use proptest::prelude::*;
 
 /// The seed's `source_round_initial` + `run_king_batch`.
@@ -37,7 +37,7 @@ mod reference {
         Some((0..count).map(|i| (bytes[i / 4] >> (2 * (i % 4))) & 0b11).collect())
     }
 
-    pub fn run_bsb_batch(
+    pub async fn bsb_batch(
         ctx: &mut NodeCtx,
         config: &BsbConfig,
         instances: &[BsbInstance],
@@ -45,11 +45,11 @@ mod reference {
     ) -> Vec<bool> {
         assert_eq!(config.participants.len(), ctx.n(), "participants mask length");
         assert!(3 * config.t < ctx.n(), "Phase-King requires t < n/3");
-        let initial = source_round_initial(ctx, config, instances, hooks);
-        run_king_batch(ctx, config, initial, hooks)
+        let initial = source_round_initial(ctx, config, instances, hooks).await;
+        run_king_batch(ctx, config, initial, hooks).await
     }
 
-    fn source_round_initial(
+    async fn source_round_initial(
         ctx: &mut NodeCtx,
         config: &BsbConfig,
         instances: &[BsbInstance],
@@ -74,7 +74,7 @@ mod reference {
                 ctx.send(to, src_tag, pack_bits(&bits), bits.len() as u64);
             }
         }
-        let mut inbox = ctx.end_round();
+        let mut inbox = ctx.next_round().await;
 
         let mut per_source_count: Vec<usize> = vec![0; n];
         let mut initial = vec![false; instances.len()];
@@ -103,7 +103,7 @@ mod reference {
         initial
     }
 
-    fn run_king_batch(
+    async fn run_king_batch(
         ctx: &mut NodeCtx,
         config: &BsbConfig,
         initial: Vec<bool>,
@@ -134,7 +134,7 @@ mod reference {
                     ctx.send(to, val_tag, pack_bits(&bits), count as u64);
                 }
             }
-            let mut inbox = ctx.end_round();
+            let mut inbox = ctx.next_round().await;
             let peer_values = gather_bits(&mut inbox, config, me, val_tag, count);
 
             let mut count_true = vec![0usize; count];
@@ -177,7 +177,7 @@ mod reference {
                     ctx.send(to, prop_tag, pack_crumbs(&crumbs), 2 * count as u64);
                 }
             }
-            let mut inbox = ctx.end_round();
+            let mut inbox = ctx.next_round().await;
             let peer_props = gather_crumbs(&mut inbox, config, me, prop_tag, count);
 
             let mut props_true = vec![0usize; count];
@@ -220,7 +220,7 @@ mod reference {
                     ctx.send(to, king_tag, pack_bits(&bits), count as u64);
                 }
             }
-            let mut inbox = ctx.end_round();
+            let mut inbox = ctx.next_round().await;
             let king_bits: Option<Vec<bool>> = if me == king {
                 Some(values.clone())
             } else if config.participants[king] {
@@ -391,11 +391,11 @@ struct Observed {
     digest: u64,
 }
 
-fn observe(n: usize, logics: Vec<NodeLogic<NodeOut>>) -> Observed {
+fn observe(n: usize, tasks: Vec<NodeTask<NodeOut>>) -> Observed {
     let metrics = MetricsSink::new();
     let trace = TraceSink::new();
     let out =
-        run_simulation_traced(SimConfig::new(n), metrics.clone(), Some(trace.clone()), logics);
+        run_tasks(SimConfig::new(n), metrics.clone(), Some(trace.clone()), tasks);
     Observed {
         outputs: out.outputs,
         logical_bits: metrics.snapshot().total_logical_bits(),
@@ -404,7 +404,7 @@ fn observe(n: usize, logics: Vec<NodeLogic<NodeOut>>) -> Observed {
 }
 
 /// Runs one node's batch through the packed path or the reference.
-fn run_node(
+async fn run_node(
     packed: bool,
     ctx: &mut NodeCtx,
     cfg: &BsbConfig,
@@ -413,9 +413,9 @@ fn run_node(
 ) -> NodeOut {
     let mut hooks = Recording::new(hooks);
     let out = if packed {
-        run_bsb_batch(ctx, cfg, instances, &mut hooks)
+        PhaseKingDriver.run_batch(ctx, cfg, instances, &mut hooks).await
     } else {
-        reference::run_bsb_batch(ctx, cfg, instances, &mut hooks)
+        reference::bsb_batch(ctx, cfg, instances, &mut hooks).await
     };
     (out, hooks.calls)
 }
@@ -450,20 +450,20 @@ impl Case {
         Case { t, byzantine, participants, instances }
     }
 
-    fn logics(&self, packed: bool) -> Vec<NodeLogic<NodeOut>> {
+    fn tasks(&self, packed: bool) -> Vec<NodeTask<NodeOut>> {
         (0..self.participants.len())
             .map(|id| {
                 let case = self.clone();
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(case.t, "equiv", case.participants.clone());
                     let instances = instances_at(id, &case.instances);
                     match case.byzantine[id] {
                         Some(seed) => {
-                            run_node(packed, ctx, &cfg, &instances, SeededHook(Rng::new(seed)))
+                            run_node(packed, ctx, &cfg, &instances, SeededHook(Rng::new(seed))).await
                         }
-                        None => run_node(packed, ctx, &cfg, &instances, NoopBsbHooks),
+                        None => run_node(packed, ctx, &cfg, &instances, NoopBsbHooks).await,
                     }
-                }) as NodeLogic<NodeOut>
+                })
             })
             .collect()
     }
@@ -490,8 +490,8 @@ proptest! {
     fn packed_king_equals_reference(ni in 0usize..4, ci in 0usize..9, seed in any::<u64>()) {
         let (n, count) = (NS[ni], COUNTS[ci]);
         let case = Case::draw(n, count, seed);
-        let packed = observe(n, case.logics(true));
-        let reference = observe(n, case.logics(false));
+        let packed = observe(n, case.tasks(true));
+        let reference = observe(n, case.tasks(false));
         prop_assert_eq!(packed, reference, "n={} count={} case={:?}", n, count, case);
     }
 }
@@ -503,7 +503,7 @@ fn every_size_equals_reference() {
     for (i, &n) in NS.iter().enumerate() {
         for (j, &count) in COUNTS.iter().enumerate() {
             let case = Case::draw(n, count, (i * COUNTS.len() + j) as u64);
-            assert_eq!(observe(n, case.logics(true)), observe(n, case.logics(false)), "{case:?}");
+            assert_eq!(observe(n, case.tasks(true)), observe(n, case.tasks(false)), "{case:?}");
         }
     }
 }
@@ -513,7 +513,7 @@ fn every_size_equals_reference() {
 /// padding bits of the last byte set, payloads one byte long or short,
 /// every crumb 3, and two messages under one tag (valid then garbage,
 /// or garbage then valid — only the first counts).
-fn raw_peer(ctx: &mut NodeCtx, t: usize, count: usize, sourced: usize) -> NodeOut {
+async fn raw_peer(ctx: &mut NodeCtx, t: usize, count: usize, sourced: usize) -> NodeOut {
     const ONES: u8 = 0xff; // every bit true, every crumb 3
     let tags = SessionTags::derive("raw");
     let mut rounds = vec![(tags.src, sourced.div_ceil(8))];
@@ -552,7 +552,7 @@ fn raw_peer(ctx: &mut NodeCtx, t: usize, count: usize, sourced: usize) -> NodeOu
                 }
             }
         }
-        let _ = ctx.end_round();
+        let _ = ctx.next_round().await;
     }
     (Vec::new(), Vec::new())
 }
@@ -564,22 +564,22 @@ fn raw_byzantine_bytes_read_like_the_reference() {
         for raw in [0, t] {
             let instances: Vec<(NodeId, bool)> = (0..count).map(|i| (i % n, i % 3 == 0)).collect();
             let sourced = instances.iter().filter(|&&(s, _)| s == raw).count();
-            let logics = |packed: bool| -> Vec<NodeLogic<NodeOut>> {
+            let tasks = |packed: bool| -> Vec<NodeTask<NodeOut>> {
                 (0..n)
                     .map(|id| {
                         let instances = instances_at(id, &instances);
-                        Box::new(move |ctx: &mut NodeCtx| {
+                        node_task(async move |ctx: &mut NodeCtx| {
                             if id == raw {
-                                return raw_peer(ctx, t, count, sourced);
+                                return raw_peer(ctx, t, count, sourced).await;
                             }
                             let cfg = BsbConfig::new(t, "raw", vec![true; n]);
-                            run_node(packed, ctx, &cfg, &instances, NoopBsbHooks)
-                        }) as NodeLogic<NodeOut>
+                            run_node(packed, ctx, &cfg, &instances, NoopBsbHooks).await
+                        })
                     })
                     .collect()
             };
-            let packed = observe(n, logics(true));
-            assert_eq!(packed, observe(n, logics(false)), "n={n} count={count} raw={raw}");
+            let packed = observe(n, tasks(true));
+            assert_eq!(packed, observe(n, tasks(false)), "n={n} count={count} raw={raw}");
 
             // And the honest nodes still agree, with validity for every
             // honest source.

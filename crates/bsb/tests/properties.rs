@@ -7,7 +7,7 @@ use mvbc_bsb::{
     PhaseKingDriver,
 };
 use mvbc_metrics::MetricsSink;
-use mvbc_netsim::{block_on, run_simulation, NodeCtx, NodeLogic, SimConfig};
+use mvbc_netsim::{node_task, run_tasks, NodeCtx, NodeTask, SimConfig};
 use proptest::prelude::*;
 
 proptest! {
@@ -73,12 +73,12 @@ proptest! {
                 .collect(),
         ];
         for (which, fleet) in fleets.into_iter().enumerate() {
-            let logics: Vec<NodeLogic<Vec<bool>>> = fleet
+            let tasks: Vec<NodeTask<Vec<bool>>> = fleet
                 .into_iter()
                 .enumerate()
                 .map(|(id, mut driver)| {
                     let inputs = inputs.clone();
-                    Box::new(move |ctx: &mut NodeCtx| {
+                    node_task(async move |ctx: &mut NodeCtx| {
                         let cfg = BsbConfig::new(1, "xval", vec![true; ctx.n()]);
                         let insts: Vec<BsbInstance> = (0..ctx.n())
                             .map(|src| BsbInstance {
@@ -86,11 +86,11 @@ proptest! {
                                 input: (id == src).then_some(inputs[src]),
                             })
                             .collect();
-                        block_on(driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks))
-                    }) as NodeLogic<Vec<bool>>
+                        driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks).await
+                    })
                 })
                 .collect();
-            let out = run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs;
+            let out = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs;
             for o in &out {
                 prop_assert_eq!(o, &out[0], "substrate {} internal disagreement", which);
             }
@@ -109,12 +109,12 @@ proptest! {
         let n = 4;
         let fleet = DolevStrongDriver::fleet(n);
         let expect = bits.clone();
-        let logics: Vec<NodeLogic<Vec<bool>>> = fleet
+        let tasks: Vec<NodeTask<Vec<bool>>> = fleet
             .into_iter()
             .enumerate()
             .map(|(id, mut driver)| {
                 let bits = bits.clone();
-                Box::new(move |ctx: &mut NodeCtx| {
+                node_task(async move |ctx: &mut NodeCtx| {
                     let cfg = BsbConfig::new(t, "ds-prop", vec![true; ctx.n()]);
                     let insts: Vec<BsbInstance> = bits
                         .iter()
@@ -124,11 +124,11 @@ proptest! {
                             input: (id == i % ctx.n()).then_some(b),
                         })
                         .collect();
-                    block_on(driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks))
-                }) as NodeLogic<Vec<bool>>
+                    driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks).await
+                })
             })
             .collect();
-        let out = run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs;
+        let out = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs;
         for o in &out {
             prop_assert_eq!(o, &expect);
         }
@@ -152,12 +152,12 @@ fn dolev_strong_matches_phase_king_all_patterns() {
                     .map(|d| Box::new(d) as Box<dyn BsbDriver>)
                     .collect()
             };
-            let logics: Vec<NodeLogic<Vec<bool>>> = fleet
+            let tasks: Vec<NodeTask<Vec<bool>>> = fleet
                 .into_iter()
                 .enumerate()
                 .map(|(id, mut driver)| {
                     let inputs = inputs.clone();
-                    Box::new(move |ctx: &mut NodeCtx| {
+                    node_task(async move |ctx: &mut NodeCtx| {
                         let cfg = BsbConfig::new(1, "xval2", vec![true; ctx.n()]);
                         let insts: Vec<BsbInstance> = (0..ctx.n())
                             .map(|src| BsbInstance {
@@ -165,11 +165,11 @@ fn dolev_strong_matches_phase_king_all_patterns() {
                                 input: (id == src).then_some(inputs[src]),
                             })
                             .collect();
-                        block_on(driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks))
-                    }) as NodeLogic<Vec<bool>>
+                        driver.run_batch(ctx, &cfg, &insts, &mut NoopBsbHooks).await
+                    })
                 })
                 .collect();
-            let out = run_simulation(SimConfig::new(n), MetricsSink::new(), logics).outputs;
+            let out = run_tasks(SimConfig::new(n), MetricsSink::new(), None, tasks).outputs;
             all.push(out[0].clone());
         }
         assert_eq!(all[0], all[1], "pattern {pattern:04b}: substrates disagree");

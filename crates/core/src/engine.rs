@@ -11,8 +11,8 @@
 //! run discards fewer than `2W` generations whatever `t` is
 //! ([`dsel::model_window_rerun_bits`](crate::dsel::model_window_rerun_bits)).
 
-use mvbc_bsb::{BsbDriver, PhaseKingDriver};
-use mvbc_netsim::{block_on, NodeCtx};
+use mvbc_bsb::BsbDriver;
+use mvbc_netsim::NodeCtx;
 use mvbc_rscode::StripedCode;
 
 use crate::config::ConsensusConfig;
@@ -54,50 +54,31 @@ pub struct EngineReport {
     pub edges_removed: usize,
 }
 
-/// Runs the full multi-valued consensus protocol for one processor.
+/// Runs the full multi-valued consensus protocol for one processor, in
+/// windows of up to `window` generations: [`ConsensusConfig::window`] in
+/// every runner; other widths decide the same value (crate docs,
+/// "Windows").
 ///
 /// Every fault-free processor must invoke this in round 0 of the
-/// simulation with an identical `cfg`; `input` is this processor's
-/// `L`-byte input value, `hooks` its (possibly Byzantine) behaviour.
+/// simulation with an identical `cfg` and `window`; `input` is this
+/// processor's `L`-byte input value, `hooks` its (possibly Byzantine)
+/// behaviour, and `bsb` its `Broadcast_Single_Bit` substrate (§4's
+/// substitution seam; see [`BsbDriver`]). All fault-free processors of
+/// one execution must supply the same kind of driver — the substrates
+/// differ in round structure. The consensus algorithm's own lemmas still
+/// require `t < n/3` (enforced by `cfg`) even when the driver tolerates
+/// more faults.
+///
+/// It is `async`: await it inside a node task
+/// ([`node_task`](mvbc_netsim::node_task)), or call
+/// [`simulate_consensus`](crate::simulate_consensus) for a whole run.
 ///
 /// # Panics
 ///
 /// Panics when `input.len() != cfg.value_bytes` or the internal
 /// invariants guaranteed by the paper's lemmas are violated (which would
 /// indicate an implementation bug, not an adversary effect).
-pub fn run_consensus(
-    ctx: &mut NodeCtx,
-    cfg: &ConsensusConfig,
-    input: &[u8],
-    hooks: &mut dyn ProtocolHooks,
-) -> EngineReport {
-    run_consensus_with(ctx, cfg, input, hooks, &mut PhaseKingDriver)
-}
-
-/// As [`run_consensus`] with an explicit `Broadcast_Single_Bit`
-/// substrate (§4's substitution seam; see [`BsbDriver`]).
-///
-/// All fault-free processors of one execution must supply the same kind
-/// of driver — the substrates differ in round structure. The consensus
-/// algorithm's own lemmas still require `t < n/3` (enforced by `cfg`)
-/// even when the driver tolerates more faults.
-///
-/// # Panics
-///
-/// As [`run_consensus`].
-pub fn run_consensus_with(
-    ctx: &mut NodeCtx,
-    cfg: &ConsensusConfig,
-    input: &[u8],
-    hooks: &mut dyn ProtocolHooks,
-    bsb: &mut dyn BsbDriver,
-) -> EngineReport {
-    block_on(consensus(ctx, cfg, input, hooks, bsb, cfg.window()))
-}
-
-/// [`run_consensus_with`] as a future with windows of up to `window`
-/// generations, for a simulation's node tasks.
-pub(crate) async fn consensus(
+pub async fn consensus(
     ctx: &mut NodeCtx,
     cfg: &ConsensusConfig,
     input: &[u8],
@@ -156,7 +137,7 @@ mod tests {
     //! one-generation-at-a-time engine (`W = 1`) decides, under the same
     //! diagnosis-graph updates.
 
-    use mvbc_bsb::BsbHooks;
+    use mvbc_bsb::{BsbHooks, PhaseKingDriver};
     use mvbc_metrics::{intern_tag, MetricsSink};
     use mvbc_netsim::{node_task, run_tasks, NodeId, NodeTask, SimConfig};
 

@@ -87,7 +87,7 @@ mod window;
 pub use clique::find_clique_of_size;
 pub use config::{ConfigError, ConsensusConfig};
 pub use diag::DiagGraph;
-pub use engine::{run_consensus, run_consensus_with, EngineReport, GENERATION_WINDOW};
+pub use engine::{consensus, EngineReport, GENERATION_WINDOW};
 pub use hooks::{NoopHooks, ProtocolHooks};
 pub use runner::{simulate_consensus, simulate_consensus_traced, simulate_consensus_with, ConsensusRun};
 pub use window::{rerun_bound, WindowOutcome, WindowSchedule, WindowTotals};

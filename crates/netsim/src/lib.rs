@@ -32,11 +32,12 @@
 //! run several protocol executions as [`lanes`] sharing its round barrier,
 //! and no code but this driver starts a thread.
 //!
-//! [`run_simulation`] is the synchronous adapter, for [`NodeLogic`]
-//! closures that block in [`NodeCtx::end_round`]: each closure runs on its
-//! own scoped thread, whose rounds a per-node bridge task carries through
-//! the same driver. On such a thread, [`block_on`] runs async protocol
-//! code to completion.
+//! [`run_simulation`] is a shim kept only for the benchmark's probes,
+//! which still run blocking [`NodeLogic`] closures that end rounds with
+//! [`NodeCtx::end_round`]: each closure runs on its own scoped thread,
+//! whose rounds a per-node bridge task carries through the same driver.
+//! On such a thread, [`block_on`] runs async protocol code to completion.
+//! Every other caller awaits the async entry points inside a [`NodeTask`].
 //!
 //! # Scheduling policies
 //!
@@ -102,10 +103,9 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-use std::time::Duration;
 
 use bytes::Bytes;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{self, Receiver, Sender};
 use mvbc_metrics::{MetricsSink, Telemetry};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -120,13 +120,6 @@ pub use net::{
 /// is `50_000` ticks.
 pub type VirtualTime = u64;
 
-/// Default for [`SimConfig::round_timeout`]: how long a
-/// [`run_simulation`] node's bridge waits for the node thread's round
-/// submission before declaring the simulation wedged. Protocol bugs
-/// (mismatched `end_round` counts between nodes) surface as this panic
-/// instead of a silent hang.
-pub const DEFAULT_ROUND_TIMEOUT: Duration = Duration::from_secs(60);
-
 /// Simulation parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
@@ -135,14 +128,6 @@ pub struct SimConfig {
     /// Abort the run if it exceeds this many rounds (guards against
     /// run-away protocols in tests). `None` disables the check.
     pub max_rounds: Option<u64>,
-    /// How long a [`run_simulation`] node's bridge waits for the node
-    /// thread's round submission before declaring the simulation wedged.
-    /// Long multi-slot runs on slow machines may need more than
-    /// [`DEFAULT_ROUND_TIMEOUT`]. This is a *wall-clock* guard against
-    /// protocol bugs in blocking node code; [`run_tasks`] needs none (a
-    /// task that yields without submitting its round is a wedge at once),
-    /// and for a *virtual-time* budget, see [`SimConfig::max_vtime`].
-    pub round_timeout: Duration,
     /// How the coordinator schedules rounds (see the crate docs).
     pub policy: SchedulingPolicy,
     /// Abort the run if the virtual clock exceeds this many ticks
@@ -152,23 +137,15 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// Configuration with the default round limit (1 million), round
-    /// timeout ([`DEFAULT_ROUND_TIMEOUT`]), and the
+    /// Configuration with the default round limit (1 million) and the
     /// [`SchedulingPolicy::RoundBarrier`] policy.
     pub fn new(n: usize) -> Self {
         SimConfig {
             n,
             max_rounds: Some(1_000_000),
-            round_timeout: DEFAULT_ROUND_TIMEOUT,
             policy: SchedulingPolicy::RoundBarrier,
             max_vtime: None,
         }
-    }
-
-    /// Returns the configuration with a different wedge-detection timeout.
-    pub fn with_round_timeout(mut self, timeout: Duration) -> Self {
-        self.round_timeout = timeout;
-        self
     }
 
     /// Returns the configuration with a different scheduling policy.
@@ -362,7 +339,7 @@ struct Outgoing {
 
 /// Where a context's round submissions go.
 enum Link {
-    /// A node thread of the synchronous adapter ([`run_simulation`]):
+    /// A node thread of the benchmark probes' shim ([`run_simulation`]):
     /// submits to its node's bridge task and blocks for the routed inbox.
     Node {
         to_bridge: Sender<Vec<Outgoing>>,
@@ -488,8 +465,8 @@ impl NodeCtx {
     /// Completes the current round: flushes queued messages and blocks
     /// until every other processor has completed the round too, then
     /// returns the messages delivered to this processor. Only the
-    /// blocking [`NodeLogic`] closures of the synchronous adapter
-    /// ([`run_simulation`]) can call this.
+    /// blocking [`NodeLogic`] closures of [`run_simulation`], the
+    /// benchmark probes' shim, can call this.
     ///
     /// # Panics
     ///
@@ -513,9 +490,10 @@ impl NodeCtx {
     /// On a task's or a lane's context the first poll parks the round's
     /// messages for the driver ([`run_tasks`]) or the lane's
     /// [`lanes::LaneMux`] and yields; the next poll resumes it with the
-    /// routed inbox. On a [`run_simulation`] node thread's context the
-    /// first poll does the blocking [`NodeCtx::end_round`] and is ready,
-    /// so [`block_on`] runs such code to completion in one poll.
+    /// routed inbox. On a node thread of [`run_simulation`], the benchmark
+    /// probes' shim, the first poll does the blocking
+    /// [`NodeCtx::end_round`] and is ready, so [`block_on`] runs such code
+    /// to completion in one poll.
     pub async fn next_round(&mut self) -> Inbox {
         let Link::Lane(link) = &self.link else {
             return self.end_round();
@@ -539,15 +517,14 @@ impl NodeCtx {
     }
 }
 
-/// Runs a protocol future to completion on a node thread of the
-/// synchronous adapter ([`run_simulation`]).
+/// Runs a protocol future to completion on a node thread of
+/// [`run_simulation`], the benchmark probes' shim.
 ///
 /// Every `async` protocol function of the workspace ends its rounds with
 /// [`NodeCtx::next_round`]; on such a thread's context each of those
-/// completes at once, so one poll runs the future to its end. This is
-/// the whole executor of the synchronous entry points (`run_bsb_batch`,
-/// `run_consensus`, `run_replicated_log`, ...); a [`NodeTask`] awaits
-/// their async forms instead.
+/// completes at once, so one poll runs the future to its end. Outside
+/// tests its one caller is `mvbc_bsb::run_bsb_batch`, the probes'
+/// blocking batch; a [`NodeTask`] awaits the async entry points instead.
 ///
 /// # Panics
 ///
@@ -575,7 +552,7 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// The boxed per-node logic closure executed by [`run_simulation`], the
-/// synchronous adapter: it runs on a thread of its own and ends rounds
+/// benchmark probes' shim: it runs on a thread of its own and ends rounds
 /// with the blocking [`NodeCtx::end_round`] (or [`block_on`]).
 pub type NodeLogic<O> = Box<dyn FnOnce(&mut NodeCtx) -> O + Send>;
 
@@ -1055,21 +1032,22 @@ fn drive<O: Send + 'static>(
 }
 
 /// Runs `n` blocking node closures to completion under the synchronous
-/// round model: the synchronous adapter over [`run_tasks`]' driver.
+/// round model, through [`run_tasks`]' driver: the shim kept only for the
+/// benchmark's probes until they move to [`NodeTask`]s.
 ///
 /// Each closure runs on its own scoped thread and ends rounds with the
-/// blocking [`NodeCtx::end_round`]; a bridge task per node moves each of
-/// the thread's round submissions into the driver and sends the routed
-/// inbox back. Outputs are collected by node id. Byzantine
-/// "crash"/"silence" is modelled by a closure returning early. Async
-/// protocol code belongs in a [`NodeTask`] instead, which costs no thread.
+/// blocking [`NodeCtx::end_round`]; a bridge task per node blocks for each
+/// of the thread's round submissions, moves it into the driver and sends
+/// the routed inbox back. A thread that returns or panics hangs up on its
+/// bridge, which then ends. Outputs are collected by node id. Byzantine
+/// "crash"/"silence" is modelled by a closure returning early. Protocol
+/// code belongs in a [`NodeTask`] instead, which costs no thread.
 ///
 /// # Panics
 ///
 /// Panics if any node logic panics (the panic is propagated with the node
-/// id), if a node thread does not submit a round within
-/// `config.round_timeout` (a wedge), if `nodes.len() != config.n`, or if
-/// `config.max_rounds` or `config.max_vtime` is exceeded.
+/// id), if `nodes.len() != config.n`, or if `config.max_rounds` or
+/// `config.max_vtime` is exceeded.
 pub fn run_simulation<O: Send + 'static>(
     config: SimConfig,
     metrics: MetricsSink,
@@ -1095,7 +1073,6 @@ pub fn run_simulation_traced<O: Send + 'static>(
     let n = config.n;
     assert!(n > 0, "simulation needs at least one node");
     assert_eq!(nodes.len(), n, "one logic closure per node required");
-    let (timeout, policy) = (config.round_timeout, config.policy.name());
     std::thread::scope(|scope| {
         let mut threads = Vec::with_capacity(n);
         let mut bridges = Vec::with_capacity(n);
@@ -1108,22 +1085,13 @@ pub fn run_simulation_traced<O: Send + 'static>(
             threads.push(scope.spawn(move || {
                 logic(&mut NodeCtx::with_link(id, n, Link::Node { to_bridge, from_bridge }, metrics))
             }));
-            bridges.push(node_task(async move |ctx: &mut NodeCtx| loop {
-                match submissions.recv_timeout(timeout) {
-                    Ok(outgoing) => {
-                        ctx.pending = outgoing;
-                        let inbox = ctx.next_round().await;
-                        // The thread blocks for this inbox, so only a
-                        // thread that has panicked since can refuse it.
-                        let _ = to_node.send(inbox);
-                    }
-                    Err(RecvTimeoutError::Disconnected) => return,
-                    Err(RecvTimeoutError::Timeout) => panic!(
-                        "simulation wedged in round {}: node(s) [{id}] never submitted within \
-                         {timeout:?} under the {policy} policy at virtual time {vtime}",
-                        ctx.round() + 1,
-                        vtime = ctx.vtime(),
-                    ),
+            bridges.push(node_task(async move |ctx: &mut NodeCtx| {
+                while let Ok(outgoing) = submissions.recv() {
+                    ctx.pending = outgoing;
+                    let inbox = ctx.next_round().await;
+                    // The thread blocks for this inbox, so only a thread
+                    // that has panicked since can refuse it.
+                    let _ = to_node.send(inbox);
                 }
             }));
         }
@@ -1148,31 +1116,38 @@ pub fn run_simulation_traced<O: Send + 'static>(
 mod tests {
     use super::*;
 
-    type Logic<O> = Box<dyn FnOnce(&mut NodeCtx) -> O + Send>;
+    /// `n` tasks; node `id` runs `logic(id)`.
+    fn tasks<O: 'static, F>(n: usize, logic: impl Fn(NodeId) -> F) -> Vec<NodeTask<O>>
+    where
+        F: AsyncFnOnce(&mut NodeCtx) -> O + Send + 'static,
+    {
+        (0..n).map(|id| node_task(logic(id))).collect()
+    }
 
-    fn run<O: Send + 'static>(n: usize, mk: impl Fn(usize) -> Logic<O>) -> (SimResult<O>, MetricsSink) {
+    /// Runs `logic(id)` as node `id` of an `n`-node round-barrier run.
+    fn run<O: Send + 'static, F>(n: usize, logic: impl Fn(NodeId) -> F) -> (SimResult<O>, MetricsSink)
+    where
+        F: AsyncFnOnce(&mut NodeCtx) -> O + Send + 'static,
+    {
         let metrics = MetricsSink::new();
-        let logics = (0..n).map(&mk).collect();
-        let res = run_simulation(SimConfig::new(n), metrics.clone(), logics);
+        let res = run_tasks(SimConfig::new(n), metrics.clone(), None, tasks(n, logic));
         (res, metrics)
     }
 
     #[test]
     fn all_to_all_exchange() {
-        let (res, metrics) = run(4, |_| {
-            Box::new(|ctx: &mut NodeCtx| {
-                for to in 0..ctx.n() {
-                    if to != ctx.id() {
-                        ctx.send(to, "ping", vec![ctx.id() as u8], 8);
-                    }
+        let (res, metrics) = run(4, |_| async |ctx: &mut NodeCtx| {
+            for to in 0..ctx.n() {
+                if to != ctx.id() {
+                    ctx.send(to, "ping", vec![ctx.id() as u8], 8);
                 }
-                let inbox = ctx.end_round();
-                let mut got: Vec<usize> = (0..ctx.n())
-                    .filter(|&s| !inbox.from_sender(s).is_empty())
-                    .collect();
-                got.sort_unstable();
-                got
-            })
+            }
+            let inbox = ctx.next_round().await;
+            let mut got: Vec<usize> = (0..ctx.n())
+                .filter(|&s| !inbox.from_sender(s).is_empty())
+                .collect();
+            got.sort_unstable();
+            got
         });
         for (id, got) in res.outputs.iter().enumerate() {
             let expect: Vec<usize> = (0..4).filter(|&s| s != id).collect();
@@ -1187,22 +1162,20 @@ mod tests {
 
     #[test]
     fn bits_sent_counts_what_the_sink_counts() {
-        let (res, metrics) = run(2, |id| {
-            Box::new(move |ctx: &mut NodeCtx| {
-                if id == 1 {
-                    return 0; // finished before node 0's sends
-                }
-                assert_eq!(ctx.bits_sent(), 0);
-                // Round 1 retires node 1, so round 2's send to it is
-                // never delivered, yet it was sent and metered.
-                ctx.end_round();
-                ctx.send(0, "self", vec![1], 8);
-                ctx.send(1, "gone", vec![2, 3], 16);
-                assert_eq!(ctx.bits_sent(), 24);
-                let inbox = ctx.end_round();
-                assert_eq!(inbox.len(), 1, "only the self-send is delivered");
-                ctx.bits_sent()
-            })
+        let (res, metrics) = run(2, |id| async move |ctx: &mut NodeCtx| {
+            if id == 1 {
+                return 0; // finished before node 0's sends
+            }
+            assert_eq!(ctx.bits_sent(), 0);
+            // Round 1 retires node 1, so round 2's send to it is
+            // never delivered, yet it was sent and metered.
+            ctx.next_round().await;
+            ctx.send(0, "self", vec![1], 8);
+            ctx.send(1, "gone", vec![2, 3], 16);
+            assert_eq!(ctx.bits_sent(), 24);
+            let inbox = ctx.next_round().await;
+            assert_eq!(inbox.len(), 1, "only the self-send is delivered");
+            ctx.bits_sent()
         });
         assert_eq!(res.outputs, vec![24, 0]);
         assert_eq!(metrics.snapshot().logical_bits_by_node(0), 24);
@@ -1211,21 +1184,19 @@ mod tests {
     #[test]
     fn multi_round_pipeline() {
         // Token passes 0 -> 1 -> 2 -> 0 over three rounds.
-        let (res, _) = run(3, |_| {
-            Box::new(|ctx: &mut NodeCtx| {
-                let mut token: Option<u8> = (ctx.id() == 0).then_some(42);
-                for _ in 0..3 {
-                    if let Some(t) = token.take() {
-                        ctx.send((ctx.id() + 1) % ctx.n(), "tok", vec![t], 8);
-                    }
-                    let mut inbox = ctx.end_round();
-                    let prev = (ctx.id() + ctx.n() - 1) % ctx.n();
-                    if let Some(b) = inbox.take(prev, "tok") {
-                        token = Some(b[0]);
-                    }
+        let (res, _) = run(3, |_| async |ctx: &mut NodeCtx| {
+            let mut token: Option<u8> = (ctx.id() == 0).then_some(42);
+            for _ in 0..3 {
+                if let Some(t) = token.take() {
+                    ctx.send((ctx.id() + 1) % ctx.n(), "tok", vec![t], 8);
                 }
-                token
-            })
+                let mut inbox = ctx.next_round().await;
+                let prev = (ctx.id() + ctx.n() - 1) % ctx.n();
+                if let Some(b) = inbox.take(prev, "tok") {
+                    token = Some(b[0]);
+                }
+            }
+            token
         });
         assert_eq!(res.outputs, vec![Some(42), None, None]);
         assert_eq!(res.rounds, 3);
@@ -1234,23 +1205,21 @@ mod tests {
     #[test]
     fn early_finisher_does_not_deadlock() {
         // Node 2 "crashes" immediately; others exchange for 2 rounds.
-        let (res, _) = run(3, |id| {
-            Box::new(move |ctx: &mut NodeCtx| {
-                if id == 2 {
-                    return 0usize;
-                }
-                let mut received = 0usize;
-                for _ in 0..2 {
-                    for to in 0..ctx.n() {
-                        if to != ctx.id() {
-                            ctx.send(to, "x", Bytes::new(), 1);
-                        }
+        let (res, _) = run(3, |id| async move |ctx: &mut NodeCtx| {
+            if id == 2 {
+                return 0usize;
+            }
+            let mut received = 0usize;
+            for _ in 0..2 {
+                for to in 0..ctx.n() {
+                    if to != ctx.id() {
+                        ctx.send(to, "x", Bytes::new(), 1);
                     }
-                    let inbox = ctx.end_round();
-                    received += inbox.len();
                 }
-                received
-            })
+                let inbox = ctx.next_round().await;
+                received += inbox.len();
+            }
+            received
         });
         // Each active node hears only from the other active node.
         assert_eq!(res.outputs[0], 2);
@@ -1260,15 +1229,13 @@ mod tests {
 
     #[test]
     fn messages_to_finished_nodes_are_dropped() {
-        let (res, metrics) = run(2, |id| {
-            Box::new(move |ctx: &mut NodeCtx| {
-                if id == 1 {
-                    return 0usize;
-                }
-                ctx.send(1, "into-void", vec![1, 2, 3], 24);
-                let inbox = ctx.end_round();
-                inbox.len()
-            })
+        let (res, metrics) = run(2, |id| async move |ctx: &mut NodeCtx| {
+            if id == 1 {
+                return 0usize;
+            }
+            ctx.send(1, "into-void", vec![1, 2, 3], 24);
+            let inbox = ctx.next_round().await;
+            inbox.len()
         });
         assert_eq!(res.outputs[0], 0);
         // The send is still *counted*: the bits were transmitted.
@@ -1278,54 +1245,48 @@ mod tests {
     #[test]
     fn sender_identity_is_authenticated() {
         // Receiver sees the true `from` regardless of payload claims.
-        let (res, _) = run(2, |id| {
-            Box::new(move |ctx: &mut NodeCtx| {
-                if id == 0 {
-                    // claims to be node 7 in the payload
-                    ctx.send(1, "spoof", vec![7u8], 8);
-                    ctx.end_round();
-                    None
-                } else {
-                    let inbox = ctx.end_round();
-                    inbox.from_sender(0).first().map(|m| m.from)
-                }
-            })
+        let (res, _) = run(2, |id| async move |ctx: &mut NodeCtx| {
+            if id == 0 {
+                // claims to be node 7 in the payload
+                ctx.send(1, "spoof", vec![7u8], 8);
+                ctx.next_round().await;
+                None
+            } else {
+                let inbox = ctx.next_round().await;
+                inbox.from_sender(0).first().map(|m| m.from)
+            }
         });
         assert_eq!(res.outputs[1], Some(0));
     }
 
     #[test]
     fn take_consumes_messages_in_order() {
-        let (res, _) = run(2, |id| {
-            Box::new(move |ctx: &mut NodeCtx| {
-                if id == 0 {
-                    ctx.send(1, "a", vec![1], 8);
-                    ctx.send(1, "b", vec![2], 8);
-                    ctx.send(1, "a", vec![3], 8);
-                    ctx.end_round();
-                    Vec::new()
-                } else {
-                    let mut inbox = ctx.end_round();
-                    let mut got = Vec::new();
-                    got.push(inbox.take(0, "a").unwrap()[0]);
-                    got.push(inbox.take(0, "a").unwrap()[0]);
-                    assert!(inbox.take(0, "a").is_none());
-                    got.push(inbox.take(0, "b").unwrap()[0]);
-                    got
-                }
-            })
+        let (res, _) = run(2, |id| async move |ctx: &mut NodeCtx| {
+            if id == 0 {
+                ctx.send(1, "a", vec![1], 8);
+                ctx.send(1, "b", vec![2], 8);
+                ctx.send(1, "a", vec![3], 8);
+                ctx.next_round().await;
+                Vec::new()
+            } else {
+                let mut inbox = ctx.next_round().await;
+                let mut got = Vec::new();
+                got.push(inbox.take(0, "a").unwrap()[0]);
+                got.push(inbox.take(0, "a").unwrap()[0]);
+                assert!(inbox.take(0, "a").is_none());
+                got.push(inbox.take(0, "b").unwrap()[0]);
+                got
+            }
         });
         assert_eq!(res.outputs[1], vec![1, 3, 2]);
     }
 
     #[test]
     fn self_send_is_delivered() {
-        let (res, _) = run(1, |_| {
-            Box::new(|ctx: &mut NodeCtx| {
-                ctx.send(0, "self", vec![9], 8);
-                let mut inbox = ctx.end_round();
-                inbox.take(0, "self").map(|b| b[0])
-            })
+        let (res, _) = run(1, |_| async |ctx: &mut NodeCtx| {
+            ctx.send(0, "self", vec![9], 8);
+            let mut inbox = ctx.next_round().await;
+            inbox.take(0, "self").map(|b| b[0])
         });
         assert_eq!(res.outputs[0], Some(9));
     }
@@ -1333,33 +1294,28 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn send_out_of_range_panics() {
-        let _ = run(1, |_| {
-            Box::new(|ctx: &mut NodeCtx| {
-                ctx.send(5, "bad", Bytes::new(), 0);
-            })
+        let _ = run(1, |_| async |ctx: &mut NodeCtx| {
+            ctx.send(5, "bad", Bytes::new(), 0);
         });
     }
 
     #[test]
     #[should_panic(expected = "round limit")]
     fn round_limit_enforced() {
-        let metrics = MetricsSink::new();
-        let logics: Vec<NodeLogic<()>> = vec![Box::new(|ctx| loop {
-            ctx.end_round();
-        })];
         let cfg = SimConfig {
             max_rounds: Some(10),
             ..SimConfig::new(1)
         };
-        let _ = run_simulation(cfg, metrics, logics);
+        let _ = run_with(cfg, tasks(1, |_| async |ctx: &mut NodeCtx| loop {
+            ctx.next_round().await;
+        }));
     }
 
     #[test]
     #[should_panic(expected = "node 0 panicked")]
     fn node_panic_propagates() {
-        let metrics = MetricsSink::new();
-        let logics: Vec<NodeLogic<()>> = vec![Box::new(|_| panic!("boom"))];
-        let _ = run_simulation(SimConfig::new(1), metrics, logics);
+        let boom = tasks(1, |_| async |_: &mut NodeCtx| panic!("boom"));
+        let _: SimResult<()> = run_with(SimConfig::new(1), boom);
     }
 
     #[test]
@@ -1370,51 +1326,6 @@ mod tests {
         assert_eq!(a, "smr.slot3.dispersal.symbol");
         assert_eq!(slot_scope("smr", 7), "smr.slot7");
         assert_ne!(slot_scope("smr", 7), slot_scope("smr", 8));
-    }
-
-    #[test]
-    fn round_timeout_is_configurable() {
-        let cfg = SimConfig::new(2).with_round_timeout(Duration::from_secs(5));
-        assert_eq!(cfg.round_timeout, Duration::from_secs(5));
-        assert_eq!(SimConfig::new(2).round_timeout, DEFAULT_ROUND_TIMEOUT);
-        // A short timeout still completes a healthy run.
-        let metrics = MetricsSink::new();
-        let logics: Vec<NodeLogic<u64>> = (0..2)
-            .map(|_| {
-                Box::new(|ctx: &mut NodeCtx| {
-                    ctx.end_round();
-                    ctx.round()
-                }) as NodeLogic<u64>
-            })
-            .collect();
-        let res = run_simulation(cfg, metrics, logics);
-        assert_eq!(res.outputs, vec![1, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "simulation wedged in round 2: node(s) [1] never submitted")]
-    // The stall is the point of the test: a real thread must out-sleep
-    // the wedge timeout. Exempt from the clippy determinism mirror.
-    #[allow(clippy::disallowed_methods)]
-    fn wedge_panic_names_missing_nodes_and_round() {
-        // Node 1 completes round 1 and then stalls (sleeps past the
-        // timeout before finishing); node 0 keeps going. The coordinator
-        // must name the stalled node and the wedged round.
-        let metrics = MetricsSink::new();
-        let logics: Vec<NodeLogic<()>> = (0..2)
-            .map(|id| {
-                Box::new(move |ctx: &mut NodeCtx| {
-                    ctx.end_round();
-                    if id == 1 {
-                        std::thread::sleep(Duration::from_millis(400));
-                    } else {
-                        ctx.end_round();
-                    }
-                }) as NodeLogic<()>
-            })
-            .collect();
-        let cfg = SimConfig::new(2).with_round_timeout(Duration::from_millis(50));
-        let _ = run_simulation(cfg, metrics, logics);
     }
 
     #[test]
@@ -1457,32 +1368,28 @@ mod tests {
 
     #[test]
     fn drain_messages_yields_sender_order_and_empties() {
-        let (res, _) = run(3, |id| {
-            Box::new(move |ctx: &mut NodeCtx| {
-                if id != 2 {
-                    ctx.send(2, "m", vec![id as u8], 8);
-                    ctx.send(2, "m", vec![id as u8 + 10], 8);
-                    ctx.end_round();
-                    return Vec::new();
-                }
-                let mut inbox = ctx.end_round();
-                let drained: Vec<(usize, u8)> =
-                    inbox.drain_messages().map(|m| (m.from, m.payload[0])).collect();
-                assert!(inbox.is_empty());
-                drained
-            })
+        let (res, _) = run(3, |id| async move |ctx: &mut NodeCtx| {
+            if id != 2 {
+                ctx.send(2, "m", vec![id as u8], 8);
+                ctx.send(2, "m", vec![id as u8 + 10], 8);
+                ctx.next_round().await;
+                return Vec::new();
+            }
+            let mut inbox = ctx.next_round().await;
+            let drained: Vec<(usize, u8)> =
+                inbox.drain_messages().map(|m| (m.from, m.payload[0])).collect();
+            assert!(inbox.is_empty());
+            drained
         });
         assert_eq!(res.outputs[2], vec![(0, 0), (0, 10), (1, 1), (1, 11)]);
     }
 
     #[test]
     fn rounds_match_between_result_and_metrics() {
-        let (res, metrics) = run(2, |_| {
-            Box::new(|ctx: &mut NodeCtx| {
-                for _ in 0..5 {
-                    ctx.end_round();
-                }
-            })
+        let (res, metrics) = run(2, |_| async |ctx: &mut NodeCtx| {
+            for _ in 0..5 {
+                ctx.next_round().await;
+            }
         });
         assert_eq!(res.rounds, 5);
         assert_eq!(metrics.snapshot().rounds(), 5);
@@ -1490,28 +1397,22 @@ mod tests {
 
     // --- event-driven scheduling ---
 
-    fn run_with<O: Send + 'static>(
-        cfg: SimConfig,
-        mk: impl Fn(usize) -> Logic<O>,
-    ) -> SimResult<O> {
-        let logics = (0..cfg.n).map(&mk).collect();
-        run_simulation(cfg, MetricsSink::new(), logics)
+    fn run_with<O: Send + 'static>(cfg: SimConfig, tasks: Vec<NodeTask<O>>) -> SimResult<O> {
+        run_tasks(cfg, MetricsSink::new(), None, tasks)
     }
 
-    /// Both nodes ping each other every round for `rounds` rounds.
-    fn ping_pong(rounds: usize) -> impl Fn(usize) -> Logic<Vec<VirtualTime>> {
-        move |_| {
-            Box::new(move |ctx: &mut NodeCtx| {
-                let mut ends = Vec::new();
-                for _ in 0..rounds {
-                    ctx.send(1 - ctx.id(), "ping", vec![1u8], 8);
-                    let inbox = ctx.end_round();
-                    assert_eq!(inbox.vtime(), ctx.vtime());
-                    ends.push(ctx.vtime());
-                }
-                ends
-            })
-        }
+    /// Two nodes that ping each other every round for `rounds` rounds.
+    fn ping_pong(rounds: usize) -> Vec<NodeTask<Vec<VirtualTime>>> {
+        tasks(2, |_| async move |ctx: &mut NodeCtx| {
+            let mut ends = Vec::new();
+            for _ in 0..rounds {
+                ctx.send(1 - ctx.id(), "ping", vec![1u8], 8);
+                let inbox = ctx.next_round().await;
+                assert_eq!(inbox.vtime(), ctx.vtime());
+                ends.push(ctx.vtime());
+            }
+            ends
+        })
     }
 
     #[test]
@@ -1545,22 +1446,20 @@ mod tests {
         let cfg = SimConfig::new(2).with_policy(SchedulingPolicy::EventDriven(model));
         let res = run_with(
             cfg,
-            |_| {
-                Box::new(|ctx: &mut NodeCtx| {
-                    // Two same-round messages on one link must not reorder.
-                    ctx.send(1 - ctx.id(), "a", vec![1u8], 8);
-                    ctx.send(1 - ctx.id(), "b", vec![2u8], 8);
-                    let inbox = ctx.end_round();
-                    let msgs = inbox.from_sender(1 - ctx.id());
-                    assert_eq!(msgs.len(), 2);
-                    assert_eq!(msgs[0].tag, "a", "link FIFO preserves send order");
-                    assert!(msgs[0].at <= msgs[1].at);
-                    for m in msgs {
-                        assert!((100..=140).contains(&m.at), "jitter bounds: {}", m.at);
-                    }
-                    ctx.vtime()
-                }) as Logic<VirtualTime>
-            },
+            tasks(2, |_| async |ctx: &mut NodeCtx| {
+                // Two same-round messages on one link must not reorder.
+                ctx.send(1 - ctx.id(), "a", vec![1u8], 8);
+                ctx.send(1 - ctx.id(), "b", vec![2u8], 8);
+                let inbox = ctx.next_round().await;
+                let msgs = inbox.from_sender(1 - ctx.id());
+                assert_eq!(msgs.len(), 2);
+                assert_eq!(msgs[0].tag, "a", "link FIFO preserves send order");
+                assert!(msgs[0].at <= msgs[1].at);
+                for m in msgs {
+                    assert!((100..=140).contains(&m.at), "jitter bounds: {}", m.at);
+                }
+                ctx.vtime()
+            }),
         );
         assert!((100..=140).contains(&res.vtime));
     }
@@ -1574,19 +1473,17 @@ mod tests {
         let cfg = SimConfig::new(4).with_policy(SchedulingPolicy::EventDriven(model));
         let res = run_with(
             cfg,
-            |_| {
-                Box::new(|ctx: &mut NodeCtx| {
-                    for to in 0..ctx.n() {
-                        if to != ctx.id() {
-                            ctx.send(to, "m", vec![1u8], 8);
-                        }
+            tasks(4, |_| async |ctx: &mut NodeCtx| {
+                for to in 0..ctx.n() {
+                    if to != ctx.id() {
+                        ctx.send(to, "m", vec![1u8], 8);
                     }
-                    let inbox = ctx.end_round();
-                    let same = if ctx.id() < 2 { 1 - ctx.id() } else { 5 - ctx.id() };
-                    let far = (ctx.id() + 2) % 4;
-                    (inbox.from_sender(same)[0].at, inbox.from_sender(far)[0].at)
-                }) as Logic<(VirtualTime, VirtualTime)>
-            },
+                }
+                let inbox = ctx.next_round().await;
+                let same = if ctx.id() < 2 { 1 - ctx.id() } else { 5 - ctx.id() };
+                let far = (ctx.id() + 2) % 4;
+                (inbox.from_sender(same)[0].at, inbox.from_sender(far)[0].at)
+            }),
         );
         for &(near, far) in &res.outputs {
             assert_eq!(near, 10);
@@ -1611,13 +1508,11 @@ mod tests {
             let cfg = SimConfig::new(2).with_policy(SchedulingPolicy::EventDriven(model));
             let res = run_with(
                 cfg,
-                |_| {
-                    Box::new(|ctx: &mut NodeCtx| {
-                        ctx.send(1 - ctx.id(), "x", vec![1u8], 8);
-                        let inbox = ctx.end_round();
-                        inbox.from_sender(1 - ctx.id()).first().map(|m| m.at)
-                    }) as Logic<Option<VirtualTime>>
-                },
+                tasks(2, |_| async |ctx: &mut NodeCtx| {
+                    ctx.send(1 - ctx.id(), "x", vec![1u8], 8);
+                    let inbox = ctx.next_round().await;
+                    inbox.from_sender(1 - ctx.id()).first().map(|m| m.at)
+                }),
             );
             if expect_lost {
                 assert_eq!(res.outputs, vec![None, None], "drop partitions lose crossings");
@@ -1661,19 +1556,20 @@ mod tests {
             SimConfig::new(3).with_policy(SchedulingPolicy::EventDriven(model))
         };
         let run_once = || {
-            run_with(mk(), |_| {
-                Box::new(|ctx: &mut NodeCtx| {
+            run_with(
+                mk(),
+                tasks(3, |_| async |ctx: &mut NodeCtx| {
                     let mut arrivals = Vec::new();
                     for _ in 0..4 {
                         for to in 0..ctx.n() {
                             ctx.send(to, "m", vec![ctx.id() as u8], 8);
                         }
-                        let mut inbox = ctx.end_round();
+                        let mut inbox = ctx.next_round().await;
                         arrivals.extend(inbox.drain_messages().map(|m| (m.from, m.at)));
                     }
                     arrivals
-                }) as Logic<Vec<(usize, VirtualTime)>>
-            })
+                }),
+            )
         };
         let (a, b) = (run_once(), run_once());
         assert_eq!(a.outputs, b.outputs, "same seed, same delivery schedule");
@@ -1714,18 +1610,14 @@ mod tests {
     fn traced_round(n: usize, model: NetModel, sends: fn(NodeId) -> Vec<NodeId>) -> TracedRound {
         let trace = trace::TraceSink::new();
         let cfg = SimConfig::new(n).with_policy(SchedulingPolicy::EventDriven(model));
-        let logics = (0..n)
-            .map(|_| {
-                Box::new(move |ctx: &mut NodeCtx| {
-                    for (i, to) in sends(ctx.id()).into_iter().enumerate() {
-                        ctx.send(to, "m", vec![i as u8], i as u64);
-                    }
-                    let mut inbox = ctx.end_round();
-                    inbox.drain_messages().map(|m| (m.from, u64::from(m.payload[0]), m.at)).collect()
-                }) as Logic<Vec<(NodeId, u64, VirtualTime)>>
-            })
-            .collect();
-        let res = run_simulation_traced(cfg, MetricsSink::new(), Some(trace.clone()), logics);
+        let round = tasks(n, |_| async move |ctx: &mut NodeCtx| {
+            for (i, to) in sends(ctx.id()).into_iter().enumerate() {
+                ctx.send(to, "m", vec![i as u8], i as u64);
+            }
+            let mut inbox = ctx.next_round().await;
+            inbox.drain_messages().map(|m| (m.from, u64::from(m.payload[0]), m.at)).collect()
+        });
+        let res = run_tasks(cfg, MetricsSink::new(), Some(trace.clone()), round);
         TracedRound {
             trace: trace.events().iter().map(|e| (e.from, e.to, e.logical_bits, e.vtime)).collect(),
             inboxes: res.outputs,
@@ -1775,21 +1667,12 @@ mod tests {
         assert_eq!(round.inboxes[2], vec![(0, 0, 50), (1, 0, 5)], "inboxes stay grouped by sender");
     }
 
-    fn run_with_sink<O: Send + 'static>(
-        cfg: SimConfig,
-        metrics: MetricsSink,
-        mk: impl Fn(usize) -> Logic<O>,
-    ) -> SimResult<O> {
-        let logics = (0..cfg.n).map(&mk).collect();
-        run_simulation(cfg, metrics, logics)
-    }
-
     #[test]
     fn telemetry_records_links_and_queue_depth() {
         let model = NetModel::new(LinkModel::Fixed(50), Topology::Clique);
         let cfg = SimConfig::new(2).with_policy(SchedulingPolicy::EventDriven(model));
         let metrics = MetricsSink::with_telemetry();
-        let _ = run_with_sink(cfg, metrics.clone(), ping_pong(3));
+        let _ = run_tasks(cfg, metrics.clone(), None, ping_pong(3));
         let snap = metrics.telemetry().unwrap().snapshot();
         // Each direction carried one 1-byte ping per round at 50 ticks.
         for key in [(0usize, 1usize), (1, 0)] {
@@ -1818,12 +1701,11 @@ mod tests {
                 });
             let cfg = SimConfig::new(2).with_policy(SchedulingPolicy::EventDriven(model));
             let metrics = MetricsSink::with_telemetry();
-            let _ = run_with_sink(cfg, metrics.clone(), |_| {
-                Box::new(|ctx: &mut NodeCtx| {
-                    ctx.send(1 - ctx.id(), "x", vec![1u8], 8);
-                    let _ = ctx.end_round();
-                }) as Logic<()>
+            let ping = tasks(2, |_| async |ctx: &mut NodeCtx| {
+                ctx.send(1 - ctx.id(), "x", vec![1u8], 8);
+                let _ = ctx.next_round().await;
             });
+            let _ = run_tasks(cfg, metrics.clone(), None, ping);
             let snap = metrics.telemetry().unwrap().snapshot();
             assert_eq!(snap.outages.len(), 1);
             let o = &snap.outages[0];
@@ -1845,7 +1727,7 @@ mod tests {
         let model = NetModel::new(LinkModel::Fixed(50), Topology::Clique);
         let cfg = SimConfig::new(2).with_policy(SchedulingPolicy::EventDriven(model));
         let metrics = MetricsSink::new();
-        let res = run_with_sink(cfg, metrics.clone(), ping_pong(2));
+        let res = run_tasks(cfg, metrics.clone(), None, ping_pong(2));
         assert_eq!(res.rounds, 2);
         assert!(res.vtime >= 100, "two 50-tick rounds ran");
         assert!(metrics.telemetry().is_none());
@@ -1866,7 +1748,7 @@ mod tests {
     fn event_driven_validates_topology_against_n() {
         let model = NetModel::new(LinkModel::Fixed(1), Topology::Clusters(vec![2, 2]));
         let cfg = SimConfig::new(3).with_policy(SchedulingPolicy::EventDriven(model));
-        let _ = run_with(cfg, |_| Box::new(|_ctx: &mut NodeCtx| ()) as Logic<()>);
+        let _ = run_with(cfg, tasks(3, |_| async |_: &mut NodeCtx| {}));
     }
 
     // --- the task driver ---
@@ -1879,40 +1761,43 @@ mod tests {
     /// the next node and to itself, then `id` all-to-all rounds of its
     /// own. Node 0 therefore finishes first and later rounds keep sending
     /// to it; lanes drop what arrives for scopes that already finished.
-    fn mixed_protocol(id: NodeId) -> NodeTask<NodeLog> {
-        node_task(async move |ctx: &mut NodeCtx| {
-            let mut seen = Vec::new();
-            let mut mux: lanes::LaneMux<Vec<_>> = lanes::LaneMux::new();
-            for (scope, len) in [("eq.a", 1 + id % 2), ("eq.b", 2)] {
-                let tag = scoped_tag(scope, "m");
-                mux.spawn(ctx, scope, async move |lane: &mut NodeCtx| {
-                    let mut got = Vec::new();
-                    for r in 0..len {
-                        lane.send((id + 1) % lane.n(), tag, vec![id as u8, r as u8], 8);
-                        lane.send(id, tag, vec![r as u8], 4);
-                        let mut inbox = lane.next_round().await;
-                        got.extend(inbox.drain_messages().map(|m| (m.from, m.tag, m.payload.to_vec(), m.at)));
-                    }
-                    got
-                });
-            }
-            while mux.has_lanes() {
-                for lane in mux.step(ctx).await {
-                    seen.extend(lane.output);
+    async fn mixed(id: NodeId, ctx: &mut NodeCtx) -> NodeLog {
+        let mut seen = Vec::new();
+        let mut mux: lanes::LaneMux<Vec<_>> = lanes::LaneMux::new();
+        for (scope, len) in [("eq.a", 1 + id % 2), ("eq.b", 2)] {
+            let tag = scoped_tag(scope, "m");
+            mux.spawn(ctx, scope, async move |lane: &mut NodeCtx| {
+                let mut got = Vec::new();
+                for r in 0..len {
+                    lane.send((id + 1) % lane.n(), tag, vec![id as u8, r as u8], 8);
+                    lane.send(id, tag, vec![r as u8], 4);
+                    let mut inbox = lane.next_round().await;
+                    got.extend(inbox.drain_messages().map(|m| (m.from, m.tag, m.payload.to_vec(), m.at)));
                 }
+                got
+            });
+        }
+        while mux.has_lanes() {
+            for lane in mux.step(ctx).await {
+                seen.extend(lane.output);
             }
-            for r in 0..id {
-                for to in 0..ctx.n() {
-                    ctx.send(to, "eq.all", vec![id as u8, r as u8, to as u8], 16 + to as u64);
-                }
-                let mut inbox = ctx.next_round().await;
-                seen.extend(inbox.drain_messages().map(|m| (m.from, m.tag, m.payload.to_vec(), m.at)));
+        }
+        for r in 0..id {
+            for to in 0..ctx.n() {
+                ctx.send(to, "eq.all", vec![id as u8, r as u8, to as u8], 16 + to as u64);
             }
-            (seen, ctx.round(), ctx.vtime(), ctx.bits_sent())
-        })
+            let mut inbox = ctx.next_round().await;
+            seen.extend(inbox.drain_messages().map(|m| (m.from, m.tag, m.payload.to_vec(), m.at)));
+        }
+        (seen, ctx.round(), ctx.vtime(), ctx.bits_sent())
     }
 
-    /// What a run of [`mixed_protocol`] exposes.
+    /// [`mixed`] as node `id`'s task.
+    fn mixed_protocol(id: NodeId) -> NodeTask<NodeLog> {
+        node_task(async move |ctx: &mut NodeCtx| mixed(id, ctx).await)
+    }
+
+    /// What a run of [`mixed`] exposes.
     #[derive(Debug, PartialEq)]
     struct Observed {
         outputs: Vec<NodeLog>,
@@ -1924,11 +1809,22 @@ mod tests {
 
     const MIXED_N: usize = 5;
 
+    /// [`mixed`] on `k` workers of the driver.
     fn observe(k: usize, policy: &SchedulingPolicy) -> Observed {
+        observe_with(policy, |cfg, metrics, trace| {
+            drive(k, cfg, metrics, Some(trace), (0..MIXED_N).map(mixed_protocol).collect())
+        })
+    }
+
+    /// [`mixed`] under `policy`, run by `run` from a config, a sink and a
+    /// trace.
+    fn observe_with(
+        policy: &SchedulingPolicy,
+        run: impl FnOnce(SimConfig, MetricsSink, trace::TraceSink) -> SimResult<NodeLog>,
+    ) -> Observed {
         let trace = trace::TraceSink::new();
         let metrics = MetricsSink::new();
-        let cfg = SimConfig::new(MIXED_N).with_policy(policy.clone());
-        let run = drive(k, cfg, metrics.clone(), Some(trace.clone()), (0..MIXED_N).map(mixed_protocol).collect());
+        let run = run(SimConfig::new(MIXED_N).with_policy(policy.clone()), metrics.clone(), trace.clone());
         Observed {
             outputs: run.outputs,
             rounds: run.rounds,
@@ -1938,15 +1834,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn results_are_the_same_for_every_worker_count() {
+    /// Both policies; the event-driven one with jitter and a `Delay`
+    /// partition that holds node 4's crossings until tick 60.
+    fn mixed_policies() -> [SchedulingPolicy; 2] {
         let wan = NetModel::new(
             LinkModel::Wan { intra: 5, inter: 40, jitter: 7 },
             Topology::Clusters(vec![2, 3]),
         )
         .with_seed(3)
         .with_partition(Partition::of_node(4, 0, 60, PartitionBehavior::Delay));
-        for policy in [SchedulingPolicy::RoundBarrier, SchedulingPolicy::EventDriven(wan)] {
+        [SchedulingPolicy::RoundBarrier, SchedulingPolicy::EventDriven(wan)]
+    }
+
+    #[test]
+    fn results_are_the_same_for_every_worker_count() {
+        for policy in mixed_policies() {
             let spec = observe(1, &policy);
             // The protocol reaches what it is meant to: an early finisher
             // that is still sent to, self-sends, and a clock of its own
@@ -1964,12 +1866,23 @@ mod tests {
         }
     }
 
-    /// `n` tasks; node `id` runs `logic(id)`.
-    fn tasks<O: 'static, F>(n: usize, logic: impl Fn(NodeId) -> F) -> Vec<NodeTask<O>>
-    where
-        F: AsyncFnOnce(&mut NodeCtx) -> O + Send + 'static,
-    {
-        (0..n).map(|id| node_task(logic(id))).collect()
+    /// The benchmark probes' shim, [`run_simulation_traced`], runs
+    /// [`mixed`] as blocking closures (lanes included, under [`block_on`])
+    /// exactly as the driver runs it as tasks: same outputs, rounds,
+    /// clock, trace and metrics.
+    #[test]
+    fn the_probes_shim_matches_the_driver() {
+        for policy in mixed_policies() {
+            let shim = observe_with(&policy, |cfg, metrics, trace| {
+                let logics = (0..MIXED_N)
+                    .map(|id| {
+                        Box::new(move |ctx: &mut NodeCtx| block_on(mixed(id, ctx))) as NodeLogic<NodeLog>
+                    })
+                    .collect();
+                run_simulation_traced(cfg, metrics, Some(trace), logics)
+            });
+            assert_eq!(shim, observe(WORKERS, &policy), "under the {} policy", policy.name());
+        }
     }
 
     #[test]

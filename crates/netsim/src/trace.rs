@@ -1,8 +1,7 @@
 //! Execution traces: a per-delivery record of everything the network
 //! carried, for debugging, golden-transcript tests and offline analysis.
 //!
-//! A [`TraceSink`] handed to
-//! [`run_simulation_traced`](crate::run_simulation_traced) records one
+//! A [`TraceSink`] handed to [`run_tasks`](crate::run_tasks) records one
 //! [`TraceEvent`] per delivered message (round, sender, recipient, tag,
 //! logical bits, payload bytes). Because the simulator is a lockstep
 //! deterministic round model, the trace of a run is a pure function of
@@ -46,19 +45,19 @@ pub struct TraceEvent {
 /// ```
 /// use mvbc_metrics::MetricsSink;
 /// use mvbc_netsim::trace::TraceSink;
-/// use mvbc_netsim::{run_simulation_traced, NodeCtx, SimConfig};
+/// use mvbc_netsim::{node_task, run_tasks, NodeCtx, SimConfig};
 ///
 /// let trace = TraceSink::new();
-/// let logics = (0..2)
+/// let tasks = (0..2)
 ///     .map(|_| {
-///         Box::new(move |ctx: &mut NodeCtx| {
+///         node_task(async |ctx: &mut NodeCtx| {
 ///             let peer = 1 - ctx.id();
 ///             ctx.send(peer, "hello", vec![1u8], 8);
-///             let _ = ctx.end_round();
-///         }) as Box<dyn FnOnce(&mut NodeCtx) + Send>
+///             let _ = ctx.next_round().await;
+///         })
 ///     })
 ///     .collect();
-/// run_simulation_traced(SimConfig::new(2), MetricsSink::new(), Some(trace.clone()), logics);
+/// run_tasks(SimConfig::new(2), MetricsSink::new(), Some(trace.clone()), tasks);
 /// assert_eq!(trace.len(), 2); // one delivery each way
 /// assert_eq!(trace.events()[0].tag, "hello");
 /// ```

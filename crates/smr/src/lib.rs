@@ -18,8 +18,8 @@
 //!   re-entrant [`run_broadcast_slot`](mvbc_broadcast::run_broadcast_slot)
 //!   seam — no per-slot setup/teardown, and slot-scoped message tags
 //!   (`smr.slot17.…`) keep adjacent slots' messages from cross-delivering.
-//! - **Concurrent-slot pipelining.** One engine,
-//!   [`run_replicated_log`], keeps a window of [`SmrConfig::pipeline`]
+//! - **Concurrent-slot pipelining.** One engine, the async
+//!   [`replicate`], keeps a window of [`SmrConfig::pipeline`]
 //!   `= W` slots in flight. At `W = 1` (the default) the one slot runs
 //!   inline on the replica's own context; at `W > 1` each slot runs on
 //!   its own [lane](mvbc_netsim::lanes) of the simulation, so up to `W`
@@ -84,8 +84,8 @@ mod state_machine;
 
 pub use batch::{decode_batch, encode_batch, synthetic_workloads, BatchBuilder, Command};
 pub use log::{
-    run_replicated_log, simulate_smr, simulate_smr_traced, SmrConfig, SmrConfigError, SmrReport,
-    SmrRun, COMMIT_GAP_TAG, COMMIT_VTIME_TAG, MAX_PIPELINE,
+    replicate, simulate_smr, simulate_smr_traced, SmrConfig, SmrConfigError, SmrReport, SmrRun,
+    COMMIT_GAP_TAG, COMMIT_VTIME_TAG, MAX_PIPELINE,
 };
 pub use primary::{plan_for_slot, primary_for_slot, SlotPlan};
 pub use report::{

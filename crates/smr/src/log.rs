@@ -13,8 +13,7 @@ use mvbc_metrics::MetricsSink;
 use mvbc_netsim::lanes::{LaneId, LaneMux};
 use mvbc_netsim::trace::TraceSink;
 use mvbc_netsim::{
-    block_on, node_task, run_tasks, slot_scope, NodeCtx, NodeTask, SchedulingPolicy, SimConfig,
-    VirtualTime,
+    node_task, run_tasks, slot_scope, NodeCtx, NodeTask, SchedulingPolicy, SimConfig, VirtualTime,
 };
 
 use crate::batch::{decode_batch, encode_batch, BatchBuilder, Command};
@@ -111,7 +110,7 @@ pub struct SmrConfig {
     /// inside the single simulation. `1` (the default) runs slots
     /// back-to-back; larger depths interleave up to `W` broadcast slots
     /// per synchronous round, dividing total rounds by up to `W` while
-    /// committing the **exact same log** (see [`run_replicated_log`]).
+    /// committing the **exact same log** (see [`replicate`]).
     /// At most [`MAX_PIPELINE`].
     pub pipeline: usize,
 }
@@ -297,8 +296,10 @@ struct Flight {
 }
 
 /// Runs the replicated log for one replica, with up to
-/// [`SmrConfig::pipeline`] slots in flight: the per-node loop of
-/// [`simulate_smr`].
+/// [`SmrConfig::pipeline`] slots in flight, applying every committed
+/// batch to `state`: the per-node loop of [`simulate_smr`], and the way to
+/// drive a custom [`StateMachine`]. It is `async`: await it inside a node
+/// task ([`node_task`]); its only awaits are the mux's physical rounds.
 ///
 /// `commands` is this replica's client command stream; it proposes them
 /// in batches on its primary turns. The diagnosis graph and the suspect
@@ -367,19 +368,7 @@ struct Flight {
 /// is stateless, so concurrent lanes share no driver state.
 /// [`SmrHooks::slot_hooks`] may be called more than once per slot (once
 /// per attempt) and must be deterministic in `(slot, i_am_primary)`.
-pub fn run_replicated_log<S: StateMachine>(
-    ctx: &mut NodeCtx,
-    cfg: &SmrConfig,
-    commands: Vec<Command>,
-    hooks: &mut dyn SmrHooks,
-    state: &mut S,
-) -> SmrReport {
-    block_on(replicate(ctx, cfg, commands, hooks, state))
-}
-
-/// The body of [`run_replicated_log`]: its only awaits are the mux's
-/// physical rounds.
-async fn replicate<S: StateMachine>(
+pub async fn replicate<S: StateMachine>(
     ctx: &mut NodeCtx,
     cfg: &SmrConfig,
     commands: Vec<Command>,
@@ -636,7 +625,7 @@ pub struct SmrRun {
 
 /// Runs a whole replicated log — every slot — inside **one** simulation:
 /// one [`run_tasks`] call, each replica a node task running
-/// [`run_replicated_log`]'s future with dispute-control state carried across slots
+/// [`replicate`]'s future with dispute-control state carried across slots
 /// and a fresh Phase-King driver per slot attempt.
 ///
 /// `workloads[i]` is replica `i`'s client command stream (proposed on its

@@ -113,9 +113,8 @@ pub trait SmrHooks: Send {
     /// Called at the start of every slot *attempt*; returns the broadcast
     /// hooks the replica uses for that attempt's broadcast execution.
     ///
-    /// At pipeline depth `W > 1`
-    /// ([`run_replicated_log`](crate::run_replicated_log)) a slot may be
-    /// attempted more than once — an attempt in flight when a commit
+    /// At pipeline depth `W > 1` ([`replicate`](crate::replicate)) a slot
+    /// may be attempted more than once — an attempt in flight when a commit
     /// changes the dispute state is discarded and the slot re-proposed —
     /// so this method can be called several times for one `slot` and must
     /// be deterministic in `(slot, i_am_primary)` for every depth to

@@ -18,7 +18,7 @@ use mvbc_bsb::{BsbHooks, PhaseKingDriver};
 use mvbc_core::DiagGraph;
 use mvbc_metrics::MetricsSink;
 use mvbc_netsim::trace::TraceSink;
-use mvbc_netsim::{block_on, run_simulation, slot_scope, NodeCtx, NodeLogic, SimConfig};
+use mvbc_netsim::{node_task, run_tasks, slot_scope, NodeCtx, NodeTask, SimConfig};
 use mvbc_smr::{
     decode_batch, encode_batch, plan_for_slot, simulate_smr, simulate_smr_traced,
     synthetic_workloads, BatchBuilder, Command, EquivocatingPrimary, HonestReplica, KvStore,
@@ -32,7 +32,7 @@ use mvbc_smr::{
 /// log's rules — rotation, batching, the caught-primary verdict, the
 /// requeue of a caught primary's batch, degraded mode — without the
 /// engine's window, versions or discards.
-fn reference_log(
+async fn reference_log(
     ctx: &mut NodeCtx,
     cfg: &SmrConfig,
     commands: Vec<Command>,
@@ -62,7 +62,7 @@ fn reference_log(
         let mut slot_hooks = hooks.slot_hooks(slot, me == primary);
         let pre_trust: Vec<bool> = (0..cfg.n).map(|x| diag.trusts(primary, x)).collect();
         let (round_before, bits_before) = (ctx.round(), ctx.bits_sent());
-        let report = block_on(run_broadcast_slot(
+        let report = run_broadcast_slot(
             ctx,
             &cfg.broadcast_config(primary),
             proposal.as_deref(),
@@ -70,7 +70,7 @@ fn reference_log(
             &mut diag,
             slot_hooks.as_mut(),
             &mut PhaseKingDriver,
-        ));
+        ).await;
         let caught = report.defaulted
             || diag.is_isolated(primary)
             || (0..cfg.n).any(|x| pre_trust[x] && !diag.trusts(primary, x) && !diag.is_isolated(x));
@@ -112,19 +112,19 @@ fn simulate_reference(
     workloads: Vec<Vec<Command>>,
     hooks: Vec<Box<dyn SmrHooks>>,
 ) -> SmrRun {
-    let logics: Vec<NodeLogic<(SmrReport, KvStore)>> = workloads
+    let tasks: Vec<NodeTask<(SmrReport, KvStore)>> = workloads
         .into_iter()
         .zip(hooks)
         .map(|(commands, mut hook)| {
             let cfg = cfg.clone();
-            Box::new(move |ctx: &mut NodeCtx| {
+            node_task(async move |ctx: &mut NodeCtx| {
                 let mut store = KvStore::default();
-                let report = reference_log(ctx, &cfg, commands, hook.as_mut(), &mut store);
+                let report = reference_log(ctx, &cfg, commands, hook.as_mut(), &mut store).await;
                 (report, store)
-            }) as NodeLogic<(SmrReport, KvStore)>
+            })
         })
         .collect();
-    let result = run_simulation(SimConfig::new(cfg.n), MetricsSink::new(), logics);
+    let result = run_tasks(SimConfig::new(cfg.n), MetricsSink::new(), None, tasks);
     let (reports, stores) = result.outputs.into_iter().unzip();
     SmrRun {
         reports,
