@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use mvbc_rscode::MAX_CODE_LENGTH;
+
 /// Error for invalid broadcast parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BroadcastConfigError {
@@ -11,6 +13,11 @@ pub enum BroadcastConfigError {
         n: usize,
         /// Requested tolerance.
         t: usize,
+    },
+    /// `n` exceeds the coding field: `n > MAX_CODE_LENGTH` (65 535).
+    TooManyProcessors {
+        /// Number of processors.
+        n: usize,
     },
     /// `source >= n`.
     BadSource {
@@ -28,6 +35,9 @@ impl fmt::Display for BroadcastConfigError {
         match self {
             BroadcastConfigError::TooManyFaults { n, t } => {
                 write!(f, "error-free broadcast requires t < n/3 (n = {n}, t = {t})")
+            }
+            BroadcastConfigError::TooManyProcessors { n } => {
+                write!(f, "GF(2^16) coding supports at most {MAX_CODE_LENGTH} processors (n = {n})")
             }
             BroadcastConfigError::BadSource { source } => {
                 write!(f, "source id {source} is out of range")
@@ -117,6 +127,9 @@ impl BroadcastConfig {
         // `t < n/3` without forming `3 * t`, which can wrap.
         if t >= n.div_ceil(3) {
             return Err(BroadcastConfigError::TooManyFaults { n, t });
+        }
+        if n > MAX_CODE_LENGTH {
+            return Err(BroadcastConfigError::TooManyProcessors { n });
         }
         if source >= n {
             return Err(BroadcastConfigError::BadSource { source });
@@ -208,6 +221,20 @@ mod tests {
             BroadcastConfig::with_gen_bytes(4, 1, 0, 10, 0),
             Err(BroadcastConfigError::ZeroGenerationSize)
         );
+    }
+
+    #[test]
+    fn rejects_oversized_network() {
+        // Past the coding field, rejected here rather than by the
+        // `StripedCode::c2t(..).expect` of every slot.
+        assert_eq!(
+            BroadcastConfig::new(70_000, 0, 0, 8),
+            Err(BroadcastConfigError::TooManyProcessors { n: 70_000 })
+        );
+        assert!(BroadcastConfig::new(MAX_CODE_LENGTH, 0, 0, 8).is_ok());
+        let err = BroadcastConfig::new(MAX_CODE_LENGTH + 1, 0, 0, 8).unwrap_err();
+        assert_eq!(err, BroadcastConfigError::TooManyProcessors { n: 65_536 });
+        assert!(err.to_string().contains("at most 65535 processors"));
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use mvbc_rscode::MAX_CODE_LENGTH;
+
 use crate::{dsel, GENERATION_WINDOW};
 
 /// Error returned for invalid consensus parameters.
@@ -14,7 +16,7 @@ pub enum ConfigError {
         /// Requested fault tolerance.
         t: usize,
     },
-    /// `n` exceeds the coding field (GF(2^16) supports `n <= 65535`).
+    /// `n` exceeds the coding field: `n > MAX_CODE_LENGTH` (65 535).
     TooManyProcessors {
         /// Number of processors.
         n: usize,
@@ -32,7 +34,7 @@ impl fmt::Display for ConfigError {
                 write!(f, "error-free consensus requires t < n/3 (n = {n}, t = {t})")
             }
             ConfigError::TooManyProcessors { n } => {
-                write!(f, "GF(2^16) coding supports at most 65535 processors (n = {n})")
+                write!(f, "GF(2^16) coding supports at most {MAX_CODE_LENGTH} processors (n = {n})")
             }
             ConfigError::EmptyValue => write!(f, "consensus value must be at least one byte"),
             ConfigError::ZeroGenerationSize => {
@@ -86,7 +88,7 @@ impl ConsensusConfig {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] when `t >= n/3`, `n > 65535`, or
+    /// Returns a [`ConfigError`] when `t >= n/3`, `n > MAX_CODE_LENGTH`, or
     /// `value_bytes == 0`.
     pub fn new(n: usize, t: usize, value_bytes: usize) -> Result<Self, ConfigError> {
         let cfg = ConsensusConfig {
@@ -126,7 +128,7 @@ impl ConsensusConfig {
         if self.t >= self.n.div_ceil(3) {
             return Err(ConfigError::TooManyFaults { n: self.n, t: self.t });
         }
-        if self.n > u16::MAX as usize {
+        if self.n > MAX_CODE_LENGTH {
             return Err(ConfigError::TooManyProcessors { n: self.n });
         }
         if self.value_bytes == 0 {
@@ -216,6 +218,11 @@ mod tests {
         assert_eq!(
             ConsensusConfig::new(70_000, 1, 8),
             Err(ConfigError::TooManyProcessors { n: 70_000 })
+        );
+        assert!(ConsensusConfig::new(MAX_CODE_LENGTH, 0, 8).is_ok());
+        assert_eq!(
+            ConsensusConfig::new(MAX_CODE_LENGTH + 1, 0, 8),
+            Err(ConfigError::TooManyProcessors { n: 65_536 })
         );
     }
 

@@ -1,4 +1,4 @@
-//! Batched slice kernels over a [`Field`] — the codec hot loop.
+//! Batched slice kernels over [`Gf65536`] — the codec hot loop.
 //!
 //! Reed-Solomon encode, decode, and consistency checking over a striped
 //! code all reduce to row applications `out[i] ^= c * in[i]` where one
@@ -11,16 +11,14 @@
 //! - [`addmul_rows`] — `dst[i] += Σ_j coeffs[j] * srcs[j][i]`, a whole
 //!   matrix-row application fused into one pass over the accumulator
 //!
-//! [`Gf65536`](crate::Gf65536), the coding field, implements both with
-//! *packed split-table* loops (see the `packed` module): per-multiplier
-//! split tables are built once per slice call and combined branch-free
-//! with XOR, the `c == 1` accumulate path XORs `u64`-packed words via
-//! `chunks_exact`, `c == 0` is a no-op, and short slices fall back to the
-//! log-domain loop. The small fields [`Gf16`](crate::Gf16) and
-//! [`Gf256`](crate::Gf256) run the scalar twins. The `*_scalar` twins
-//! keep the naive per-element formulation as an executable
-//! specification; the equivalence suite pins kernel == scalar on random
-//! inputs for every field, every table tier, and every tail alignment.
+//! Both run *packed split-table* loops (see the `packed` module):
+//! per-multiplier split tables are built once per slice call and
+//! combined branch-free with XOR, the `c == 1` accumulate path XORs
+//! `u64`-packed words via `chunks_exact`, `c == 0` is a no-op, and short
+//! slices fall back to the log-domain loop. The `*_scalar` twins keep
+//! the naive per-element formulation as an executable specification;
+//! the equivalence suite pins kernel == scalar on random inputs for
+//! every table tier and every tail alignment.
 //!
 //! # Examples
 //!
@@ -36,24 +34,24 @@
 //! assert_eq!(fast, slow);
 //! ```
 
-use crate::Field;
+use crate::{packed, Gf65536};
 
-/// `dst[i] += c * src[i]` via the field's batched kernel.
+/// `dst[i] += c * src[i]` via the packed kernel.
 ///
 /// # Panics
 ///
 /// Panics when `src` and `dst` differ in length.
-pub fn addmul_slice<F: Field>(c: F, src: &[F], dst: &mut [F]) {
-    F::addmul_slice(c, src, dst);
+pub fn addmul_slice(c: Gf65536, src: &[Gf65536], dst: &mut [Gf65536]) {
+    packed::addmul_slice(c, src, dst);
 }
 
-/// `dst[i] += Σ_j coeffs[j] * srcs[j][i]` via the field's fused kernel.
+/// `dst[i] += Σ_j coeffs[j] * srcs[j][i]` via the fused kernel.
 ///
 /// One generator-matrix (or inverted-Vandermonde) row applied to all
-/// `coeffs.len()` sources in a single pass over `dst`: GF(2^16)
-/// builds one set of split tables per non-zero coefficient up
-/// front, then XOR every source's product into a register before the
-/// single accumulator store. Equivalent to `coeffs.len()` successive
+/// `coeffs.len()` sources in a single pass over `dst`: it builds one
+/// set of split tables per non-zero coefficient up front, then XORs
+/// every source's product into a register before the single
+/// accumulator store. Equivalent to `coeffs.len()` successive
 /// [`addmul_slice`] calls, but without the `k - 1` extra load+store
 /// round-trips over `dst` per element.
 ///
@@ -61,8 +59,8 @@ pub fn addmul_slice<F: Field>(c: F, src: &[F], dst: &mut [F]) {
 ///
 /// Panics when `coeffs` and `srcs` differ in length, or any source
 /// differs in length from `dst`.
-pub fn addmul_rows<F: Field>(coeffs: &[F], srcs: &[&[F]], dst: &mut [F]) {
-    F::addmul_rows(coeffs, srcs, dst);
+pub fn addmul_rows(coeffs: &[Gf65536], srcs: &[&[Gf65536]], dst: &mut [Gf65536]) {
+    packed::addmul_rows(coeffs, srcs, dst);
 }
 
 /// Scalar reference for [`addmul_slice`].
@@ -70,7 +68,7 @@ pub fn addmul_rows<F: Field>(coeffs: &[F], srcs: &[&[F]], dst: &mut [F]) {
 /// # Panics
 ///
 /// Panics when `src` and `dst` differ in length.
-pub fn addmul_slice_scalar<F: Field>(c: F, src: &[F], dst: &mut [F]) {
+pub fn addmul_slice_scalar(c: Gf65536, src: &[Gf65536], dst: &mut [Gf65536]) {
     assert_eq!(src.len(), dst.len(), "addmul_slice length mismatch");
     for (d, &s) in dst.iter_mut().zip(src) {
         *d += c * s;
@@ -84,7 +82,7 @@ pub fn addmul_slice_scalar<F: Field>(c: F, src: &[F], dst: &mut [F]) {
 ///
 /// Panics when `coeffs` and `srcs` differ in length, or any source
 /// differs in length from `dst`.
-pub fn addmul_rows_scalar<F: Field>(coeffs: &[F], srcs: &[&[F]], dst: &mut [F]) {
+pub fn addmul_rows_scalar(coeffs: &[Gf65536], srcs: &[&[Gf65536]], dst: &mut [Gf65536]) {
     assert_eq!(coeffs.len(), srcs.len(), "addmul_rows shape mismatch");
     for (&c, src) in coeffs.iter().zip(srcs) {
         addmul_slice_scalar(c, src, dst);
@@ -94,30 +92,28 @@ pub fn addmul_rows_scalar<F: Field>(coeffs: &[F], srcs: &[&[F]], dst: &mut [F]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Gf16, Gf256, Gf65536};
+    use crate::Field;
 
-    fn pseudo_random(len: usize, seed: u64) -> Vec<u64> {
+    fn pseudo_random(len: usize, seed: u64) -> Vec<Gf65536> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         (0..len)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
-                state
+                Gf65536::from_u64(state)
             })
             .collect()
     }
 
-    fn check_field<F: Field>() {
+    #[test]
+    fn kernels_match_scalar_gf65536() {
         for (seed, len) in [(1u64, 0usize), (2, 1), (3, 7), (4, 64), (5, 257)] {
-            let src: Vec<F> = pseudo_random(len, seed).into_iter().map(F::from_u64).collect();
-            let acc: Vec<F> = pseudo_random(len, seed ^ 0xfeed)
-                .into_iter()
-                .map(F::from_u64)
-                .collect();
+            let src = pseudo_random(len, seed);
+            let acc = pseudo_random(len, seed ^ 0xfeed);
             // Include the short-circuited multipliers 0 and 1.
-            for craw in [0u64, 1, 2, 3, 0x55, F::ORDER - 1] {
-                let c = F::from_u64(craw);
+            for craw in [0u16, 1, 2, 3, 0x55, 0xffff] {
+                let c = Gf65536::new(craw);
                 let mut fast = acc.clone();
                 let mut slow = acc.clone();
                 addmul_slice(c, &src, &mut fast);
@@ -128,34 +124,19 @@ mod tests {
     }
 
     #[test]
-    fn kernels_match_scalar_gf16() {
-        check_field::<Gf16>();
-    }
-
-    #[test]
-    fn kernels_match_scalar_gf256() {
-        check_field::<Gf256>();
-    }
-
-    #[test]
-    fn kernels_match_scalar_gf65536() {
-        check_field::<Gf65536>();
-    }
-
-    #[test]
     fn addmul_accumulates() {
-        let c = Gf256::new(7);
-        let src = [Gf256::new(3); 4];
-        let mut dst = [Gf256::new(9); 4];
+        let c = Gf65536::new(7);
+        let src = [Gf65536::new(3); 4];
+        let mut dst = [Gf65536::new(9); 4];
         addmul_slice(c, &src, &mut dst);
-        assert_eq!(dst, [Gf256::new(9) + Gf256::new(7) * Gf256::new(3); 4]);
+        assert_eq!(dst, [Gf65536::new(9) + Gf65536::new(7) * Gf65536::new(3); 4]);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn length_mismatch_panics() {
-        let src = [Gf256::ONE; 3];
-        let mut dst = [Gf256::ZERO; 2];
-        addmul_slice(Gf256::ONE, &src, &mut dst);
+        let src = [Gf65536::ONE; 3];
+        let mut dst = [Gf65536::ZERO; 2];
+        addmul_slice(Gf65536::ONE, &src, &mut dst);
     }
 }

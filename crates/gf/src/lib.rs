@@ -1,32 +1,30 @@
 //! Galois-field arithmetic for the `mvbc` workspace.
 //!
-//! This crate implements the finite fields GF(2^4), GF(2^8) and GF(2^16)
-//! together with the polynomial and linear-algebra tooling required by the
-//! Reed-Solomon codes of Liang & Vaidya's error-free multi-valued Byzantine
-//! consensus algorithm (PODC 2011). The paper's code `C_2t` is an
-//! `(n, n-2t)` Reed-Solomon code over GF(2^c) with `n <= 2^c - 1`; the
-//! workspace instantiates it over [`Gf65536`] so any practical simulated
-//! network size is supported.
+//! This crate implements the finite field GF(2^16) together with the
+//! polynomial and linear-algebra tooling required by the Reed-Solomon
+//! codes of Liang & Vaidya's error-free multi-valued Byzantine consensus
+//! algorithm (PODC 2011). The paper's code `C_2t` is an `(n, n-2t)`
+//! Reed-Solomon code over GF(2^c) with `n <= 2^c - 1`; the workspace
+//! fixes c = 16, as [`Gf65536`], so any practical simulated network size
+//! is supported.
 //!
-//! [`Gf65536`] is therefore the only field with fast slice kernels: the
-//! [`kernels`] entry points dispatch to its packed split-table tiers,
-//! and [`PreparedMul65536`] prebuilds its byte tables for multipliers
-//! that recur. [`Gf16`] and [`Gf256`] share the element arithmetic but
-//! run the scalar reference kernels; tests and small examples use them.
+//! The [`kernels`] entry points run its packed split-table tiers, and
+//! [`PreparedMul65536`] prebuilds its byte tables for multipliers that
+//! recur.
 //!
 //! # Examples
 //!
 //! ```
-//! use mvbc_gf::{Field, Gf256};
+//! use mvbc_gf::{Field, Gf65536};
 //!
-//! let a = Gf256::new(0x53);
-//! let b = Gf256::new(0xca);
+//! let a = Gf65536::new(0x53);
+//! let b = Gf65536::new(0xca);
 //! // Multiplication distributes over XOR-addition.
-//! let c = Gf256::new(0x11);
+//! let c = Gf65536::new(0x11);
 //! assert_eq!(a * (b + c), a * b + a * c);
 //! // Every non-zero element has a multiplicative inverse.
 //! let inv = a.inv().expect("non-zero element");
-//! assert_eq!(a * inv, Gf256::ONE);
+//! assert_eq!(a * inv, Gf65536::ONE);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -39,7 +37,7 @@ mod packed;
 mod poly;
 mod tables;
 
-pub use field::{Field, Gf16, Gf256, Gf65536};
+pub use field::{Field, Gf65536};
 pub use linalg::{solve_linear_system, GfMatrix, LinalgError};
-pub use packed::{addmul_rows_prepared, mul_rows_prepared, PreparedMul65536};
+pub use packed::{mul_rows_prepared, PreparedMul65536};
 pub use poly::{interpolate, InterpolateError, Poly};

@@ -1,11 +1,11 @@
-//! Dense matrices and Gaussian elimination over a [`Field`].
+//! Dense matrices and Gaussian elimination over [`Gf65536`].
 //!
 //! Berlekamp-Welch decoding reduces error correction to solving a linear
 //! system over GF(2^c); this module provides that solver.
 
 use std::fmt;
 
-use crate::Field;
+use crate::{Field, Gf65536};
 
 /// Error produced by the linear-algebra routines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -27,27 +27,27 @@ impl fmt::Display for LinalgError {
 
 impl std::error::Error for LinalgError {}
 
-/// A dense row-major matrix over `F`.
+/// A dense row-major matrix over GF(2^16).
 ///
 /// # Examples
 ///
 /// ```
-/// use mvbc_gf::{Field, Gf256, GfMatrix};
+/// use mvbc_gf::{Field, Gf65536, GfMatrix};
 ///
 /// let mut m = GfMatrix::zeros(2, 2);
-/// m.set(0, 0, Gf256::ONE);
-/// m.set(1, 1, Gf256::ONE);
-/// assert_eq!(m.get(0, 0), Gf256::ONE);
+/// m.set(0, 0, Gf65536::ONE);
+/// m.set(1, 1, Gf65536::ONE);
+/// assert_eq!(m.get(0, 0), Gf65536::ONE);
 /// assert_eq!(m.rank(), 2);
 /// ```
 #[derive(Clone, PartialEq, Eq)]
-pub struct GfMatrix<F: Field> {
+pub struct GfMatrix {
     rows: usize,
     cols: usize,
-    data: Vec<F>,
+    data: Vec<Gf65536>,
 }
 
-impl<F: Field> fmt::Debug for GfMatrix<F> {
+impl fmt::Debug for GfMatrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "GfMatrix({}x{})", self.rows, self.cols)?;
         for r in 0..self.rows {
@@ -64,18 +64,18 @@ impl<F: Field> fmt::Debug for GfMatrix<F> {
     }
 }
 
-impl<F: Field> GfMatrix<F> {
+impl GfMatrix {
     /// Creates a `rows x cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
         GfMatrix {
             rows,
             cols,
-            data: vec![F::ZERO; rows * cols],
+            data: vec![Gf65536::ZERO; rows * cols],
         }
     }
 
     /// Creates a matrix from a closure mapping `(row, col)` to an entry.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> F) -> Self {
+    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> Gf65536) -> Self {
         let mut m = Self::zeros(rows, cols);
         for r in 0..rows {
             for c in 0..cols {
@@ -100,7 +100,7 @@ impl<F: Field> GfMatrix<F> {
     /// # Panics
     ///
     /// Panics when the index is out of bounds.
-    pub fn get(&self, r: usize, c: usize) -> F {
+    pub fn get(&self, r: usize, c: usize) -> Gf65536 {
         assert!(r < self.rows && c < self.cols, "matrix index out of bounds");
         self.data[r * self.cols + c]
     }
@@ -110,7 +110,7 @@ impl<F: Field> GfMatrix<F> {
     /// # Panics
     ///
     /// Panics when the index is out of bounds.
-    pub fn set(&mut self, r: usize, c: usize, v: F) {
+    pub fn set(&mut self, r: usize, c: usize, v: Gf65536) {
         assert!(r < self.rows && c < self.cols, "matrix index out of bounds");
         self.data[r * self.cols + c] = v;
     }
@@ -120,13 +120,13 @@ impl<F: Field> GfMatrix<F> {
     /// # Errors
     ///
     /// Returns [`LinalgError::DimensionMismatch`] when `v.len() != cols`.
-    pub fn mul_vec(&self, v: &[F]) -> Result<Vec<F>, LinalgError> {
+    pub fn mul_vec(&self, v: &[Gf65536]) -> Result<Vec<Gf65536>, LinalgError> {
         if v.len() != self.cols {
             return Err(LinalgError::DimensionMismatch);
         }
-        let mut out = vec![F::ZERO; self.rows];
+        let mut out = vec![Gf65536::ZERO; self.rows];
         for (r, slot) in out.iter_mut().enumerate() {
-            let mut acc = F::ZERO;
+            let mut acc = Gf65536::ZERO;
             for (c, &vc) in v.iter().enumerate() {
                 acc += self.get(r, c) * vc;
             }
@@ -188,7 +188,7 @@ impl<F: Field> GfMatrix<F> {
     }
 }
 
-/// Solves `A x = b` over `F`, returning one solution (free variables are set
+/// Solves `A x = b` over GF(2^16), returning one solution (free variables are set
 /// to zero when the system is under-determined).
 ///
 /// # Errors
@@ -199,19 +199,19 @@ impl<F: Field> GfMatrix<F> {
 /// # Examples
 ///
 /// ```
-/// use mvbc_gf::{solve_linear_system, Field, Gf256, GfMatrix};
+/// use mvbc_gf::{solve_linear_system, Field, Gf65536, GfMatrix};
 ///
 /// // x + y = 5, y = 3  =>  x = 6 (XOR arithmetic), y = 3
 /// let a = GfMatrix::from_fn(2, 2, |r, c| {
-///     if r == 0 || c == 1 { Gf256::ONE } else { Gf256::ZERO }
+///     if r == 0 || c == 1 { Gf65536::ONE } else { Gf65536::ZERO }
 /// });
-/// let b = vec![Gf256::new(5), Gf256::new(3)];
+/// let b = vec![Gf65536::new(5), Gf65536::new(3)];
 /// let x = solve_linear_system(&a, &b)?;
 /// assert_eq!(a.mul_vec(&x)?, b);
 /// # Ok::<(), mvbc_gf::LinalgError>(())
 /// ```
 #[allow(clippy::needless_range_loop)] // index-based elimination reads clearer here
-pub fn solve_linear_system<F: Field>(a: &GfMatrix<F>, b: &[F]) -> Result<Vec<F>, LinalgError> {
+pub fn solve_linear_system(a: &GfMatrix, b: &[Gf65536]) -> Result<Vec<Gf65536>, LinalgError> {
     if b.len() != a.rows() {
         return Err(LinalgError::DimensionMismatch);
     }
@@ -233,7 +233,7 @@ pub fn solve_linear_system<F: Field>(a: &GfMatrix<F>, b: &[F]) -> Result<Vec<F>,
     }
     // Back-substitute: the matrix is in reduced row-echelon form, so each
     // pivot row directly gives one variable (free variables stay zero).
-    let mut x = vec![F::ZERO; a.cols()];
+    let mut x = vec![Gf65536::ZERO; a.cols()];
     for r in 0..aug.rows() {
         let Some(pivot_col) = (0..a.cols()).find(|&c| !aug.get(r, c).is_zero()) else {
             continue;
@@ -250,23 +250,23 @@ pub fn solve_linear_system<F: Field>(a: &GfMatrix<F>, b: &[F]) -> Result<Vec<F>,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Field, Gf256};
+    use crate::Field;
 
-    fn m(rows: usize, cols: usize, entries: &[u8]) -> GfMatrix<Gf256> {
+    fn m(rows: usize, cols: usize, entries: &[u16]) -> GfMatrix {
         assert_eq!(entries.len(), rows * cols);
-        GfMatrix::from_fn(rows, cols, |r, c| Gf256::new(entries[r * cols + c]))
+        GfMatrix::from_fn(rows, cols, |r, c| Gf65536::new(entries[r * cols + c]))
     }
 
     #[test]
     fn identity_solve() {
         let a = m(3, 3, &[1, 0, 0, 0, 1, 0, 0, 0, 1]);
-        let b = vec![Gf256::new(7), Gf256::new(8), Gf256::new(9)];
+        let b = vec![Gf65536::new(7), Gf65536::new(8), Gf65536::new(9)];
         assert_eq!(solve_linear_system(&a, &b).unwrap(), b);
     }
 
     #[test]
     fn vandermonde_is_full_rank() {
-        let pts: Vec<Gf256> = (0..6).map(Gf256::alpha).collect();
+        let pts: Vec<Gf65536> = (0..6).map(Gf65536::alpha).collect();
         let a = GfMatrix::from_fn(6, 6, |r, c| pts[r].pow(c as u64));
         assert_eq!(a.rank(), 6);
     }
@@ -277,11 +277,11 @@ mod tests {
         let mut seed = 0x9e37u32;
         let mut next = move || {
             seed = seed.wrapping_mul(1664525).wrapping_add(1013904223);
-            (seed >> 8) as u8
+            ((seed >> 8) & 0xff) as u16
         };
         for _ in 0..20 {
-            let a = GfMatrix::from_fn(5, 5, |_, _| Gf256::new(next()));
-            let x_true: Vec<Gf256> = (0..5).map(|_| Gf256::new(next())).collect();
+            let a = GfMatrix::from_fn(5, 5, |_, _| Gf65536::new(next()));
+            let x_true: Vec<Gf65536> = (0..5).map(|_| Gf65536::new(next())).collect();
             let b = a.mul_vec(&x_true).unwrap();
             if a.rank() < 5 {
                 continue; // singular sample; skip
@@ -295,14 +295,14 @@ mod tests {
     fn inconsistent_system_detected() {
         // x + y = 1 and x + y = 2 simultaneously.
         let a = m(2, 2, &[1, 1, 1, 1]);
-        let b = vec![Gf256::new(1), Gf256::new(2)];
+        let b = vec![Gf65536::new(1), Gf65536::new(2)];
         assert_eq!(solve_linear_system(&a, &b), Err(LinalgError::Inconsistent));
     }
 
     #[test]
     fn underdetermined_system_solved_with_free_vars_zero() {
         let a = m(1, 3, &[1, 1, 1]);
-        let b = vec![Gf256::new(9)];
+        let b = vec![Gf65536::new(9)];
         let x = solve_linear_system(&a, &b).unwrap();
         assert_eq!(a.mul_vec(&x).unwrap(), b);
     }
@@ -311,11 +311,11 @@ mod tests {
     fn dimension_mismatch_detected() {
         let a = m(2, 2, &[1, 0, 0, 1]);
         assert_eq!(
-            solve_linear_system(&a, &[Gf256::ONE]),
+            solve_linear_system(&a, &[Gf65536::ONE]),
             Err(LinalgError::DimensionMismatch)
         );
         assert_eq!(
-            a.mul_vec(&[Gf256::ONE]),
+            a.mul_vec(&[Gf65536::ONE]),
             Err(LinalgError::DimensionMismatch)
         );
     }
@@ -323,8 +323,8 @@ mod tests {
     #[test]
     fn rank_of_dependent_rows() {
         let a = m(3, 3, &[1, 2, 3, 2, 4, 6, 1, 0, 1]);
-        // Row 1 = 2 * row 0 in GF(2^8)? Multiplication by 2 in GF(256) is a
-        // field op; row1 entries are exactly 2*row0: 2*1=2, 2*2=4, 2*3=6.
+        // Row 1 = 2 * row 0: multiplication by 2 (the polynomial x) needs
+        // no reduction here, so 2*1=2, 2*2=4, 2*3=6.
         assert_eq!(a.rank(), 2);
     }
 

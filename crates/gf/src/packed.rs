@@ -1,9 +1,9 @@
 //! Packed GF(2^16) slice kernels: split-table multiplication +
 //! word-packed XOR.
 //!
-//! GF(2^16) is the field the workspace codes over (the striped codec
-//! runs every stripe through these kernels); GF(2^4) and GF(2^8) keep
-//! the [`Field`](crate::Field) trait's scalar defaults.
+//! GF(2^16) is the field the workspace codes over: the striped codec
+//! runs every stripe through these kernels, reached through
+//! [`crate::kernels`].
 //!
 //! Resolving every product through the shared exp/log tables costs, for
 //! GF(2^16), a probe into ~768 KiB of tables — a probable L2/L3 miss once
@@ -41,165 +41,134 @@
 //! equivalence suite (`tests/codec_equivalence.rs`), across odd lengths
 //! and unaligned tails.
 
-use crate::tables::Tables;
+use crate::field::Gf65536;
+use crate::tables::{self, Tables};
 
 /// Minimum slice length before any split table is built; below this the
 /// log-domain loop wins.
 const SPLIT_MIN: usize = 32;
 
-/// Minimum slice length before [`gf65536`] upgrades from nibble tables
+/// Minimum slice length before the kernels upgrade from nibble tables
 /// (60 products to build) to byte tables (510 products to build).
 const BYTE_TABLE_MIN: usize = 1024;
 
-/// GF(2^16) packed kernels: nibble split tables, upgraded to byte split
-/// tables for long slices. This is the workspace's default coding field
-/// — the striped codec runs every stripe through these.
-pub(crate) mod gf65536 {
-    use super::{Tables, BYTE_TABLE_MIN, SPLIT_MIN};
-    use crate::field::Gf65536;
-    use crate::tables;
+/// Four nibble tables: `tab[j][x] = c * (x << 4j)`.
+#[inline]
+fn nibble_tables(t: &Tables, c: u16) -> [[u16; 16]; 4] {
+    let lc = t.log[c as usize];
+    let mut tabs = [[0u16; 16]; 4];
+    for (j, tab) in tabs.iter_mut().enumerate() {
+        for (x, slot) in tab.iter_mut().enumerate().skip(1) {
+            *slot = t.exp[(lc + t.log[x << (4 * j)]) as usize] as u16;
+        }
+    }
+    tabs
+}
 
-    /// Four nibble tables: `tab[j][x] = c * (x << 4j)`.
-    #[inline]
-    fn nibble_tables(t: &Tables, c: u16) -> [[u16; 16]; 4] {
-        let lc = t.log[c as usize];
-        let mut tabs = [[0u16; 16]; 4];
-        for (j, tab) in tabs.iter_mut().enumerate() {
-            for (x, slot) in tab.iter_mut().enumerate().skip(1) {
-                *slot = t.exp[(lc + t.log[x << (4 * j)]) as usize] as u16;
+#[inline]
+fn nib_product(tabs: &[[u16; 16]; 4], s: u16) -> u16 {
+    tabs[0][(s & 0xf) as usize]
+        ^ tabs[1][((s >> 4) & 0xf) as usize]
+        ^ tabs[2][((s >> 8) & 0xf) as usize]
+        ^ tabs[3][(s >> 12) as usize]
+}
+
+/// `dst[i] += c * src[i]`, tiered by slice length.
+pub(crate) fn addmul_slice(c: Gf65536, src: &[Gf65536], dst: &mut [Gf65536]) {
+    assert_eq!(src.len(), dst.len(), "addmul_slice length mismatch");
+    if c.raw() == 0 {
+        return;
+    }
+    if c.raw() == 1 {
+        xor_u16_repr(src, dst);
+        return;
+    }
+    let t = tables::tables65536();
+    if src.len() < SPLIT_MIN {
+        let lc = t.log[c.raw() as usize];
+        for (d, s) in dst.iter_mut().zip(src) {
+            if s.raw() != 0 {
+                *d = Gf65536::new(d.raw() ^ t.exp[(lc + t.log[s.raw() as usize]) as usize] as u16);
             }
         }
-        tabs
+        return;
     }
-
-    /// Two byte tables: `lo[x] = c * x`, `hi[x] = c * (x << 8)`; 1 KiB
-    /// total, L1-resident, one load per operand byte.
-    #[inline]
-    fn byte_tables(t: &Tables, c: u16) -> ([u16; 256], [u16; 256]) {
-        let lc = t.log[c as usize];
-        let mut lo = [0u16; 256];
-        let mut hi = [0u16; 256];
-        for x in 1..256usize {
-            lo[x] = t.exp[(lc + t.log[x]) as usize] as u16;
-            hi[x] = t.exp[(lc + t.log[x << 8]) as usize] as u16;
+    if src.len() < BYTE_TABLE_MIN {
+        let tabs = nibble_tables(t, c.raw());
+        for (d, s) in dst.iter_mut().zip(src) {
+            *d = Gf65536::new(d.raw() ^ nib_product(&tabs, s.raw()));
         }
-        (lo, hi)
+        return;
     }
-
-    #[inline]
-    fn nib_product(tabs: &[[u16; 16]; 4], s: u16) -> u16 {
-        tabs[0][(s & 0xf) as usize]
-            ^ tabs[1][((s >> 4) & 0xf) as usize]
-            ^ tabs[2][((s >> 8) & 0xf) as usize]
-            ^ tabs[3][(s >> 12) as usize]
-    }
-
-    #[inline]
-    fn byte_product(lo: &[u16; 256], hi: &[u16; 256], s: u16) -> u16 {
-        lo[(s & 0xff) as usize] ^ hi[(s >> 8) as usize]
-    }
-
-    pub(crate) fn addmul_slice(c: Gf65536, src: &[Gf65536], dst: &mut [Gf65536]) {
-        assert_eq!(src.len(), dst.len(), "addmul_slice length mismatch");
-        if c.raw() == 0 {
-            return;
+    let p = PreparedMul65536::new(c);
+    let mut d_blocks = dst.chunks_exact_mut(4);
+    let mut s_blocks = src.chunks_exact(4);
+    for (db, sb) in (&mut d_blocks).zip(&mut s_blocks) {
+        for (d, s) in db.iter_mut().zip(sb) {
+            *d = Gf65536::new(d.raw() ^ p.product(s.raw()));
         }
-        if c.raw() == 1 {
-            super::xor_u16_repr(src, dst, Gf65536::raw, Gf65536::new);
-            return;
+    }
+    for (d, s) in d_blocks.into_remainder().iter_mut().zip(s_blocks.remainder()) {
+        *d = Gf65536::new(d.raw() ^ p.product(s.raw()));
+    }
+}
+
+/// Fused `dst[i] += Σ_j coeffs[j] * srcs[j][i]`: one split-table
+/// pair per live source is built up front, then the accumulator is
+/// visited exactly once — every source's product XORs into a
+/// register before the single store. Compared with one
+/// [`addmul_slice`] pass per source this removes `k - 1`
+/// load+store round-trips over `dst` per element, which is the
+/// dominant traffic of a generator-matrix row application.
+pub(crate) fn addmul_rows(coeffs: &[Gf65536], srcs: &[&[Gf65536]], dst: &mut [Gf65536]) {
+    check_rows_shape(coeffs, srcs, dst);
+    if dst.len() < SPLIT_MIN {
+        for (&c, src) in coeffs.iter().zip(srcs) {
+            addmul_slice(c, src, dst);
         }
+        return;
+    }
+    let len = dst.len();
+    if len < BYTE_TABLE_MIN {
         let t = tables::tables65536();
-        if src.len() < SPLIT_MIN {
-            let lc = t.log[c.raw() as usize];
-            for (d, s) in dst.iter_mut().zip(src) {
-                if s.raw() != 0 {
-                    *d = Gf65536::new(
-                        d.raw() ^ t.exp[(lc + t.log[s.raw() as usize]) as usize] as u16,
-                    );
-                }
-            }
-            return;
-        }
-        if src.len() < BYTE_TABLE_MIN {
-            let tabs = nibble_tables(t, c.raw());
-            for (d, s) in dst.iter_mut().zip(src) {
-                *d = Gf65536::new(d.raw() ^ nib_product(&tabs, s.raw()));
-            }
-            return;
-        }
-        let (lo, hi) = byte_tables(t, c.raw());
-        let mut d_blocks = dst.chunks_exact_mut(4);
-        let mut s_blocks = src.chunks_exact(4);
-        for (db, sb) in (&mut d_blocks).zip(&mut s_blocks) {
-            for (d, s) in db.iter_mut().zip(sb) {
-                *d = Gf65536::new(d.raw() ^ byte_product(&lo, &hi, s.raw()));
-            }
-        }
-        for (d, s) in d_blocks.into_remainder().iter_mut().zip(s_blocks.remainder()) {
-            *d = Gf65536::new(d.raw() ^ byte_product(&lo, &hi, s.raw()));
-        }
-    }
-
-    /// Fused `dst[i] += Σ_j coeffs[j] * srcs[j][i]`: one split-table
-    /// pair per live source is built up front, then the accumulator is
-    /// visited exactly once — every source's product XORs into a
-    /// register before the single store. Compared with one
-    /// [`addmul_slice`] pass per source this removes `k - 1`
-    /// load+store round-trips over `dst` per element, which is the
-    /// dominant traffic of a generator-matrix row application.
-    pub(crate) fn addmul_rows(coeffs: &[Gf65536], srcs: &[&[Gf65536]], dst: &mut [Gf65536]) {
-        super::check_rows_shape(coeffs, srcs, dst);
-        if dst.len() < SPLIT_MIN {
-            for (&c, src) in coeffs.iter().zip(srcs) {
-                addmul_slice(c, src, dst);
-            }
-            return;
-        }
-        let t = tables::tables65536();
-        let len = dst.len();
-        if len < BYTE_TABLE_MIN {
-            let live: Vec<([[u16; 16]; 4], &[Gf65536])> = coeffs
-                .iter()
-                .zip(srcs)
-                .filter(|(c, _)| c.raw() != 0)
-                .map(|(&c, &src)| (nibble_tables(t, c.raw()), &src[..len]))
-                .collect();
-            for (i, d) in dst.iter_mut().enumerate() {
-                let mut acc = d.raw();
-                for (tabs, src) in &live {
-                    acc ^= nib_product(tabs, src[i].raw());
-                }
-                *d = Gf65536::new(acc);
-            }
-            return;
-        }
-        // Byte tier: prepared tables + the shared fused group loop.
-        let live_tables: Vec<super::PreparedMul65536> = coeffs
-            .iter()
-            .filter(|c| c.raw() != 0)
-            .map(|&c| super::PreparedMul65536::new(c))
-            .collect();
-        let live_srcs: Vec<&[Gf65536]> = coeffs
+        let live: Vec<([[u16; 16]; 4], &[Gf65536])> = coeffs
             .iter()
             .zip(srcs)
             .filter(|(c, _)| c.raw() != 0)
-            .map(|(_, &src)| src)
+            .map(|(&c, &src)| (nibble_tables(t, c.raw()), &src[..len]))
             .collect();
-        super::addmul_rows_prepared(&live_tables, &live_srcs, dst);
+        for (i, d) in dst.iter_mut().enumerate() {
+            let mut acc = d.raw();
+            for (tabs, src) in &live {
+                acc ^= nib_product(tabs, src[i].raw());
+            }
+            *d = Gf65536::new(acc);
+        }
+        return;
     }
+    // Byte tier: prepared tables + the shared fused group loop.
+    let live_tables: Vec<PreparedMul65536> = coeffs
+        .iter()
+        .filter(|c| c.raw() != 0)
+        .map(|&c| PreparedMul65536::new(c))
+        .collect();
+    let live_srcs: Vec<&[Gf65536]> = coeffs
+        .iter()
+        .zip(srcs)
+        .filter(|(c, _)| c.raw() != 0)
+        .map(|(_, &src)| src)
+        .collect();
+    addmul_rows_prepared(&live_tables, &live_srcs, dst);
 }
 
 /// Shared shape assertions for the fused `addmul_rows` kernels.
 #[inline]
-fn check_rows_shape<T>(coeffs: &[T], srcs: &[&[T]], dst: &[T]) {
+fn check_rows_shape(coeffs: &[Gf65536], srcs: &[&[Gf65536]], dst: &[Gf65536]) {
     assert_eq!(coeffs.len(), srcs.len(), "addmul_rows shape mismatch");
     for src in srcs {
         assert_eq!(src.len(), dst.len(), "addmul_rows length mismatch");
     }
 }
-
-use crate::field::Gf65536;
-use crate::tables;
 
 /// A GF(2^16) multiplier prepared into low/high byte split tables:
 /// `lo[x] = c * x`, `hi[x] = c * (x << 8)`, so
@@ -258,9 +227,9 @@ impl PreparedMul65536 {
 }
 
 /// `dst[i] = Σ_j tables[j] * srcs[j][i]` — overwrite: the previous
-/// contents of `dst` are not read, saving the accumulator load of
-/// [`addmul_rows_prepared`] when the destination starts from zero
-/// (every striped-codec row does).
+/// contents of `dst` are not read, saving the accumulator load of the
+/// accumulating form when the destination starts from zero (every
+/// striped-codec row does).
 ///
 /// # Panics
 ///
@@ -284,7 +253,11 @@ pub fn mul_rows_prepared(tables: &[PreparedMul65536], srcs: &[&[Gf65536]], dst: 
 ///
 /// Panics when `tables` and `srcs` differ in length, or any source
 /// differs in length from `dst`.
-pub fn addmul_rows_prepared(tables: &[PreparedMul65536], srcs: &[&[Gf65536]], dst: &mut [Gf65536]) {
+pub(crate) fn addmul_rows_prepared(
+    tables: &[PreparedMul65536],
+    srcs: &[&[Gf65536]],
+    dst: &mut [Gf65536],
+) {
     assert_eq!(tables.len(), srcs.len(), "prepared rows shape mismatch");
     for src in srcs {
         assert_eq!(src.len(), dst.len(), "prepared rows length mismatch");
@@ -414,26 +387,26 @@ fn fused3<const ACC: bool>(
     }
 }
 
-/// `dst[i] ^= src[i]` for u16-repr fields, four elements (one `u64`
-/// word) per `chunks_exact` block.
+/// `dst[i] ^= src[i]`, four elements (one `u64` word) per
+/// `chunks_exact` block.
 #[inline]
-fn xor_u16_repr<T: Copy>(src: &[T], dst: &mut [T], raw: impl Fn(T) -> u16, new: impl Fn(u16) -> T) {
+fn xor_u16_repr(src: &[Gf65536], dst: &mut [Gf65536]) {
     let mut d_blocks = dst.chunks_exact_mut(4);
     let mut s_blocks = src.chunks_exact(4);
     for (db, sb) in (&mut d_blocks).zip(&mut s_blocks) {
         let mut dw = 0u64;
         let mut sw = 0u64;
         for i in 0..4 {
-            dw |= u64::from(raw(db[i])) << (16 * i);
-            sw |= u64::from(raw(sb[i])) << (16 * i);
+            dw |= u64::from(db[i].raw()) << (16 * i);
+            sw |= u64::from(sb[i].raw()) << (16 * i);
         }
         let w = dw ^ sw;
         for (i, d) in db.iter_mut().enumerate() {
-            *d = new((w >> (16 * i)) as u16);
+            *d = Gf65536::new((w >> (16 * i)) as u16);
         }
     }
     for (d, s) in d_blocks.into_remainder().iter_mut().zip(s_blocks.remainder()) {
-        *d = new(raw(*d) ^ raw(*s));
+        *d = Gf65536::new(d.raw() ^ s.raw());
     }
 }
 
@@ -441,14 +414,14 @@ fn xor_u16_repr<T: Copy>(src: &[T], dst: &mut [T], raw: impl Fn(T) -> u16, new: 
 mod tests {
     use crate::{kernels, Field, Gf65536};
 
-    fn pseudo_random(len: usize, seed: u64) -> Vec<u64> {
+    fn pseudo_random(len: usize, seed: u64) -> Vec<Gf65536> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         (0..len)
             .map(|_| {
                 state ^= state << 13;
                 state ^= state >> 7;
                 state ^= state << 17;
-                state
+                Gf65536::from_u64(state)
             })
             .collect()
     }
@@ -458,24 +431,20 @@ mod tests {
     /// thresholds and the 4-element packing blocks.
     #[test]
     fn packed_tiers_match_scalar_gf65536() {
-        type F = Gf65536;
         let lens = [
             0usize, 1, 3, 7, 8, 9, 31, 32, 33, 63, 64, 65, 255, 256, 257, 1023, 1024, 1025, 4097,
         ];
         for (i, &len) in lens.iter().enumerate() {
             let seed = 0xC0DE + i as u64;
-            let src: Vec<F> = pseudo_random(len, seed).into_iter().map(F::from_u64).collect();
-            let acc: Vec<F> =
-                pseudo_random(len, seed ^ 0xbeef).into_iter().map(F::from_u64).collect();
-            for craw in [0u64, 1, 2, 3, 0x0b, 0x55, 0xa7, F::ORDER / 2 + 1, F::ORDER - 1] {
-                let c = F::from_u64(craw);
-
+            let src = pseudo_random(len, seed);
+            let acc = pseudo_random(len, seed ^ 0xbeef);
+            for craw in [0u16, 1, 2, 3, 0x0b, 0x55, 0xa7, 0x8001, 0xffff] {
+                let c = Gf65536::new(craw);
                 let mut fast = acc.clone();
                 let mut slow = acc.clone();
                 kernels::addmul_slice(c, &src, &mut fast);
                 kernels::addmul_slice_scalar(c, &src, &mut slow);
                 assert_eq!(fast, slow, "addmul_slice len={len} c={craw:#x}");
-
             }
         }
     }
@@ -485,23 +454,15 @@ mod tests {
     /// short-circuited 0 and 1 multipliers.
     #[test]
     fn fused_rows_match_scalar_gf65536() {
-        type F = Gf65536;
         for &len in &[0usize, 1, 31, 33, 257, 1023, 1025, 4097] {
             for k in [0usize, 1, 2, 3, 5] {
-                let srcs: Vec<Vec<F>> = (0..k)
-                    .map(|j| {
-                        pseudo_random(len, 0xAB5E + j as u64 * 31 + len as u64)
-                            .into_iter()
-                            .map(F::from_u64)
-                            .collect()
-                    })
+                let srcs: Vec<Vec<Gf65536>> = (0..k)
+                    .map(|j| pseudo_random(len, 0xAB5E + j as u64 * 31 + len as u64))
                     .collect();
-                let src_refs: Vec<&[F]> = srcs.iter().map(Vec::as_slice).collect();
-                let coeffs: Vec<F> = (0..k)
-                    .map(|j| F::from_u64([0u64, 1, 2, 0x55, F::ORDER - 1][j % 5]))
-                    .collect();
-                let acc: Vec<F> =
-                    pseudo_random(len, len as u64 ^ 0xF00D).into_iter().map(F::from_u64).collect();
+                let src_refs: Vec<&[Gf65536]> = srcs.iter().map(Vec::as_slice).collect();
+                let coeffs: Vec<Gf65536> =
+                    (0..k).map(|j| Gf65536::new([0, 1, 2, 0x55, 0xffff][j % 5])).collect();
+                let acc = pseudo_random(len, len as u64 ^ 0xF00D);
                 let mut fast = acc.clone();
                 let mut slow = acc.clone();
                 kernels::addmul_rows(&coeffs, &src_refs, &mut fast);
@@ -515,25 +476,18 @@ mod tests {
     /// overwrite and accumulate modes, across group shapes 0..=7.
     #[test]
     fn prepared_rows_match_scalar() {
-        use crate::{addmul_rows_prepared, mul_rows_prepared, PreparedMul65536};
+        use super::addmul_rows_prepared;
+        use crate::{mul_rows_prepared, PreparedMul65536};
         for &len in &[0usize, 1, 3, 4, 5, 257, 1025] {
             for k in 0..=7usize {
-                let coeffs: Vec<Gf65536> = (0..k)
-                    .map(|j| Gf65536::from_u64([0u64, 1, 7, 0x1d2c, 0xffff][j % 5]))
-                    .collect();
+                let coeffs: Vec<Gf65536> =
+                    (0..k).map(|j| Gf65536::new([0, 1, 7, 0x1d2c, 0xffff][j % 5])).collect();
                 let tables: Vec<PreparedMul65536> =
                     coeffs.iter().map(|&c| PreparedMul65536::new(c)).collect();
-                let srcs: Vec<Vec<Gf65536>> = (0..k)
-                    .map(|j| {
-                        pseudo_random(len, 0xD00D + j as u64)
-                            .into_iter()
-                            .map(Gf65536::from_u64)
-                            .collect()
-                    })
-                    .collect();
+                let srcs: Vec<Vec<Gf65536>> =
+                    (0..k).map(|j| pseudo_random(len, 0xD00D + j as u64)).collect();
                 let src_refs: Vec<&[Gf65536]> = srcs.iter().map(Vec::as_slice).collect();
-                let acc: Vec<Gf65536> =
-                    pseudo_random(len, 0xACC + len as u64).into_iter().map(Gf65536::from_u64).collect();
+                let acc = pseudo_random(len, 0xACC + len as u64);
 
                 let mut over = acc.clone();
                 mul_rows_prepared(&tables, &src_refs, &mut over);
@@ -555,10 +509,8 @@ mod tests {
     #[test]
     fn xor_path_covers_all_tail_residues() {
         for len in 0..40usize {
-            let src: Vec<Gf65536> =
-                pseudo_random(len, len as u64 + 1).into_iter().map(Gf65536::from_u64).collect();
-            let acc: Vec<Gf65536> =
-                pseudo_random(len, len as u64 + 77).into_iter().map(Gf65536::from_u64).collect();
+            let src = pseudo_random(len, len as u64 + 1);
+            let acc = pseudo_random(len, len as u64 + 77);
             let mut fast = acc.clone();
             let mut slow = acc.clone();
             kernels::addmul_slice(Gf65536::ONE, &src, &mut fast);

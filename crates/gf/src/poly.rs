@@ -1,4 +1,4 @@
-//! Dense univariate polynomials over a [`Field`].
+//! Dense univariate polynomials over [`Gf65536`].
 //!
 //! Used by the Reed-Solomon codec: encoding is polynomial evaluation,
 //! erasure decoding is Lagrange interpolation, and Berlekamp-Welch error
@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use crate::Field;
+use crate::{Field, Gf65536};
 
 /// Error returned by [`interpolate`] when the evaluation points are not
 /// pairwise distinct.
@@ -21,7 +21,7 @@ impl fmt::Display for InterpolateError {
 
 impl std::error::Error for InterpolateError {}
 
-/// A dense polynomial `c[0] + c[1] x + ... + c[d] x^d` over `F`.
+/// A dense polynomial `c[0] + c[1] x + ... + c[d] x^d` over GF(2^16).
 ///
 /// The representation is normalised: the leading coefficient is non-zero
 /// (the zero polynomial has an empty coefficient vector).
@@ -29,19 +29,19 @@ impl std::error::Error for InterpolateError {}
 /// # Examples
 ///
 /// ```
-/// use mvbc_gf::{Field, Gf256, Poly};
+/// use mvbc_gf::{Gf65536, Poly};
 ///
 /// // p(x) = 3 + x
-/// let p = Poly::from_coeffs(vec![Gf256::new(3), Gf256::new(1)]);
-/// assert_eq!(p.eval(Gf256::new(5)), Gf256::new(3) + Gf256::new(5));
+/// let p = Poly::from_coeffs(vec![Gf65536::new(3), Gf65536::new(1)]);
+/// assert_eq!(p.eval(Gf65536::new(5)), Gf65536::new(3) + Gf65536::new(5));
 /// assert_eq!(p.degree(), Some(1));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
-pub struct Poly<F: Field> {
-    coeffs: Vec<F>,
+pub struct Poly {
+    coeffs: Vec<Gf65536>,
 }
 
-impl<F: Field> fmt::Debug for Poly<F> {
+impl fmt::Debug for Poly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if self.coeffs.is_empty() {
             return write!(f, "Poly(0)");
@@ -57,7 +57,7 @@ impl<F: Field> fmt::Debug for Poly<F> {
     }
 }
 
-impl<F: Field> Poly<F> {
+impl Poly {
     /// The zero polynomial.
     pub fn zero() -> Self {
         Poly { coeffs: Vec::new() }
@@ -65,7 +65,7 @@ impl<F: Field> Poly<F> {
 
     /// Builds a polynomial from coefficients `c[0] + c[1] x + ...`,
     /// trimming leading zeros.
-    pub fn from_coeffs(mut coeffs: Vec<F>) -> Self {
+    pub fn from_coeffs(mut coeffs: Vec<Gf65536>) -> Self {
         while coeffs.last().is_some_and(|c| c.is_zero()) {
             coeffs.pop();
         }
@@ -73,33 +73,33 @@ impl<F: Field> Poly<F> {
     }
 
     /// The constant polynomial `c`.
-    pub fn constant(c: F) -> Self {
+    pub fn constant(c: Gf65536) -> Self {
         Self::from_coeffs(vec![c])
     }
 
     /// The monomial `c * x^d`.
-    pub fn monomial(c: F, d: usize) -> Self {
+    pub fn monomial(c: Gf65536, d: usize) -> Self {
         if c.is_zero() {
             return Self::zero();
         }
-        let mut coeffs = vec![F::ZERO; d + 1];
+        let mut coeffs = vec![Gf65536::ZERO; d + 1];
         coeffs[d] = c;
         Poly { coeffs }
     }
 
     /// Coefficient view, lowest degree first. Empty for the zero polynomial.
-    pub fn coeffs(&self) -> &[F] {
+    pub fn coeffs(&self) -> &[Gf65536] {
         &self.coeffs
     }
 
     /// Consumes the polynomial, returning its coefficients.
-    pub fn into_coeffs(self) -> Vec<F> {
+    pub fn into_coeffs(self) -> Vec<Gf65536> {
         self.coeffs
     }
 
     /// The coefficient of `x^i` (zero beyond the degree).
-    pub fn coeff(&self, i: usize) -> F {
-        self.coeffs.get(i).copied().unwrap_or(F::ZERO)
+    pub fn coeff(&self, i: usize) -> Gf65536 {
+        self.coeffs.get(i).copied().unwrap_or(Gf65536::ZERO)
     }
 
     /// `None` for the zero polynomial, `Some(degree)` otherwise.
@@ -113,8 +113,8 @@ impl<F: Field> Poly<F> {
     }
 
     /// Evaluates the polynomial at `x` via Horner's rule.
-    pub fn eval(&self, x: F) -> F {
-        let mut acc = F::ZERO;
+    pub fn eval(&self, x: Gf65536) -> Gf65536 {
+        let mut acc = Gf65536::ZERO;
         for &c in self.coeffs.iter().rev() {
             acc = acc * x + c;
         }
@@ -136,7 +136,7 @@ impl<F: Field> Poly<F> {
         if self.is_zero() || rhs.is_zero() {
             return Self::zero();
         }
-        let mut out = vec![F::ZERO; self.coeffs.len() + rhs.coeffs.len() - 1];
+        let mut out = vec![Gf65536::ZERO; self.coeffs.len() + rhs.coeffs.len() - 1];
         for (i, &a) in self.coeffs.iter().enumerate() {
             if a.is_zero() {
                 continue;
@@ -149,7 +149,7 @@ impl<F: Field> Poly<F> {
     }
 
     /// Multiplies every coefficient by the scalar `s`.
-    pub fn scale(&self, s: F) -> Self {
+    pub fn scale(&self, s: Gf65536) -> Self {
         Self::from_coeffs(self.coeffs.iter().map(|&c| c * s).collect())
     }
 
@@ -169,7 +169,7 @@ impl<F: Field> Poly<F> {
             return (Self::zero(), self.clone());
         }
         let qlen = rem.len() - dd;
-        let mut quot = vec![F::ZERO; qlen];
+        let mut quot = vec![Gf65536::ZERO; qlen];
         for qi in (0..qlen).rev() {
             let c = rem[qi + dd] * lead_inv;
             quot[qi] = c;
@@ -188,7 +188,7 @@ impl<F: Field> Poly<F> {
         let mut out = Vec::new();
         for (i, &c) in self.coeffs.iter().enumerate().skip(1) {
             // i * c in characteristic 2 is c when i is odd, 0 when even.
-            out.push(if i % 2 == 1 { c } else { F::ZERO });
+            out.push(if i % 2 == 1 { c } else { Gf65536::ZERO });
         }
         Self::from_coeffs(out)
     }
@@ -204,12 +204,12 @@ impl<F: Field> Poly<F> {
 /// # Examples
 ///
 /// ```
-/// use mvbc_gf::{interpolate, Field, Gf256};
+/// use mvbc_gf::{interpolate, Gf65536};
 ///
 /// let pts = [
-///     (Gf256::new(1), Gf256::new(7)),
-///     (Gf256::new(2), Gf256::new(11)),
-///     (Gf256::new(3), Gf256::new(13)),
+///     (Gf65536::new(1), Gf65536::new(7)),
+///     (Gf65536::new(2), Gf65536::new(11)),
+///     (Gf65536::new(3), Gf65536::new(13)),
 /// ];
 /// let p = interpolate(&pts)?;
 /// for (x, y) in pts {
@@ -217,7 +217,7 @@ impl<F: Field> Poly<F> {
 /// }
 /// # Ok::<(), mvbc_gf::InterpolateError>(())
 /// ```
-pub fn interpolate<F: Field>(points: &[(F, F)]) -> Result<Poly<F>, InterpolateError> {
+pub fn interpolate(points: &[(Gf65536, Gf65536)]) -> Result<Poly, InterpolateError> {
     for (i, (xi, _)) in points.iter().enumerate() {
         for (xj, _) in &points[..i] {
             if xi == xj {
@@ -231,13 +231,13 @@ pub fn interpolate<F: Field>(points: &[(F, F)]) -> Result<Poly<F>, InterpolateEr
             continue;
         }
         // Basis polynomial l_i(x) = prod_{j != i} (x - x_j) / (x_i - x_j)
-        let mut basis = Poly::constant(F::ONE);
-        let mut denom = F::ONE;
+        let mut basis = Poly::constant(Gf65536::ONE);
+        let mut denom = Gf65536::ONE;
         for (j, &(xj, _)) in points.iter().enumerate() {
             if j == i {
                 continue;
             }
-            basis = basis.mul(&Poly::from_coeffs(vec![xj, F::ONE])); // (x + xj) == (x - xj)
+            basis = basis.mul(&Poly::from_coeffs(vec![xj, Gf65536::ONE])); // (x + xj) == (x - xj)
             denom *= xi - xj;
         }
         let scale = yi * denom.inv().expect("distinct points imply non-zero denominator");
@@ -249,35 +249,34 @@ pub fn interpolate<F: Field>(points: &[(F, F)]) -> Result<Poly<F>, InterpolateEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Gf256, Gf65536};
 
-    fn p256(cs: &[u8]) -> Poly<Gf256> {
-        Poly::from_coeffs(cs.iter().map(|&c| Gf256::new(c)).collect())
+    fn poly(cs: &[u16]) -> Poly {
+        Poly::from_coeffs(cs.iter().map(|&c| Gf65536::new(c)).collect())
     }
 
     #[test]
     fn zero_polynomial_properties() {
-        let z = Poly::<Gf256>::zero();
+        let z = Poly::zero();
         assert!(z.is_zero());
         assert_eq!(z.degree(), None);
-        assert_eq!(z.eval(Gf256::new(17)), Gf256::ZERO);
+        assert_eq!(z.eval(Gf65536::new(17)), Gf65536::ZERO);
         assert_eq!(format!("{z:?}"), "Poly(0)");
     }
 
     #[test]
     fn from_coeffs_trims_leading_zeros() {
-        let p = p256(&[1, 2, 0, 0]);
+        let p = poly(&[1, 2, 0, 0]);
         assert_eq!(p.degree(), Some(1));
         assert_eq!(p.coeffs().len(), 2);
     }
 
     #[test]
     fn eval_horner_matches_naive() {
-        let p = p256(&[3, 1, 4, 1, 5]);
-        for x in 0..=255u8 {
-            let x = Gf256::new(x);
-            let mut naive = Gf256::ZERO;
-            let mut xp = Gf256::ONE;
+        let p = poly(&[3, 1, 4, 1, 5]);
+        for x in 0..=255u16 {
+            let x = Gf65536::new(x);
+            let mut naive = Gf65536::ZERO;
+            let mut xp = Gf65536::ONE;
             for &c in p.coeffs() {
                 naive += c * xp;
                 xp *= x;
@@ -288,31 +287,31 @@ mod tests {
 
     #[test]
     fn add_is_char2_involution() {
-        let p = p256(&[1, 2, 3]);
+        let p = poly(&[1, 2, 3]);
         assert!(p.add(&p).is_zero());
     }
 
     #[test]
     fn mul_degrees_add() {
-        let a = p256(&[1, 1]); // deg 1
-        let b = p256(&[2, 0, 1]); // deg 2
+        let a = poly(&[1, 1]); // deg 1
+        let b = poly(&[2, 0, 1]); // deg 2
         assert_eq!(a.mul(&b).degree(), Some(3));
         assert_eq!(a.mul(&Poly::zero()).degree(), None);
     }
 
     #[test]
     fn mul_commutes_and_distributes() {
-        let a = p256(&[1, 7, 3]);
-        let b = p256(&[9, 2]);
-        let c = p256(&[5, 0, 0, 8]);
+        let a = poly(&[1, 7, 3]);
+        let b = poly(&[9, 2]);
+        let c = poly(&[5, 0, 0, 8]);
         assert_eq!(a.mul(&b), b.mul(&a));
         assert_eq!(a.mul(&b.add(&c)), a.mul(&b).add(&a.mul(&c)));
     }
 
     #[test]
     fn div_rem_identity() {
-        let a = p256(&[7, 3, 0, 1, 9]);
-        let d = p256(&[2, 1, 1]);
+        let a = poly(&[7, 3, 0, 1, 9]);
+        let d = poly(&[2, 1, 1]);
         let (q, r) = a.div_rem(&d);
         assert!(r.degree() < d.degree());
         assert_eq!(q.mul(&d).add(&r), a);
@@ -320,8 +319,8 @@ mod tests {
 
     #[test]
     fn div_rem_by_larger_degree_gives_zero_quotient() {
-        let a = p256(&[7, 3]);
-        let d = p256(&[2, 1, 1]);
+        let a = poly(&[7, 3]);
+        let d = poly(&[2, 1, 1]);
         let (q, r) = a.div_rem(&d);
         assert!(q.is_zero());
         assert_eq!(r, a);
@@ -330,35 +329,35 @@ mod tests {
     #[test]
     #[should_panic(expected = "division by zero")]
     fn div_rem_by_zero_panics() {
-        let _ = p256(&[1]).div_rem(&Poly::zero());
+        let _ = poly(&[1]).div_rem(&Poly::zero());
     }
 
     #[test]
     fn monomial_and_constant() {
-        let m = Poly::monomial(Gf256::new(5), 3);
+        let m = Poly::monomial(Gf65536::new(5), 3);
         assert_eq!(m.degree(), Some(3));
-        assert_eq!(m.coeff(3), Gf256::new(5));
-        assert_eq!(Poly::monomial(Gf256::ZERO, 3), Poly::zero());
-        assert_eq!(Poly::constant(Gf256::new(9)).degree(), Some(0));
-        assert_eq!(Poly::constant(Gf256::ZERO).degree(), None);
+        assert_eq!(m.coeff(3), Gf65536::new(5));
+        assert_eq!(Poly::monomial(Gf65536::ZERO, 3), Poly::zero());
+        assert_eq!(Poly::constant(Gf65536::new(9)).degree(), Some(0));
+        assert_eq!(Poly::constant(Gf65536::ZERO).degree(), None);
     }
 
     #[test]
     fn derivative_char2() {
         // d/dx (c0 + c1 x + c2 x^2 + c3 x^3) = c1 + c3 x^2 in char 2.
-        let p = p256(&[1, 2, 3, 4]);
+        let p = poly(&[1, 2, 3, 4]);
         let d = p.derivative();
-        assert_eq!(d.coeff(0), Gf256::new(2));
-        assert_eq!(d.coeff(1), Gf256::ZERO);
-        assert_eq!(d.coeff(2), Gf256::new(4));
+        assert_eq!(d.coeff(0), Gf65536::new(2));
+        assert_eq!(d.coeff(1), Gf65536::ZERO);
+        assert_eq!(d.coeff(2), Gf65536::new(4));
     }
 
     #[test]
     fn interpolate_roundtrip() {
-        let p = p256(&[11, 22, 33, 44]);
+        let p = poly(&[11, 22, 33, 44]);
         let pts: Vec<_> = (0..7)
             .map(|i| {
-                let x = Gf256::alpha(i);
+                let x = Gf65536::alpha(i);
                 (x, p.eval(x))
             })
             .collect();
@@ -369,8 +368,8 @@ mod tests {
     #[test]
     fn interpolate_rejects_duplicate_x() {
         let pts = [
-            (Gf256::new(1), Gf256::new(5)),
-            (Gf256::new(1), Gf256::new(6)),
+            (Gf65536::new(1), Gf65536::new(5)),
+            (Gf65536::new(1), Gf65536::new(6)),
         ];
         assert_eq!(interpolate(&pts), Err(InterpolateError));
     }
@@ -389,8 +388,8 @@ mod tests {
 
     #[test]
     fn interpolate_single_point() {
-        let p = interpolate(&[(Gf256::new(3), Gf256::new(9))]).unwrap();
-        assert_eq!(p, Poly::constant(Gf256::new(9)));
+        let p = interpolate(&[(Gf65536::new(3), Gf65536::new(9))]).unwrap();
+        assert_eq!(p, Poly::constant(Gf65536::new(9)));
     }
 
     #[test]

@@ -1,12 +1,20 @@
-//! Lazily-built logarithm/anti-logarithm tables for the GF(2^c) fields.
+//! Lazily-built logarithm/anti-logarithm tables for GF(2^16).
 //!
-//! Each binary extension field GF(2^c) is represented by polynomials over
-//! GF(2) modulo a fixed primitive polynomial. Multiplication is performed via
-//! discrete-log tables: `a * b = exp[(log[a] + log[b]) mod (2^c - 1)]`.
+//! The field is represented by polynomials over GF(2) modulo the
+//! primitive polynomial `x^16 + x^12 + x^3 + x + 1` (0x1100B).
+//! Multiplication is performed via discrete-log tables:
+//! `a * b = exp[(log[a] + log[b]) mod (2^16 - 1)]`.
 
 use std::sync::OnceLock;
 
-/// Log/exp tables for one GF(2^c) instance.
+/// The field's primitive polynomial, so `x` generates the
+/// multiplicative group.
+const PRIM_POLY: u32 = 0x1100B;
+
+/// Number of field elements.
+const ORDER: u32 = 1 << 16;
+
+/// Log/exp tables for GF(2^16).
 #[derive(Debug)]
 pub(crate) struct Tables {
     /// `exp[i] = g^i` for `i` in `0 .. 2 * (order - 1)` (doubled so that
@@ -17,23 +25,20 @@ pub(crate) struct Tables {
 }
 
 impl Tables {
-    /// Builds tables for GF(2^`bits`) defined by `prim_poly` (which must be
-    /// primitive so that `x` generates the multiplicative group).
-    fn build(bits: u32, prim_poly: u32) -> Self {
-        let order: u32 = 1 << bits;
-        let group = (order - 1) as usize;
+    fn build() -> Self {
+        let group = (ORDER - 1) as usize;
         let mut exp = vec![0u32; 2 * group];
-        let mut log = vec![0u32; order as usize];
+        let mut log = vec![0u32; ORDER as usize];
         let mut x: u32 = 1;
         for (i, slot) in exp.iter_mut().enumerate().take(group) {
             *slot = x;
             log[x as usize] = i as u32;
             x <<= 1;
-            if x & order != 0 {
-                x ^= prim_poly;
+            if x & ORDER != 0 {
+                x ^= PRIM_POLY;
             }
         }
-        debug_assert_eq!(x, 1, "polynomial 0x{prim_poly:x} is not primitive for 2^{bits}");
+        debug_assert_eq!(x, 1, "polynomial 0x{PRIM_POLY:x} is not primitive");
         for i in group..2 * group {
             exp[i] = exp[i - group];
         }
@@ -41,33 +46,25 @@ impl Tables {
     }
 }
 
-macro_rules! table_singleton {
-    ($fn_name:ident, $bits:expr, $poly:expr) => {
-        pub(crate) fn $fn_name() -> &'static Tables {
-            static T: OnceLock<Tables> = OnceLock::new();
-            T.get_or_init(|| Tables::build($bits, $poly))
-        }
-    };
+/// The process-wide GF(2^16) tables, built on first use.
+pub(crate) fn tables65536() -> &'static Tables {
+    static T: OnceLock<Tables> = OnceLock::new();
+    T.get_or_init(Tables::build)
 }
-
-// x^4 + x + 1
-table_singleton!(tables16, 4, 0b1_0011);
-// x^8 + x^4 + x^3 + x^2 + 1 (the classic 0x11D used by many RS codecs)
-table_singleton!(tables256, 8, 0x11D);
-// x^16 + x^12 + x^3 + x + 1 (primitive polynomial 0x1100B)
-table_singleton!(tables65536, 16, 0x1100B);
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn check_tables(t: &Tables, bits: u32) {
-        let group = (1usize << bits) - 1;
+    #[test]
+    fn gf65536_tables_consistent() {
+        let t = tables65536();
+        let group = (ORDER - 1) as usize;
         // exp is a permutation of 1..order over one period.
-        let mut seen = vec![false; 1 << bits];
+        let mut seen = vec![false; ORDER as usize];
         for i in 0..group {
             let v = t.exp[i] as usize;
-            assert!(v > 0 && v < (1 << bits));
+            assert!(v > 0 && v < ORDER as usize);
             assert!(!seen[v], "exp not injective at {i}");
             seen[v] = true;
         }
@@ -79,20 +76,5 @@ mod tests {
         for i in 0..group {
             assert_eq!(t.exp[i], t.exp[i + group]);
         }
-    }
-
-    #[test]
-    fn gf16_tables_consistent() {
-        check_tables(tables16(), 4);
-    }
-
-    #[test]
-    fn gf256_tables_consistent() {
-        check_tables(tables256(), 8);
-    }
-
-    #[test]
-    fn gf65536_tables_consistent() {
-        check_tables(tables65536(), 16);
     }
 }

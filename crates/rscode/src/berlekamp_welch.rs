@@ -17,15 +17,15 @@
 
 use std::fmt;
 
-use mvbc_gf::{solve_linear_system, Field, GfMatrix, Poly};
+use mvbc_gf::{solve_linear_system, Field, Gf65536, GfMatrix, Poly};
 
 use crate::{CodeError, ReedSolomon};
 
 /// Outcome of a successful Berlekamp-Welch decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Corrected<F: Field> {
+pub struct Corrected {
     /// The recovered `k` data symbols.
-    pub data: Vec<F>,
+    pub data: Vec<Gf65536>,
     /// Positions (indices into the *input slice*) whose symbols disagreed
     /// with the decoded codeword.
     pub error_positions: Vec<usize>,
@@ -77,23 +77,20 @@ impl From<CodeError> for BwError {
 /// # Examples
 ///
 /// ```
-/// use mvbc_gf::{Field, Gf256};
+/// use mvbc_gf::{Field, Gf65536};
 /// use mvbc_rscode::{berlekamp_welch::decode, ReedSolomon};
 ///
-/// let rs: ReedSolomon<Gf256> = ReedSolomon::new(7, 3)?;
-/// let data = [Gf256::new(5), Gf256::new(6), Gf256::new(7)];
+/// let rs = ReedSolomon::new(7, 3)?;
+/// let data = [Gf65536::new(5), Gf65536::new(6), Gf65536::new(7)];
 /// let mut cw = rs.encode(&data)?;
-/// cw[1] += Gf256::ONE; // one corruption: correctable ((7-3)/2 = 2)
+/// cw[1] += Gf65536::ONE; // one corruption: correctable ((7-3)/2 = 2)
 /// let pairs: Vec<_> = cw.into_iter().enumerate().collect();
 /// let out = decode(&rs, &pairs).expect("within correction radius");
 /// assert_eq!(out.data, data.to_vec());
 /// assert_eq!(out.error_positions, vec![1]);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
-pub fn decode<F: Field>(
-    rs: &ReedSolomon<F>,
-    symbols: &[(usize, F)],
-) -> Result<Corrected<F>, BwError> {
+pub fn decode(rs: &ReedSolomon, symbols: &[(usize, Gf65536)]) -> Result<Corrected, BwError> {
     let k = rs.k();
     let m = symbols.len();
     if m < k {
@@ -129,7 +126,7 @@ pub fn decode<F: Field>(
             y * x.pow((c - q_len) as u64)
         }
     });
-    let b: Vec<F> = symbols
+    let b: Vec<Gf65536> = symbols
         .iter()
         .map(|&(pos, y)| y * rs.alpha(pos).pow(e_max as u64))
         .collect();
@@ -137,7 +134,7 @@ pub fn decode<F: Field>(
 
     let q = Poly::from_coeffs(sol[..q_len].to_vec());
     let mut e_coeffs = sol[q_len..].to_vec();
-    e_coeffs.push(F::ONE); // monic
+    e_coeffs.push(Gf65536::ONE); // monic
     let e_poly = Poly::from_coeffs(e_coeffs);
     let (p, rem) = q.div_rem(&e_poly);
     if !rem.is_zero() || p.degree().is_some_and(|d| d >= k) {
@@ -155,7 +152,7 @@ pub fn decode<F: Field>(
         return Err(BwError::TooManyErrors);
     }
     let mut data = p.into_coeffs();
-    data.resize(k, F::ZERO);
+    data.resize(k, Gf65536::ZERO);
     Ok(Corrected {
         data,
         error_positions,
@@ -165,14 +162,13 @@ pub fn decode<F: Field>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvbc_gf::Gf256;
 
-    fn rs(n: usize, k: usize) -> ReedSolomon<Gf256> {
+    fn rs(n: usize, k: usize) -> ReedSolomon {
         ReedSolomon::new(n, k).unwrap()
     }
 
-    fn enc(rs: &ReedSolomon<Gf256>, d: &[u8]) -> Vec<Gf256> {
-        rs.encode(&d.iter().map(|&x| Gf256::new(x)).collect::<Vec<_>>())
+    fn enc(rs: &ReedSolomon, d: &[u16]) -> Vec<Gf65536> {
+        rs.encode(&d.iter().map(|&x| Gf65536::new(x)).collect::<Vec<_>>())
             .unwrap()
     }
 
@@ -182,7 +178,7 @@ mod tests {
         let cw = enc(&c, &[1, 2, 3]);
         let pairs: Vec<_> = cw.into_iter().enumerate().collect();
         let out = decode(&c, &pairs).unwrap();
-        assert_eq!(out.data, vec![Gf256::new(1), Gf256::new(2), Gf256::new(3)]);
+        assert_eq!(out.data, vec![Gf65536::new(1), Gf65536::new(2), Gf65536::new(3)]);
         assert!(out.error_positions.is_empty());
     }
 
@@ -193,11 +189,11 @@ mod tests {
         for errs in 1..=3usize {
             let mut cw = clean.clone();
             for (j, item) in cw.iter_mut().enumerate().take(errs) {
-                *item += Gf256::new(j as u8 + 1);
+                *item += Gf65536::new(j as u16 + 1);
             }
             let pairs: Vec<_> = cw.into_iter().enumerate().collect();
             let out = decode(&c, &pairs).unwrap_or_else(|e| panic!("errs={errs}: {e}"));
-            assert_eq!(out.data, vec![Gf256::new(10), Gf256::new(20), Gf256::new(30)]);
+            assert_eq!(out.data, vec![Gf65536::new(10), Gf65536::new(20), Gf65536::new(30)]);
             assert_eq!(out.error_positions, (0..errs).collect::<Vec<_>>());
         }
     }
@@ -210,9 +206,9 @@ mod tests {
         let c = rs(7, 3); // e_max = 2
         let clean = enc(&c, &[1, 1, 1]);
         let mut cw = clean.clone();
-        cw[0] += Gf256::new(9);
-        cw[1] += Gf256::new(9);
-        cw[2] += Gf256::new(9);
+        cw[0] += Gf65536::new(9);
+        cw[1] += Gf65536::new(9);
+        cw[2] += Gf65536::new(9);
         let pairs: Vec<_> = cw.iter().copied().enumerate().collect();
         match decode(&c, &pairs) {
             Err(BwError::TooManyErrors) => {}
@@ -234,9 +230,9 @@ mod tests {
         let c = rs(9, 3);
         let cw = enc(&c, &[7, 8, 9]);
         let mut pairs: Vec<_> = cw.into_iter().enumerate().skip(3).collect();
-        pairs[4].1 += Gf256::ONE;
+        pairs[4].1 += Gf65536::ONE;
         let out = decode(&c, &pairs).unwrap();
-        assert_eq!(out.data, vec![Gf256::new(7), Gf256::new(8), Gf256::new(9)]);
+        assert_eq!(out.data, vec![Gf65536::new(7), Gf65536::new(8), Gf65536::new(9)]);
         assert_eq!(out.error_positions, vec![4]);
     }
 
@@ -258,7 +254,7 @@ mod tests {
         let cw = enc(&c, &[4, 5, 6]);
         let pairs: Vec<_> = cw.into_iter().enumerate().take(3).collect();
         let out = decode(&c, &pairs).unwrap();
-        assert_eq!(out.data, vec![Gf256::new(4), Gf256::new(5), Gf256::new(6)]);
+        assert_eq!(out.data, vec![Gf65536::new(4), Gf65536::new(5), Gf65536::new(6)]);
     }
 
     #[test]
@@ -276,13 +272,13 @@ mod tests {
         let c = rs(7, 3);
         let clean = enc(&c, &[0xde, 0xad, 0xbe]);
         let mut cw = clean;
-        cw[2] = Gf256::new(0);
-        cw[5] = Gf256::new(0xff);
+        cw[2] = Gf65536::new(0);
+        cw[5] = Gf65536::new(0xff);
         let pairs: Vec<_> = cw.into_iter().enumerate().collect();
         let out = decode(&c, &pairs).unwrap();
         assert_eq!(
             out.data,
-            vec![Gf256::new(0xde), Gf256::new(0xad), Gf256::new(0xbe)]
+            vec![Gf65536::new(0xde), Gf65536::new(0xad), Gf65536::new(0xbe)]
         );
         assert_eq!(out.error_positions.len(), 2);
     }

@@ -1,18 +1,23 @@
-//! The core `(n, k)` Reed-Solomon code over one field.
+//! The core `(n, k)` Reed-Solomon code over GF(2^16).
 
 use std::fmt;
 use std::sync::Arc;
 
-use mvbc_gf::{kernels, Field};
+use mvbc_gf::{kernels, Field, Gf65536};
 
 use crate::memo::Memo;
 use crate::weights::InterpWeights;
 
+/// The longest codeword, and so the most processors a code supports:
+/// each position needs its own non-zero evaluation point, and GF(2^16)
+/// has `2^16 - 1` of them.
+pub const MAX_CODE_LENGTH: usize = (Gf65536::ORDER - 1) as usize;
+
 /// Errors produced by Reed-Solomon encoding and decoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodeError {
-    /// Code parameters are invalid (`k == 0`, `k > n`, or `n` exceeds the
-    /// number of distinct non-zero field points `2^c - 1`).
+    /// Code parameters are invalid (`k == 0`, `k > n`, or `n` exceeds
+    /// [`MAX_CODE_LENGTH`]).
     InvalidParameters {
         /// Requested codeword length.
         n: usize,
@@ -67,7 +72,7 @@ impl fmt::Display for CodeError {
 
 impl std::error::Error for CodeError {}
 
-/// An `(n, k)` Reed-Solomon code over field `F`.
+/// An `(n, k)` Reed-Solomon code over GF(2^16).
 ///
 /// A data vector `d[0..k]` is interpreted as the polynomial
 /// `p(x) = d[0] + d[1] x + ... + d[k-1] x^{k-1}` and the codeword is
@@ -79,40 +84,40 @@ impl std::error::Error for CodeError {}
 /// Minimum distance is `n - k + 1`; with `k = n - 2t` this is the paper's
 /// distance-`(2t + 1)` code `C_2t`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReedSolomon<F: Field> {
+pub struct ReedSolomon {
     n: usize,
     k: usize,
-    alphas: Vec<F>,
+    alphas: Vec<Gf65536>,
     /// Row-major `n × k` generator matrix: `gen[j * k + i] = alpha_j^i`,
     /// so `codeword[j] = Σ_i data[i] · gen[j * k + i]`. Precomputed once
     /// so encoding is a matrix application (and, striped, a sequence of
     /// [`kernels::addmul_slice`] calls) instead of per-stripe Horner
     /// evaluation through a freshly-allocated polynomial.
-    gen: Vec<F>,
+    gen: Vec<Gf65536>,
     /// Interpolation weights per position set, built on first use (see
     /// [`crate::weights`]).
-    weights: Memo<Vec<usize>, InterpWeights<F>>,
+    weights: Memo<Vec<usize>, InterpWeights>,
 }
 
-impl<F: Field> ReedSolomon<F> {
+impl ReedSolomon {
     /// Creates an `(n, k)` code.
     ///
     /// # Errors
     ///
     /// Returns [`CodeError::InvalidParameters`] unless
-    /// `1 <= k <= n <= 2^c - 1`.
+    /// `1 <= k <= n <= MAX_CODE_LENGTH`.
     pub fn new(n: usize, k: usize) -> Result<Self, CodeError> {
-        if k == 0 || k > n || (n as u64) > F::ORDER - 1 {
+        if k == 0 || k > n || n > MAX_CODE_LENGTH {
             return Err(CodeError::InvalidParameters {
                 n,
                 k,
-                field_order: F::ORDER,
+                field_order: Gf65536::ORDER,
             });
         }
-        let alphas: Vec<F> = (0..n).map(F::alpha).collect();
+        let alphas: Vec<Gf65536> = (0..n).map(Gf65536::alpha).collect();
         let mut gen = Vec::with_capacity(n * k);
         for &a in &alphas {
-            let mut power = F::ONE;
+            let mut power = Gf65536::ONE;
             for _ in 0..k {
                 gen.push(power);
                 power *= a;
@@ -154,19 +159,19 @@ impl<F: Field> ReedSolomon<F> {
     }
 
     /// The evaluation point for codeword position `j`.
-    pub fn alpha(&self, j: usize) -> F {
+    pub fn alpha(&self, j: usize) -> Gf65536 {
         self.alphas[j]
     }
 
     /// One generator-matrix row: the `k` multipliers producing codeword
     /// position `j` (`[1, alpha_j, alpha_j^2, ...]`).
-    pub(crate) fn gen_row(&self, j: usize) -> &[F] {
+    pub(crate) fn gen_row(&self, j: usize) -> &[Gf65536] {
         &self.gen[j * self.k..(j + 1) * self.k]
     }
 
     /// The memoized interpolation weights for a `k`-subset of positions
     /// (see [`crate::weights`]).
-    pub(crate) fn interp_weights(&self, positions: &[usize]) -> Arc<InterpWeights<F>> {
+    pub(crate) fn interp_weights(&self, positions: &[usize]) -> Arc<InterpWeights> {
         self.weights
             .get_or_build(positions, || InterpWeights::build(positions, &self.alphas))
     }
@@ -177,7 +182,7 @@ impl<F: Field> ReedSolomon<F> {
     /// # Errors
     ///
     /// Returns [`CodeError::WrongDataLength`] when `data.len() != k`.
-    pub fn encode(&self, data: &[F]) -> Result<Vec<F>, CodeError> {
+    pub fn encode(&self, data: &[Gf65536]) -> Result<Vec<Gf65536>, CodeError> {
         if data.len() != self.k {
             return Err(CodeError::WrongDataLength {
                 expected: self.k,
@@ -190,7 +195,7 @@ impl<F: Field> ReedSolomon<F> {
     /// Validates `(position, symbol)` pairs: positions in range, no
     /// duplicates. Uses a stack bitset for codes up to 128 positions
     /// (every practical geometry), so the hot path never allocates.
-    fn validate_positions<S>(&self, symbols: &[(usize, S)]) -> Result<(), CodeError> {
+    fn validate_positions(&self, symbols: &[(usize, Gf65536)]) -> Result<(), CodeError> {
         if self.n <= 128 {
             let mut seen: u128 = 0;
             for &(pos, _) in symbols {
@@ -215,7 +220,7 @@ impl<F: Field> ReedSolomon<F> {
     /// symbols and verifies every remaining symbol lies on the polynomial
     /// they determine (incremental check via the cached extension rows —
     /// no re-interpolation).
-    fn checked_weights(&self, symbols: &[(usize, F)]) -> Result<Arc<InterpWeights<F>>, CodeError> {
+    fn checked_weights(&self, symbols: &[(usize, Gf65536)]) -> Result<Arc<InterpWeights>, CodeError> {
         self.validate_positions(symbols)?;
         if symbols.len() < self.k {
             return Err(CodeError::NotEnoughSymbols {
@@ -223,31 +228,20 @@ impl<F: Field> ReedSolomon<F> {
                 got: symbols.len(),
             });
         }
-        let mut positions = [0usize; 128];
+        // Stack positions for k <= 128 (every practical geometry), so
+        // the hot path does not allocate.
+        let mut stack = [0usize; 128];
+        let heap: Vec<usize>;
         let positions = if self.k <= 128 {
-            for (slot, &(pos, _)) in positions.iter_mut().zip(&symbols[..self.k]) {
+            for (slot, &(pos, _)) in stack.iter_mut().zip(&symbols[..self.k]) {
                 *slot = pos;
             }
-            &positions[..self.k]
+            &stack[..self.k]
         } else {
-            return self.checked_weights_large(symbols);
+            heap = symbols[..self.k].iter().map(|&(pos, _)| pos).collect();
+            &heap[..]
         };
         let w = self.interp_weights(positions);
-        for &(pos, s) in &symbols[self.k..] {
-            if predict(&w, pos, symbols) != s {
-                return Err(CodeError::Inconsistent);
-            }
-        }
-        Ok(w)
-    }
-
-    /// Cold path of [`ReedSolomon::checked_weights`] for `k > 128`.
-    fn checked_weights_large(
-        &self,
-        symbols: &[(usize, F)],
-    ) -> Result<Arc<InterpWeights<F>>, CodeError> {
-        let positions: Vec<usize> = symbols[..self.k].iter().map(|&(pos, _)| pos).collect();
-        let w = self.interp_weights(&positions);
         for &(pos, s) in &symbols[self.k..] {
             if predict(&w, pos, symbols) != s {
                 return Err(CodeError::Inconsistent);
@@ -266,13 +260,9 @@ impl<F: Field> ReedSolomon<F> {
     ///
     /// Returns [`CodeError::BadPosition`] for out-of-range or duplicated
     /// positions.
-    pub fn is_consistent(&self, symbols: &[(usize, F)]) -> Result<bool, CodeError> {
-        self.validate_positions(symbols)?;
-        if symbols.len() < self.k {
-            return Ok(true);
-        }
+    pub fn is_consistent(&self, symbols: &[(usize, Gf65536)]) -> Result<bool, CodeError> {
         match self.checked_weights(symbols) {
-            Ok(_) => Ok(true),
+            Ok(_) | Err(CodeError::NotEnoughSymbols { .. }) => Ok(true),
             Err(CodeError::Inconsistent) => Ok(false),
             Err(e) => Err(e),
         }
@@ -288,9 +278,9 @@ impl<F: Field> ReedSolomon<F> {
     /// - [`CodeError::Inconsistent`] when the symbols do not all lie on one
     ///   codeword.
     /// - [`CodeError::BadPosition`] for invalid positions.
-    pub fn decode(&self, symbols: &[(usize, F)]) -> Result<Vec<F>, CodeError> {
+    pub fn decode(&self, symbols: &[(usize, Gf65536)]) -> Result<Vec<Gf65536>, CodeError> {
         let w = self.checked_weights(symbols)?;
-        let mut data = vec![F::ZERO; self.k];
+        let mut data = vec![Gf65536::ZERO; self.k];
         for (j, &(_, y)) in symbols[..self.k].iter().enumerate() {
             kernels::addmul_slice(y, w.coeff_row(j), &mut data);
         }
@@ -302,55 +292,59 @@ impl<F: Field> ReedSolomon<F> {
     /// # Errors
     ///
     /// Same as [`ReedSolomon::decode`].
-    pub fn extend(&self, symbols: &[(usize, F)]) -> Result<Vec<F>, CodeError> {
+    pub fn extend(&self, symbols: &[(usize, Gf65536)]) -> Result<Vec<Gf65536>, CodeError> {
         let w = self.checked_weights(symbols)?;
         Ok((0..self.n).map(|pos| predict(&w, pos, symbols)).collect())
     }
 }
 
 /// Dot product `Σ row[i] · data[i]` (both length `k`).
-fn dot<F: Field>(row: &[F], data: &[F]) -> F {
-    row.iter().zip(data).fold(F::ZERO, |acc, (&g, &d)| acc + g * d)
+fn dot(row: &[Gf65536], data: &[Gf65536]) -> Gf65536 {
+    row.iter().zip(data).fold(Gf65536::ZERO, |acc, (&g, &d)| acc + g * d)
 }
 
 /// Predicted codeword symbol at `pos` from the first `k` supplied
 /// symbols, via the cached extension row.
-fn predict<F: Field>(w: &InterpWeights<F>, pos: usize, symbols: &[(usize, F)]) -> F {
+fn predict(w: &InterpWeights, pos: usize, symbols: &[(usize, Gf65536)]) -> Gf65536 {
     w.ext_row(pos)
         .iter()
         .zip(&symbols[..w.k])
-        .fold(F::ZERO, |acc, (&e, &(_, y))| acc + e * y)
+        .fold(Gf65536::ZERO, |acc, (&e, &(_, y))| acc + e * y)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvbc_gf::{Gf16, Gf256, Gf65536};
 
-    fn code(n: usize, k: usize) -> ReedSolomon<Gf256> {
+    fn code(n: usize, k: usize) -> ReedSolomon {
         ReedSolomon::new(n, k).unwrap()
     }
 
-    fn data(vals: &[u8]) -> Vec<Gf256> {
-        vals.iter().map(|&v| Gf256::new(v)).collect()
+    fn data(vals: &[u16]) -> Vec<Gf65536> {
+        vals.iter().map(|&v| Gf65536::new(v)).collect()
     }
 
     #[test]
     fn parameter_validation() {
-        assert!(ReedSolomon::<Gf256>::new(10, 0).is_err());
-        assert!(ReedSolomon::<Gf256>::new(3, 4).is_err());
-        assert!(ReedSolomon::<Gf16>::new(16, 2).is_err()); // only 15 points
-        assert!(ReedSolomon::<Gf16>::new(15, 2).is_ok());
-        assert!(ReedSolomon::<Gf65536>::new(1000, 500).is_ok());
+        assert!(ReedSolomon::new(10, 0).is_err());
+        assert!(ReedSolomon::new(3, 4).is_err());
+        assert!(ReedSolomon::new(1000, 500).is_ok());
+        // One position per non-zero field point: 65 535 of them.
+        assert_eq!(MAX_CODE_LENGTH, 65_535);
+        assert!(ReedSolomon::new(65_535, 1).is_ok());
+        assert_eq!(
+            ReedSolomon::new(65_536, 1),
+            Err(CodeError::InvalidParameters { n: 65_536, k: 1, field_order: 65_536 })
+        );
     }
 
     #[test]
     fn c2t_constructor() {
-        let rs = ReedSolomon::<Gf256>::c2t(7, 2).unwrap();
+        let rs = ReedSolomon::c2t(7, 2).unwrap();
         assert_eq!(rs.n(), 7);
         assert_eq!(rs.k(), 3);
         assert_eq!(rs.distance(), 5); // 2t + 1
-        assert!(ReedSolomon::<Gf256>::c2t(6, 3).is_err()); // n = 2t
+        assert!(ReedSolomon::c2t(6, 3).is_err()); // n = 2t
     }
 
     #[test]
@@ -384,7 +378,7 @@ mod tests {
         let cw = rs.encode(&data(&[1, 2, 3])).unwrap();
         for victim in 0..7 {
             let mut bad = cw.clone();
-            bad[victim] += Gf256::ONE;
+            bad[victim] += Gf65536::ONE;
             let pairs: Vec<_> = bad.iter().copied().enumerate().collect();
             assert!(!rs.is_consistent(&pairs).unwrap());
         }
@@ -403,7 +397,7 @@ mod tests {
     #[test]
     fn consistency_vacuous_below_k() {
         let rs = code(7, 3);
-        assert!(rs.is_consistent(&[(0, Gf256::new(5)), (3, Gf256::new(9))]).unwrap());
+        assert!(rs.is_consistent(&[(0, Gf65536::new(5)), (3, Gf65536::new(9))]).unwrap());
         assert!(rs.is_consistent(&[]).unwrap());
     }
 
@@ -411,7 +405,7 @@ mod tests {
     fn consistency_with_exactly_k_symbols_is_always_true() {
         let rs = code(7, 3);
         // Any k points define some polynomial of degree < k.
-        let picks = [(0, Gf256::new(1)), (1, Gf256::new(200)), (6, Gf256::new(77))];
+        let picks = [(0, Gf65536::new(1)), (1, Gf65536::new(200)), (6, Gf65536::new(77))];
         assert!(rs.is_consistent(&picks).unwrap());
     }
 
@@ -420,7 +414,7 @@ mod tests {
         let rs = code(7, 3);
         let cw = rs.encode(&data(&[8, 8, 8])).unwrap();
         let mut pairs: Vec<_> = cw.iter().copied().enumerate().collect();
-        pairs[5].1 += Gf256::new(3);
+        pairs[5].1 += Gf65536::new(3);
         assert_eq!(rs.decode(&pairs), Err(CodeError::Inconsistent));
         assert!(!rs.is_consistent(&pairs).unwrap());
     }
@@ -429,11 +423,11 @@ mod tests {
     fn bad_positions_rejected() {
         let rs = code(7, 3);
         assert_eq!(
-            rs.is_consistent(&[(7, Gf256::ZERO)]),
+            rs.is_consistent(&[(7, Gf65536::ZERO)]),
             Err(CodeError::BadPosition { position: 7 })
         );
         assert_eq!(
-            rs.decode(&[(1, Gf256::ZERO), (1, Gf256::ONE), (2, Gf256::ZERO)]),
+            rs.decode(&[(1, Gf65536::ZERO), (1, Gf65536::ONE), (2, Gf65536::ZERO)]),
             Err(CodeError::BadPosition { position: 1 })
         );
     }
@@ -442,7 +436,7 @@ mod tests {
     fn not_enough_symbols_rejected() {
         let rs = code(7, 3);
         assert_eq!(
-            rs.decode(&[(0, Gf256::ZERO)]),
+            rs.decode(&[(0, Gf65536::ZERO)]),
             Err(CodeError::NotEnoughSymbols { needed: 3, got: 1 })
         );
     }
@@ -486,7 +480,7 @@ mod tests {
 
     #[test]
     fn error_display_strings() {
-        let e = CodeError::InvalidParameters { n: 3, k: 9, field_order: 256 };
+        let e = CodeError::InvalidParameters { n: 3, k: 9, field_order: 65_536 };
         assert!(e.to_string().contains("invalid"));
         assert!(CodeError::Inconsistent.to_string().contains("codeword"));
         assert!(CodeError::NotEnoughSymbols { needed: 3, got: 1 }
@@ -496,7 +490,7 @@ mod tests {
 
     #[test]
     fn large_field_large_code() {
-        let rs: ReedSolomon<Gf65536> = ReedSolomon::new(64, 22).unwrap();
+        let rs = ReedSolomon::new(64, 22).unwrap();
         let d: Vec<Gf65536> = (0..22).map(|i| Gf65536::new(i * 997)).collect();
         let cw = rs.encode(&d).unwrap();
         let picks: Vec<_> = cw.iter().copied().enumerate().skip(42).collect();

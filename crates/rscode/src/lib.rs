@@ -15,8 +15,9 @@
 //!    the decision value is recovered from any `n - 2t` consistent symbols
 //!    (lines 2(c) and 3(i)).
 //!
-//! [`ReedSolomon`] implements these primitives over a single
-//! [`Field`](mvbc_gf::Field); [`StripedCode`] lifts them to
+//! [`ReedSolomon`] implements these primitives over GF(2^16)
+//! ([`Gf65536`](mvbc_gf::Gf65536)), so a code has at most
+//! [`MAX_CODE_LENGTH`] positions; [`StripedCode`] lifts them to
 //! arbitrary-length byte strings by running many interleaved codewords
 //! ("stripes") in parallel, which is how a `D`-bit generation value maps
 //! onto GF(2^16) symbols. The [`berlekamp_welch`] module additionally
@@ -32,12 +33,12 @@
 //! # Examples
 //!
 //! ```
-//! use mvbc_gf::Gf256;
+//! use mvbc_gf::Gf65536;
 //! use mvbc_rscode::ReedSolomon;
 //!
 //! // (n, k) = (7, 3): the paper's C_2t with n = 7, t = 2.
-//! let rs: ReedSolomon<Gf256> = ReedSolomon::new(7, 3)?;
-//! let data = [Gf256::new(1), Gf256::new(2), Gf256::new(3)];
+//! let rs = ReedSolomon::new(7, 3)?;
+//! let data = [Gf65536::new(1), Gf65536::new(2), Gf65536::new(3)];
 //! let cw = rs.encode(&data)?;
 //! // Any k symbols decode back to the data...
 //! let picks = [(0usize, cw[0]), (4, cw[4]), (6, cw[6])];
@@ -59,6 +60,6 @@ mod striped;
 mod symbol;
 mod weights;
 
-pub use code::{CodeError, ReedSolomon};
+pub use code::{CodeError, ReedSolomon, MAX_CODE_LENGTH};
 pub use striped::{StripedCode, StripedLayout};
 pub use symbol::Symbol;

@@ -18,7 +18,7 @@ use crate::{CodeError, ReedSolomon, StripedCode, Symbol};
 /// # Errors
 ///
 /// As [`ReedSolomon::encode`].
-pub fn rs_encode<F: Field>(rs: &ReedSolomon<F>, data: &[F]) -> Result<Vec<F>, CodeError> {
+pub fn rs_encode(rs: &ReedSolomon, data: &[Gf65536]) -> Result<Vec<Gf65536>, CodeError> {
     if data.len() != rs.k() {
         return Err(CodeError::WrongDataLength {
             expected: rs.k(),
@@ -29,7 +29,7 @@ pub fn rs_encode<F: Field>(rs: &ReedSolomon<F>, data: &[F]) -> Result<Vec<F>, Co
     Ok((0..rs.n()).map(|j| p.eval(rs.alpha(j))).collect())
 }
 
-fn validate_positions<F: Field>(rs: &ReedSolomon<F>, symbols: &[(usize, F)]) -> Result<(), CodeError> {
+fn validate_positions(rs: &ReedSolomon, symbols: &[(usize, Gf65536)]) -> Result<(), CodeError> {
     let mut seen = vec![false; rs.n()];
     for &(pos, _) in symbols {
         if pos >= rs.n() || seen[pos] {
@@ -40,10 +40,7 @@ fn validate_positions<F: Field>(rs: &ReedSolomon<F>, symbols: &[(usize, F)]) -> 
     Ok(())
 }
 
-fn interpolate_checked<F: Field>(
-    rs: &ReedSolomon<F>,
-    symbols: &[(usize, F)],
-) -> Result<Poly<F>, CodeError> {
+fn interpolate_checked(rs: &ReedSolomon, symbols: &[(usize, Gf65536)]) -> Result<Poly, CodeError> {
     validate_positions(rs, symbols)?;
     if symbols.len() < rs.k() {
         return Err(CodeError::NotEnoughSymbols {
@@ -51,7 +48,7 @@ fn interpolate_checked<F: Field>(
             got: symbols.len(),
         });
     }
-    let pts: Vec<(F, F)> = symbols[..rs.k()]
+    let pts: Vec<(Gf65536, Gf65536)> = symbols[..rs.k()]
         .iter()
         .map(|&(pos, s)| (rs.alpha(pos), s))
         .collect();
@@ -70,10 +67,7 @@ fn interpolate_checked<F: Field>(
 /// # Errors
 ///
 /// As [`ReedSolomon::is_consistent`].
-pub fn rs_is_consistent<F: Field>(
-    rs: &ReedSolomon<F>,
-    symbols: &[(usize, F)],
-) -> Result<bool, CodeError> {
+pub fn rs_is_consistent(rs: &ReedSolomon, symbols: &[(usize, Gf65536)]) -> Result<bool, CodeError> {
     validate_positions(rs, symbols)?;
     if symbols.len() < rs.k() {
         return Ok(true);
@@ -90,10 +84,10 @@ pub fn rs_is_consistent<F: Field>(
 /// # Errors
 ///
 /// As [`ReedSolomon::decode`].
-pub fn rs_decode<F: Field>(rs: &ReedSolomon<F>, symbols: &[(usize, F)]) -> Result<Vec<F>, CodeError> {
+pub fn rs_decode(rs: &ReedSolomon, symbols: &[(usize, Gf65536)]) -> Result<Vec<Gf65536>, CodeError> {
     let p = interpolate_checked(rs, symbols)?;
     let mut data = p.into_coeffs();
-    data.resize(rs.k(), F::ZERO);
+    data.resize(rs.k(), Gf65536::ZERO);
     Ok(data)
 }
 
@@ -178,7 +172,7 @@ pub fn decode_value(code: &StripedCode, symbols: &[(usize, Symbol)]) -> Result<V
     for s in 0..l.stripes {
         let data = rs_decode(code.rs(), &stripe_pairs(symbols, s))?;
         for (ci, elem) in data.iter().enumerate() {
-            let bytes = (elem.to_u64() as u16).to_be_bytes();
+            let bytes = elem.raw().to_be_bytes();
             chunks[ci].push(bytes[0]);
             chunks[ci].push(bytes[1]);
         }

@@ -127,7 +127,7 @@ pub struct StripedLayout {
 #[derive(Debug, Clone)]
 pub struct StripedCode {
     layout: StripedLayout,
-    rs: ReedSolomon<Gf65536>,
+    rs: ReedSolomon,
     /// The generator matrix's `n·k` prepared tables (one entry: they
     /// depend on nothing but the code), built by the first encode that
     /// takes the prepared path.
@@ -203,7 +203,7 @@ impl StripedCode {
     }
 
     /// The underlying single-codeword Reed-Solomon code.
-    pub(crate) fn rs(&self) -> &ReedSolomon<Gf65536> {
+    pub(crate) fn rs(&self) -> &ReedSolomon {
         &self.rs
     }
 
@@ -306,7 +306,7 @@ impl StripedCode {
     fn weights(
         &self,
         symbols: &[(usize, Symbol)],
-    ) -> Result<std::sync::Arc<crate::weights::InterpWeights<Gf65536>>, CodeError> {
+    ) -> Result<std::sync::Arc<crate::weights::InterpWeights>, CodeError> {
         let l = &self.layout;
         if symbols.len() < l.k {
             return Err(CodeError::NotEnoughSymbols {
@@ -324,7 +324,7 @@ impl StripedCode {
     /// scratch buffer, then a straight comparison.
     fn verify_extras(
         &self,
-        w: &crate::weights::InterpWeights<Gf65536>,
+        w: &crate::weights::InterpWeights,
         symbols: &[(usize, Symbol)],
         scratch: &mut Vec<Gf65536>,
     ) -> Result<(), CodeError> {
@@ -408,7 +408,7 @@ impl StripedCode {
                 if 2 * bi >= take {
                     break;
                 }
-                let bytes = (elem.to_u64() as u16).to_be_bytes();
+                let bytes = elem.raw().to_be_bytes();
                 out.push(bytes[0]);
                 if 2 * bi + 1 < take {
                     out.push(bytes[1]);
@@ -478,7 +478,7 @@ impl StripedCode {
                 crate::berlekamp_welch::decode(&self.rs, &self.stripe_pairs(symbols, s))
                     .map_err(|_| CodeError::Inconsistent)?;
             for (ci, elem) in corrected.data.iter().enumerate() {
-                let bytes = (elem.to_u64() as u16).to_be_bytes();
+                let bytes = elem.raw().to_be_bytes();
                 chunks[ci].push(bytes[0]);
                 chunks[ci].push(bytes[1]);
             }

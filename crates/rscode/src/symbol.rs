@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use mvbc_gf::{Field, Gf65536};
+use mvbc_gf::Gf65536;
 
 /// One coded symbol of a [`StripedCode`](crate::StripedCode) codeword.
 ///
@@ -56,7 +56,7 @@ impl Symbol {
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.elems.len() * 2);
         for e in &self.elems {
-            out.extend_from_slice(&(e.to_u64() as u16).to_be_bytes());
+            out.extend_from_slice(&e.raw().to_be_bytes());
         }
         out
     }

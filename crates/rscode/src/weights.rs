@@ -27,31 +27,31 @@
 //! [`Memo`](crate::memo::Memo) keyed by the position set: built on the
 //! first check or decode through that set, shared by every later one.
 
-use mvbc_gf::Field;
+use mvbc_gf::{Field, Gf65536};
 
 /// Precomputed Lagrange machinery for one `(n, positions)` geometry.
 #[derive(Debug)]
-pub(crate) struct InterpWeights<F: Field> {
+pub(crate) struct InterpWeights {
     /// Number of supplied positions (`positions.len()`, the code's `k`).
     pub k: usize,
     /// `coeff[j * k + i]` = coefficient of `x^i` in `L_j`.
-    pub coeff: Vec<F>,
+    pub coeff: Vec<Gf65536>,
     /// `ext[pos * k + j]` = `L_j(alpha_pos)`, for `pos` in `0..n`.
-    pub ext: Vec<F>,
+    pub ext: Vec<Gf65536>,
 }
 
-impl<F: Field> InterpWeights<F> {
+impl InterpWeights {
     /// Builds the weights for interpolation through `positions` over a
     /// code with evaluation points `alphas` (length `n`).
-    pub(crate) fn build(positions: &[usize], alphas: &[F]) -> Self {
+    pub(crate) fn build(positions: &[usize], alphas: &[Gf65536]) -> Self {
         let k = positions.len();
         let n = alphas.len();
-        let xs: Vec<F> = positions.iter().map(|&p| alphas[p]).collect();
+        let xs: Vec<Gf65536> = positions.iter().map(|&p| alphas[p]).collect();
 
         // Master polynomial M(x) = Π_j (x - x_j), built incrementally.
         // In characteristic 2, (x - x_j) == (x + x_j).
-        let mut master = vec![F::ZERO; k + 1];
-        master[0] = F::ONE;
+        let mut master = vec![Gf65536::ZERO; k + 1];
+        master[0] = Gf65536::ONE;
         for (deg, &x) in xs.iter().enumerate() {
             for i in (0..=deg).rev() {
                 let c = master[i];
@@ -60,9 +60,9 @@ impl<F: Field> InterpWeights<F> {
             }
         }
 
-        let mut coeff = vec![F::ZERO; k * k];
-        let mut denom_inv = vec![F::ZERO; k];
-        let mut quotient = vec![F::ZERO; k];
+        let mut coeff = vec![Gf65536::ZERO; k * k];
+        let mut denom_inv = vec![Gf65536::ZERO; k];
+        let mut quotient = vec![Gf65536::ZERO; k];
         for (j, &xj) in xs.iter().enumerate() {
             // Synthetic division: q_j = M / (x - x_j), degree k - 1.
             quotient[k - 1] = master[k];
@@ -71,7 +71,7 @@ impl<F: Field> InterpWeights<F> {
             }
             // denom_j = q_j(x_j) = Π_{m != j} (x_j - x_m), non-zero
             // because the evaluation points are pairwise distinct.
-            let denom = quotient.iter().rev().fold(F::ZERO, |acc, &q| acc * xj + q);
+            let denom = quotient.iter().rev().fold(Gf65536::ZERO, |acc, &q| acc * xj + q);
             let dinv = denom.inv().expect("distinct points give non-zero denominator");
             denom_inv[j] = dinv;
             for i in 0..k {
@@ -82,14 +82,14 @@ impl<F: Field> InterpWeights<F> {
         // Extension rows. For a supplied position, L_j(x_j') = δ_{jj'}
         // (identity row); for any other position p,
         // L_j(alpha_p) = M(alpha_p) / ((alpha_p - x_j) · denom_j).
-        let mut ext = vec![F::ZERO; n * k];
+        let mut ext = vec![Gf65536::ZERO; n * k];
         for (pos, &apos) in alphas.iter().enumerate() {
             let row = &mut ext[pos * k..(pos + 1) * k];
             if let Some(j) = positions.iter().position(|&p| p == pos) {
-                row[j] = F::ONE;
+                row[j] = Gf65536::ONE;
                 continue;
             }
-            let m_at = master.iter().rev().fold(F::ZERO, |acc, &c| acc * apos + c);
+            let m_at = master.iter().rev().fold(Gf65536::ZERO, |acc, &c| acc * apos + c);
             for (j, &xj) in xs.iter().enumerate() {
                 let diff_inv = (apos - xj).inv().expect("alpha points are pairwise distinct");
                 row[j] = m_at * diff_inv * denom_inv[j];
@@ -100,12 +100,12 @@ impl<F: Field> InterpWeights<F> {
     }
 
     /// One Lagrange-basis coefficient row (`L_j`'s coefficients).
-    pub fn coeff_row(&self, j: usize) -> &[F] {
+    pub fn coeff_row(&self, j: usize) -> &[Gf65536] {
         &self.coeff[j * self.k..(j + 1) * self.k]
     }
 
     /// The extension row for codeword position `pos`.
-    pub fn ext_row(&self, pos: usize) -> &[F] {
+    pub fn ext_row(&self, pos: usize) -> &[Gf65536] {
         &self.ext[pos * self.k..(pos + 1) * self.k]
     }
 }
@@ -115,20 +115,20 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use mvbc_gf::{interpolate, Gf256, Gf65536, Poly};
+    use mvbc_gf::{interpolate, Poly};
 
-    fn alphas<F: Field>(n: usize) -> Vec<F> {
-        (0..n).map(F::alpha).collect()
+    fn alphas(n: usize) -> Vec<Gf65536> {
+        (0..n).map(Gf65536::alpha).collect()
     }
 
     #[test]
     fn coeff_rows_match_lagrange_interpolation() {
-        let als = alphas::<Gf256>(7);
+        let als = alphas(7);
         let positions = [1usize, 4, 6];
-        let w = InterpWeights::<Gf256>::build(&positions, &als);
-        let ys = [Gf256::new(17), Gf256::new(200), Gf256::new(3)];
+        let w = InterpWeights::build(&positions, &als);
+        let ys = [Gf65536::new(17), Gf65536::new(200), Gf65536::new(3)];
         // Matrix path.
-        let mut coeffs = vec![Gf256::ZERO; 3];
+        let mut coeffs = vec![Gf65536::ZERO; 3];
         for (j, &y) in ys.iter().enumerate() {
             mvbc_gf::kernels::addmul_slice(y, w.coeff_row(j), &mut coeffs);
         }
@@ -136,15 +136,15 @@ mod tests {
         let pts: Vec<_> = positions.iter().zip(&ys).map(|(&p, &y)| (als[p], y)).collect();
         let p = interpolate(&pts).unwrap();
         let mut expect = p.into_coeffs();
-        expect.resize(3, Gf256::ZERO);
+        expect.resize(3, Gf65536::ZERO);
         assert_eq!(coeffs, expect);
     }
 
     #[test]
     fn ext_rows_predict_codeword_symbols() {
-        let als = alphas::<Gf65536>(9);
+        let als = alphas(9);
         let positions = [0usize, 2, 5, 8];
-        let w = InterpWeights::<Gf65536>::build(&positions, &als);
+        let w = InterpWeights::build(&positions, &als);
         let poly = Poly::from_coeffs(vec![
             Gf65536::new(11),
             Gf65536::new(22),
@@ -164,16 +164,16 @@ mod tests {
 
     #[test]
     fn identity_rows_for_supplied_positions() {
-        let als = alphas::<Gf256>(5);
+        let als = alphas(5);
         let positions = [3usize, 1];
-        let w = InterpWeights::<Gf256>::build(&positions, &als);
-        assert_eq!(w.ext_row(3), &[Gf256::ONE, Gf256::ZERO]);
-        assert_eq!(w.ext_row(1), &[Gf256::ZERO, Gf256::ONE]);
+        let w = InterpWeights::build(&positions, &als);
+        assert_eq!(w.ext_row(3), &[Gf65536::ONE, Gf65536::ZERO]);
+        assert_eq!(w.ext_row(1), &[Gf65536::ZERO, Gf65536::ONE]);
     }
 
     #[test]
     fn cache_returns_shared_entries() {
-        let code = crate::ReedSolomon::<Gf256>::new(6, 3).unwrap();
+        let code = crate::ReedSolomon::new(6, 3).unwrap();
         let a = code.interp_weights(&[0, 2, 4]);
         let b = code.interp_weights(&[0, 2, 4]);
         assert!(Arc::ptr_eq(&a, &b));
@@ -181,17 +181,17 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         // The memo is state of the code value: an equal code built
         // separately builds its own entry.
-        let other = crate::ReedSolomon::<Gf256>::new(6, 3).unwrap();
+        let other = crate::ReedSolomon::new(6, 3).unwrap();
         assert!(!Arc::ptr_eq(&a, &other.interp_weights(&[0, 2, 4])));
     }
 
     #[test]
     fn single_point_interpolation_is_constant() {
-        let als = alphas::<Gf256>(4);
-        let w = InterpWeights::<Gf256>::build(&[2], &als);
-        assert_eq!(w.coeff_row(0), &[Gf256::ONE]);
+        let als = alphas(4);
+        let w = InterpWeights::build(&[2], &als);
+        assert_eq!(w.coeff_row(0), &[Gf65536::ONE]);
         for pos in 0..4 {
-            assert_eq!(w.ext_row(pos), &[Gf256::ONE], "constant extends everywhere");
+            assert_eq!(w.ext_row(pos), &[Gf65536::ONE], "constant extends everywhere");
         }
     }
 }

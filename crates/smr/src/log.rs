@@ -6,7 +6,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use mvbc_broadcast::{broadcast_optimal_d_bits, run_broadcast_slot, BroadcastConfig, BroadcastReport};
+use mvbc_broadcast::{
+    broadcast_optimal_d_bits, run_broadcast_slot, BroadcastConfig, BroadcastConfigError, BroadcastReport,
+};
 use mvbc_bsb::PhaseKingDriver;
 use mvbc_core::DiagGraph;
 use mvbc_metrics::MetricsSink;
@@ -52,6 +54,9 @@ pub enum SmrConfigError {
     ZeroSlots,
     /// The batch budget admits no command.
     EmptyBatchBudget,
+    /// Every slot is one broadcast, and its parameters are invalid
+    /// (e.g. `n` exceeds the coding field).
+    Broadcast(BroadcastConfigError),
 }
 
 impl fmt::Display for SmrConfigError {
@@ -64,6 +69,7 @@ impl fmt::Display for SmrConfigError {
             SmrConfigError::EmptyBatchBudget => {
                 write!(f, "the batch budget must admit at least one command")
             }
+            SmrConfigError::Broadcast(e) => write!(f, "{e}"),
         }
     }
 }
@@ -148,6 +154,9 @@ impl SmrConfig {
         if batch_commands == 0 || batch_bytes < Command::WIRE_BYTES {
             return Err(SmrConfigError::EmptyBatchBudget);
         }
+        // The slot broadcasts' own validator bounds `n` by the coding
+        // field, so `broadcast_config` cannot fail later.
+        BroadcastConfig::new(n, t, 0, 1).map_err(SmrConfigError::Broadcast)?;
         Ok(SmrConfig {
             n,
             t,
@@ -737,6 +746,20 @@ mod tests {
             Err(SmrConfigError::EmptyBatchBudget)
         );
         assert!(SmrConfigError::ZeroSlots.to_string().contains("slot"));
+    }
+
+    #[test]
+    fn config_rejects_network_past_the_coding_field() {
+        // Checked by the slot broadcasts' validator, so
+        // `broadcast_config` never meets an `n` it cannot code.
+        assert_eq!(
+            SmrConfig::new(70_000, 0, 1, 1),
+            Err(SmrConfigError::Broadcast(BroadcastConfigError::TooManyProcessors { n: 70_000 }))
+        );
+        let max = SmrConfig::new(65_535, 0, 1, 1).unwrap();
+        assert_eq!(max.broadcast_config(65_534).n, 65_535);
+        let err = SmrConfig::new(65_536, 0, 1, 1).unwrap_err();
+        assert!(err.to_string().contains("at most 65535 processors"), "{err}");
     }
 
     #[test]

@@ -1,34 +1,34 @@
 //! Equivalence suite: the batched slice-kernel codec paths must be
 //! *byte-identical* to the scalar reference implementations
 //! ([`mvbc_rscode::reference`]) — encode, decode, consistency, and
-//! striped round-trips, across all three fields and random geometries —
+//! striped round-trips, over GF(2^16) and random geometries —
 //! and the codec rewrite must not have changed protocol behavior (pinned
 //! by a seeded pipelined SMR digest captured before the rewrite).
 
-use mvbc_gf::{kernels, Field, Gf16, Gf256, Gf65536};
+use mvbc_gf::{kernels, Field, Gf65536};
 use mvbc_metrics::MetricsSink;
 use mvbc_rscode::{reference, CodeError, ReedSolomon, StripedCode, Symbol};
 use mvbc_smr::{simulate_smr, synthetic_workloads, HonestReplica, SmrConfig, SmrHooks};
 use proptest::prelude::*;
 
 /// Deterministic field elements from a seed.
-fn elems<F: Field>(len: usize, seed: u64) -> Vec<F> {
+fn elems(len: usize, seed: u64) -> Vec<Gf65536> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
     (0..len)
         .map(|_| {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            F::from_u64(state)
+            Gf65536::from_u64(state)
         })
         .collect()
 }
 
-/// Kernels == scalar loops for one field, over a generated slice.
-fn check_kernels<F: Field>(len: usize, c_raw: u64, seed: u64) {
-    let c = F::from_u64(c_raw);
-    let src = elems::<F>(len, seed);
-    let acc = elems::<F>(len, seed ^ 0xabcd);
+/// Kernels == scalar loops over a generated slice.
+fn check_kernels(len: usize, c_raw: u64, seed: u64) {
+    let c = Gf65536::from_u64(c_raw);
+    let src = elems(len, seed);
+    let acc = elems(len, seed ^ 0xabcd);
 
     let mut fast = acc.clone();
     let mut slow = acc;
@@ -37,19 +37,19 @@ fn check_kernels<F: Field>(len: usize, c_raw: u64, seed: u64) {
     assert_eq!(fast, slow);
 }
 
-/// Batched ReedSolomon == scalar reference for one field: encode, every
-/// decode subset shape, consistency on clean and tampered codewords.
-fn check_rs_equivalence<F: Field>(n: usize, k: usize, seed: u64, tamper: Option<(usize, u64)>) {
-    let rs: ReedSolomon<F> = ReedSolomon::new(n, k).unwrap();
-    let data = elems::<F>(k, seed);
+/// Batched ReedSolomon == scalar reference: encode, every decode
+/// subset shape, consistency on clean and tampered codewords.
+fn check_rs_equivalence(n: usize, k: usize, seed: u64, tamper: Option<(usize, u64)>) {
+    let rs = ReedSolomon::new(n, k).unwrap();
+    let data = elems(k, seed);
 
     let batched = rs.encode(&data).unwrap();
     let scalar = reference::rs_encode(&rs, &data).unwrap();
     assert_eq!(batched, scalar, "encode must be identical");
 
-    let mut pairs: Vec<(usize, F)> = batched.iter().copied().enumerate().collect();
+    let mut pairs: Vec<(usize, Gf65536)> = batched.iter().copied().enumerate().collect();
     if let Some((victim, delta)) = tamper {
-        pairs[victim % n].1 += F::from_u64(delta);
+        pairs[victim % n].1 += Gf65536::from_u64(delta);
     }
 
     // Full-codeword consistency and decode agree with the reference,
@@ -62,7 +62,7 @@ fn check_rs_equivalence<F: Field>(n: usize, k: usize, seed: u64, tamper: Option<
 
     // A k-subset (rotated so parity positions lead) decodes identically.
     let rot = seed as usize % n;
-    let subset: Vec<(usize, F)> = (0..k).map(|i| pairs[(i + rot) % n]).collect();
+    let subset: Vec<(usize, Gf65536)> = (0..k).map(|i| pairs[(i + rot) % n]).collect();
     assert_eq!(rs.decode(&subset), reference::rs_decode(&rs, &subset));
     // extend() agrees with re-encoding the decoded data.
     if let Ok(decoded) = rs.decode(&subset) {
@@ -79,9 +79,7 @@ proptest! {
         c in any::<u64>(),
         seed in any::<u64>(),
     ) {
-        check_kernels::<Gf16>(len, c, seed);
-        check_kernels::<Gf256>(len, c, seed);
-        check_kernels::<Gf65536>(len, c, seed);
+        check_kernels(len, c, seed);
     }
 
     #[test]
@@ -96,9 +94,7 @@ proptest! {
         // Alternate clean / tampered codewords so both branches of
         // is_consistent and decode are exercised.
         let tamper = (tamper_delta % 3 != 0).then(|| (tamper_victim, 1 + tamper_delta % 0xf));
-        check_rs_equivalence::<Gf16>(n, k, seed, tamper);
-        check_rs_equivalence::<Gf256>(n, k, seed, tamper);
-        check_rs_equivalence::<Gf65536>(n, k, seed, tamper);
+        check_rs_equivalence(n, k, seed, tamper);
     }
 
     #[test]
@@ -146,29 +142,24 @@ proptest! {
     }
 }
 
-/// Fused row kernels == scalar row loops for all three fields, across
-/// lengths that straddle every dispatch threshold of the packed kernels
+/// Fused row kernels == scalar row loops, across lengths that
+/// straddle every dispatch threshold of the packed kernels
 /// (log-domain below 32, split tables above, byte tables above 1024),
 /// including odd lengths and unaligned tails around the block size.
 #[test]
 fn fused_row_kernels_equal_scalar_all_fields() {
-    fn check<F: Field>() {
-        for &len in &[0usize, 1, 31, 33, 257, 1023, 1025, 4097] {
-            for k in [1usize, 2, 3, 5, 8] {
-                let srcs: Vec<Vec<F>> = (0..k).map(|j| elems::<F>(len, 77 ^ j as u64)).collect();
-                let src_refs: Vec<&[F]> = srcs.iter().map(Vec::as_slice).collect();
-                let coeffs = elems::<F>(k, 0x51);
-                let mut fast = elems::<F>(len, 0x99);
-                let mut slow = fast.clone();
-                kernels::addmul_rows(&coeffs, &src_refs, &mut fast);
-                kernels::addmul_rows_scalar(&coeffs, &src_refs, &mut slow);
-                assert_eq!(fast, slow, "len {len}, k {k}");
-            }
+    for &len in &[0usize, 1, 31, 33, 257, 1023, 1025, 4097] {
+        for k in [1usize, 2, 3, 5, 8] {
+            let srcs: Vec<Vec<Gf65536>> = (0..k).map(|j| elems(len, 77 ^ j as u64)).collect();
+            let src_refs: Vec<&[Gf65536]> = srcs.iter().map(Vec::as_slice).collect();
+            let coeffs = elems(k, 0x51);
+            let mut fast = elems(len, 0x99);
+            let mut slow = fast.clone();
+            kernels::addmul_rows(&coeffs, &src_refs, &mut fast);
+            kernels::addmul_rows_scalar(&coeffs, &src_refs, &mut slow);
+            assert_eq!(fast, slow, "len {len}, k {k}");
         }
     }
-    check::<Gf16>();
-    check::<Gf256>();
-    check::<Gf65536>();
 }
 
 /// Large values == scalar reference. `striped_equals_reference` draws

@@ -2,7 +2,7 @@
 //! Reed-Solomon identities, the paper's `C_2t` detection guarantees, and
 //! Berlekamp-Welch correction.
 
-use mvbc_gf::{interpolate, Field, Gf256, Gf65536, Poly};
+use mvbc_gf::{interpolate, Field, Gf65536, Poly};
 use mvbc_rscode::{berlekamp_welch, CodeError, ReedSolomon, StripedCode, Symbol};
 use proptest::prelude::*;
 
@@ -24,18 +24,18 @@ proptest! {
     }
 
     #[test]
-    fn gf256_division_inverts_multiplication(a in any::<u8>(), b in 1u8..) {
-        let (a, b) = (Gf256::new(a), Gf256::new(b));
+    fn gf65536_division_inverts_multiplication(a in any::<u16>(), b in 1u16..) {
+        let (a, b) = (Gf65536::new(a), Gf65536::new(b));
         prop_assert_eq!((a * b) / b, a);
     }
 
     #[test]
     fn poly_eval_agrees_with_interpolation(
-        coeffs in prop::collection::vec(any::<u8>(), 1..8),
+        coeffs in prop::collection::vec(any::<u16>(), 1..8),
     ) {
-        let p = Poly::from_coeffs(coeffs.iter().map(|&c| Gf256::new(c)).collect());
+        let p = Poly::from_coeffs(coeffs.iter().map(|&c| Gf65536::new(c)).collect());
         let pts: Vec<_> = (0..8).map(|i| {
-            let x = Gf256::alpha(i);
+            let x = Gf65536::alpha(i);
             (x, p.eval(x))
         }).collect();
         let q = interpolate(&pts).unwrap();
@@ -44,11 +44,11 @@ proptest! {
 
     #[test]
     fn poly_div_rem_identity(
-        a in prop::collection::vec(any::<u8>(), 0..10),
-        d in prop::collection::vec(any::<u8>(), 1..6),
+        a in prop::collection::vec(any::<u16>(), 0..10),
+        d in prop::collection::vec(any::<u16>(), 1..6),
     ) {
-        let a = Poly::from_coeffs(a.into_iter().map(Gf256::new).collect());
-        let d = Poly::from_coeffs(d.into_iter().map(Gf256::new).collect());
+        let a = Poly::from_coeffs(a.into_iter().map(Gf65536::new).collect());
+        let d = Poly::from_coeffs(d.into_iter().map(Gf65536::new).collect());
         prop_assume!(!d.is_zero());
         let (q, r) = a.div_rem(&d);
         prop_assert_eq!(q.mul(&d).add(&r), a);
@@ -57,14 +57,14 @@ proptest! {
 
     #[test]
     fn rs_roundtrip_any_k_subset(
-        data in prop::collection::vec(any::<u8>(), 3),
-        mask in any::<u8>(),
+        data in prop::collection::vec(any::<u16>(), 3),
+        mask in any::<u16>(),
     ) {
-        let rs: ReedSolomon<Gf256> = ReedSolomon::new(7, 3).unwrap();
-        let d: Vec<Gf256> = data.iter().map(|&x| Gf256::new(x)).collect();
+        let rs = ReedSolomon::new(7, 3).unwrap();
+        let d: Vec<Gf65536> = data.iter().map(|&x| Gf65536::new(x)).collect();
         let cw = rs.encode(&d).unwrap();
         // Select at least k positions from the mask bits.
-        let mut picks: Vec<(usize, Gf256)> = (0..7)
+        let mut picks: Vec<(usize, Gf65536)> = (0..7)
             .filter(|&i| mask & (1 << i) != 0)
             .map(|i| (i, cw[i]))
             .collect();
@@ -79,32 +79,32 @@ proptest! {
 
     #[test]
     fn c2t_detects_any_single_tampering(
-        data in prop::collection::vec(any::<u8>(), 3),
+        data in prop::collection::vec(any::<u16>(), 3),
         victim in 0usize..7,
-        delta in 1u8..,
+        delta in 1u16..,
     ) {
         // Distance 2t+1 = 5 > 1, so any single-symbol change is caught.
-        let rs: ReedSolomon<Gf256> = ReedSolomon::new(7, 3).unwrap();
-        let d: Vec<Gf256> = data.iter().map(|&x| Gf256::new(x)).collect();
+        let rs = ReedSolomon::new(7, 3).unwrap();
+        let d: Vec<Gf65536> = data.iter().map(|&x| Gf65536::new(x)).collect();
         let mut cw = rs.encode(&d).unwrap();
-        cw[victim] += Gf256::new(delta);
+        cw[victim] += Gf65536::new(delta);
         let pairs: Vec<_> = cw.into_iter().enumerate().collect();
         prop_assert!(!rs.is_consistent(&pairs).unwrap());
     }
 
     #[test]
     fn c2t_detects_up_to_2t_tamperings(
-        data in prop::collection::vec(any::<u8>(), 3),
+        data in prop::collection::vec(any::<u16>(), 3),
         victims in prop::collection::btree_set(0usize..7, 1..=4),
-        delta in 1u8..,
+        delta in 1u16..,
     ) {
         // Up to 2t = 4 changed symbols cannot reach another codeword
         // (distance 2t+1), so the full view is always inconsistent.
-        let rs: ReedSolomon<Gf256> = ReedSolomon::new(7, 3).unwrap();
-        let d: Vec<Gf256> = data.iter().map(|&x| Gf256::new(x)).collect();
+        let rs = ReedSolomon::new(7, 3).unwrap();
+        let d: Vec<Gf65536> = data.iter().map(|&x| Gf65536::new(x)).collect();
         let mut cw = rs.encode(&d).unwrap();
         for &v in &victims {
-            cw[v] += Gf256::new(delta);
+            cw[v] += Gf65536::new(delta);
         }
         let pairs: Vec<_> = cw.into_iter().enumerate().collect();
         prop_assert!(!rs.is_consistent(&pairs).unwrap());
@@ -127,14 +127,14 @@ proptest! {
 
     #[test]
     fn berlekamp_welch_corrects_within_radius(
-        data in prop::collection::vec(any::<u8>(), 3),
-        errors in prop::collection::btree_map(0usize..9, 1u8.., 0..=3),
+        data in prop::collection::vec(any::<u16>(), 3),
+        errors in prop::collection::btree_map(0usize..9, 1u16.., 0..=3),
     ) {
-        let rs: ReedSolomon<Gf256> = ReedSolomon::new(9, 3).unwrap(); // e_max = 3
-        let d: Vec<Gf256> = data.iter().map(|&x| Gf256::new(x)).collect();
+        let rs = ReedSolomon::new(9, 3).unwrap(); // e_max = 3
+        let d: Vec<Gf65536> = data.iter().map(|&x| Gf65536::new(x)).collect();
         let mut cw = rs.encode(&d).unwrap();
         for (&pos, &delta) in &errors {
-            cw[pos] += Gf256::new(delta);
+            cw[pos] += Gf65536::new(delta);
         }
         let pairs: Vec<_> = cw.into_iter().enumerate().collect();
         let out = berlekamp_welch::decode(&rs, &pairs).unwrap();
@@ -158,12 +158,12 @@ fn decode_never_hallucinates_with_honest_quorum() {
     // symbols come from one codeword and the rest are arbitrary, decode
     // either errors or returns that codeword's data (it re-checks all
     // symbols), never a third value.
-    let rs: ReedSolomon<Gf256> = ReedSolomon::new(7, 3).unwrap();
-    let d: Vec<Gf256> = vec![Gf256::new(1), Gf256::new(2), Gf256::new(3)];
+    let rs = ReedSolomon::new(7, 3).unwrap();
+    let d: Vec<Gf65536> = vec![Gf65536::new(1), Gf65536::new(2), Gf65536::new(3)];
     let cw = rs.encode(&d).unwrap();
-    for junk in 0u8..50 {
-        let mut pairs: Vec<(usize, Gf256)> = cw.iter().copied().enumerate().take(5).collect();
-        pairs.push((5, Gf256::new(junk)));
+    for junk in 0u16..50 {
+        let mut pairs: Vec<(usize, Gf65536)> = cw.iter().copied().enumerate().take(5).collect();
+        pairs.push((5, Gf65536::new(junk)));
         match rs.decode(&pairs) {
             Ok(got) => assert_eq!(got, d),
             Err(CodeError::Inconsistent) => {}
